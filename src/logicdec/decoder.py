@@ -10,11 +10,13 @@ global score.  Whenever a candidate from a group survives pruning, the next
 beam keeps at least the best candidate of that group, most-covered groups
 first.
 
-Vocabulary-level truth vectors are recomputed per hypothesis because the
-rules read the hypothesis's own prefix and coverage.  When static analysis
-shows the rules depend on the prefix only through stem-equality coverage of
-the constraint set (the shipped lexical templates do), results are memoised
-on the coverage bitmask; rules that never mention the prefix are proved once.
+Each hypothesis step proves at most once: the vocabulary truth vector under
+the hypothesis's own prefix.  The attention hooks' prefix and target truth
+values are gathers of it, since an atom reads only the token id at a
+position.  When static analysis shows the rules depend on the prefix only
+through stem-equality coverage of the constraint set (the shipped lexical
+templates do), the vector is memoised on the coverage bitmask; rules that
+never mention the prefix are proved once.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ class Hypothesis:
     logp: float
     covered: int = 0           # bitmask over the constraint set
     finished: bool = False
-
-    def coverage_bits(self, n: int) -> tuple[bool, ...]:
-        return tuple(bool(self.covered >> i & 1) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -210,10 +209,6 @@ def _prefix_dependence(program: R.RuleProgram, rule: str,
 # ---------------------------------------------------------------------------
 # Decoding
 
-def _log_dist(dist: np.ndarray) -> np.ndarray:
-    return pre_activation(dist)
-
-
 @dataclass
 class _Live:
     hyp: Hypothesis
@@ -230,7 +225,7 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
 
     ``program``/``rule`` may be None for unconstrained operation.  ``ctx``
     carries the fact base and set bindings; the decoder owns the ``Prev``
-    binding and the coverage flags, refreshing them per hypothesis.
+    binding, refreshing it per hypothesis.
     """
     facts = ctx.facts if ctx is not None else None
     if facts is not None and scorer.vocab_size != len(facts.vocab):
@@ -248,12 +243,6 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         memo_mode = _prefix_dependence(program, rule)
     vocab_memo: dict = {}
 
-    def hyp_ctx(tokens: tuple[int, ...], covered: int) -> EvalContext:
-        sets = dict(ctx.sets)
-        sets["Prev"] = tokens
-        return EvalContext(facts=facts, sets=sets,
-                           covered=tuple(bool(covered >> i & 1) for i in range(len(concepts))))
-
     def vocab_truth(tokens: tuple[int, ...], covered: int) -> np.ndarray:
         if memo_mode == "none":
             key = ()
@@ -263,23 +252,22 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
             key = tokens
         hit = vocab_memo.get(key)
         if hit is None:
-            hit = prove(program, rule, Domain.vocabulary(facts), hyp_ctx(tokens, covered))
+            local = EvalContext(facts=facts, sets={**ctx.sets, "Prev": tokens})
+            hit = prove(program, rule, Domain.vocabulary(facts), local)
             vocab_memo[key] = hit
         return hit
 
     def step_dist(session, token: int, tokens_after: tuple[int, ...], covered: int):
         """Consume ``token``; return (shifted dist, raw dist or None)."""
         if hooking:
-            local = hyp_ctx(tokens_after, covered)
+            truth = vocab_truth(tokens_after, covered)
             bundle = AttentionHookBundle(
                 alpha1=config.alpha1,
                 alpha2=config.alpha2,
                 alpha3=config.alpha3,
-                truth_prefix=prove(program, rule, Domain.prefix(tokens_after), local),
-                truth_targets=(prove(program, rule, Domain.targets(concepts), local)
-                               if concepts else None),
-                truth_vocab=(vocab_truth(tokens_after, covered)
-                             if config.alpha3 > 0 else None),
+                truth_prefix=truth[list(tokens_after)],
+                truth_targets=truth[list(concepts)] if concepts else None,
+                truth_vocab=truth if config.alpha3 > 0 else None,
             )
             return scorer.step(session, token, hooks=bundle), None
         raw = scorer.step(session, token)
@@ -317,7 +305,7 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         # (3)-(4) expand top candidates per hypothesis under shifted scores
         candidates = []  # (score, hyp_index, token)
         for hi, item in enumerate(live):
-            logd = _log_dist(item.next_dist)
+            logd = pre_activation(item.next_dist)
             k = min(config.beam_size, len(logd))
             top = np.argpartition(-logd, k - 1)[:k]
             for w in top:
@@ -470,7 +458,7 @@ def plain_beam_search(scorer: Scorer, beam_size: int, max_length: int,
             break
         candidates = []
         for hi, (hyp, _sess, d) in enumerate(live):
-            logd = _log_dist(d)
+            logd = pre_activation(d)
             k = min(beam_size, len(logd))
             top = np.argpartition(-logd, k - 1)[:k]
             for w in top:

@@ -11,7 +11,6 @@ morphological variants match the same facts.
 from __future__ import annotations
 
 import gzip
-import io
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -23,7 +22,7 @@ from .stemming import word_stem
 __all__ = [
     "WORD_BOUNDARY", "Vocabulary", "StemIndex", "FactBase", "IngestReport",
     "align_word_to_token", "ingest_triples", "equal_vector", "edge_vector",
-    "rescale_weight", "load_factbase",
+    "rescale_weight", "load_factbase", "SnapshotError",
 ]
 
 # Leading marker on word-initial tokens, the usual byte-BPE convention.
@@ -244,30 +243,48 @@ class FactBase:
             fh.write(self._csc_vals.astype("<f8").tobytes())
 
 
+class SnapshotError(ValueError):
+    """A fact-base snapshot that is truncated, oversized or inconsistent."""
+
+    def __init__(self, path, section: str, problem: str):
+        super().__init__(f"{path}: {section}: {problem}")
+        self.path, self.section = path, section
+
+
 def load_factbase(path) -> FactBase:
     with open(path, "rb") as fh:
         blob = fh.read()
-    buf = io.BytesIO(blob)
-    if buf.read(4) != _SNAPSHOT_MAGIC:
-        raise ValueError(f"{path}: not a fact-base snapshot")
-    version, soft, _ = struct.unpack("<HBB", buf.read(4))
+    pos = 0
+
+    def take(section: str, size: int) -> bytes:
+        nonlocal pos
+        if pos + size > len(blob):
+            raise SnapshotError(path, section, f"truncated: needs {size} bytes at "
+                                f"offset {pos}, {len(blob) - pos} left")
+        pos += size
+        return blob[pos - size:pos]
+
+    if take("magic", 4) != _SNAPSHOT_MAGIC:
+        raise SnapshotError(path, "magic", "not a fact-base snapshot")
+    version, soft, _ = struct.unpack("<HBB", take("header", 4))
     if version != _SNAPSHOT_VERSION:
-        raise ValueError(f"{path}: unsupported snapshot version {version}")
-    n, vocab_len = struct.unpack("<IQ", buf.read(12))
-    vocab = Vocabulary(buf.read(vocab_len).decode("utf-8").split("\n")) if vocab_len else Vocabulary([])
+        raise SnapshotError(path, "header", f"unsupported snapshot version {version}")
+    n, vocab_len = struct.unpack("<IQ", take("vocabulary size", 12))
+    vocab = Vocabulary(take("vocabulary", vocab_len).decode("utf-8").split("\n") if vocab_len else [])
     if len(vocab) != n:
-        raise ValueError(f"{path}: vocabulary size mismatch")
-    (n_classes,) = struct.unpack("<I", buf.read(4))
-    class_of = np.frombuffer(buf.read(4 * n), dtype="<i4")
-    stems = StemIndex(vocab, class_of)
+        raise SnapshotError(path, "vocabulary", "vocabulary size mismatch")
+    (n_classes,) = struct.unpack("<I", take("stem classes", 4))
+    stems = StemIndex(vocab, np.frombuffer(take("stem table", 4 * n), dtype="<i4"))
     if stems.n_classes != n_classes:
-        raise ValueError(f"{path}: stem table corrupt")
-    (nnz,) = struct.unpack("<Q", buf.read(8))
-    indptr = np.frombuffer(buf.read(8 * (n + 1)), dtype="<i8")
-    rows = np.frombuffer(buf.read(4 * nnz), dtype="<i4")
-    vals = np.frombuffer(buf.read(8 * nnz), dtype="<f8")
-    if len(indptr) != n + 1 or len(rows) != nnz or len(vals) != nnz or indptr[-1] != nnz:
-        raise ValueError(f"{path}: edge arrays corrupt")
+        raise SnapshotError(path, "stem table", "stem table corrupt")
+    (nnz,) = struct.unpack("<Q", take("edge count", 8))
+    indptr = np.frombuffer(take("edge index", 8 * (n + 1)), dtype="<i8")
+    rows = np.frombuffer(take("edge rows", 4 * nnz), dtype="<i4")
+    vals = np.frombuffer(take("edge weights", 8 * nnz), dtype="<f8")
+    if pos != len(blob):
+        raise SnapshotError(path, "end", f"{len(blob) - pos} trailing bytes")
+    if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
+        raise SnapshotError(path, "edge index", "edge arrays corrupt")
     pairs = {}
     for col in range(n):
         for k in range(indptr[col], indptr[col + 1]):

@@ -9,9 +9,15 @@ arithmetic connectives:
     and-luk:  left fold of max(a + b - 1, 0)
     not:      1 - value
 
-The n-ary or equals the left fold of its binary form; the Lukasiewicz fold is
-associative, so the closed form max(sum - (n-1), 0) agrees with it.  Every
-result is clamped to [0, 1].
+An atom whose arguments are both bound (``Equal(c, p)`` with ``c`` in C and
+``p`` in Prev) is a scalar; only atoms that read the domain position build a
+vector (``Edge(x, c)`` reads column ``c`` of the adjacency).  Connectives
+broadcast scalars against vectors and sum children in a left fold, so a
+position's value never depends on its domain: proving a prefix or target list
+gives exactly the vocabulary vector's entries at those ids.  The n-ary or
+equals the left fold of its binary form; the Lukasiewicz fold is associative,
+so the closed form max(sum - (n-1), 0) agrees with it.  Every result is
+clamped to [0, 1]; ``prove`` returns one float64 per domain position.
 
 ``prove_scalar`` is the word-by-word reference implementation used as a test
 oracle.  It shares no combinator code with the vector path: pure-Python
@@ -26,11 +32,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import rules as R
-from .kb import FactBase, edge_vector, equal_vector
+from .kb import FactBase, equal_vector
 
 __all__ = [
     "Domain", "EvalContext", "prove", "prove_scalar",
-    "or_vec", "or_vec_fold", "and_avg_vec", "and_luk_vec", "not_vec",
+    "or_vec", "and_avg_vec", "and_luk_vec", "not_vec",
 ]
 
 
@@ -43,7 +49,8 @@ class Domain:
 
     ``kind`` records what the positions mean (the whole vocabulary, the
     generated prefix, or a target-word list); repeated ids are distinct
-    positions with equal truth values.
+    positions with equal truth values.  A ``"vocab"`` domain holds every
+    token id in order, as :meth:`vocabulary` builds it.
     """
     kind: str
     ids: np.ndarray
@@ -69,9 +76,8 @@ class EvalContext:
     """Bindings a rule needs at evaluation time.
 
     ``sets`` maps set names (C, P, U, Prev, ...) to token-id tuples.
-    ``covered`` mirrors the decoder's per-concept coverage state for the set
-    named ``C``; the prover itself derives coverage from ``Prev`` via rules,
-    the flags exist for bookkeeping and memo keys.
+    ``covered`` carries per-concept coverage flags for the set named ``C`` as
+    bookkeeping only; the prover derives coverage from ``Prev`` via rules.
     """
     facts: FactBase
     sets: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
@@ -86,41 +92,37 @@ class EvalContext:
 # ---------------------------------------------------------------------------
 # Vector connectives
 
-def _stack(children: Sequence[np.ndarray]) -> np.ndarray:
+def _first(children: Sequence) -> np.ndarray:
+    """First child as float64; vector children must agree in length."""
     if not children:
         raise ValueError("connective requires at least one child")
-    first = np.asarray(children[0], dtype=np.float64)
+    if len({np.shape(c) for c in children if np.ndim(c)}) > 1:
+        raise ValueError("connective children differ in length")
+    return np.asarray(children[0], dtype=np.float64)
+
+
+def _sum(children: Sequence) -> np.ndarray:
+    acc = _first(children)
     for c in children[1:]:
-        if np.shape(c) != first.shape:
-            raise ValueError("connective children differ in length")
-    return np.stack([np.asarray(c, dtype=np.float64) for c in children])
+        acc = acc + c
+    return acc
 
 
 def or_vec(children: Sequence[np.ndarray]) -> np.ndarray:
     """n-ary disjunction: min(1, sum of children)."""
-    return np.clip(np.sum(_stack(children), axis=0), 0.0, 1.0)
-
-
-def or_vec_fold(children: Sequence[np.ndarray]) -> np.ndarray:
-    """Left fold of the binary disjunction; equals :func:`or_vec`."""
-    stacked = _stack(children)
-    acc = stacked[0]
-    for row in stacked[1:]:
-        acc = np.minimum(1.0, acc + row)
-    return np.clip(acc, 0.0, 1.0)
+    return np.clip(_sum(children), 0.0, 1.0)
 
 
 def and_avg_vec(children: Sequence[np.ndarray]) -> np.ndarray:
     """Averaging conjunction: the arithmetic mean of all children."""
-    return np.clip(np.mean(_stack(children), axis=0), 0.0, 1.0)
+    return np.clip(_sum(children) / len(children), 0.0, 1.0)
 
 
 def and_luk_vec(children: Sequence[np.ndarray]) -> np.ndarray:
     """Hard conjunction: left fold of max(a + b - 1, 0)."""
-    stacked = _stack(children)
-    acc = stacked[0]
-    for row in stacked[1:]:
-        acc = np.maximum(acc + row - 1.0, 0.0)
+    acc = _first(children)
+    for c in children[1:]:
+        acc = np.maximum(acc + c - 1.0, 0.0)
     return np.clip(acc, 0.0, 1.0)
 
 
@@ -144,27 +146,23 @@ def _resolve(arg, subst: Mapping[str, object], ctx: EvalContext):
     return int(ids[arg.index])
 
 
-def _atom_vector(pred: str, a, b, domain: Domain, ctx: EvalContext) -> np.ndarray:
+def _atom_vector(pred: str, a, b, domain: Domain, ctx: EvalContext):
+    """Truth of one atom: a vector over the domain when an argument is the
+    domain position, a scalar when both arguments are bound."""
     facts = ctx.facts
-    n = len(domain)
-    if pred == "Equal":
-        if a is _DOMAIN_ARG and b is _DOMAIN_ARG:
-            return np.ones(n, dtype=np.float64)
-        if a is _DOMAIN_ARG or b is _DOMAIN_ARG:
-            other = b if a is _DOMAIN_ARG else a
-            return equal_vector(domain.ids, other, facts)
-        return np.full(n, 1.0 if facts.same_stem(a, b) else 0.0, dtype=np.float64)
-    # Edge and W both read the adjacency; softness is a property of the facts.
-    ones = np.ones(len(facts.vocab), dtype=np.float64)
     if a is _DOMAIN_ARG and b is _DOMAIN_ARG:
-        return np.zeros(n, dtype=np.float64)  # no self-loops
-    if a is _DOMAIN_ARG or b is _DOMAIN_ARG:
-        other = b if a is _DOMAIN_ARG else a
-        return edge_vector(ones, other, facts)[domain.ids]
-    return np.full(n, facts.edge_weight(a, b), dtype=np.float64)
+        return 1.0 if pred == "Equal" else 0.0  # Edge and W have no self-loops
+    if a is not _DOMAIN_ARG and b is not _DOMAIN_ARG:
+        return float(facts.same_stem(a, b)) if pred == "Equal" else facts.edge_weight(a, b)
+    other = b if a is _DOMAIN_ARG else a
+    if pred == "Equal":
+        return equal_vector(domain.ids, other, facts)
+    # Edge and W both read the adjacency; softness is a property of the facts.
+    column = facts.edge_column(other)
+    return column if domain.kind == "vocab" else column[domain.ids]
 
 
-def _eval_vector(expr, subst, domain: Domain, ctx: EvalContext, memo) -> np.ndarray:
+def _eval_vector(expr, subst, domain: Domain, ctx: EvalContext, memo):
     if isinstance(expr, R.Atom):
         a = _resolve(expr.args[0], subst, ctx)
         b = _resolve(expr.args[1], subst, ctx)
@@ -173,13 +171,13 @@ def _eval_vector(expr, subst, domain: Domain, ctx: EvalContext, memo) -> np.ndar
         return not_vec(_eval_vector(expr.child, subst, domain, ctx, memo))
     if isinstance(expr, R.OrNode):
         if not expr.children:
-            return np.zeros(len(domain), dtype=np.float64)
+            return 0.0
         return or_vec([_eval_vector(c, subst, domain, ctx, memo) for c in expr.children])
     if isinstance(expr, R.AndAvgNode):
         return and_avg_vec([_eval_vector(c, subst, domain, ctx, memo) for c in expr.children])
     if isinstance(expr, R.AndLukNode):
         if not expr.children:
-            return np.ones(len(domain), dtype=np.float64)
+            return 1.0
         return and_luk_vec([_eval_vector(c, subst, domain, ctx, memo) for c in expr.children])
     if isinstance(expr, R.RuleRef):
         resolved = tuple(_resolve(arg, subst, ctx) for arg in expr.args)
@@ -187,8 +185,7 @@ def _eval_vector(expr, subst, domain: Domain, ctx: EvalContext, memo) -> np.ndar
     raise TypeError(f"quantifier survived expansion: {expr!r}")
 
 
-def _eval_rule(name: str, resolved_args, domain: Domain, ctx: EvalContext,
-               memo: dict) -> np.ndarray:
+def _eval_rule(name: str, resolved_args, domain: Domain, ctx: EvalContext, memo: dict):
     key = (name, resolved_args)
     hit = memo.get(key)
     if hit is not None:
@@ -222,7 +219,8 @@ def prove(program: R.RuleProgram, rule: str, domain: Domain,
             if not (0 <= tid < n_vocab):
                 raise ValueError(f"set '{name}' binds token id {tid} outside the vocabulary")
     memo: dict = {"__program__": program}
-    return _eval_rule(rule, (_DOMAIN_ARG,), domain, ctx, memo)
+    out = _eval_rule(rule, (_DOMAIN_ARG,), domain, ctx, memo)
+    return np.full(len(domain), out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -513,10 +513,6 @@ def expand_quantifiers(expr: RuleExpr, bindings: Mapping[str, Sequence]) -> Rule
     return expr
 
 
-def contains_quantifier(expr: RuleExpr) -> bool:
-    return any(isinstance(node, Quant) for node in _walk(expr))
-
-
 # ---------------------------------------------------------------------------
 # Printer
 

@@ -245,6 +245,30 @@ class TestTransformerIntegration:
             [h.tokens for h in plain.hypotheses] or \
             hooked.best.logp != plain.best.logp
 
+    def test_hooked_decode_proves_only_the_vocabulary(self, toy_facts, sentinel_ids,
+                                                      monkeypatch):
+        from logicdec import decoder as D
+        from logicdec.transformer import TinyTransformer, TransformerConfig, TransformerScorer
+        bos, eos = sentinel_ids
+        v = toy_facts.vocab
+        cfg = TransformerConfig(vocab_size=len(v), n_layers=2, n_heads=2,
+                                d_model=32, d_ff=64, max_len=32, seed=5)
+        kinds = []
+
+        def counting_prove(program, rule, domain, ctx):
+            kinds.append(domain.kind)
+            return original(program, rule, domain, ctx)
+
+        original = D.prove
+        monkeypatch.setattr(D, "prove", counting_prove)
+        ctx = EvalContext(facts=toy_facts, sets={"C": (v.id_of("garden"), v.id_of("piano"))})
+        config = DecodingConfig(beam_size=3, alpha1=12.0, alpha2=24.0, alpha3=24.0,
+                                max_length=6, bos_id=bos, eos_id=eos)
+        result = decode(TransformerScorer(TinyTransformer(cfg)), parse_program(LEXICAL_RULES),
+                        "R", ctx, config)
+        assert result.hypotheses
+        assert kinds and set(kinds) == {"vocab"}
+
     def test_attention_only_shifts_change_scores(self, toy_facts, sentinel_ids):
         # alpha3 = 0: no prediction shift, yet attention shifts still steer
         from logicdec.transformer import TinyTransformer, TransformerConfig, TransformerScorer

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from logicdec.kb import (WORD_BOUNDARY, FactBase, StemIndex, Vocabulary,
-                         align_word_to_token, edge_vector, equal_vector,
-                         ingest_triples, load_factbase, rescale_weight)
+from logicdec.kb import (WORD_BOUNDARY, FactBase, SnapshotError, StemIndex,
+                         Vocabulary, align_word_to_token, edge_vector,
+                         equal_vector, ingest_triples, load_factbase,
+                         rescale_weight)
 from logicdec.stemming import word_stem
 
 from conftest import DATA, read_words
@@ -227,6 +228,31 @@ class TestSnapshot:
         path.write_bytes(b"not a snapshot at all")
         with pytest.raises(ValueError, match="not a fact-base snapshot"):
             load_factbase(path)
+
+    def test_every_truncation_names_its_section(self, toy_facts, tmp_path):
+        full = tmp_path / "facts.bin"
+        toy_facts.save(full)
+        blob = full.read_bytes()
+        cut = tmp_path / "cut.bin"
+        sections = set()
+        for length in range(len(blob)):
+            cut.write_bytes(blob[:length])
+            with pytest.raises(SnapshotError, match="truncated") as err:
+                load_factbase(cut)
+            assert str(cut) in str(err.value)
+            assert err.value.section in str(err.value)
+            sections.add(err.value.section)
+        assert sections == {"magic", "header", "vocabulary size", "vocabulary",
+                            "stem classes", "stem table", "edge count",
+                            "edge index", "edge rows", "edge weights"}
+
+    def test_trailing_bytes_rejected(self, toy_facts, tmp_path):
+        path = tmp_path / "facts.bin"
+        toy_facts.save(path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(SnapshotError, match="1 trailing bytes") as err:
+            load_factbase(path)
+        assert err.value.section == "end"
 
     def test_gzip_transparent_ingestion(self, toy_vocab, tmp_path):
         import gzip

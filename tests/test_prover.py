@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from logicdec.kb import FactBase, Vocabulary
 from logicdec.prover import (Domain, EvalContext, and_avg_vec, and_luk_vec,
-                             not_vec, or_vec, or_vec_fold, prove, prove_scalar)
+                             not_vec, or_vec, prove, prove_scalar)
 from logicdec.rules import EmptyDomainError, UnboundSetError, parse_program
+from logicdec.tasks import template_text
 
 COMMONGEN_AVG = """
 R(x) :- exists c in C, ~Y(c) ^ Rel(x, c)
@@ -45,12 +46,6 @@ class TestConnectives:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):
             or_vec([np.zeros(3), np.zeros(4)])
-
-    @given(st.lists(st.lists(st.floats(0, 1), min_size=4, max_size=4),
-                    min_size=1, max_size=16))
-    def test_or_closed_form_equals_fold(self, rows):
-        arrays = [np.array(r) for r in rows]
-        assert np.allclose(or_vec(arrays), or_vec_fold(arrays), atol=0, rtol=0)
 
     @given(st.lists(st.lists(st.floats(0, 1), min_size=3, max_size=3),
                     min_size=1, max_size=8))
@@ -171,12 +166,50 @@ class TestProve:
         with pytest.raises(ValueError, match="exactly one"):
             prove(parse_program(COMMONGEN_AVG), "Rel", Domain.vocabulary(facts), ctx)
 
+    def test_bound_atom_body_still_returns_domain_length_vector(self):
+        facts, _ = commongen_fixture()
+        ctx = EvalContext(facts=facts, sets={"C": (1, 2), "Prev": (0, 2)})
+        program = parse_program("R(x) :- exists c in C, (exists y in Prev, Equal(c, y))")
+        for domain in (Domain.vocabulary(facts), Domain.prefix((1, 1, 2)),
+                       Domain.targets((3,))):
+            out = prove(program, "R", domain, ctx)
+            assert isinstance(out, np.ndarray) and out.dtype == np.float64
+            assert out.tolist() == [1.0] * len(domain)
+        never = parse_program(
+            "R(x) :- exists c in C, (exists y in Prev, Equal(c, y) & Edge(c, y))")
+        out = prove(never, "R", Domain.vocabulary(facts), ctx)
+        assert out.shape == (len(facts.vocab),) and not out.any()
+
     def test_determinism(self):
         facts, ctx = commongen_fixture()
         program = parse_program(COMMONGEN_AVG)
         a = prove(program, "R", Domain.vocabulary(facts), ctx)
         b = prove(program, "R", Domain.vocabulary(facts), ctx)
         assert (a == b).all()
+
+
+_TOY_IDS = st.integers(0, 74)  # the toy vocabulary has 75 tokens
+
+
+class TestPositionsMatchVocabulary:
+    """A position's truth value depends only on its token id, so proving a
+    prefix or a target list gives exactly the vocabulary vector's entries."""
+
+    @given(template=st.sampled_from(["commongen", "commongen_hard", "personachat"]),
+           concepts=st.lists(_TOY_IDS, min_size=1, max_size=6),
+           persona=st.lists(_TOY_IDS, min_size=1, max_size=10),
+           user=st.lists(_TOY_IDS, min_size=1, max_size=10),
+           prev=st.lists(_TOY_IDS, min_size=1, max_size=20))
+    def test_prefix_and_targets_are_vocabulary_gathers(self, toy_facts, template,
+                                                       concepts, persona, user, prev):
+        program = parse_program(template_text(template))
+        ctx = EvalContext(facts=toy_facts, sets={"C": tuple(concepts), "P": tuple(persona),
+                                                 "U": tuple(user), "Prev": tuple(prev)})
+        vocab = prove(program, "R", Domain.vocabulary(toy_facts), ctx)
+        prefix = prove(program, "R", Domain.prefix(prev), ctx)
+        targets = prove(program, "R", Domain.targets(concepts), ctx)
+        assert prefix.tobytes() == vocab[prev].tobytes()
+        assert targets.tobytes() == vocab[concepts].tobytes()
 
 
 # ---------------------------------------------------------------------------
