@@ -8,8 +8,7 @@ pruned beam search.
 
 from .decision import decide, pre_activation
 from .decoder import (DecodeResult, DecodingConfig, Hypothesis, PRESETS,
-                      coverage_of, decode, plain_beam_search,
-                      update_constraint_state)
+                      coverage_of, coverage_table, decode, plain_beam_search)
 from .kb import (FactBase, StemIndex, Vocabulary, align_word_to_token,
                  edge_vector, equal_vector, ingest_triples, load_factbase)
 from .lm import NgramLM, NgramScorer, Scorer, ngram_train, perplexity

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoder import (PRESETS, DecodingConfig, Hypothesis, _covered_mask,
-                      coverage_of, decode, plain_beam_search)
+from .decoder import (PRESETS, DecodingConfig, coverage_of, coverage_table,
+                      decode, plain_beam_search)
 from .kb import WORD_BOUNDARY, Vocabulary, ingest_triples, load_factbase
 from .lm import NgramScorer, ngram_train
 from .rules import parse_program
@@ -240,10 +240,10 @@ def _decode_common(args, constrained: bool) -> int:
                     concepts = [tid for tid in
                                 (facts.vocab.id_of(c) for c in instance.concepts)
                                 if tid is not None]
-                    best = result.best
-                    best = Hypothesis(best.tokens, best.logp,
-                                      _covered_mask(best.tokens, concepts, facts),
-                                      best.finished)
+                    table, mask = coverage_table(concepts, facts), 0
+                    for tok in result.best.tokens:
+                        mask |= table.get(facts.stems.class_of[tok], 0)
+                    best = replace(result.best, covered=mask)
                     rec = _result_line(instance, best, facts, config, concepts,
                                        result.completed)
                 else:

@@ -22,7 +22,7 @@ never mention the prefix are proved once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from .transformer import AttentionHookBundle
 
 __all__ = [
     "Hypothesis", "DecodingConfig", "DecodeResult", "PRESETS",
-    "decode", "plain_beam_search", "update_constraint_state", "coverage_of",
+    "decode", "plain_beam_search", "coverage_table", "coverage_of",
 ]
 
 
@@ -99,28 +99,14 @@ class DecodeResult:
 # ---------------------------------------------------------------------------
 # Constraint state
 
-def update_constraint_state(hyp: Hypothesis, token: int,
-                            concepts: Sequence[int], facts: FactBase) -> Hypothesis:
-    """Set the bit of every concept whose stem class the token matches;
-    existing bits persist."""
-    covered = hyp.covered
+def coverage_table(concepts: Sequence[int], facts: FactBase) -> dict[int, int]:
+    """Stem class -> bits of the concepts in it: consuming ``tok`` updates a
+    coverage mask as ``mask | table.get(class_of[tok], 0)``."""
+    table: dict[int, int] = {}
     for i, cid in enumerate(concepts):
-        if not (covered >> i & 1) and facts.same_stem(token, cid):
-            covered |= 1 << i
-    if covered == hyp.covered:
-        return hyp
-    return replace(hyp, covered=covered)
-
-
-def _covered_mask(tokens: Sequence[int], concepts: Sequence[int],
-                  facts: FactBase) -> int:
-    mask = 0
-    for i, cid in enumerate(concepts):
-        for tok in tokens:
-            if facts.same_stem(tok, cid):
-                mask |= 1 << i
-                break
-    return mask
+        cls = int(facts.stems.class_of[cid])
+        table[cls] = table.get(cls, 0) | 1 << i
+    return table
 
 
 def coverage_of(hyp: Hypothesis, concepts: Sequence[int]) -> float:
@@ -280,14 +266,15 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     if not prompt_tokens:
         raise ValueError("prompt must contain at least one token")
 
+    table = coverage_table(concepts, facts)
+    # without a fact base there are no concepts, so every lookup misses
+    class_of = facts.stems.class_of if facts is not None else range(scorer.vocab_size)
     root_session = scorer.begin_session(concepts)
-    root_mask = _covered_mask(prompt_tokens, concepts, facts) if concepts else 0
-    dist = None
+    mask = 0
     for i, tok in enumerate(prompt_tokens):
-        consumed = prompt_tokens[: i + 1]
-        mask_now = _covered_mask(consumed, concepts, facts) if concepts else 0
-        dist, raw = step_dist(root_session, tok, consumed, mask_now)
-    live = [_Live(Hypothesis(prompt_tokens, 0.0, root_mask), root_session, dist,
+        mask |= table.get(class_of[tok], 0)
+        dist, raw = step_dist(root_session, tok, prompt_tokens[: i + 1], mask)
+    live = [_Live(Hypothesis(prompt_tokens, 0.0, mask), root_session, dist,
                   raw if not hooking else None)]
     finished: list[Hypothesis] = []
     trace_log: list = []
@@ -322,14 +309,8 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         survivors = [c for c in candidates if c[0] >= threshold - 1e-12]
 
         # (5) coverage update per survivor
-        enriched = []
-        for score, hi, w in survivors:
-            parent = live[hi].hyp
-            mask = parent.covered
-            for i, cid in enumerate(concepts):
-                if not (mask >> i & 1) and facts.same_stem(w, cid):
-                    mask |= 1 << i
-            enriched.append((score, hi, w, mask))
+        enriched = [(score, hi, w, live[hi].hyp.covered | table.get(class_of[w], 0))
+                    for score, hi, w in survivors]
 
         # (7) group by bitmask, keep top k per group, fill beam by score
         selected = _select_beam(enriched, config)

@@ -154,39 +154,31 @@ def rescale_weight(raw: float) -> float:
 class FactBase:
     """Immutable fact store: vocabulary + stem classes + weighted adjacency.
 
-    The adjacency is kept twice: a pair dictionary for scalar lookups and a
-    compressed sparse column layout for whole-vocabulary slices.  Both views
-    are built from the same symmetric edge set.
+    The adjacency is kept once, as a symmetric matrix in compressed sparse
+    column (CSC) layout with increasing rows in each column.  Scalar lookups
+    binary-search a column; whole-vocabulary lookups slice it.
     """
 
     def __init__(self, vocab: Vocabulary, stems: StemIndex,
                  pairs: Mapping[tuple[int, int], float], mode: str):
+        ab = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        w = np.fromiter(pairs.values(), dtype=np.float64, count=len(pairs))
+        rows, cols = np.concatenate([ab, ab[:, ::-1]]).T  # both orientations
+        order = np.lexsort((rows, cols))
+        indptr = np.searchsorted(cols[order], np.arange(len(vocab) + 1))
+        self._adopt(vocab, stems, mode, indptr, rows[order], np.concatenate([w, w])[order])
+
+    def _adopt(self, vocab: Vocabulary, stems: StemIndex, mode: str,
+               indptr: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
         if mode not in ("soft", "hard"):
             raise ValueError(f"mode must be 'soft' or 'hard', got {mode!r}")
+        _check_adjacency(len(vocab), mode, indptr, rows, vals)
         self.vocab = vocab
         self.stems = stems
         self.mode = mode
-        n = len(vocab)
-        sym: dict[tuple[int, int], float] = {}
-        for (a, b), w in pairs.items():
-            if a == b:
-                raise ValueError(f"self-loop on token {a}")
-            if not (a < n and b < n) or a < 0 or b < 0:
-                raise ValueError(f"edge ({a}, {b}) outside vocabulary of size {n}")
-            if not (0.0 < w <= 1.0):
-                raise ValueError(f"edge weight {w!r} outside (0, 1]")
-            if mode == "hard" and w != 1.0:
-                raise ValueError("hard mode stores weight 1.0 only")
-            sym[(a, b)] = w
-            sym[(b, a)] = w
-        self._pairs = sym
-        cols = np.fromiter((c for (_, c) in sym), dtype=np.int64, count=len(sym))
-        rows = np.fromiter((r for (r, _) in sym), dtype=np.int64, count=len(sym))
-        vals = np.fromiter(sym.values(), dtype=np.float64, count=len(sym))
-        order = np.lexsort((rows, cols))
-        self._csc_rows = rows[order].astype(np.int32)
-        self._csc_vals = vals[order]
-        self._csc_indptr = np.searchsorted(cols[order], np.arange(n + 1)).astype(np.int64)
+        self._csc_indptr = indptr
+        self._csc_rows = rows.astype(np.int32, copy=False)
+        self._csc_vals = vals
 
     # -- construction -------------------------------------------------------
 
@@ -203,7 +195,11 @@ class FactBase:
     # -- scalar fact access (word-by-word path) ------------------------------
 
     def edge_weight(self, a: int, b: int) -> float:
-        return self._pairs.get((a, b), 0.0)
+        if not 0 <= min(a, b) <= max(a, b) < len(self.vocab):
+            raise ValueError(f"edge ({a}, {b}) outside vocabulary of size {len(self.vocab)}")
+        lo, hi = self._csc_indptr[b], self._csc_indptr[b + 1]
+        k = lo + int(np.searchsorted(self._csc_rows[lo:hi], a))
+        return float(self._csc_vals[k]) if k < hi and self._csc_rows[k] == a else 0.0
 
     def same_stem(self, a: int, b: int) -> bool:
         return self.stems.same_class(a, b)
@@ -219,12 +215,14 @@ class FactBase:
 
     @property
     def num_edges(self) -> int:
-        return len(self._pairs) // 2
+        return len(self._csc_rows) // 2
 
     def edges(self) -> Iterable[tuple[int, int, float]]:
-        for (a, b), w in sorted(self._pairs.items()):
-            if a < b:
-                yield a, b, w
+        """Each edge once as ``(a, b, w)`` with ``a < b``, sorted by ``(a, b)``."""
+        cols = np.repeat(np.arange(len(self.vocab)), np.diff(self._csc_indptr))
+        lower = self._csc_rows > cols
+        yield from zip(cols[lower].tolist(), self._csc_rows[lower].tolist(),
+                       self._csc_vals[lower].tolist())
 
     # -- snapshot ------------------------------------------------------------
 
@@ -243,6 +241,30 @@ class FactBase:
             fh.write(self._csc_vals.astype("<f8").tobytes())
 
 
+def _check_adjacency(n: int, mode: str, indptr: np.ndarray, rows: np.ndarray,
+                     vals: np.ndarray) -> None:
+    """Raise ``ValueError`` unless the CSC triple is a symmetric matrix over [0, n)
+    with no diagonal, rows increasing in each column and weights in (0, 1]."""
+    rows = rows.astype(np.int64)
+    if ((rows < 0) | (rows >= n)).any():
+        raise ValueError(f"edge rows outside vocabulary of size {n}")
+    if indptr[0] != 0 or indptr[-1] != len(rows) or (np.diff(indptr) < 0).any():
+        raise ValueError("column index does not partition the edge arrays")
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    if (rows == cols).any():
+        raise ValueError(f"self-loop on token {rows[rows == cols][0]}")
+    key, flipped = cols * n + rows, rows * n + cols
+    if (np.diff(key) <= 0).any():
+        raise ValueError("duplicate or unsorted rows within a column")
+    if not ((vals > 0.0) & (vals <= 1.0)).all():
+        raise ValueError("edge weight outside (0, 1]")
+    if mode == "hard" and (vals != 1.0).any():
+        raise ValueError("hard mode stores weight 1.0 only")
+    order = np.argsort(flipped)
+    if not (np.array_equal(key, flipped[order]) and np.array_equal(vals, vals[order])):
+        raise ValueError("adjacency is not symmetric")
+
+
 class SnapshotError(ValueError):
     """A fact-base snapshot that is truncated, oversized or inconsistent."""
 
@@ -252,6 +274,7 @@ class SnapshotError(ValueError):
 
 
 def load_factbase(path) -> FactBase:
+    """Load a snapshot that saves back to the same bytes, or raise SnapshotError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     pos = 0
@@ -266,31 +289,33 @@ def load_factbase(path) -> FactBase:
 
     if take("magic", 4) != _SNAPSHOT_MAGIC:
         raise SnapshotError(path, "magic", "not a fact-base snapshot")
-    version, soft, _ = struct.unpack("<HBB", take("header", 4))
-    if version != _SNAPSHOT_VERSION:
-        raise SnapshotError(path, "header", f"unsupported snapshot version {version}")
+    version, soft, reserved = struct.unpack("<HBB", take("header", 4))
+    if version != _SNAPSHOT_VERSION or soft > 1 or reserved != 0:
+        raise SnapshotError(path, "header", f"bad version {version} or flags {soft}, {reserved}")
     n, vocab_len = struct.unpack("<IQ", take("vocabulary size", 12))
-    vocab = Vocabulary(take("vocabulary", vocab_len).decode("utf-8").split("\n") if vocab_len else [])
+    vocab_blob = take("vocabulary", vocab_len)
+    try:
+        vocab = Vocabulary(vocab_blob.decode("utf-8").split("\n") if vocab_len else [])
+    except ValueError as exc:  # bad UTF-8 or duplicate tokens
+        raise SnapshotError(path, "vocabulary", str(exc)) from None
     if len(vocab) != n:
-        raise SnapshotError(path, "vocabulary", "vocabulary size mismatch")
+        raise SnapshotError(path, "vocabulary", f"{len(vocab)} tokens, header says {n}")
     (n_classes,) = struct.unpack("<I", take("stem classes", 4))
     stems = StemIndex(vocab, np.frombuffer(take("stem table", 4 * n), dtype="<i4"))
-    if stems.n_classes != n_classes:
-        raise SnapshotError(path, "stem table", "stem table corrupt")
+    if (stems.class_of < 0).any() or stems.n_classes != n_classes:
+        raise SnapshotError(path, "stem table", "negative or miscounted class ids")
     (nnz,) = struct.unpack("<Q", take("edge count", 8))
     indptr = np.frombuffer(take("edge index", 8 * (n + 1)), dtype="<i8")
     rows = np.frombuffer(take("edge rows", 4 * nnz), dtype="<i4")
     vals = np.frombuffer(take("edge weights", 8 * nnz), dtype="<f8")
     if pos != len(blob):
         raise SnapshotError(path, "end", f"{len(blob) - pos} trailing bytes")
-    if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
-        raise SnapshotError(path, "edge index", "edge arrays corrupt")
-    pairs = {}
-    for col in range(n):
-        for k in range(indptr[col], indptr[col + 1]):
-            pairs[(int(rows[k]), col)] = float(vals[k])
-    half = {(a, b): w for (a, b), w in pairs.items() if a < b}
-    return FactBase(vocab, stems, half, "soft" if soft else "hard")
+    facts = FactBase.__new__(FactBase)
+    try:
+        facts._adopt(vocab, stems, "soft" if soft else "hard", indptr, rows, vals)
+    except ValueError as exc:
+        raise SnapshotError(path, "edge arrays", str(exc)) from None
+    return facts
 
 
 # ---------------------------------------------------------------------------

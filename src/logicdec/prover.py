@@ -76,12 +76,9 @@ class EvalContext:
     """Bindings a rule needs at evaluation time.
 
     ``sets`` maps set names (C, P, U, Prev, ...) to token-id tuples.
-    ``covered`` carries per-concept coverage flags for the set named ``C`` as
-    bookkeeping only; the prover derives coverage from ``Prev`` via rules.
     """
     facts: FactBase
     sets: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
-    covered: tuple[bool, ...] = ()
 
     def bound(self, name: str) -> tuple[int, ...]:
         if name not in self.sets:

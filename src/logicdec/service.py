@@ -3,7 +3,7 @@
 One JSON object per line in, one per line out.  Requests::
 
     {"op": "prove", "rule": "R", "domain": "vocab" | [ids],
-     "ctx": {"sets": {"C": [..], "Prev": [..]}, "covered": [true, ...]}}
+     "ctx": {"sets": {"C": [..], "Prev": [..]}}}
     {"op": "decide", "p": [..], "truth": [..], "alpha": 2.0}
 
 Responses carry ``{"truth": [...]}`` or ``{"p_shifted": [...]}``.  A
@@ -47,8 +47,7 @@ def handle_request(request: dict, facts: FactBase, program: RuleProgram) -> dict
             raw_ctx = request.get("ctx", {})
             sets = {str(k): tuple(int(i) for i in v)
                     for k, v in raw_ctx.get("sets", {}).items()}
-            covered = tuple(bool(b) for b in raw_ctx.get("covered", ()))
-            ctx = EvalContext(facts=facts, sets=sets, covered=covered)
+            ctx = EvalContext(facts=facts, sets=sets)
             truth = prove(program, rule, domain, ctx)
             return {"truth": truth.tolist()}
         if op == "decide":

@@ -134,9 +134,7 @@ def lexical_rule_template(concepts: Sequence[str], facts: FactBase,
     if not ids:
         raise ValueError("none of the concepts aligned to vocabulary tokens")
     source = template_text("commongen" if gate == "avg" else "commongen_hard")
-    ctx = EvalContext(facts=facts,
-                      sets={"C": tuple(ids)},
-                      covered=tuple(False for _ in ids))
+    ctx = EvalContext(facts=facts, sets={"C": tuple(ids)})
     return TemplateBinding(source=source, ctx=ctx, skipped=tuple(skipped))
 
 

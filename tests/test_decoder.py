@@ -2,9 +2,9 @@ from dataclasses import replace
 
 import pytest
 
-from logicdec.decoder import (DecodingConfig, Hypothesis, PRESETS, _covered_mask,
+from logicdec.decoder import (DecodingConfig, Hypothesis, PRESETS,
                               _prefix_dependence, _select_beam, coverage_of,
-                              decode, plain_beam_search, update_constraint_state)
+                              coverage_table, decode, plain_beam_search)
 from logicdec.kb import FactBase, Vocabulary
 from logicdec.lm import NgramScorer, ngram_train
 from logicdec.prover import EvalContext
@@ -35,28 +35,27 @@ class TestPresets:
             DecodingConfig(**kwargs)
 
 
+def cover(mask, word, concepts, facts):
+    """Fold one token into a coverage mask, as the decoder does."""
+    table = coverage_table(concepts, facts)
+    return mask | table.get(facts.stems.class_of[facts.vocab.id_of(word)], 0)
+
+
 class TestConstraintState:
     def test_stem_mate_sets_bit(self, toy_facts):
         v = toy_facts.vocab
-        concepts = (v.id_of("run"),)
-        hyp = Hypothesis((0,), 0.0)
-        out = update_constraint_state(hyp, v.id_of("running"), concepts, toy_facts)
-        assert out.covered == 1
+        assert cover(0, "running", (v.id_of("run"),), toy_facts) == 1
 
     def test_unrelated_token_is_noop(self, toy_facts):
         v = toy_facts.vocab
-        hyp = Hypothesis((0,), 0.0, covered=0)
-        out = update_constraint_state(hyp, v.id_of("dog"), (v.id_of("run"),), toy_facts)
-        assert out.covered == 0
+        assert cover(0, "dog", (v.id_of("run"),), toy_facts) == 0
 
     def test_idempotent_and_monotone(self, toy_facts):
         v = toy_facts.vocab
         concepts = (v.id_of("run"), v.id_of("garden"))
-        hyp = Hypothesis((0,), 0.0)
-        hyp = update_constraint_state(hyp, v.id_of("ran"), concepts, toy_facts)
-        once = hyp.covered
-        hyp = update_constraint_state(hyp, v.id_of("runs"), concepts, toy_facts)
-        assert hyp.covered == once == 1
+        once = cover(0, "ran", concepts, toy_facts)
+        assert cover(once, "runs", concepts, toy_facts) == once == 1
+        assert cover(once, "dog", concepts, toy_facts) == 1
 
     def test_coverage_fractions(self):
         assert coverage_of(Hypothesis((0,), 0.0, covered=0b1111), range(4)) == 1.0
@@ -208,9 +207,11 @@ class TestDecode:
     def test_prompt_coverage_counts(self, lexical_scorer, toy_facts, sentinel_ids):
         bos, eos = sentinel_ids
         v = toy_facts.vocab
-        concepts = (v.id_of("garden"),)
-        mask = _covered_mask((bos, v.id_of("garden")), concepts, toy_facts)
-        assert mask == 1
+        ctx = EvalContext(facts=toy_facts, sets={"C": (v.id_of("garden"),)})
+        config = DecodingConfig(beam_size=3, max_length=1, bos_id=bos, eos_id=eos)
+        result = decode(lexical_scorer, None, None, ctx, config,
+                        prompt=(bos, v.id_of("garden")))
+        assert all(h.covered == 1 for h in result.hypotheses)
 
 
 class TestTransformerIntegration:

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from logicdec.kb import (WORD_BOUNDARY, FactBase, SnapshotError, StemIndex,
                          Vocabulary, align_word_to_token, edge_vector,
@@ -254,6 +258,104 @@ class TestSnapshot:
             load_factbase(path)
         assert err.value.section == "end"
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupt_snapshot_fails_or_round_trips(self, toy_facts, tmp_path, data):
+        path = tmp_path / "facts.bin"
+        toy_facts.save(path)
+        blob = path.read_bytes()
+        kind = data.draw(st.sampled_from(["overwrite", "truncate", "append"]))
+        if kind == "overwrite":
+            at = data.draw(st.integers(0, len(blob) - 1))
+            patch = data.draw(st.binary(min_size=1, max_size=8))
+            blob = blob[:at] + patch + blob[at + len(patch):]
+        elif kind == "truncate":
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            blob = blob + data.draw(st.binary(min_size=1, max_size=16))
+        path.write_bytes(blob)
+        try:
+            facts = load_factbase(path)
+        except SnapshotError:
+            return
+        again = tmp_path / "again.bin"
+        facts.save(again)
+        assert again.read_bytes() == blob
+
+    @pytest.mark.parametrize("corruption, problem", [
+        ("row-past-vocabulary", "outside"), ("negative-row", "outside"),
+        ("nan-weight", "outside"), ("one-sided-weight", "not symmetric"),
+        ("duplicate-row", "duplicate"),
+    ])
+    def test_corrupt_edge_arrays_rejected(self, toy_facts, tmp_path, corruption, problem):
+        path = tmp_path / "facts.bin"
+        toy_facts.save(path)
+        blob = bytearray(path.read_bytes())
+        n, nnz = len(toy_facts.vocab), 2 * toy_facts.num_edges
+        rows_at = len(blob) - 12 * nnz
+        indptr = np.frombuffer(blob, dtype="<i8", count=n + 1, offset=rows_at - 8 * (n + 1))
+        rows = np.frombuffer(blob, dtype="<i4", count=nnz, offset=rows_at).copy()
+        vals = np.frombuffer(blob, dtype="<f8", count=nnz, offset=rows_at + 4 * nnz).copy()
+        # k and k + 1 lie in the first column that holds two rows
+        k = int(indptr[np.flatnonzero(np.diff(indptr) >= 2)[0]])
+        if corruption == "row-past-vocabulary":
+            rows[k] = n
+        elif corruption == "negative-row":
+            rows[k] = -1
+        elif corruption == "nan-weight":
+            vals[:] = np.nan
+        elif corruption == "one-sided-weight":
+            vals[k] /= 2
+        else:
+            rows[k + 1] = rows[k]
+        blob[rows_at:] = rows.astype("<i4").tobytes() + vals.astype("<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match=problem) as err:
+            load_factbase(path)
+        assert err.value.section == "edge arrays"
+
+    @pytest.mark.parametrize("offset, value", [(6, 2), (7, 1)], ids=["mode", "reserved"])
+    def test_bad_header_flags_rejected(self, toy_facts, tmp_path, offset, value):
+        path = tmp_path / "facts.bin"
+        toy_facts.save(path)
+        blob = bytearray(path.read_bytes())
+        blob[offset] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="flags") as err:
+            load_factbase(path)
+        assert err.value.section == "header"
+
+    def test_bad_vocabulary_rejected(self, tmp_path):
+        def snapshot(tokens, n=None):
+            vocab = Vocabulary(["a", "b"])
+            facts = FactBase.from_edges(vocab, [(0, 1, 0.5)])
+            path = tmp_path / "facts.bin"
+            facts.save(path)
+            blob = path.read_bytes()
+            head = blob[:8] + struct.pack("<IQ", n or 2, len(tokens))
+            path.write_bytes(head + tokens + blob[20 + 3:])
+            return path
+
+        for tokens, n, problem in [(b"a\n\xff", None, "utf-8"),
+                                   (b"a\na", None, "duplicate"),
+                                   (b"a\nb", 3, "header says 3")]:
+            with pytest.raises(SnapshotError, match=problem) as err:
+                load_factbase(snapshot(tokens, n))
+            assert err.value.section == "vocabulary"
+
+    def test_negative_stem_class_rejected(self, tmp_path):
+        vocab = Vocabulary(["a", "b"])
+        path = tmp_path / "facts.bin"
+        FactBase.from_edges(vocab, [(0, 1, 0.5)]).save(path)
+        blob = bytearray(path.read_bytes())
+        stem_at = 20 + 3 + 4
+        blob[stem_at:stem_at + 4] = struct.pack("<i", -1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="negative or miscounted") as err:
+            load_factbase(path)
+        assert err.value.section == "stem table"
+
     def test_gzip_transparent_ingestion(self, toy_vocab, tmp_path):
         import gzip
         path = tmp_path / "kg.tsv.gz"
@@ -279,3 +381,19 @@ class TestFactBaseValidation:
         vocab = Vocabulary(["a", "b"])
         with pytest.raises(ValueError, match="outside"):
             FactBase(vocab, StemIndex(vocab), {(0, 1): 1.5}, "soft")
+
+    def test_both_orientations_rejected(self):
+        vocab = Vocabulary(["a", "b"])
+        with pytest.raises(ValueError, match="duplicate"):
+            FactBase(vocab, StemIndex(vocab), {(0, 1): 0.5, (1, 0): 0.5}, "soft")
+
+    def test_edge_weight_matches_columns(self, toy_facts):
+        n = len(toy_facts.vocab)
+        dense = np.array([[toy_facts.edge_weight(a, b) for a in range(n)] for b in range(n)])
+        assert (dense == np.stack([toy_facts.edge_column(b) for b in range(n)])).all()
+
+    @pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (75, 0), (0, 75)])
+    def test_edge_weight_rejects_ids_outside_vocabulary(self, toy_facts, a, b):
+        assert len(toy_facts.vocab) == 75
+        with pytest.raises(ValueError, match="outside"):
+            toy_facts.edge_weight(a, b)
