@@ -7,8 +7,7 @@ vocabulary word in a single call; a scalar word-by-word prover cross-checks.
 """
 
 from logicdec import (Domain, EvalContext, FactBase, Vocabulary,
-                      expand_quantifiers, parse_program, pretty, prove,
-                      prove_scalar)
+                      parse_program, pretty, prove, prove_scalar)
 
 vocab = Vocabulary(["<s>", "learning", "classroom", "students", "enjoy", "fun"])
 facts = FactBase.from_edges(
@@ -27,8 +26,8 @@ ctx = EvalContext(facts=facts,
                   sets={"C": (vocab.id_of("classroom"),),
                         "Prev": (vocab.id_of("<s>"),)})
 
-expanded = expand_quantifiers(program.rules["R"].body, ctx.sets)
-print("after quantifier expansion:", pretty(expanded))
+print("the quantifier ranges over C =", [vocab.token(t) for t in ctx.sets["C"]],
+      "(exists: capped sum over the elements; forall: their mean)")
 
 truth = prove(program, "R", Domain.vocabulary(facts), ctx)
 print("\ntruth vector over the vocabulary:")

@@ -15,8 +15,7 @@ from .lm import NgramLM, NgramScorer, Scorer, ngram_train, perplexity
 from .prover import (Domain, EvalContext, and_avg_vec, and_luk_vec, not_vec,
                      or_vec, prove, prove_scalar)
 from .rules import (EmptyDomainError, RuleLinkError, RuleProgram,
-                    RuleSyntaxError, expand_quantifiers, parse_program,
-                    pretty, tokenize)
+                    RuleSyntaxError, parse_program, pretty, tokenize)
 from .stemming import word_stem
 from .tasks import (TaskInstance, corpus_coverage, dialogue_rule_template,
                     extract_keywords, instance_coverage, lexical_rule_template,

@@ -22,8 +22,8 @@ from .decoder import (PRESETS, DecodingConfig, coverage_of, coverage_table,
 from .kb import WORD_BOUNDARY, Vocabulary, ingest_triples, load_factbase
 from .lm import NgramScorer, ngram_train
 from .rules import parse_program
-from .tasks import (DEFAULT_STOPWORDS, corpus_coverage, dialogue_rule_template,
-                    lexical_rule_template, load_instances)
+from .tasks import (DEFAULT_STOPWORDS, align_concepts, corpus_coverage,
+                    dialogue_rule_template, lexical_rule_template, load_instances)
 from .transformer import TinyTransformer, TransformerConfig, TransformerScorer, load_weights
 
 log = logging.getLogger("logicdec")
@@ -237,9 +237,8 @@ def _decode_common(args, constrained: bool) -> int:
                         scorer, config.beam_size, config.max_length,
                         bos_id=bos, eos_id=eos,
                         length_norm_power=config.length_norm_power)
-                    concepts = [tid for tid in
-                                (facts.vocab.id_of(c) for c in instance.concepts)
-                                if tid is not None]
+                    concepts = align_concepts(instance.concepts, facts)[0] \
+                        if instance.kind == "lexical" else []
                     table, mask = coverage_table(concepts, facts), 0
                     for tok in result.best.tokens:
                         mask |= table.get(facts.stems.class_of[tok], 0)

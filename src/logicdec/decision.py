@@ -8,9 +8,9 @@ near-zero candidate is never catapulted to the top.  With ``I = 0`` or
 ``alpha = 0`` the input distribution is reproduced.
 
 The inverse softmax is defined only up to an additive constant; ``log P``
-fixes the constant at zero, which makes the identity property exact.  Inside
-a transformer the true pre-softmax logits may substitute for ``log P`` —
-softmax is shift-invariant, so both give the same result.
+fixes the constant at zero, which makes the identity property exact.  The
+decoder applies ``decide`` to every scorer's next-token distribution, the
+transformer's included: it is the one place the prediction shift happens.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ def pre_activation(p: np.ndarray) -> np.ndarray:
     """Scores whose softmax reproduces ``p``: log p, with zero entries
     floored at a large negative sentinel."""
     p = np.asarray(p, dtype=np.float64)
-    out = np.full(p.shape, SCORE_FLOOR, dtype=np.float64)
-    positive = p > 0.0
-    out[positive] = np.log(p[positive])
-    return out
+    return np.log(p, out=np.full(p.shape, SCORE_FLOOR), where=p > 0.0)
 
 
 def decide(p: np.ndarray, truth: np.ndarray, alpha: float) -> np.ndarray:

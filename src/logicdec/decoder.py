@@ -147,7 +147,7 @@ def _prefix_dependence(program: R.RuleProgram, rule: str,
             and body.set_name == prefix_set
             and isinstance(body.body, R.Atom)
             and body.body.pred == "Equal"
-            and {a.name for a in body.body.args if isinstance(a, R.Var)}
+            and {a.name for a in body.body.args}
             == {r.params[0], body.var}
         )
 
@@ -175,10 +175,7 @@ def _prefix_dependence(program: R.RuleProgram, rule: str,
             return all(probe_args_are_concepts(c, quant_sets) for c in expr.children)
         if isinstance(expr, R.RuleRef) and expr.rule in probes:
             for arg in expr.args:
-                if isinstance(arg, R.SetElement):
-                    if arg.set_name != concept_set:
-                        return False
-                elif quant_sets.get(arg.name) != concept_set:
+                if quant_sets.get(arg.name) != concept_set:
                     return False
         return True
 
@@ -200,7 +197,7 @@ class _Live:
     hyp: Hypothesis
     session: object
     next_dist: np.ndarray
-    raw_dist: Optional[np.ndarray] = None   # unshifted, kept for tracing
+    raw_dist: np.ndarray    # before the prediction shift, kept for tracing
 
 
 def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str],
@@ -244,22 +241,21 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         return hit
 
     def step_dist(session, token: int, tokens_after: tuple[int, ...], covered: int):
-        """Consume ``token``; return (shifted dist, raw dist or None)."""
-        if hooking:
+        """Consume ``token``; return (shifted dist, dist before the prediction
+        shift)."""
+        hooks = None
+        if hooking or shifting:
             truth = vocab_truth(tokens_after, covered)
-            bundle = AttentionHookBundle(
+        if hooking:
+            hooks = AttentionHookBundle(
                 alpha1=config.alpha1,
                 alpha2=config.alpha2,
-                alpha3=config.alpha3,
                 truth_prefix=truth[list(tokens_after)],
                 truth_targets=truth[list(concepts)] if concepts else None,
-                truth_vocab=truth if config.alpha3 > 0 else None,
             )
-            return scorer.step(session, token, hooks=bundle), None
-        raw = scorer.step(session, token)
+        raw = scorer.step(session, token, hooks=hooks)
         if shifting:
-            shifted = decide(raw, vocab_truth(tokens_after, covered), config.alpha3)
-            return shifted, raw
+            return decide(raw, truth, config.alpha3), raw
         return raw, raw
 
     prompt_tokens = tuple(prompt) if prompt is not None else (config.bos_id,)
@@ -274,8 +270,7 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     for i, tok in enumerate(prompt_tokens):
         mask |= table.get(class_of[tok], 0)
         dist, raw = step_dist(root_session, tok, prompt_tokens[: i + 1], mask)
-    live = [_Live(Hypothesis(prompt_tokens, 0.0, mask), root_session, dist,
-                  raw if not hooking else None)]
+    live = [_Live(Hypothesis(prompt_tokens, 0.0, mask), root_session, dist, raw)]
     finished: list[Hypothesis] = []
     trace_log: list = []
     log_rho = math.log(config.prune_ratio)
@@ -326,7 +321,7 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
                 continue
             session = parent.session.clone()
             dist, raw = step_dist(session, w, tokens, mask)
-            next_live.append(_Live(hyp, session, dist, raw if not hooking else None))
+            next_live.append(_Live(hyp, session, dist, raw))
         live = next_live
 
     completed = bool(finished)
@@ -413,10 +408,8 @@ def _trace_entry(step_index: int, item: _Live) -> dict:
         idx = np.argsort(-dist)[:5]
         return [[int(i), float(dist[i])] for i in idx]
 
-    entry = {"step": step_index, "top_after": top5(item.next_dist)}
-    entry["top_before"] = top5(item.raw_dist) if item.raw_dist is not None \
-        else entry["top_after"]
-    return entry
+    return {"step": step_index, "top_after": top5(item.next_dist),
+            "top_before": top5(item.raw_dist)}
 
 
 # ---------------------------------------------------------------------------

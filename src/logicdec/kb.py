@@ -10,6 +10,7 @@ morphological variants match the same facts.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import struct
 from dataclasses import dataclass, field
@@ -127,10 +128,15 @@ class StemIndex:
             if len(self.class_of) != len(vocab):
                 raise ValueError("stem table length does not match vocabulary")
             self.n_classes = int(self.class_of.max()) + 1 if len(self.class_of) else 0
+
+    @functools.cached_property
+    def members(self) -> dict[int, tuple[int, ...]]:
+        """Class id -> token ids, built on first use (ingestion reads it; a
+        snapshot load does not)."""
         members: dict[int, list[int]] = {}
         for tid, cid in enumerate(self.class_of):
             members.setdefault(int(cid), []).append(tid)
-        self.members = {cid: tuple(tids) for cid, tids in members.items()}
+        return {cid: tuple(tids) for cid, tids in members.items()}
 
     def same_class(self, a: int, b: int) -> bool:
         return int(self.class_of[a]) == int(self.class_of[b])

@@ -1,6 +1,6 @@
 """Soft-logic evaluation of linked rules over whole domains at once.
 
-``prove`` walks an expanded rule tree bottom-up, evaluating built-in
+``prove`` walks the parsed rule tree bottom-up, evaluating built-in
 predicates for every word of a domain in parallel and combining children with
 arithmetic connectives:
 
@@ -8,6 +8,13 @@ arithmetic connectives:
     and-avg:  arithmetic mean
     and-luk:  left fold of max(a + b - 1, 0)
     not:      1 - value
+
+A quantifier is evaluated in place: its body once per element of the bound
+set, combined as a disjunction (``exists``) or an averaging conjunction
+(``forall``); a one-element set gives its body's value unchanged.  An empty
+set raises ``EmptyDomainError`` rather than reading as vacuous truth: the
+rules assume their sets are populated, and a silent default would hide data
+bugs.
 
 An atom whose arguments are both bound (``Equal(c, p)`` with ``c`` in C and
 ``p`` in Prev) is a scalar; only atoms that read the domain position build a
@@ -133,14 +140,11 @@ def not_vec(child: np.ndarray) -> np.ndarray:
 _DOMAIN_ARG = object()  # marks the position being evaluated in parallel
 
 
-def _resolve(arg, subst: Mapping[str, object], ctx: EvalContext):
-    if isinstance(arg, R.Var):
-        try:
-            return subst[arg.name]
-        except KeyError:
-            raise R.RuleLinkError(f"unbound variable '{arg.name}'") from None
-    ids = ctx.bound(arg.set_name)
-    return int(ids[arg.index])
+def _resolve(arg: R.Var, subst: Mapping[str, object]):
+    try:
+        return subst[arg.name]
+    except KeyError:
+        raise R.RuleLinkError(f"unbound variable '{arg.name}'") from None
 
 
 def _atom_vector(pred: str, a, b, domain: Domain, ctx: EvalContext):
@@ -161,8 +165,8 @@ def _atom_vector(pred: str, a, b, domain: Domain, ctx: EvalContext):
 
 def _eval_vector(expr, subst, domain: Domain, ctx: EvalContext, memo):
     if isinstance(expr, R.Atom):
-        a = _resolve(expr.args[0], subst, ctx)
-        b = _resolve(expr.args[1], subst, ctx)
+        a = _resolve(expr.args[0], subst)
+        b = _resolve(expr.args[1], subst)
         return _atom_vector(expr.pred, a, b, domain, ctx)
     if isinstance(expr, R.Not):
         return not_vec(_eval_vector(expr.child, subst, domain, ctx, memo))
@@ -176,10 +180,19 @@ def _eval_vector(expr, subst, domain: Domain, ctx: EvalContext, memo):
         if not expr.children:
             return 1.0
         return and_luk_vec([_eval_vector(c, subst, domain, ctx, memo) for c in expr.children])
+    if isinstance(expr, R.Quant):
+        elements = ctx.bound(expr.set_name)
+        if not elements:
+            raise R.EmptyDomainError(expr.set_name)
+        values = [_eval_vector(expr.body, {**subst, expr.var: int(tid)}, domain, ctx, memo)
+                  for tid in elements]
+        if len(values) == 1:
+            return values[0]
+        return or_vec(values) if expr.kind == "exists" else and_avg_vec(values)
     if isinstance(expr, R.RuleRef):
-        resolved = tuple(_resolve(arg, subst, ctx) for arg in expr.args)
+        resolved = tuple(_resolve(arg, subst) for arg in expr.args)
         return _eval_rule(expr.rule, resolved, domain, ctx, memo)
-    raise TypeError(f"quantifier survived expansion: {expr!r}")
+    raise TypeError(f"unexpected node {expr!r}")
 
 
 def _eval_rule(name: str, resolved_args, domain: Domain, ctx: EvalContext, memo: dict):
@@ -189,9 +202,8 @@ def _eval_rule(name: str, resolved_args, domain: Domain, ctx: EvalContext, memo:
         return hit
     program: R.RuleProgram = memo["__program__"]
     rule = program.rule(name)
-    body = R.expand_quantifiers(rule.body, ctx.sets)
     subst = dict(zip(rule.params, resolved_args))
-    out = _eval_vector(body, subst, domain, ctx, memo)
+    out = _eval_vector(rule.body, subst, domain, ctx, memo)
     memo[key] = out
     return out
 
@@ -226,8 +238,8 @@ def prove(program: R.RuleProgram, rule: str, domain: Domain,
 def prove_scalar(program: R.RuleProgram, rule: str, word: int,
                  ctx: EvalContext) -> float:
     """Truth value of ``rule`` for one word; the reference the vector path
-    must match.  Implemented independently: no numpy, no expansion step, no
-    shared combinators."""
+    must match.  Implemented independently: no numpy, no shared
+    combinators."""
     facts = ctx.facts
     if not (0 <= word < len(facts.vocab)):
         raise ValueError(f"token id {word} outside vocabulary")
@@ -242,14 +254,9 @@ def prove_scalar(program: R.RuleProgram, rule: str, word: int,
             return 0.0
         return facts.edge_weight(a, b)
 
-    def lookup(arg, env: dict) -> int:
-        if isinstance(arg, R.Var):
-            return env[arg.name]
-        return int(ctx.bound(arg.set_name)[arg.index])
-
     def ev(expr, env: dict) -> float:
         if isinstance(expr, R.Atom):
-            return atom_value(expr.pred, lookup(expr.args[0], env), lookup(expr.args[1], env))
+            return atom_value(expr.pred, env[expr.args[0].name], env[expr.args[1].name])
         if isinstance(expr, R.Not):
             return clamp(1.0 - ev(expr.child, env))
         if isinstance(expr, R.OrNode):
@@ -289,7 +296,7 @@ def prove_scalar(program: R.RuleProgram, rule: str, word: int,
             return clamp(sum(values) / len(values))
         if isinstance(expr, R.RuleRef):
             target = program.rule(expr.rule)
-            inner = {param: lookup(arg, env) for param, arg in zip(target.params, expr.args)}
+            inner = {param: env[arg.name] for param, arg in zip(target.params, expr.args)}
             return ev(target.body, inner)
         raise TypeError(f"unexpected node {expr!r}")
 

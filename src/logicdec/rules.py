@@ -33,10 +33,10 @@ from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "Atom", "Not", "OrNode", "AndAvgNode", "AndLukNode", "Quant", "RuleRef",
-    "Var", "SetElement", "Rule", "RuleProgram", "RuleExpr",
+    "Var", "Rule", "RuleProgram", "RuleExpr",
     "Token", "TokenKind", "RuleSyntaxError", "RuleLinkError",
     "EmptyDomainError", "UnboundSetError", "BUILTIN_PREDICATES",
-    "tokenize", "parse_program", "expand_quantifiers", "pretty",
+    "tokenize", "parse_program", "pretty",
 ]
 
 BUILTIN_PREDICATES = {"Equal": 2, "Edge": 2, "W": 2}
@@ -168,20 +168,9 @@ class Var:
 
 
 @dataclass(frozen=True)
-class SetElement:
-    """Reference to element ``index`` of a bound set; appears only after
-    quantifier expansion."""
-    set_name: str
-    index: int
-
-
-Arg = Union[Var, SetElement]
-
-
-@dataclass(frozen=True)
 class Atom:
     pred: str
-    args: tuple[Arg, ...]
+    args: tuple[Var, ...]
 
 
 @dataclass(frozen=True)
@@ -215,7 +204,7 @@ class Quant:
 @dataclass(frozen=True)
 class RuleRef:
     rule: str
-    args: tuple[Arg, ...]
+    args: tuple[Var, ...]
 
 
 RuleExpr = Union[Atom, Not, OrNode, AndAvgNode, AndLukNode, Quant, RuleRef]
@@ -343,7 +332,7 @@ class _Parser:
         if tok.kind is TokenKind.IDENT:
             self.pop()
             self.expect(TokenKind.LP)
-            args: list[Arg] = [Var(self.expect(TokenKind.VAR).text)]
+            args: list[Var] = [Var(self.expect(TokenKind.VAR).text)]
             while self.peek().kind is TokenKind.COMMA:
                 self.pop()
                 args.append(Var(self.expect(TokenKind.VAR).text))
@@ -383,7 +372,7 @@ def _check_scopes(rule: Rule) -> None:
                 visit(child, bound)
         elif isinstance(expr, (Atom, RuleRef)):
             for arg in expr.args:
-                if isinstance(arg, Var) and arg.name not in bound:
+                if arg.name not in bound:
                     raise RuleLinkError(
                         f"rule '{rule.name}': variable '{arg.name}' is neither a head "
                         f"parameter nor bound by a quantifier"
@@ -463,73 +452,16 @@ def parse_program(source: str) -> RuleProgram:
 
 
 # ---------------------------------------------------------------------------
-# Quantifier expansion
-
-def _substitute(expr: RuleExpr, var: str, repl: Arg) -> RuleExpr:
-    if isinstance(expr, (Atom, RuleRef)):
-        args = tuple(repl if (isinstance(a, Var) and a.name == var) else a for a in expr.args)
-        return type(expr)(expr.pred if isinstance(expr, Atom) else expr.rule, args)
-    if isinstance(expr, Not):
-        return Not(_substitute(expr.child, var, repl))
-    if isinstance(expr, (OrNode, AndAvgNode, AndLukNode)):
-        return type(expr)(tuple(_substitute(c, var, repl) for c in expr.children))
-    if isinstance(expr, Quant):
-        if expr.var == var:  # inner binding shadows
-            return expr
-        return Quant(expr.kind, expr.var, expr.set_name, _substitute(expr.body, var, repl))
-    raise TypeError(f"unexpected node {expr!r}")
-
-
-def expand_quantifiers(expr: RuleExpr, bindings: Mapping[str, Sequence]) -> RuleExpr:
-    """Replace every quantifier with an explicit connective over set elements.
-
-    ``exists v in S, P(v)`` becomes a disjunction over ``|S|`` instantiated
-    copies of the body; ``forall`` becomes a single n-ary averaging node (the
-    arithmetic mean is order-invariant and reduces to the binary definition
-    for two elements).  A one-element domain collapses to the instantiated
-    body.  An empty domain is an error: the rules assume their sets are
-    populated, and silent vacuous truth would hide data bugs.
-    """
-    if isinstance(expr, Quant):
-        if expr.set_name not in bindings:
-            raise UnboundSetError(expr.set_name)
-        size = len(bindings[expr.set_name])
-        if size == 0:
-            raise EmptyDomainError(expr.set_name)
-        instances = tuple(
-            expand_quantifiers(
-                _substitute(expr.body, expr.var, SetElement(expr.set_name, i)),
-                bindings,
-            )
-            for i in range(size)
-        )
-        if size == 1:
-            return instances[0]
-        return OrNode(instances) if expr.kind == "exists" else AndAvgNode(instances)
-    if isinstance(expr, Not):
-        return Not(expand_quantifiers(expr.child, bindings))
-    if isinstance(expr, (OrNode, AndAvgNode, AndLukNode)):
-        return type(expr)(tuple(expand_quantifiers(c, bindings) for c in expr.children))
-    return expr
-
-
-# ---------------------------------------------------------------------------
 # Printer
 
 _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 1, 2, 3
 
 
-def _fmt_arg(arg: Arg) -> str:
-    if isinstance(arg, Var):
-        return arg.name
-    return f"{arg.set_name}[{arg.index}]"
-
-
 def _pretty(expr: RuleExpr, parent_level: int) -> str:
     if isinstance(expr, Atom):
-        return f"{expr.pred}({', '.join(_fmt_arg(a) for a in expr.args)})"
+        return f"{expr.pred}({', '.join(a.name for a in expr.args)})"
     if isinstance(expr, RuleRef):
-        return f"{expr.rule}({', '.join(_fmt_arg(a) for a in expr.args)})"
+        return f"{expr.rule}({', '.join(a.name for a in expr.args)})"
     if isinstance(expr, Not):
         return "~" + _pretty(expr.child, _LEVEL_UNARY)
     if isinstance(expr, Quant):
@@ -559,7 +491,7 @@ def _pretty(expr: RuleExpr, parent_level: int) -> str:
 
 def pretty(expr: RuleExpr) -> str:
     """Render an expression in the surface syntax; re-parsing the output of a
-    parsed (unexpanded) expression reproduces the same tree."""
+    parsed expression reproduces the same tree."""
     return _pretty(expr, 0)
 
 

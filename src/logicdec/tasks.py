@@ -22,7 +22,7 @@ from .stemming import IRREGULAR_FORMS, word_stem
 __all__ = [
     "TaskInstance", "TemplateBinding", "DEFAULT_STOPWORDS",
     "load_instances", "extract_keywords",
-    "lexical_rule_template", "dialogue_rule_template",
+    "align_concepts", "lexical_rule_template", "dialogue_rule_template",
     "instance_coverage", "corpus_coverage", "template_text",
 ]
 
@@ -119,6 +119,16 @@ def _align_words(words: Iterable[str], facts: FactBase) -> tuple[list[int], list
     return ids, skipped
 
 
+def align_concepts(concepts: Sequence[str], facts: FactBase
+                   ) -> tuple[list[int], list[str]]:
+    """Token ids of a lexical instance's concepts, deduplicated, and the
+    concepts that did not align; raises ``ValueError`` when none align."""
+    ids, skipped = _align_words(concepts, facts)
+    if not ids:
+        raise ValueError("none of the concepts aligned to vocabulary tokens")
+    return ids, skipped
+
+
 def lexical_rule_template(concepts: Sequence[str], facts: FactBase,
                           gate: str = "avg") -> TemplateBinding:
     """Rules for covering target concepts.
@@ -130,9 +140,7 @@ def lexical_rule_template(concepts: Sequence[str], facts: FactBase,
     """
     if gate not in ("avg", "luk"):
         raise ValueError(f"gate must be 'avg' or 'luk', got {gate!r}")
-    ids, skipped = _align_words(concepts, facts)
-    if not ids:
-        raise ValueError("none of the concepts aligned to vocabulary tokens")
+    ids, skipped = align_concepts(concepts, facts)
     source = template_text("commongen" if gate == "avg" else "commongen_hard")
     ctx = EvalContext(facts=facts, sets={"C": tuple(ids)})
     return TemplateBinding(source=source, ctx=ctx, skipped=tuple(skipped))
@@ -165,13 +173,9 @@ def dialogue_rule_template(persona: Sequence[str], history: Sequence[str],
     if not p_ids:
         raise ValueError("persona produced no alignable keywords")
 
-    p_branch = "(exists p in P, Edge(x, p))"
-    u_branch = "(exists u in U, Edge(x, u))" if u_ids else "0"
-    source = "\n".join([
-        "R(x) :- Persona(x) | Common(x)",
-        "Persona(x) :- exists p in P, Equal(x, p)",
-        f"Common(x) :- {p_branch} ^ {u_branch}",
-    ])
+    source = template_text("personachat")
+    if not u_ids:
+        source = source.replace("(exists u in U, Edge(x, u))", "0")
     sets = {"P": tuple(p_ids)}
     if u_ids:
         sets["U"] = tuple(u_ids)

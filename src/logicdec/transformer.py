@@ -1,6 +1,7 @@
-"""A small decoder-only transformer exposing the three distribution-shift
-hook points: attention over the generated prefix, attention over target
-words, and the next-word prediction.
+"""A small decoder-only transformer exposing the two attention hook points:
+attention over the generated prefix and attention over target words.  The
+third shift, on the next-word prediction, is the decoder's ``decide`` call
+on the distribution ``step`` returns.
 
 Target words are fed through the network individually and without positional
 offsets, producing position-invariant key/value pairs per layer and head.  At
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,22 +60,19 @@ class TransformerConfig:
 
 @dataclass
 class AttentionHookBundle:
-    """Per-step shift callbacks plus the truth vectors they consume.
+    """Per-step attention intensities plus the truth vectors they consume.
 
     ``truth_prefix`` holds one value per prefix position (position-level:
     repeated tokens share a value but occupy distinct slots) and must match
     the prefix length at the step it is used for.  ``truth_targets`` aligns
-    with the session's target words, ``truth_vocab`` with the vocabulary.
+    with the session's target words.
     """
     alpha1: float = 0.0                       # prefix-attention intensity
     alpha2: float = 0.0                       # target-attention intensity
-    alpha3: float = 0.0                       # prediction intensity
     truth_prefix: Optional[np.ndarray] = None
     truth_targets: Optional[np.ndarray] = None
-    truth_vocab: Optional[np.ndarray] = None
-    on_row: Optional[Callable[[int, int, np.ndarray], None]] = None
 
-    def shift_row(self, layer: int, head: int, scores_targets: np.ndarray,
+    def shift_row(self, scores_targets: np.ndarray,
                   scores_prefix: np.ndarray) -> np.ndarray:
         """Shifted joint attention row over ``[targets : prefix]``."""
         scores = np.concatenate([scores_targets, scores_prefix])
@@ -90,8 +88,6 @@ class AttentionHookBundle:
                 raise ValueError("prefix truth vector does not match prefix length")
             boost[m:] = self.alpha1 * self.truth_prefix * joint[m:]
         row = softmax(scores + boost)
-        if self.on_row is not None:
-            self.on_row(layer, head, row)
         if not np.isfinite(row).all() or abs(float(row.sum()) - 1.0) > 1e-6:
             raise ValueError("attention hook produced a non-distribution row")
         return row
@@ -161,7 +157,7 @@ class TinyTransformer:
                     scores_targets = np.empty(0)
                     v_all = V[:, sl]
                 if hooks is not None:
-                    row = hooks.shift_row(layer, head, scores_targets, scores_prefix)
+                    row = hooks.shift_row(scores_targets, scores_prefix)
                 else:
                     row = softmax(np.concatenate([scores_targets, scores_prefix]))
                 if session.attention_rows is not None:
@@ -173,11 +169,7 @@ class TinyTransformer:
         h = _layer_norm(x, w["lnf_g"], w["lnf_b"])
         logits = h @ w["wout"]
         session.tokens.append(token)
-        p = softmax(logits)
-        if hooks is not None and hooks.truth_vocab is not None and hooks.alpha3 > 0:
-            # shift-invariant form of the decision function on raw logits
-            return softmax(logits + hooks.alpha3 * hooks.truth_vocab * p)
-        return p
+        return softmax(logits)
 
 
 @dataclass

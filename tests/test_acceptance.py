@@ -117,10 +117,9 @@ def test_c04_hook_identity():
     worst = 0.0
     for t, token in enumerate([1, 7, 3, 12, 4, 2]):
         p_plain = model.step(plain, token, record_attention=True)
-        hooks = AttentionHookBundle(alpha1=12.0, alpha2=24.0, alpha3=24.0,
+        hooks = AttentionHookBundle(alpha1=12.0, alpha2=24.0,
                                     truth_prefix=np.zeros(t + 1),
-                                    truth_targets=np.zeros(len(targets)),
-                                    truth_vocab=np.zeros(cfg.vocab_size))
+                                    truth_targets=np.zeros(len(targets)))
         p_hooked = model.step(hooked, token, hooks=hooks, record_attention=True)
         worst = max(worst, float(np.abs(p_plain - p_hooked).max()))
         for _l, _h, row in hooked.attention_rows:

@@ -144,6 +144,32 @@ class TestDecode:
         assert "text" in rec
 
 
+class TestBaselineBeam:
+    def test_coverage_aligns_concepts_like_decode(self, tmp_path, capsys):
+        # a GPT-2 style vocabulary: word-initial tokens carry the boundary marker
+        (tmp_path / "vocab.txt").write_text("\n".join(
+            ["<s>", "</s>", "Ġthe", "Ġdog", "Ġran", "Ġpark"]) + "\n")
+        (tmp_path / "kg.tsv").write_text("dog\tRelatedTo\tpark\n")
+        (tmp_path / "corpus.txt").write_text("Ġthe Ġdog Ġran\n")
+        (tmp_path / "inst.jsonl").write_text(
+            json.dumps({"kind": "lexical", "concepts": ["dog", "park"]}) + "\n"
+            + json.dumps({"kind": "lexical", "concepts": ["qqq"]}) + "\n")
+        snap, out = tmp_path / "g.fb", tmp_path / "base.jsonl"
+        code, _, _ = run(["ingest-kg", "--triples", str(tmp_path / "kg.tsv"),
+                          "--vocab", str(tmp_path / "vocab.txt"), "--out", str(snap)], capsys)
+        assert code == 0
+        code, _, _ = run(["baseline-beam", "--factbase", str(snap),
+                          "--instances", str(tmp_path / "inst.jsonl"),
+                          "--corpus", str(tmp_path / "corpus.txt"),
+                          "--beam", "3", "--max-length", "5", "--out", str(out)], capsys)
+        assert code == 0
+        first, second = [json.loads(l) for l in out.read_text().splitlines()]
+        assert first["text"] == "the dog ran"
+        assert first["coverage"] == 0.5
+        assert second["error"] == ("ValueError: none of the concepts aligned "
+                                   "to vocabulary tokens")
+
+
 class TestEval:
     def test_metrics_table(self, snapshot, tmp_path, capsys):
         results = tmp_path / "results.jsonl"

@@ -270,6 +270,23 @@ class TestTransformerIntegration:
         assert result.hypotheses
         assert kinds and set(kinds) == {"vocab"}
 
+    def test_trace_shows_prediction_shift_with_hooks(self, toy_facts, sentinel_ids):
+        # the hooked path traces the distribution before the prediction shift
+        from logicdec.transformer import TinyTransformer, TransformerConfig, TransformerScorer
+        bos, eos = sentinel_ids
+        v = toy_facts.vocab
+        cfg = TransformerConfig(vocab_size=len(v), n_layers=2, n_heads=2,
+                                d_model=32, d_ff=64, max_len=32, seed=5)
+        scorer = TransformerScorer(TinyTransformer(cfg))
+        ctx = EvalContext(facts=toy_facts, sets={"C": (v.id_of("garden"), v.id_of("piano"))})
+        for alpha3 in (24.0, 0.0):
+            config = DecodingConfig(beam_size=3, alpha1=12.0, alpha2=24.0, alpha3=alpha3,
+                                    max_length=4, bos_id=bos, eos_id=eos)
+            result = decode(scorer, parse_program(LEXICAL_RULES), "R", ctx, config,
+                            trace=True)
+            differs = [step["top_before"] != step["top_after"] for step in result.trace]
+            assert any(differs) if alpha3 else not any(differs)
+
     def test_attention_only_shifts_change_scores(self, toy_facts, sentinel_ids):
         # alpha3 = 0: no prediction shift, yet attention shifts still steer
         from logicdec.transformer import TinyTransformer, TransformerConfig, TransformerScorer

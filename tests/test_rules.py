@@ -1,10 +1,11 @@
 import pytest
 
+from logicdec.kb import FactBase, Vocabulary
+from logicdec.prover import Domain, EvalContext, prove
 from logicdec.rules import (AndAvgNode, AndLukNode, Atom, EmptyDomainError,
                             Not, OrNode, Quant, RuleLinkError, RuleRef,
-                            RuleSyntaxError, SetElement, UnboundSetError, Var,
-                            expand_quantifiers, parse_program, pretty,
-                            rule_source, tokenize)
+                            RuleSyntaxError, UnboundSetError, Var,
+                            parse_program, rule_source, tokenize)
 
 PROGRAM = """
 R(x) :- exists c in C, ~Y(c) ^ Rel(x, c)
@@ -144,55 +145,58 @@ class TestParser:
 
 
 class TestExpansion:
+    """A quantifier evaluates as its expansion over the bound set: ``exists``
+    as the disjunction of its instances, ``forall`` as their mean."""
+
+    # word 0 relates to words 1, 2 and 3 with soft weights; 4 relates to none
+    VOCAB = Vocabulary(["dog", "park", "ball", "leash", "piano"])
+    FACTS = FactBase.from_edges(VOCAB, [(0, 1, 0.5), (0, 2, 0.375), (0, 3, 0.25),
+                                        (1, 2, 0.125)], mode="soft")
+
+    def prove_all(self, source, **sets):
+        ctx = EvalContext(facts=self.FACTS, sets={k: tuple(v) for k, v in sets.items()})
+        return prove(parse_program(source), "A", Domain.vocabulary(self.FACTS), ctx)
+
+    def edge(self, a, b):
+        return self.FACTS.edge_column(b)[a]
+
     def test_exists_becomes_disjunction(self):
-        prog = parse_program("A(x) :- exists c in S, Equal(x, c)")
-        expanded = expand_quantifiers(prog.rules["A"].body, {"S": ["u", "v"]})
-        assert expanded == OrNode((
-            Atom("Equal", (Var("x"), SetElement("S", 0))),
-            Atom("Equal", (Var("x"), SetElement("S", 1)))))
+        out = self.prove_all("A(x) :- exists c in S, Edge(x, c)", S=[1, 2, 3])
+        # the capped sum: 0.5 + 0.375 + 0.25 caps at 1 for word 0
+        assert out[0] == 1.0
+        assert out[1] == self.edge(1, 2)
+        assert out[4] == 0.0
+        out = self.prove_all("A(x) :- exists c in S, Edge(x, c)", S=[2, 3])
+        assert out[0] == 0.375 + 0.25
 
     def test_forall_becomes_single_nary_average(self):
-        prog = parse_program("A(x) :- forall c in S, Equal(x, c)")
-        expanded = expand_quantifiers(prog.rules["A"].body, {"S": [1, 2, 3]})
-        assert isinstance(expanded, AndAvgNode)
-        assert len(expanded.children) == 3
+        out = self.prove_all("A(x) :- forall c in S, Edge(x, c)", S=[1, 2, 3])
+        assert out[0] == (0.5 + 0.375 + 0.25) / 3
+        assert out[1] == self.edge(1, 2) / 3
+        assert out[4] == 0.0
 
     def test_singleton_collapses(self):
-        prog = parse_program("A(x) :- forall c in S, Equal(x, c)")
-        expanded = expand_quantifiers(prog.rules["A"].body, {"S": [7]})
-        assert expanded == Atom("Equal", (Var("x"), SetElement("S", 0)))
+        for kind in ("exists", "forall"):
+            out = self.prove_all(f"A(x) :- {kind} c in S, Edge(x, c)", S=[2])
+            assert out.tobytes() == self.FACTS.edge_column(2).tobytes()
 
     def test_empty_domain_is_an_error(self):
-        prog = parse_program("A(x) :- exists p in P, Edge(x, p)")
         with pytest.raises(EmptyDomainError):
-            expand_quantifiers(prog.rules["A"].body, {"P": []})
+            self.prove_all("A(x) :- exists p in P, Edge(x, p)", P=[])
 
     def test_unbound_set_is_an_error(self):
-        prog = parse_program("A(x) :- exists p in P, Edge(x, p)")
         with pytest.raises(UnboundSetError):
-            expand_quantifiers(prog.rules["A"].body, {"Q": [1]})
-
-    def test_no_quantifiers_survive(self):
-        program = parse_program(PROGRAM)
-        expanded = expand_quantifiers(program.rules["R"].body,
-                                      {"C": [1, 2, 3], "Prev": [4, 5]})
-
-        def walk(e):
-            yield e
-            for attr in ("child", "body"):
-                if hasattr(e, attr):
-                    yield from walk(getattr(e, attr))
-            for c in getattr(e, "children", ()):
-                yield from walk(c)
-
-        assert not any(isinstance(node, Quant) for node in walk(expanded))
+            self.prove_all("A(x) :- exists p in P, Edge(x, p)", Q=[1])
 
     def test_nested_quantifiers_expand(self):
-        prog = parse_program("A(x) :- exists p in P, exists q in Q, Edge(p, q)")
-        expanded = expand_quantifiers(prog.rules["A"].body, {"P": [1, 2], "Q": [3]})
-        assert expanded == OrNode((
-            Atom("Edge", (SetElement("P", 0), SetElement("Q", 0))),
-            Atom("Edge", (SetElement("P", 1), SetElement("Q", 0)))))
+        out = self.prove_all(
+            "A(x) :- exists p in P, (forall q in Q, Edge(x, q) | Equal(p, q))",
+            P=[1, 4], Q=[1, 2])
+        for x in range(len(self.VOCAB)):
+            expected = min(1.0, sum(
+                sum(min(1.0, self.edge(x, q) + (p == q)) for q in (1, 2)) / 2
+                for p in (1, 4)))
+            assert out[x] == pytest.approx(expected, abs=1e-12)
 
 
 class TestRoundTrip:
@@ -217,8 +221,3 @@ class TestRoundTrip:
         printed = rule_source(program.rules[name]) + stubs
         reparsed = parse_program(printed)
         assert reparsed.rules[name] == program.rules[name]
-
-    def test_pretty_of_expanded_tree_mentions_elements(self):
-        program = parse_program(PROGRAM)
-        expanded = expand_quantifiers(program.rules["R"].body, {"C": [1, 2]})
-        assert "C[0]" in pretty(expanded) and "C[1]" in pretty(expanded)

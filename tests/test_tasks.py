@@ -77,12 +77,18 @@ class TestLexicalTemplate:
         assert "R" in program.rules
 
     def test_single_concept_quantifier_collapses(self, toy_facts):
-        from logicdec.rules import Quant, expand_quantifiers
+        # with one concept c, R(x) is its body ~Y(c) ^ Rel(x, c), bit for bit
+        from logicdec.kb import equal_vector
+        from logicdec.prover import (Domain, EvalContext, and_avg_vec, not_vec,
+                                     or_vec, prove)
         binding = lexical_rule_template(["garden"], toy_facts)
-        program = parse_program(binding.source)
-        expanded = expand_quantifiers(program.rules["R"].body,
-                                      {"C": binding.ctx.sets["C"], "Prev": (0,)})
-        assert not isinstance(expanded, Quant)
+        (c,) = binding.ctx.sets["C"]
+        ctx = EvalContext(facts=toy_facts, sets={"C": (c,), "Prev": (0,)})
+        out = prove(parse_program(binding.source), "R", Domain.vocabulary(toy_facts), ctx)
+        ids = Domain.vocabulary(toy_facts).ids
+        rel = or_vec([toy_facts.edge_column(c), equal_vector(ids, c, toy_facts)])
+        body = and_avg_vec([not_vec(float(toy_facts.same_stem(c, 0))), rel])
+        assert out.tobytes() == body.tobytes()
 
     def test_no_alignable_concepts_is_an_error(self, toy_facts):
         with pytest.raises(ValueError, match="none of the concepts"):
@@ -118,6 +124,16 @@ class TestDialogueTemplate:
         assert out[pets] == pytest.approx(
             prove_scalar(program, "R", pets, binding.ctx))
         assert out[pets] == pytest.approx(1.0)
+
+    def test_program_is_the_shipped_template_with_and_without_u(self, toy_facts):
+        head = ("R(x) :- Persona(x) | Common(x)\n"
+                "Persona(x) :- exists p in P, Equal(x, p)\n"
+                "Common(x) :- (exists p in P, Edge(x, p)) ^ ")
+        with_u = dialogue_rule_template(["i have pets"], ["is that a garden ?"], toy_facts)
+        assert parse_program(with_u.source) == parse_program(
+            head + "(exists u in U, Edge(x, u))")
+        without_u = dialogue_rule_template(["i have pets"], [], toy_facts)
+        assert parse_program(without_u.source) == parse_program(head + "0")
 
     def test_empty_persona_is_an_error(self, toy_facts):
         with pytest.raises(ValueError, match="persona"):

@@ -15,12 +15,11 @@ def model():
     return TinyTransformer(CFG)
 
 
-def zero_hooks(prefix_len, n_targets, vocab_size, alpha=(12.0, 24.0, 24.0)):
+def zero_hooks(prefix_len, n_targets, alpha=(12.0, 24.0)):
     return AttentionHookBundle(
-        alpha1=alpha[0], alpha2=alpha[1], alpha3=alpha[2],
+        alpha1=alpha[0], alpha2=alpha[1],
         truth_prefix=np.zeros(prefix_len),
         truth_targets=np.zeros(n_targets) if n_targets else None,
-        truth_vocab=np.zeros(vocab_size),
     )
 
 
@@ -65,14 +64,14 @@ class TestForward:
         hooked = model.begin_session([3, 5])
         for t, token in enumerate([1, 4, 9, 2]):
             p_plain = model.step(plain, token)
-            hooks = zero_hooks(t + 1, 2, CFG.vocab_size)
+            hooks = zero_hooks(t + 1, 2)
             p_hooked = model.step(hooked, token, hooks=hooks)
             assert np.abs(p_plain - p_hooked).max() <= 1e-6
 
     def test_attention_row_lengths_and_sums(self, model):
         session = model.begin_session([3, 5, 7])
         for t, token in enumerate([1, 4, 9]):
-            hooks = zero_hooks(t + 1, 3, CFG.vocab_size)
+            hooks = zero_hooks(t + 1, 3)
             model.step(session, token, hooks=hooks, record_attention=True)
             rows = session.attention_rows
             assert len(rows) == CFG.n_layers * CFG.n_heads
@@ -90,29 +89,14 @@ class TestForward:
         assert (p_a[1] == p_b[1]).all()
         assert not np.allclose(p_a[2], p_b[2])
 
-    def test_prediction_shift_boosts_truthful_token(self, model):
-        target_word = 11
-        plain = model.begin_session([target_word])
-        hooked = model.begin_session([target_word])
-        p_plain = model.step(plain, 1)
-        truth = np.zeros(CFG.vocab_size)
-        truth[target_word] = 1.0
-        hooks = AttentionHookBundle(alpha1=0.0, alpha2=0.0, alpha3=24.0,
-                                    truth_prefix=np.zeros(1),
-                                    truth_targets=np.zeros(1),
-                                    truth_vocab=truth)
-        p_hooked = model.step(hooked, 1, hooks=hooks)
-        assert p_hooked[target_word] > p_plain[target_word]
-
     def test_attention_shift_moves_mass_toward_true_targets(self, model):
         session = model.begin_session([3, 5])
         ref = model.begin_session([3, 5])
         model.step(ref, 1, record_attention=True)
         plain_rows = list(ref.attention_rows)
-        hooks = AttentionHookBundle(alpha1=0.0, alpha2=30.0, alpha3=0.0,
+        hooks = AttentionHookBundle(alpha1=0.0, alpha2=30.0,
                                     truth_prefix=np.zeros(1),
-                                    truth_targets=np.array([1.0, 0.0]),
-                                    truth_vocab=None)
+                                    truth_targets=np.array([1.0, 0.0]))
         model.step(session, 1, hooks=hooks, record_attention=True)
         for (_, _, plain_row), (_, _, hooked_row) in zip(plain_rows, session.attention_rows):
             assert hooked_row[0] > plain_row[0] - 1e-12
