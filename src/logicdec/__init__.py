@@ -10,7 +10,7 @@ from .decision import decide, pre_activation
 from .decoder import (DecodeResult, DecodingConfig, Hypothesis, PRESETS,
                       coverage_of, coverage_table, decode, plain_beam_search)
 from .kb import (FactBase, StemIndex, Vocabulary, align_word_to_token,
-                 edge_vector, equal_vector, ingest_triples, load_factbase)
+                 equal_vector, ingest_triples, load_factbase)
 from .lm import NgramLM, NgramScorer, Scorer, ngram_train, perplexity
 from .prover import (Domain, EvalContext, and_avg_vec, and_luk_vec, not_vec,
                      or_vec, prove, prove_scalar)

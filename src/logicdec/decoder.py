@@ -4,11 +4,11 @@ shifting, coverage tracking, grouping, and pruning.
 Each step, every live hypothesis expands its top candidates from its shifted
 next-token distribution.  Candidates are pruned relative to the best
 candidate of the step (keep those within a ``prune_ratio`` fraction of the
-best likelihood), grouped by their covered-concept bitmask, capped at
-``group_budget`` per group, and the beam is then filled back to size by
-global score.  Whenever a candidate from a group survives pruning, the next
-beam keeps at least the best candidate of that group, most-covered groups
-first.
+best likelihood) and grouped by their covered-concept bitmask; at most
+``max_groups`` groups stay, the most-covered one always among them.  The
+next beam takes, in this order and up to ``beam_size``: the best candidate
+of each group, most-covered groups first; then the next ``group_budget - 1``
+of each group by global score; then the rest by global score.
 
 Each hypothesis step proves at most once: the vocabulary truth vector under
 the hypothesis's own prefix.  The attention hooks' prefix and target truth
@@ -118,75 +118,48 @@ def coverage_of(hyp: Hypothesis, concepts: Sequence[int]) -> float:
 # ---------------------------------------------------------------------------
 # Prefix-dependence analysis for truth-vector memoisation
 
-def _prefix_dependence(program: R.RuleProgram, rule: str,
-                       concept_set: str = "C", prefix_set: str = "Prev") -> str:
+def _prefix_dependence(program: R.RuleProgram, rule: str) -> str:
     """Classify how the rule closure depends on the generated prefix.
 
     Returns ``"none"`` (prefix never referenced), ``"coverage"`` (prefix
-    enters only through stem-equality tests against elements of the concept
-    set, so the coverage bitmask determines the truth vector), or ``"full"``
-    (re-prove every step).
+    enters only through probes ``Y(x) :- exists y in Prev, Equal(x, y)``
+    applied to elements of the concept set, so the coverage bitmask
+    determines the truth vector), or ``"full"`` (re-prove every step).  One
+    walk over the reachable rule bodies, tracking the set each quantified
+    variable ranges over.
     """
-    reachable: set[str] = set()
-    stack = [rule]
+    def is_probe(r: R.Rule) -> bool:
+        q = r.body
+        return (len(r.params) == 1 and isinstance(q, R.Quant) and q.kind == "exists"
+                and q.set_name == "Prev" and isinstance(q.body, R.Atom)
+                and q.body.pred == "Equal"
+                and {a.name for a in q.body.args} == {r.params[0], q.var})
+
+    if is_probe(program.rule(rule)):
+        return "full"  # its argument is the domain position, not a concept
+    result = "none"
+    seen = {rule}
+    stack = [(program.rule(rule).body, {})]  # (expr, variable -> set name)
     while stack:
-        name = stack.pop()
-        if name in reachable:
-            continue
-        reachable.add(name)
-        for node in R._walk(program.rule(name).body):
-            if isinstance(node, R.RuleRef):
-                stack.append(node.rule)
-
-    def is_coverage_probe(r: R.Rule) -> bool:
-        body = r.body
-        return (
-            len(r.params) == 1
-            and isinstance(body, R.Quant)
-            and body.kind == "exists"
-            and body.set_name == prefix_set
-            and isinstance(body.body, R.Atom)
-            and body.body.pred == "Equal"
-            and {a.name for a in body.body.args}
-            == {r.params[0], body.var}
-        )
-
-    probes = set()
-    uses_prefix = False
-    for name in reachable:
-        r = program.rule(name)
-        for node in R._walk(r.body):
-            if isinstance(node, R.Quant) and node.set_name == prefix_set:
-                uses_prefix = True
-                if is_coverage_probe(r):
-                    probes.add(name)
-                else:
-                    return "full"
-    if not uses_prefix:
-        return "none"
-
-    def probe_args_are_concepts(expr, quant_sets: dict[str, str]) -> bool:
+        expr, sets = stack.pop()
         if isinstance(expr, R.Quant):
-            return probe_args_are_concepts(
-                expr.body, {**quant_sets, expr.var: expr.set_name})
-        if isinstance(expr, R.Not):
-            return probe_args_are_concepts(expr.child, quant_sets)
-        if isinstance(expr, (R.OrNode, R.AndAvgNode, R.AndLukNode)):
-            return all(probe_args_are_concepts(c, quant_sets) for c in expr.children)
-        if isinstance(expr, R.RuleRef) and expr.rule in probes:
-            for arg in expr.args:
-                if quant_sets.get(arg.name) != concept_set:
-                    return False
-        return True
-
-    # the probe value is determined by the coverage bitmask only when every
-    # reference binds an element of the concept set
-    for name in reachable:
-        if name in probes:
-            continue
-        if not probe_args_are_concepts(program.rule(name).body, {}):
-            return "full"
-    return "coverage"
+            if expr.set_name == "Prev":
+                return "full"
+            stack.append((expr.body, {**sets, expr.var: expr.set_name}))
+        elif isinstance(expr, R.Not):
+            stack.append((expr.child, sets))
+        elif isinstance(expr, (R.OrNode, R.AndAvgNode, R.AndLukNode)):
+            stack.extend((child, sets) for child in expr.children)
+        elif isinstance(expr, R.RuleRef):
+            callee = program.rule(expr.rule)
+            if is_probe(callee):
+                if any(sets.get(a.name) != "C" for a in expr.args):
+                    return "full"
+                result = "coverage"
+            elif expr.rule not in seen:
+                seen.add(expr.rule)
+                stack.append((callee.body, {}))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +194,7 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     hooking = program is not None and rule is not None and ctx is not None \
         and scorer.supports_attention_hooks and (config.alpha1 > 0 or config.alpha2 > 0)
 
-    memo_mode = "full"
-    if program is not None and rule is not None and (shifting or hooking):
-        memo_mode = _prefix_dependence(program, rule)
+    memo_mode = _prefix_dependence(program, rule) if shifting or hooking else "full"
     vocab_memo: dict = {}
 
     def vocab_truth(tokens: tuple[int, ...], covered: int) -> np.ndarray:
@@ -347,58 +318,39 @@ def _select_beam(candidates: list[tuple[float, int, int, int]],
                  config: DecodingConfig) -> list[tuple[float, int, int, int]]:
     """Grouped beam selection over pruned candidates.
 
-    Candidates are (score, hyp_index, token, covered_mask).  Deterministic:
-    ties break toward smaller token ids, then earlier hypotheses.
+    Candidates are (score, hyp_index, token, covered_mask), grouped by mask;
+    a group's head is its best candidate.  Groups rank by covered-concept
+    count, then by head; past ``max_groups`` the top-ranked group and the
+    ``max_groups - 1`` best-headed others are kept.  The beam takes, up to
+    ``beam_size``: each kept group's head in rank order, then every group's
+    2nd to ``group_budget``-th members by score, then the remaining members
+    by score; it is returned sorted by score.  Deterministic: ties break
+    toward smaller token ids, then earlier hypotheses.
     """
     def order(c):
         return (-c[0], c[2], c[1])
 
-    groups: dict[int, list] = {}
-    for c in candidates:
-        groups.setdefault(c[3], []).append(c)
-    for members in groups.values():
-        members.sort(key=order)
-
-    group_order = sorted(
-        groups,
-        key=lambda m: (-bin(m).count("1"), order(groups[m][0])),
-    )
+    ranked = sorted(candidates, key=order)
+    heads: dict[int, tuple] = {}  # in head order, which the stable sort keeps on ties
+    for c in ranked:
+        heads.setdefault(c[3], c)
+    group_order = sorted(heads, key=lambda m: -bin(m).count("1"))
     if len(group_order) > config.max_groups:
-        # keep the most-covered group plus the best-scoring remainder
-        keep = set(group_order[:1])
-        rest = sorted(group_order[1:], key=lambda m: order(groups[m][0]))
-        keep.update(rest[: config.max_groups - 1])
+        # keep the most-covered group plus the best-headed others
+        rest = [m for m in heads if m != group_order[0]][: config.max_groups - 1]
+        keep = {group_order[0], *rest}
         group_order = [m for m in group_order if m in keep]
-        groups = {m: groups[m] for m in group_order}
 
-    kept: dict[int, list] = {m: groups[m][: config.group_budget] for m in group_order}
-
-    beam: list = []
-    chosen = set()
-    for m in group_order:
-        if len(beam) >= config.beam_size:
-            break
-        head = kept[m][0]
-        beam.append(head)
-        chosen.add(id(head))
-
-    leftovers = [c for m in group_order for c in kept[m] if id(c) not in chosen]
-    leftovers.sort(key=order)
-    for c in leftovers:
-        if len(beam) >= config.beam_size:
-            break
-        beam.append(c)
-        chosen.add(id(c))
-
-    if len(beam) < config.beam_size:
-        # grouping budgets left slack: top up from remaining survivors
-        spare = [c for m in group_order for c in groups[m][config.group_budget:]]
-        spare.sort(key=order)
-        for c in spare:
-            if len(beam) >= config.beam_size:
-                break
-            beam.append(c)
-
+    counts = dict.fromkeys(group_order, 0)  # members met so far per kept group
+    within, spare = [], []
+    for c in ranked:
+        n = counts.get(c[3])
+        if n is None:
+            continue
+        counts[c[3]] = n + 1
+        if n:
+            (within if n < config.group_budget else spare).append(c)
+    beam = ([heads[m] for m in group_order] + within + spare)[: config.beam_size]
     beam.sort(key=order)
     return beam
 

@@ -22,7 +22,7 @@ from .stemming import word_stem
 
 __all__ = [
     "WORD_BOUNDARY", "Vocabulary", "StemIndex", "FactBase", "IngestReport",
-    "align_word_to_token", "ingest_triples", "equal_vector", "edge_vector",
+    "align_word_to_token", "ingest_triples", "equal_vector",
     "rescale_weight", "load_factbase", "SnapshotError",
 ]
 
@@ -85,25 +85,20 @@ def _greedy_pieces(text: str, vocab: Vocabulary) -> Optional[list[int]]:
     return pieces
 
 
-def align_word_to_token(word: str, vocab: Vocabulary, policy: str = "first") -> Optional[int]:
+def align_word_to_token(word: str, vocab: Vocabulary) -> Optional[int]:
     """Map a surface word onto a single token id.
 
     The word-initial form (boundary marker prepended) is preferred over the
     bare form.  A word that only exists as a multi-token split contributes
-    its first piece as the semantic representative under the default
-    ``"first"`` policy; ``"exact"`` accepts whole-token matches only.
-    Returns ``None`` when nothing in the vocabulary matches.
+    its first piece as the semantic representative.  Returns ``None`` when
+    nothing in the vocabulary matches.
     """
     if not word:
         raise ValueError("cannot align an empty word")
-    if policy not in ("first", "exact"):
-        raise ValueError(f"unknown alignment policy {policy!r}")
     for candidate in (WORD_BOUNDARY + word, word):
         tid = vocab.id_of(candidate)
         if tid is not None:
             return tid
-    if policy == "exact":
-        return None
     for candidate in (WORD_BOUNDARY + word, word):
         pieces = _greedy_pieces(candidate, vocab)
         if pieces:
@@ -334,15 +329,6 @@ def equal_vector(domain: Sequence[int], y: int, facts: FactBase) -> np.ndarray:
     ids = np.asarray(domain, dtype=np.int64)
     cls = facts.stems.class_of
     return (cls[ids] == cls[y]).astype(np.float64)
-
-
-def edge_vector(X: np.ndarray, p: int, facts: FactBase) -> np.ndarray:
-    """Elementwise product of a bag-of-words vector over V with column ``p``
-    of the adjacency matrix."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape != (len(facts.vocab),):
-        raise ValueError("bag-of-words vector must cover the whole vocabulary")
-    return X * facts.edge_column(p)
 
 
 # ---------------------------------------------------------------------------

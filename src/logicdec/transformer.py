@@ -103,6 +103,16 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
 
 
+def _block(w: dict[str, np.ndarray], x: np.ndarray, layer: int, attend) -> np.ndarray:
+    """One pre-norm block on one position.  ``attend(layer, q, k, v)`` maps
+    the position's query, key and value to the concatenated head outputs."""
+    u = _layer_norm(x, w[f"ln1_g_{layer}"], w[f"ln1_b_{layer}"])
+    a = attend(layer, u @ w[f"wq_{layer}"], u @ w[f"wk_{layer}"], u @ w[f"wv_{layer}"])
+    x = x + a @ w[f"wo_{layer}"]
+    u2 = _layer_norm(x, w[f"ln2_g_{layer}"], w[f"ln2_b_{layer}"])
+    return x + _gelu(u2 @ w[f"w1_{layer}"] + w[f"b1_{layer}"]) @ w[f"w2_{layer}"] + w[f"b2_{layer}"]
+
+
 class TinyTransformer:
     """Pre-norm GPT-style decoder over a closed vocabulary."""
 
@@ -134,38 +144,36 @@ class TinyTransformer:
             raise ValueError(f"token id {token} outside vocabulary")
         session.attention_rows = [] if record_attention else None
 
-        x = w["emb"][token] + w["pos"][pos]
-        for layer in range(cfg.n_layers):
-            u = _layer_norm(x, w[f"ln1_g_{layer}"], w[f"ln1_b_{layer}"])
-            q = u @ w[f"wq_{layer}"]
-            k = u @ w[f"wk_{layer}"]
-            v = u @ w[f"wv_{layer}"]
+        H, dh = cfg.n_heads, cfg.head_dim
+
+        def attend(layer, q, k, v):
             session.keys[layer].append(k)
             session.values[layer].append(v)
-            K = np.stack(session.keys[layer])      # (t+1, d_model)
-            V = np.stack(session.values[layer])
-            head_outputs = []
-            for head in range(cfg.n_heads):
-                sl = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
-                qh = q[sl]
-                scores_prefix = K[:, sl] @ qh / np.sqrt(cfg.head_dim)
-                if session.target_kv is not None:
-                    kc, vc = session.target_kv[layer]
-                    scores_targets = kc[:, sl] @ qh / np.sqrt(cfg.head_dim)
-                    v_all = np.concatenate([vc[:, sl], V[:, sl]], axis=0)
-                else:
-                    scores_targets = np.empty(0)
-                    v_all = V[:, sl]
+            qh = q.reshape(H, dh, 1)
+            # (H, T, dh) per-head views of the cached keys and values
+            K = np.stack(session.keys[layer]).reshape(-1, H, dh).transpose(1, 0, 2)
+            V = np.stack(session.values[layer]).reshape(-1, H, dh).transpose(1, 0, 2)
+            scores_prefix = (K @ qh)[:, :, 0] / np.sqrt(dh)
+            scores_targets = np.empty((H, 0))
+            if session.target_kv is not None:
+                kc, vc = (a.reshape(-1, H, dh).transpose(1, 0, 2)
+                          for a in session.target_kv[layer])
+                scores_targets = (kc @ qh)[:, :, 0] / np.sqrt(dh)
+                V = np.concatenate([vc, V], axis=1)
+            rows = np.empty((H, V.shape[1]))
+            for head in range(H):
                 if hooks is not None:
-                    row = hooks.shift_row(scores_targets, scores_prefix)
+                    rows[head] = hooks.shift_row(scores_targets[head], scores_prefix[head])
                 else:
-                    row = softmax(np.concatenate([scores_targets, scores_prefix]))
+                    rows[head] = softmax(np.concatenate([scores_targets[head],
+                                                         scores_prefix[head]]))
                 if session.attention_rows is not None:
-                    session.attention_rows.append((layer, head, row))
-                head_outputs.append(row @ v_all)
-            x = x + np.concatenate(head_outputs) @ w[f"wo_{layer}"]
-            u2 = _layer_norm(x, w[f"ln2_g_{layer}"], w[f"ln2_b_{layer}"])
-            x = x + _gelu(u2 @ w[f"w1_{layer}"] + w[f"b1_{layer}"]) @ w[f"w2_{layer}"] + w[f"b2_{layer}"]
+                    session.attention_rows.append((layer, head, rows[head]))
+            return (rows[:, None, :] @ V).reshape(-1)
+
+        x = w["emb"][token] + w["pos"][pos]
+        for layer in range(cfg.n_layers):
+            x = _block(w, x, layer, attend)
         h = _layer_norm(x, w["lnf_g"], w["lnf_b"])
         logits = h @ w["wout"]
         session.tokens.append(token)
@@ -201,20 +209,18 @@ def precompute_target_kv(model: TinyTransformer, targets: Sequence[int]
     w = model.weights
     per_layer_k = [[] for _ in range(cfg.n_layers)]
     per_layer_v = [[] for _ in range(cfg.n_layers)]
+
+    def attend(layer, q, k, v):
+        per_layer_k[layer].append(k)
+        per_layer_v[layer].append(v)
+        return v  # single-position self-attention mixes nothing
+
     for tid in targets:
         if not (0 <= tid < cfg.vocab_size):
             raise ValueError(f"target id {tid} outside vocabulary")
         x = w["emb"][tid].copy()
         for layer in range(cfg.n_layers):
-            u = _layer_norm(x, w[f"ln1_g_{layer}"], w[f"ln1_b_{layer}"])
-            k = u @ w[f"wk_{layer}"]
-            v = u @ w[f"wv_{layer}"]
-            per_layer_k[layer].append(k)
-            per_layer_v[layer].append(v)
-            # single-position self-attention mixes nothing: output is v itself
-            x = x + v @ w[f"wo_{layer}"]
-            u2 = _layer_norm(x, w[f"ln2_g_{layer}"], w[f"ln2_b_{layer}"])
-            x = x + _gelu(u2 @ w[f"w1_{layer}"] + w[f"b1_{layer}"]) @ w[f"w2_{layer}"] + w[f"b2_{layer}"]
+            x = _block(w, x, layer, attend)
     return [(np.stack(per_layer_k[l]), np.stack(per_layer_v[l]))
             for l in range(cfg.n_layers)]
 

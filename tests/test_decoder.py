@@ -1,13 +1,15 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logicdec.decoder import (DecodingConfig, Hypothesis, PRESETS,
                               _prefix_dependence, _select_beam, coverage_of,
                               coverage_table, decode, plain_beam_search)
 from logicdec.kb import FactBase, Vocabulary
 from logicdec.lm import NgramScorer, ngram_train
-from logicdec.prover import EvalContext
+from logicdec.prover import Domain, EvalContext, prove
 from logicdec.rules import parse_program
 
 LEXICAL_RULES = """
@@ -87,8 +89,178 @@ Y(x) :- exists y in Prev, Equal(x, y)
 """)
         assert _prefix_dependence(program, "R") == "full"
 
+    def test_probe_as_proved_rule_forces_reproving(self, lexical_scorer, toy_facts,
+                                                   sentinel_ids, monkeypatch):
+        # the probe's argument is then the domain position, not a concept:
+        # its truth vector changes with every prefix, not with coverage
+        for body in ("Equal(x, y)", "Equal(y, x)"):
+            program = parse_program(f"R(x) :- exists y in Prev, {body}")
+            assert _prefix_dependence(program, "R") == "full"
+        bos, eos = sentinel_ids
+        config = replace(PRESETS["commongen"], max_length=10, bos_id=bos, eos_id=eos)
+        ctx = EvalContext(facts=toy_facts, sets={"C": (toy_facts.vocab.id_of("garden"),)})
+        memoised = decode(lexical_scorer, program, "R", ctx, config)
+        from logicdec import decoder as D
+        monkeypatch.setattr(D, "_prefix_dependence", lambda *a, **k: "full")
+        fresh = decode(lexical_scorer, program, "R", ctx, config)
+        assert [(h.tokens, h.logp) for h in memoised.hypotheses] == \
+            [(h.tokens, h.logp) for h in fresh.hypotheses]
+
+
+def _toy_program(rnd, n_rules: int) -> str:
+    """A random program over C, P and Prev whose closure may call stem
+    probes on concept elements, on other variables or not at all."""
+    lines = ["Y0(x) :- exists y in Prev, Equal(x, y)",
+             "Y1(x) :- exists y in Prev, Equal(y, x)"]
+    callable_rules = [("Y0", 1), ("Y1", 1)]
+
+    def expr(depth, variables, concept_vars):
+        roll = rnd.random()
+        if depth <= 0 or roll < 0.3:
+            if roll < 0.2:
+                name, arity = rnd.choice(callable_rules)
+                pool = concept_vars if concept_vars and rnd.random() < 0.8 else variables
+                return f"{name}({', '.join(rnd.choice(pool) for _ in range(arity))})"
+            pred = rnd.choice(["Equal", "Edge", "W"])
+            return f"{pred}({rnd.choice(variables)}, {rnd.choice(variables)})"
+        if roll < 0.4:
+            return f"~({expr(depth - 1, variables, concept_vars)})"
+        if roll < 0.7:
+            var = f"q{len(variables)}"
+            set_name = rnd.choice(["C", "C", "C", "P", "Prev"])
+            kind = rnd.choice(["exists", "forall"])
+            inner = expr(depth - 1, variables + [var],
+                         concept_vars + [var] if set_name == "C" else concept_vars)
+            return f"({kind} {var} in {set_name}, {inner})"
+        op = rnd.choice(["|", "^", "&"])
+        return f" {op} ".join(f"({expr(depth - 1, variables, concept_vars)})"
+                              for _ in range(rnd.randint(2, 3)))
+
+    for i in range(n_rules):
+        name = f"S{i}" if i + 1 < n_rules else "R"
+        params = ["x", "z"][: 1 if name == "R" else rnd.randint(1, 2)]
+        lines.append(f"{name}({', '.join(params)}) :- {expr(3, params, [])}")
+        callable_rules.append((name, len(params)))
+    if rnd.random() < 0.1:  # the proved rule is itself a probe
+        lines[-1] = "R(x) :- exists y in Prev, Equal(x, y)"
+    return "\n".join(lines)
+
+
+class TestPrefixDependenceIsSound:
+    """Whatever the analysis leaves out of the memo key cannot change the
+    vocabulary truth vector."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rnd=st.randoms(use_true_random=True), n_rules=st.integers(1, 4))
+    def test_memo_key_determines_the_truth_vector(self, toy_facts, rnd, n_rules):
+        program = parse_program(_toy_program(rnd, n_rules))
+        mode = _prefix_dependence(program, "R")
+        assert mode in ("none", "coverage", "full")
+        if mode == "full":
+            return
+        n = len(toy_facts.vocab)
+        concepts = tuple(rnd.randrange(n) for _ in range(rnd.randint(1, 3)))
+        persona = tuple(rnd.randrange(n) for _ in range(rnd.randint(1, 3)))
+        prefixes = [[rnd.randrange(n) for _ in range(rnd.randint(1, 8))] for _ in range(2)]
+        if mode == "coverage":
+            # extend each prefix with stem-mates of the concepts only the
+            # other covers, so that both end with the same coverage mask
+            table = coverage_table(concepts, toy_facts)
+            class_of = toy_facts.stems.class_of
+            masks = [0, 0]
+            for i, prefix in enumerate(prefixes):
+                for tok in prefix:
+                    masks[i] |= table.get(class_of[tok], 0)
+            for i, prefix in enumerate(prefixes):
+                for bit, cid in enumerate(concepts):
+                    if masks[1 - i] >> bit & 1 and not masks[i] >> bit & 1:
+                        mates = [t for t in range(n) if class_of[t] == class_of[cid]]
+                        prefix.insert(rnd.randrange(len(prefix) + 1), rnd.choice(mates))
+        truths = [prove(program, "R", Domain.vocabulary(toy_facts),
+                        EvalContext(facts=toy_facts, sets={"C": concepts, "P": persona,
+                                                           "Prev": tuple(prefix)}))
+                  for prefix in prefixes]
+        assert truths[0].tobytes() == truths[1].tobytes()
+
+
+def _select_beam_oracle(candidates, config):
+    """The three-pass grouped selection that ``_select_beam`` replaced, kept
+    verbatim as its oracle."""
+    def order(c):
+        return (-c[0], c[2], c[1])
+
+    groups: dict[int, list] = {}
+    for c in candidates:
+        groups.setdefault(c[3], []).append(c)
+    for members in groups.values():
+        members.sort(key=order)
+
+    group_order = sorted(
+        groups,
+        key=lambda m: (-bin(m).count("1"), order(groups[m][0])),
+    )
+    if len(group_order) > config.max_groups:
+        # keep the most-covered group plus the best-scoring remainder
+        keep = set(group_order[:1])
+        rest = sorted(group_order[1:], key=lambda m: order(groups[m][0]))
+        keep.update(rest[: config.max_groups - 1])
+        group_order = [m for m in group_order if m in keep]
+        groups = {m: groups[m] for m in group_order}
+
+    kept: dict[int, list] = {m: groups[m][: config.group_budget] for m in group_order}
+
+    beam: list = []
+    chosen = set()
+    for m in group_order:
+        if len(beam) >= config.beam_size:
+            break
+        head = kept[m][0]
+        beam.append(head)
+        chosen.add(id(head))
+
+    leftovers = [c for m in group_order for c in kept[m] if id(c) not in chosen]
+    leftovers.sort(key=order)
+    for c in leftovers:
+        if len(beam) >= config.beam_size:
+            break
+        beam.append(c)
+        chosen.add(id(c))
+
+    if len(beam) < config.beam_size:
+        # grouping budgets left slack: top up from remaining survivors
+        spare = [c for m in group_order for c in groups[m][config.group_budget:]]
+        spare.sort(key=order)
+        for c in spare:
+            if len(beam) >= config.beam_size:
+                break
+            beam.append(c)
+
+    beam.sort(key=order)
+    return beam
+
+
+# one candidate per (hypothesis, token), as in a decode step; scores drawn
+# from a short list so that ties are common
+_CANDIDATES = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 11)),
+    st.tuples(st.one_of(st.sampled_from([-0.5, -1.0, -2.0]),
+                        st.floats(-8.0, 0.0, allow_nan=False)),
+              st.integers(0, 15)),
+    min_size=1, max_size=40,
+).map(lambda d: [(score, hi, tok, mask) for (hi, tok), (score, mask) in d.items()])
+
 
 class TestBeamSelection:
+    @settings(max_examples=400, deadline=None)
+    @given(candidates=_CANDIDATES, beam_size=st.integers(1, 12),
+           group_budget=st.integers(1, 5), max_groups=st.integers(1, 8))
+    def test_matches_three_pass_oracle(self, candidates, beam_size, group_budget,
+                                       max_groups):
+        config = DecodingConfig(beam_size=beam_size, group_budget=group_budget,
+                                max_groups=max_groups)
+        assert _select_beam(list(candidates), config) == \
+            _select_beam_oracle(list(candidates), config)
+
     def test_per_group_budget_before_fill(self):
         # two groups, both with more than k survivors, beam 2k: exactly k
         # survive from each

@@ -6,9 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from logicdec.kb import (WORD_BOUNDARY, FactBase, SnapshotError, StemIndex,
-                         Vocabulary, align_word_to_token, edge_vector,
-                         equal_vector, ingest_triples, load_factbase,
-                         rescale_weight)
+                         Vocabulary, align_word_to_token, equal_vector,
+                         ingest_triples, load_factbase, rescale_weight)
 from logicdec.stemming import word_stem
 
 from conftest import DATA, read_words
@@ -55,10 +54,6 @@ class TestAlignment:
         # "sunshine" splits into three pieces; the first one represents it
         assert align_word_to_token("sunshine", vocab) == 0
 
-    def test_exact_policy_rejects_splits(self):
-        vocab = Vocabulary([WORD_BOUNDARY + "sun", "sh", "ine"])
-        assert align_word_to_token("sunshine", vocab, policy="exact") is None
-
     def test_out_of_vocabulary(self, toy_vocab):
         assert align_word_to_token("zephyr", toy_vocab) is None
 
@@ -103,28 +98,22 @@ class TestEqualVector:
 
 
 class TestEdgeVector:
+    """Dense adjacency columns, ``FactBase.edge_column``."""
+
     def test_single_soft_edge(self):
         vocab = Vocabulary(["a", "b", "p"])
         facts = FactBase.from_edges(vocab, [(0, 2, 0.7)], mode="soft")
-        out = edge_vector(np.ones(3), 2, facts)
-        assert out.tolist() == [0.7, 0.0, 0.0]
-
-    def test_zero_bag_annihilates(self):
-        vocab = Vocabulary(["a", "b", "p"])
-        facts = FactBase.from_edges(vocab, [(0, 2, 0.7)], mode="soft")
-        assert edge_vector(np.zeros(3), 2, facts).tolist() == [0.0, 0.0, 0.0]
+        assert facts.edge_column(2).tolist() == [0.7, 0.0, 0.0]
 
     def test_hard_mode_two_neighbours(self):
         vocab = Vocabulary(["a", "b", "c", "p"])
         facts = FactBase.from_edges(vocab, [(0, 3, 1.0), (2, 3, 1.0)], mode="hard")
-        out = edge_vector(np.ones(4), 3, facts)
-        assert out.tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert facts.edge_column(3).tolist() == [1.0, 0.0, 1.0, 0.0]
 
     def test_symmetry_over_all_stored_edges(self, toy_facts):
-        ones = np.ones(len(toy_facts.vocab))
         for a, b, w in toy_facts.edges():
-            assert edge_vector(ones, b, toy_facts)[a] == pytest.approx(w)
-            assert edge_vector(ones, a, toy_facts)[b] == pytest.approx(w)
+            assert toy_facts.edge_column(b)[a] == pytest.approx(w)
+            assert toy_facts.edge_column(a)[b] == pytest.approx(w)
 
 
 class TestRescale:

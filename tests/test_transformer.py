@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from logicdec.decision import softmax
 from logicdec.transformer import (AttentionHookBundle, TinyTransformer,
                                   TransformerConfig, TransformerScorer,
-                                  load_weights, precompute_target_kv,
-                                  save_weights)
+                                  _gelu, _layer_norm, load_weights,
+                                  precompute_target_kv, save_weights)
 
 CFG = TransformerConfig(vocab_size=40, n_layers=2, n_heads=2, d_model=32,
                         d_ff=64, max_len=32, seed=7)
@@ -123,6 +124,72 @@ class TestForward:
         session = scorer.begin_session([3])
         p = scorer.step(session, 1)
         assert abs(p.sum() - 1.0) <= 1e-9
+
+
+def per_head_loop_reference(model, targets, tokens, hooks):
+    """The layer math written out per position and per head over column
+    slices; yields each step's distribution and attention rows."""
+    cfg, w = model.config, model.weights
+    dh = cfg.head_dim
+
+    def mlp(x, layer):
+        u2 = _layer_norm(x, w[f"ln2_g_{layer}"], w[f"ln2_b_{layer}"])
+        return x + _gelu(u2 @ w[f"w1_{layer}"] + w[f"b1_{layer}"]) @ w[f"w2_{layer}"] + w[f"b2_{layer}"]
+
+    target_k = [[] for _ in range(cfg.n_layers)]
+    target_v = [[] for _ in range(cfg.n_layers)]
+    for tid in targets:
+        x = w["emb"][tid]
+        for layer in range(cfg.n_layers):
+            u = _layer_norm(x, w[f"ln1_g_{layer}"], w[f"ln1_b_{layer}"])
+            target_k[layer].append(u @ w[f"wk_{layer}"])
+            target_v[layer].append(u @ w[f"wv_{layer}"])
+            x = mlp(x + target_v[layer][-1] @ w[f"wo_{layer}"], layer)
+    keys = [[] for _ in range(cfg.n_layers)]
+    values = [[] for _ in range(cfg.n_layers)]
+    for pos, (token, hook) in enumerate(zip(tokens, hooks)):
+        x = w["emb"][token] + w["pos"][pos]
+        rows = []
+        for layer in range(cfg.n_layers):
+            u = _layer_norm(x, w[f"ln1_g_{layer}"], w[f"ln1_b_{layer}"])
+            q = u @ w[f"wq_{layer}"]
+            keys[layer].append(u @ w[f"wk_{layer}"])
+            values[layer].append(u @ w[f"wv_{layer}"])
+            K, V = np.stack(keys[layer]), np.stack(values[layer])
+            heads = []
+            for head in range(cfg.n_heads):
+                sl = slice(head * dh, (head + 1) * dh)
+                scores_prefix = K[:, sl] @ q[sl] / np.sqrt(dh)
+                scores_targets, v_all = np.empty(0), V[:, sl]
+                if targets:
+                    kc, vc = np.stack(target_k[layer]), np.stack(target_v[layer])
+                    scores_targets = kc[:, sl] @ q[sl] / np.sqrt(dh)
+                    v_all = np.concatenate([vc[:, sl], V[:, sl]], axis=0)
+                row = (hook.shift_row(scores_targets, scores_prefix) if hook is not None
+                       else softmax(np.concatenate([scores_targets, scores_prefix])))
+                rows.append(row)
+                heads.append(row @ v_all)
+            x = mlp(x + np.concatenate(heads) @ w[f"wo_{layer}"], layer)
+        yield softmax(_layer_norm(x, w["lnf_g"], w["lnf_b"]) @ w["wout"]), rows
+
+
+class TestBatchedHeads:
+    @pytest.mark.parametrize("n_heads, targets", [(2, ()), (2, (3, 9)), (4, (5,)), (1, (2, 8, 11))])
+    def test_step_equals_per_head_loop_bitwise(self, n_heads, targets):
+        model = TinyTransformer(TransformerConfig(vocab_size=40, n_layers=2, n_heads=n_heads,
+                                                  d_model=32, d_ff=64, max_len=32, seed=3))
+        rng = np.random.default_rng(n_heads + len(targets))
+        tokens = rng.integers(0, 40, size=9).tolist()
+        hooks = [AttentionHookBundle(12.0, 24.0, rng.random(t + 1),
+                                     rng.random(len(targets)) if targets else None)
+                 if t % 3 else None for t in range(len(tokens))]
+        session = model.begin_session(targets)
+        expected = per_head_loop_reference(model, targets, tokens, hooks)
+        for token, hook, (dist, rows) in zip(tokens, hooks, expected):
+            got = model.step(session, token, hooks=hook, record_attention=True)
+            assert got.tobytes() == dist.tobytes()
+            assert [r.tobytes() for _l, _h, r in session.attention_rows] == \
+                [r.tobytes() for r in rows]
 
 
 class TestWeightFile:

@@ -10,17 +10,18 @@ filler words while the constrained decoder can reach every target:
 - dialogue responses share one shape with the bridge words rare enough to
   never win unconstrained, common enough to dominate once boosted.
 
-Run from the repository root:  python tools/gen_toy_data.py
+Run from the repository root:  python tools/gen_toy_data.py [--out DIR]
+(``DIR`` defaults to data/toy).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "data" / "toy"
 sys.path.insert(0, str(ROOT / "src"))
 
 from logicdec.tasks import DEFAULT_STOPWORDS, extract_keywords  # noqa: E402
@@ -209,29 +210,33 @@ def check_world() -> None:
 
 
 def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, default=ROOT / "data" / "toy",
+                    help="directory to write the toy data into (default: data/toy)")
+    out = ap.parse_args().out
     check_world()
-    OUT.mkdir(parents=True, exist_ok=True)
-    (OUT / "vocab.txt").write_text("\n".join(VOCAB) + "\n", encoding="utf-8")
-    (OUT / "corpus_lexical.txt").write_text("\n".join(lexical_corpus()) + "\n", encoding="utf-8")
-    (OUT / "corpus_dialogue.txt").write_text("\n".join(dialogue_corpus()) + "\n", encoding="utf-8")
-    (OUT / "kg.tsv").write_text(
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "vocab.txt").write_text("\n".join(VOCAB) + "\n", encoding="utf-8")
+    (out / "corpus_lexical.txt").write_text("\n".join(lexical_corpus()) + "\n", encoding="utf-8")
+    (out / "corpus_dialogue.txt").write_text("\n".join(dialogue_corpus()) + "\n", encoding="utf-8")
+    (out / "kg.tsv").write_text(
         "".join(f"{h}\t{r}\t{t}\t{w}\n" for h, r, t, w in KG_MAIN), encoding="utf-8")
-    (OUT / "kg_small.tsv").write_text(
+    (out / "kg_small.tsv").write_text(
         "".join(f"{h}\t{r}\t{t}\t{w}\n" for h, r, t, w in KG_SMALL), encoding="utf-8")
-    (OUT / "stopwords.txt").write_text("\n".join(sorted(DEFAULT_STOPWORDS)) + "\n", encoding="utf-8")
-    (OUT / "blackwords.txt").write_text("\n".join(BLACKWORDS) + "\n", encoding="utf-8")
-    with open(OUT / "lexical20.jsonl", "w", encoding="utf-8") as fh:
+    (out / "stopwords.txt").write_text("\n".join(sorted(DEFAULT_STOPWORDS)) + "\n", encoding="utf-8")
+    (out / "blackwords.txt").write_text("\n".join(BLACKWORDS) + "\n", encoding="utf-8")
+    with open(out / "lexical20.jsonl", "w", encoding="utf-8") as fh:
         for i, concepts in enumerate(LEXICAL_INSTANCES):
             fh.write(json.dumps({"id": f"lex{i:02d}", "kind": "lexical",
                                  "concepts": concepts}) + "\n")
-    with open(OUT / "dialogue10.jsonl", "w", encoding="utf-8") as fh:
+    with open(out / "dialogue10.jsonl", "w", encoding="utf-8") as fh:
         for i, (persona, history, _p, _u, bridge) in enumerate(DIALOGUE_PAIRS):
             fh.write(json.dumps({
                 "id": f"dlg{i:02d}", "kind": "dialogue",
                 "persona": [persona], "history": [history],
                 "reference": f"i love my {bridge}",
             }) + "\n")
-    print(f"wrote toy data to {OUT}")
+    print(f"wrote toy data to {out}")
 
 
 if __name__ == "__main__":
