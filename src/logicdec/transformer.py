@@ -1,7 +1,7 @@
 """A small decoder-only transformer exposing the two attention hook points:
 attention over the generated prefix and attention over target words.  The
-third shift, on the next-word prediction, is the decoder's ``decide`` call
-on the distribution ``step`` returns.
+third shift, on the next-word prediction, is the decoder's log-domain
+``pre_activation(p, I, alpha3)`` call on the distribution ``step`` returns.
 
 Target words are fed through the network individually and without positional
 offsets, producing position-invariant key/value pairs per layer and head.  At

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from logicdec.decision import SCORE_FLOOR, decide, pre_activation, softmax
@@ -25,6 +25,26 @@ class TestPreActivation:
         scores = pre_activation(np.array([0.0, 1.0]))
         assert scores[0] == SCORE_FLOOR
         assert scores[1] == 0.0
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 10.0)), min_size=1, max_size=32),
+           st.lists(st.one_of(st.just(0.0), st.floats(0, 1)), min_size=1, max_size=32),
+           st.floats(0, 1e3))
+    @example([0.9, 0.1], [1.0, 0.0], 1e3)            # boost 900: past exp's range
+    @example([0.8, 0.0, 0.2], [1.0, 1.0, 0.0], 1e3)  # boost 800, mass off the support
+    def test_shift_matches_softmax_reference(self, raw, truth, alpha):
+        n = min(len(raw), len(truth))
+        assume(sum(raw[:n]) > 0)
+        p = normalized(raw[:n])
+        truth = np.array(truth[:n])
+        with np.errstate(divide="ignore"):
+            s = np.log(p) + alpha * truth * p
+        reference = np.exp(s - s.max())
+        reference /= reference.sum()
+        out = np.exp(pre_activation(p, truth, alpha))
+        assert np.abs(out - reference).max() <= 1e-9
+        # no truth or no intensity: the plain scores, bit for bit
+        assert np.array_equal(pre_activation(p, np.zeros(n), alpha), pre_activation(p))
+        assert np.array_equal(pre_activation(p, truth, 0.0), pre_activation(p))
 
 
 class TestDecide:
@@ -55,6 +75,16 @@ class TestDecide:
         ([0.5, 0.5], [1.0], 1.0, "differ in length"),
         ([0.5, 0.5], [1.0, 0.0], -1.0, "nonnegative"),
         ([-0.1, 1.1], [1.0, 0.0], 1.0, "negative mass"),
+        ([math.nan, 1.0], [1.0, 0.0], 1.0, "distribution is not finite"),
+        ([math.inf, 0.0], [0.0, 0.0], 1.0, "distribution is not finite"),
+        ([0.5, 0.5], [math.nan, 0.0], 1.0, "truth vector is not finite"),
+        ([0.5, 0.5], [1.0, 0.0], math.nan, "intensity is not finite"),
+        ([0.5, 0.5], [1.0, 0.0], math.inf, "intensity is not finite"),
+        ([0.5, 0.5], [1.5, 0.0], 1.0, r"truth values must lie in \[0, 1\]"),
+        ([0.5, 0.5], [-0.5, 0.0], 1.0, r"truth values must lie in \[0, 1\]"),
+        ([0.0, 0.0], [1.0, 0.0], 1.0, "sum to 1"),
+        ([1.0, 3.0], [0.0, 0.0], 1.0, "sum to 1"),
+        ([0.5, 0.5 + 1e-5], [1.0, 0.0], 1.0, "sum to 1"),
     ])
     def test_validation(self, p, truth, alpha, message):
         with pytest.raises(ValueError, match=message):

@@ -11,6 +11,9 @@ from logicdec.kb import FactBase, Vocabulary
 from logicdec.lm import NgramScorer, ngram_train
 from logicdec.prover import Domain, EvalContext, prove
 from logicdec.rules import parse_program
+from logicdec.tasks import lexical_rule_template, load_instances
+
+from conftest import DATA
 
 LEXICAL_RULES = """
 R(x) :- exists c in C, ~Y(c) & Rel(x, c)
@@ -31,6 +34,7 @@ class TestPresets:
     @pytest.mark.parametrize("kwargs", [
         {"beam_size": 0}, {"prune_ratio": 0.0}, {"prune_ratio": 1.5},
         {"group_budget": 0}, {"alpha3": -1.0},
+        {"max_groups": 0}, {"max_groups": -2},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -363,6 +367,28 @@ class TestDecode:
             result = decode(lexical_scorer, program, "R", ctx, config)
             runs.append([(h.tokens, h.logp) for h in result.hypotheses])
         assert runs[0] == runs[1]
+
+    def test_exact_tie_breaks_toward_smaller_token_id(self, lexical_scorer, toy_facts,
+                                                      sentinel_ids):
+        # "child" and "friend" are interchangeable in the lexical corpus, so
+        # the two texts score exactly alike; the documented rule, not
+        # rounding noise, must settle the order
+        bos, eos = sentinel_ids
+        v = toy_facts.vocab
+        inst = load_instances(DATA / "lexical20.jsonl")[0]
+        assert inst.instance_id == "lex00"
+        binding = lexical_rule_template(inst.concepts, toy_facts, gate="luk")
+        config = replace(PRESETS["commongen"], max_length=16, bos_id=bos, eos_id=eos,
+                         length_norm_power=1.0)
+        first, second = decode(lexical_scorer, parse_program(binding.source), "R",
+                               binding.ctx, config).hypotheses[:2]
+        tail = "found the piano and the garden and the house".split()
+        assert first.tokens == (bos, v.id_of("the"), v.id_of("child"),
+                                *map(v.id_of, tail), eos)
+        assert second.tokens == (bos, v.id_of("the"), v.id_of("friend"),
+                                 *map(v.id_of, tail), eos)
+        assert v.id_of("child") < v.id_of("friend")
+        assert first.logp == second.logp
 
     def test_trace_records_shift(self, lexical_scorer, toy_facts, sentinel_ids):
         bos, eos = sentinel_ids

@@ -112,6 +112,10 @@ def test_handle_request_never_raises(toy_facts, program):
         {}, {"op": "prove"}, {"op": "prove", "rule": "R", "domain": [1, "x"]},
         {"op": "decide", "p": [0.5], "truth": [1, 1], "alpha": 1},
         {"op": "decide", "p": [0.5], "truth": [1], "alpha": -4},
+        {"op": "decide", "p": [0.0, 0.0], "truth": [1, 0], "alpha": 1},
+        {"op": "decide", "p": [1, 3], "truth": [0, 0], "alpha": 1},
+        {"op": "decide", "p": [0.5, 0.5], "truth": [1, 0], "alpha": "nan"},
+        {"op": "decide", "p": [0.5, 0.5], "truth": [2, 0], "alpha": 1},
     ]
     for req in bad_requests:
         out = handle_request(req, toy_facts, program)
