@@ -21,7 +21,7 @@ from .tasks import (TaskInstance, corpus_coverage, dialogue_rule_template,
                     extract_keywords, instance_coverage, lexical_rule_template,
                     load_instances)
 from .transformer import (AttentionHookBundle, TinyTransformer,
-                          TransformerConfig, TransformerScorer,
+                          TransformerConfig, TransformerScorer, WeightsError,
                           load_weights, precompute_target_kv, save_weights)
 
 __version__ = "0.1.0"

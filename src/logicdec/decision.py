@@ -24,11 +24,14 @@ SCORE_FLOOR = -1e30
 SUM_TOLERANCE = 1e-6
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
+def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along the last axis, written into ``out`` when given (it may
+    be ``scores`` itself: a batch of V-long rows is worth not copying)."""
     scores = np.asarray(scores, dtype=np.float64)
-    shifted = scores - scores.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+    out = np.subtract(scores, scores.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def pre_activation(p: np.ndarray, truth: np.ndarray | None = None,

@@ -9,7 +9,8 @@ covered-concept bitmask; at most ``max_groups`` groups stay, the
 most-covered one always among them.  The next beam takes, in this order and
 up to ``beam_size``: the best candidate of each group, most-covered groups
 first; then the next ``group_budget - 1`` of each group by global score;
-then the rest by global score.
+then the rest by global score.  The beam's unfinished hypotheses are
+scored together, with one ``Scorer.step_batch`` call per step.
 
 Each hypothesis step proves at most once: the vocabulary truth vector under
 the hypothesis's own prefix.  The attention hooks' prefix and target truth
@@ -74,8 +75,9 @@ class DecodingConfig:
         if self.max_groups < 1:
             raise ValueError("group cap must be >= 1")
         for name in ("alpha1", "alpha2", "alpha3"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            # a NaN would pass a `< 0` test and silently switch its shift off
+            if not math.isfinite(getattr(self, name)) or getattr(self, name) < 0:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 # The two hyperparameter sets shipped as named presets: (alpha1, alpha2,
@@ -215,18 +217,21 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
             vocab_memo[key] = hit
         return hit
 
-    def step_dist(session, token: int, tokens_after: tuple[int, ...], covered: int):
-        """Consume ``token``; return (shifted log-scores, dist before the
-        prediction shift)."""
-        truth = vocab_truth(tokens_after, covered) if hooking or shifting else None
-        hooks = AttentionHookBundle(
+    def step_dist(sessions: list, hyps: list[Hypothesis]) -> list[tuple]:
+        """Consume each hypothesis's last token in its session with one
+        ``step_batch`` call; return per session (shifted log-scores, dist
+        before the prediction shift)."""
+        truths = [vocab_truth(h.tokens, h.covered) if hooking or shifting else None
+                  for h in hyps]
+        hooks = [AttentionHookBundle(
             alpha1=config.alpha1,
             alpha2=config.alpha2,
-            truth_prefix=truth[list(tokens_after)],
+            truth_prefix=truth[list(h.tokens)],
             truth_targets=truth[list(concepts)] if concepts else None,
-        ) if hooking else None
-        raw = scorer.step(session, token, hooks=hooks)
-        return pre_activation(raw, truth if shifting else None, config.alpha3), raw
+        ) for h, truth in zip(hyps, truths)] if hooking else None
+        raws = scorer.step_batch(sessions, [h.tokens[-1] for h in hyps], hooks)
+        return [(pre_activation(raw, truth if shifting else None, config.alpha3), raw)
+                for raw, truth in zip(raws, truths)]
 
     prompt_tokens = tuple(prompt) if prompt is not None else (config.bos_id,)
     if not prompt_tokens:
@@ -239,8 +244,9 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     mask = 0
     for i, tok in enumerate(prompt_tokens):
         mask |= table.get(class_of[tok], 0)
-        scores, raw = step_dist(root_session, tok, prompt_tokens[: i + 1], mask)
-    live = [_Live(Hypothesis(prompt_tokens, 0.0, mask), root_session, scores, raw)]
+        root = Hypothesis(prompt_tokens[: i + 1], 0.0, mask)
+        [(scores, raw)] = step_dist([root_session], [root])
+    live = [_Live(root, root_session, scores, raw)]
     finished: list[Hypothesis] = []
     trace_log: list = []
     log_rho = math.log(config.prune_ratio)
@@ -279,19 +285,18 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         # (7) group by bitmask, keep top k per group, fill beam by score
         selected = _select_beam(enriched, config)
 
-        next_live = []
+        children, sessions = [], []
         for score, hi, w, mask in selected:
             parent = live[hi]
-            tokens = parent.hyp.tokens + (w,)
-            hyp = Hypothesis(tokens, score, mask,
+            hyp = Hypothesis(parent.hyp.tokens + (w,), score, mask,
                              finished=(config.eos_id is not None and w == config.eos_id))
             if hyp.finished:
                 finished.append(hyp)
                 continue
-            session = parent.session.clone()
-            scores, raw = step_dist(session, w, tokens, mask)
-            next_live.append(_Live(hyp, session, scores, raw))
-        live = next_live
+            children.append(hyp)
+            sessions.append(parent.session.clone())
+        live = [_Live(hyp, session, scores, raw) for hyp, session, (scores, raw)
+                in zip(children, sessions, step_dist(sessions, children))]
 
     completed = bool(finished)
     pool = finished if finished else [item.hyp for item in live]

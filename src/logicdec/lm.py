@@ -2,8 +2,12 @@
 
 A scorer owns a fixed vocabulary and hands out per-hypothesis sessions.
 ``step(session, token)`` consumes one token and returns the distribution for
-the next position.  Sessions are single-owner; beam search clones them when a
-hypothesis forks.  Scorers that can shift their internal attention expose
+the next position.  ``step_batch(sessions, tokens, hooks)`` does the same for
+a batch of equal-length sessions and returns one vector per session; the
+default loops ``step``, and a scorer whose model can run the batch as one
+forward overrides it.  The decoder makes one ``step_batch`` call per decoder
+step.  Sessions are single-owner; beam search clones them when a hypothesis
+forks.  Scorers that can shift their internal attention expose
 ``supports_attention_hooks`` and accept a hook bundle in ``step``.
 
 The n-gram model here is the desk-scale stand-in for a large pretrained LM:
@@ -23,7 +27,13 @@ __all__ = ["Scorer", "NgramLM", "NgramScorer", "ngram_train"]
 
 
 class Scorer(abc.ABC):
-    """Abstract next-token scorer."""
+    """Abstract next-token scorer.
+
+    ``step_batch`` takes sessions of equal length, their next tokens and,
+    optionally, one hook bundle or None per session, and returns one
+    next-position distribution per session, in order.  This default loops
+    ``step``, so a subclass need only implement ``step``.
+    """
 
     vocab_size: int
     supports_attention_hooks: bool = False
@@ -35,6 +45,15 @@ class Scorer(abc.ABC):
     @abc.abstractmethod
     def step(self, session, token: int, hooks=None) -> np.ndarray:
         """Consume ``token``; return the next-position distribution over V."""
+
+    def step_batch(self, sessions: Sequence, tokens: Sequence[int],
+                   hooks: Optional[Sequence] = None) -> list[np.ndarray]:
+        """Consume ``tokens[b]`` in ``sessions[b]``; return one distribution
+        per session."""
+        if hooks is None:
+            hooks = [None] * len(sessions)
+        return [self.step(session, token, hooks=h)
+                for session, token, h in zip(sessions, tokens, hooks, strict=True)]
 
 
 @dataclass

@@ -13,15 +13,26 @@ directly to the pre-softmax scores: ``row = softmax(s + alpha * I * p)``
 where ``p`` is the unshifted joint attention.  With zero truth vectors the
 shifted pass reproduces the plain pass exactly.
 
+``step_batch`` runs one forward for a batch of equal-length sessions: each
+layer scores one (batch, heads, targets + prefix) block and applies the
+shift to the whole block at once; ``step`` is a batch of one.  A session's
+key/value cache is one read-only ``(targets + T, d_model)`` array per layer,
+the targets' rows first.  Nothing writes to it, so a clone shares its
+parent's arrays; a step stacks the batch's arrays and appends the new row,
+giving each session a view of the result.
+
 Weights are seeded-random (no training here) or loaded from a flat binary
-file; see ``save_weights`` for the layout.
+file; see ``save_weights`` for the layout.  ``load_weights`` raises
+``WeightsError`` for a file it cannot load.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,11 +42,12 @@ from .lm import Scorer
 __all__ = [
     "TransformerConfig", "TinyTransformer", "TransformerSession",
     "TransformerScorer", "AttentionHookBundle", "precompute_target_kv",
-    "save_weights", "load_weights",
+    "save_weights", "load_weights", "WeightsError",
 ]
 
 _WEIGHTS_MAGIC = b"LDTW"
 _WEIGHTS_VERSION = 1
+_WEIGHTS_HEADER = struct.Struct("<4sH6I")  # magic, version, six dims
 _LN_EPS = 1e-5
 
 
@@ -50,6 +62,9 @@ class TransformerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("vocab_size", "n_layers", "n_heads", "d_model", "d_ff", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
 
@@ -72,31 +87,13 @@ class AttentionHookBundle:
     truth_prefix: Optional[np.ndarray] = None
     truth_targets: Optional[np.ndarray] = None
 
-    def shift_row(self, scores_targets: np.ndarray,
-                  scores_prefix: np.ndarray) -> np.ndarray:
-        """Shifted joint attention row over ``[targets : prefix]``."""
-        scores = np.concatenate([scores_targets, scores_prefix])
-        joint = softmax(scores)
-        m = len(scores_targets)
-        boost = np.zeros_like(scores)
-        if m and self.truth_targets is not None:
-            if len(self.truth_targets) != m:
-                raise ValueError("target truth vector does not match target count")
-            boost[:m] = self.alpha2 * self.truth_targets * joint[:m]
-        if self.truth_prefix is not None:
-            if len(self.truth_prefix) != len(scores_prefix):
-                raise ValueError("prefix truth vector does not match prefix length")
-            boost[m:] = self.alpha1 * self.truth_prefix * joint[m:]
-        row = softmax(scores + boost)
-        if not np.isfinite(row).all() or abs(float(row.sum()) - 1.0) > 1e-6:
-            raise ValueError("attention hook produced a non-distribution row")
-        return row
-
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    mu = x.mean()
-    var = x.var()
-    return (x - mu) / np.sqrt(var + _LN_EPS) * gain + bias
+    # np.mean and np.var along the last axis, with the centring shared
+    n = x.shape[-1]
+    centred = x - x.sum(axis=-1, keepdims=True) / n
+    var = (centred * centred).sum(axis=-1, keepdims=True) / n
+    return centred / np.sqrt(var + _LN_EPS) * gain + bias
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
@@ -104,13 +101,51 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 
 def _block(w: dict[str, np.ndarray], x: np.ndarray, layer: int, attend) -> np.ndarray:
-    """One pre-norm block on one position.  ``attend(layer, q, k, v)`` maps
-    the position's query, key and value to the concatenated head outputs."""
+    """One pre-norm block on one position per row of ``x``.  ``attend(layer,
+    q, k, v)`` maps the rows' queries, keys and values to the concatenated
+    head outputs."""
     u = _layer_norm(x, w[f"ln1_g_{layer}"], w[f"ln1_b_{layer}"])
     a = attend(layer, u @ w[f"wq_{layer}"], u @ w[f"wk_{layer}"], u @ w[f"wv_{layer}"])
     x = x + a @ w[f"wo_{layer}"]
     u2 = _layer_norm(x, w[f"ln2_g_{layer}"], w[f"ln2_b_{layer}"])
     return x + _gelu(u2 @ w[f"w1_{layer}"] + w[f"b1_{layer}"]) @ w[f"w2_{layer}"] + w[f"b2_{layer}"]
+
+
+def _hook_coefficients(hooks: Sequence[Optional[AttentionHookBundle]],
+                       n_targets: int, length: int) -> Optional[np.ndarray]:
+    """(B, 1, targets + prefix) intensities times truth values, zero where a
+    session has no hook or no truth vector; None when no session is hooked."""
+    if all(h is None for h in hooks):
+        return None
+    coef = np.zeros((len(hooks), 1, n_targets + length))
+    for b, h in enumerate(hooks):
+        if h is None:
+            continue
+        if n_targets and h.truth_targets is not None:
+            if len(h.truth_targets) != n_targets:
+                raise ValueError("target truth vector does not match target count")
+            coef[b, 0, :n_targets] = h.alpha2 * h.truth_targets
+        if h.truth_prefix is not None:
+            if len(h.truth_prefix) != length:
+                raise ValueError("prefix truth vector does not match prefix length")
+            coef[b, 0, n_targets:] = h.alpha1 * h.truth_prefix
+    return coef
+
+
+def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(B, T, d_model) -> (B, heads, T, head_dim) view."""
+    B, T, d = a.shape
+    return a.reshape(B, T, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _extend(cached: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """Stack equal-length caches and append one new row each, read-only."""
+    out = np.empty((len(cached), len(cached[0]) + 1, rows.shape[1]))
+    for b, c in enumerate(cached):
+        out[b, :-1] = c
+    out[:, -1] = rows
+    out.flags.writeable = False
+    return out
 
 
 class TinyTransformer:
@@ -125,78 +160,98 @@ class TinyTransformer:
     # -- sessions ------------------------------------------------------------
 
     def begin_session(self, targets: Sequence[int] = ()) -> "TransformerSession":
-        target_kv = precompute_target_kv(self, targets) if len(targets) else None
-        return TransformerSession(tokens=[], keys=[[] for _ in range(self.config.n_layers)],
-                                  values=[[] for _ in range(self.config.n_layers)],
-                                  targets=tuple(targets), target_kv=target_kv)
+        """A session whose caches start with the targets' keys and values."""
+        kv = precompute_target_kv(self, targets) if len(targets) else \
+            [(np.empty((0, self.config.d_model)),) * 2] * self.config.n_layers
+        for k, v in kv:
+            k.flags.writeable = v.flags.writeable = False
+        return TransformerSession(tokens=[], keys=tuple(k for k, _ in kv),
+                                  values=tuple(v for _, v in kv), targets=tuple(targets))
 
     # -- forward -------------------------------------------------------------
 
     def step(self, session: "TransformerSession", token: int,
              hooks: Optional[AttentionHookBundle] = None,
              record_attention: bool = False) -> np.ndarray:
+        return self.step_batch([session], [token], [hooks], record_attention)[0]
+
+    def step_batch(self, sessions: Sequence["TransformerSession"], tokens: Sequence[int],
+                   hooks: Optional[Sequence[Optional[AttentionHookBundle]]] = None,
+                   record_attention: bool = False) -> list[np.ndarray]:
+        """Consume ``tokens[b]`` in ``sessions[b]`` for every b with one
+        forward; return each session's next-position distribution.  The
+        sessions must have equal length and equal target counts.  A session
+        is changed only when the whole step succeeds."""
         cfg = self.config
         w = self.weights
-        pos = len(session.tokens)
+        if hooks is None:
+            hooks = [None] * len(sessions)
+        if not len(sessions) == len(tokens) == len(hooks):
+            raise ValueError("sessions, tokens and hooks differ in number")
+        if not sessions:
+            return []
+        pos = len(sessions[0].tokens)
+        n_targets = len(sessions[0].targets)
+        if any(len(s.tokens) != pos for s in sessions):
+            raise ValueError("batched sessions must have equal length")
+        if any(len(s.targets) != n_targets for s in sessions):
+            raise ValueError("batched sessions must have equal target counts")
         if pos >= cfg.max_len:
             raise ValueError(f"prefix exceeds max length {cfg.max_len}")
-        if not (0 <= token < cfg.vocab_size):
-            raise ValueError(f"token id {token} outside vocabulary")
-        session.attention_rows = [] if record_attention else None
+        for token in tokens:
+            if not (0 <= token < cfg.vocab_size):
+                raise ValueError(f"token id {token} outside vocabulary")
+        coef = _hook_coefficients(hooks, n_targets, pos + 1)
 
         H, dh = cfg.n_heads, cfg.head_dim
+        keys, values, rows_per_layer = [], [], []
 
         def attend(layer, q, k, v):
-            session.keys[layer].append(k)
-            session.values[layer].append(v)
-            qh = q.reshape(H, dh, 1)
-            # (H, T, dh) per-head views of the cached keys and values
-            K = np.stack(session.keys[layer]).reshape(-1, H, dh).transpose(1, 0, 2)
-            V = np.stack(session.values[layer]).reshape(-1, H, dh).transpose(1, 0, 2)
-            scores_prefix = (K @ qh)[:, :, 0] / np.sqrt(dh)
-            scores_targets = np.empty((H, 0))
-            if session.target_kv is not None:
-                kc, vc = (a.reshape(-1, H, dh).transpose(1, 0, 2)
-                          for a in session.target_kv[layer])
-                scores_targets = (kc @ qh)[:, :, 0] / np.sqrt(dh)
-                V = np.concatenate([vc, V], axis=1)
-            rows = np.empty((H, V.shape[1]))
-            for head in range(H):
-                if hooks is not None:
-                    rows[head] = hooks.shift_row(scores_targets[head], scores_prefix[head])
-                else:
-                    rows[head] = softmax(np.concatenate([scores_targets[head],
-                                                         scores_prefix[head]]))
-                if session.attention_rows is not None:
-                    session.attention_rows.append((layer, head, rows[head]))
-            return (rows[:, None, :] @ V).reshape(-1)
+            K = _extend([s.keys[layer] for s in sessions], k)
+            V = _extend([s.values[layer] for s in sessions], v)
+            keys.append(K)
+            values.append(V)
+            # (B, H, targets + prefix): the caches hold [targets : prefix].
+            # The two parts are scored apart: one product over both rounds
+            # some scores differently from the per-part products.
+            Kh, qh = _heads(K, H), q.reshape(-1, H, dh, 1)
+            scores = np.concatenate([Kh[:, :, :n_targets] @ qh, Kh[:, :, n_targets:] @ qh],
+                                    axis=2)[..., 0] / np.sqrt(dh)
+            rows = softmax(scores)
+            if coef is not None:
+                rows = softmax(scores + coef * rows)
+                if not np.isfinite(rows).all() or (np.abs(rows.sum(axis=-1) - 1.0) > 1e-6).any():
+                    raise ValueError("attention hook produced a non-distribution row")
+            rows_per_layer.append(rows)
+            return (rows[:, :, None, :] @ _heads(V, H)).reshape(len(sessions), -1)
 
-        x = w["emb"][token] + w["pos"][pos]
+        x = w["emb"][list(tokens)] + w["pos"][pos]
         for layer in range(cfg.n_layers):
             x = _block(w, x, layer, attend)
-        h = _layer_norm(x, w["lnf_g"], w["lnf_b"])
-        logits = h @ w["wout"]
-        session.tokens.append(token)
-        return softmax(logits)
+        logits = _layer_norm(x, w["lnf_g"], w["lnf_b"]) @ w["wout"]
+        dists = softmax(logits, out=logits)
+        for b, (session, token) in enumerate(zip(sessions, tokens)):
+            session.keys = tuple(K[b] for K in keys)
+            session.values = tuple(V[b] for V in values)
+            session.tokens.append(token)
+            session.attention_rows = [(layer, head, rows[b, head])
+                                      for layer, rows in enumerate(rows_per_layer)
+                                      for head in range(H)] if record_attention else None
+        return list(dists)
 
 
 @dataclass
 class TransformerSession:
     tokens: list[int]
-    keys: list[list[np.ndarray]]
-    values: list[list[np.ndarray]]
+    keys: tuple[np.ndarray, ...]     # per layer, (targets + T, d_model), read-only
+    values: tuple[np.ndarray, ...]
     targets: tuple[int, ...]
-    target_kv: Optional[list[tuple[np.ndarray, np.ndarray]]]
     attention_rows: Optional[list] = None
 
     def clone(self) -> "TransformerSession":
-        return TransformerSession(
-            tokens=list(self.tokens),
-            keys=[list(per_layer) for per_layer in self.keys],
-            values=[list(per_layer) for per_layer in self.values],
-            targets=self.targets,
-            target_kv=self.target_kv,  # immutable, shared
-        )
+        # the caches are never written, so parent and clone share them
+        return TransformerSession(tokens=list(self.tokens), keys=self.keys,
+                                  values=self.values, targets=self.targets)
 
 
 def precompute_target_kv(model: TinyTransformer, targets: Sequence[int]
@@ -239,17 +294,20 @@ class TransformerScorer(Scorer):
              hooks: Optional[AttentionHookBundle] = None) -> np.ndarray:
         return self.model.step(session, token, hooks=hooks)
 
+    def step_batch(self, sessions, tokens, hooks=None) -> list[np.ndarray]:
+        return self.model.step_batch(sessions, tokens, hooks)
+
 
 # ---------------------------------------------------------------------------
 # Weight init and the flat binary format
 
-def _weight_spec(cfg: TransformerConfig) -> list[tuple[str, tuple[int, ...]]]:
-    spec: list[tuple[str, tuple[int, ...]]] = [
-        ("emb", (cfg.vocab_size, cfg.d_model)),
-        ("pos", (cfg.max_len, cfg.d_model)),
-    ]
+def _weight_spec(cfg: TransformerConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Tensor names and shapes in file order, generated lazily so that a
+    loader can stop at the first tensor a file cannot hold."""
+    yield "emb", (cfg.vocab_size, cfg.d_model)
+    yield "pos", (cfg.max_len, cfg.d_model)
     for layer in range(cfg.n_layers):
-        spec += [
+        yield from [
             (f"ln1_g_{layer}", (cfg.d_model,)), (f"ln1_b_{layer}", (cfg.d_model,)),
             (f"wq_{layer}", (cfg.d_model, cfg.d_model)),
             (f"wk_{layer}", (cfg.d_model, cfg.d_model)),
@@ -259,9 +317,8 @@ def _weight_spec(cfg: TransformerConfig) -> list[tuple[str, tuple[int, ...]]]:
             (f"w1_{layer}", (cfg.d_model, cfg.d_ff)), (f"b1_{layer}", (cfg.d_ff,)),
             (f"w2_{layer}", (cfg.d_ff, cfg.d_model)), (f"b2_{layer}", (cfg.d_model,)),
         ]
-    spec += [("lnf_g", (cfg.d_model,)), ("lnf_b", (cfg.d_model,)),
-             ("wout", (cfg.d_model, cfg.vocab_size))]
-    return spec
+    yield from [("lnf_g", (cfg.d_model,)), ("lnf_b", (cfg.d_model,)),
+                ("wout", (cfg.d_model, cfg.vocab_size))]
 
 
 def _init_weights(cfg: TransformerConfig) -> dict[str, np.ndarray]:
@@ -285,37 +342,56 @@ def _validate_shapes(cfg: TransformerConfig, weights: dict[str, np.ndarray]) -> 
             raise ValueError(f"weight '{name}' has shape {weights[name].shape}, expected {shape}")
 
 
+class WeightsError(ValueError):
+    """A transformer weight file that is truncated, oversized or inconsistent."""
+
+    def __init__(self, path, section: str, problem: str):
+        super().__init__(f"{path}: {section}: {problem}")
+        self.path, self.section = path, section
+
+
 def save_weights(model: TinyTransformer, path) -> None:
     """Flat binary layout: magic, version, six u32 dims (vocab, layers,
     heads, d_model, d_ff, max_len), then the tensors of ``_weight_spec`` as
     little-endian float64, row-major, in order."""
     cfg = model.config
     with open(path, "wb") as fh:
-        fh.write(_WEIGHTS_MAGIC)
-        fh.write(struct.pack("<H", _WEIGHTS_VERSION))
-        fh.write(struct.pack("<6I", cfg.vocab_size, cfg.n_layers, cfg.n_heads,
-                             cfg.d_model, cfg.d_ff, cfg.max_len))
+        fh.write(_WEIGHTS_HEADER.pack(_WEIGHTS_MAGIC, _WEIGHTS_VERSION, cfg.vocab_size,
+                                      cfg.n_layers, cfg.n_heads, cfg.d_model, cfg.d_ff,
+                                      cfg.max_len))
         for name, _ in _weight_spec(cfg):
             fh.write(np.ascontiguousarray(model.weights[name], dtype="<f8").tobytes())
 
 
 def load_weights(path) -> TinyTransformer:
+    """Load a file written by ``save_weights``, or raise ``WeightsError``
+    naming the path and the header section or tensor at fault."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _WEIGHTS_MAGIC:
-            raise ValueError(f"{path}: not a transformer weight file")
-        (version,) = struct.unpack("<H", fh.read(2))
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_WEIGHTS_HEADER.size)
+        if header[:4] != _WEIGHTS_MAGIC:
+            raise WeightsError(path, "header", "not a transformer weight file")
+        if len(header) != _WEIGHTS_HEADER.size:
+            raise WeightsError(path, "header", f"truncated: {len(header)} of "
+                               f"{_WEIGHTS_HEADER.size} bytes")
+        _, version, *dims = _WEIGHTS_HEADER.unpack(header)
         if version != _WEIGHTS_VERSION:
-            raise ValueError(f"{path}: unsupported weight version {version}")
-        vocab, layers, heads, d_model, d_ff, max_len = struct.unpack("<6I", fh.read(24))
-        cfg = TransformerConfig(vocab_size=vocab, n_layers=layers, n_heads=heads,
-                                d_model=d_model, d_ff=d_ff, max_len=max_len)
+            raise WeightsError(path, "header", f"unsupported weight version {version}")
+        try:
+            cfg = TransformerConfig(*dims)
+        except ValueError as exc:
+            raise WeightsError(path, "header", str(exc)) from None
         weights = {}
+        offset = _WEIGHTS_HEADER.size
         for name, shape in _weight_spec(cfg):
-            n = int(np.prod(shape))
-            blob = fh.read(8 * n)
-            if len(blob) != 8 * n:
-                raise ValueError(f"{path}: truncated tensor '{name}'")
+            n = 8 * math.prod(shape)
+            # checked against the file size first: a forged dim must not
+            # make the read below allocate more than the file holds
+            blob = fh.read(n) if offset + n <= size else b""
+            if len(blob) != n:
+                raise WeightsError(path, f"tensor '{name}'", "truncated tensor")
             weights[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
+            offset += n
         if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after weight tensors")
+            raise WeightsError(path, "end", "trailing bytes after weight tensors")
     return TinyTransformer(cfg, weights)

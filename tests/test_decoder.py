@@ -35,6 +35,8 @@ class TestPresets:
         {"beam_size": 0}, {"prune_ratio": 0.0}, {"prune_ratio": 1.5},
         {"group_budget": 0}, {"alpha3": -1.0},
         {"max_groups": 0}, {"max_groups": -2},
+        {"alpha1": float("nan")}, {"alpha2": float("inf")},
+        {"alpha3": float("nan")}, {"alpha3": float("inf")},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -505,6 +507,46 @@ class TestTransformerIntegration:
                                  bos_id=bos, eos_id=eos)
         baseline = decode(scorer, program, "R", ctx2, config2)
         assert shifted.best.logp != baseline.best.logp
+
+    def test_batched_decode_matches_per_session_loop(self, toy_facts, sentinel_ids):
+        # the base step_batch loops step, as a delegating scorer does
+        from logicdec.lm import Scorer
+        from logicdec.transformer import TinyTransformer, TransformerConfig, TransformerScorer
+
+        class LoopingScorer(Scorer):
+            def __init__(self, inner):
+                self.inner = inner
+                self.vocab_size = inner.vocab_size
+                self.supports_attention_hooks = inner.supports_attention_hooks
+                self.calls = []  # (prefix after the step, hooks)
+
+            def begin_session(self, targets=()):
+                return self.inner.begin_session(targets)
+
+            def step(self, session, token, hooks=None):
+                self.calls.append((tuple(session.tokens) + (token,), hooks))
+                return self.inner.step(session, token, hooks=hooks)
+
+        bos, eos = sentinel_ids
+        batched = TransformerScorer(TinyTransformer(
+            TransformerConfig(vocab_size=len(toy_facts.vocab), seed=0)))
+        looping = LoopingScorer(batched)
+        config = replace(PRESETS["commongen"], max_length=12, bos_id=bos, eos_id=eos)
+        for inst in load_instances(DATA / "lexical20.jsonl")[:4]:
+            binding = lexical_rule_template(inst.concepts, toy_facts, gate="luk")
+            program = parse_program(binding.source)
+            a = decode(batched, program, "R", binding.ctx, config)
+            b = decode(looping, program, "R", binding.ctx, config)
+            assert a.best.tokens == b.best.tokens, inst.id
+            assert a.best.logp == pytest.approx(b.best.logp, abs=1e-9), inst.id
+            assert a.steps == b.steps
+        # every hypothesis's hooks are gathers of the truth under its own prefix
+        sets = binding.ctx.sets
+        for prefix, hooks in looping.calls[-40:]:
+            truth = prove(program, "R", Domain.vocabulary(toy_facts),
+                          EvalContext(facts=toy_facts, sets={**sets, "Prev": prefix}))
+            assert (hooks.truth_prefix == truth[list(prefix)]).all()
+            assert (hooks.truth_targets == truth[list(sets["C"])]).all()
 
 
 class TestGroupCap:

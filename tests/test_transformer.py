@@ -1,10 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from logicdec.decision import softmax
 from logicdec.transformer import (AttentionHookBundle, TinyTransformer,
                                   TransformerConfig, TransformerScorer,
-                                  _gelu, _layer_norm, load_weights,
+                                  WeightsError, _gelu, _layer_norm, load_weights,
                                   precompute_target_kv, save_weights)
 
 CFG = TransformerConfig(vocab_size=40, n_layers=2, n_heads=2, d_model=32,
@@ -126,6 +130,27 @@ class TestForward:
         assert abs(p.sum() - 1.0) <= 1e-9
 
 
+def shift_row(hooks, scores_targets: np.ndarray, scores_prefix: np.ndarray) -> np.ndarray:
+    """Shifted joint attention row over ``[targets : prefix]``: the per-row
+    form of the hooked softmax that ``step_batch`` applies to a whole block."""
+    scores = np.concatenate([scores_targets, scores_prefix])
+    joint = softmax(scores)
+    m = len(scores_targets)
+    boost = np.zeros_like(scores)
+    if m and hooks.truth_targets is not None:
+        if len(hooks.truth_targets) != m:
+            raise ValueError("target truth vector does not match target count")
+        boost[:m] = hooks.alpha2 * hooks.truth_targets * joint[:m]
+    if hooks.truth_prefix is not None:
+        if len(hooks.truth_prefix) != len(scores_prefix):
+            raise ValueError("prefix truth vector does not match prefix length")
+        boost[m:] = hooks.alpha1 * hooks.truth_prefix * joint[m:]
+    row = softmax(scores + boost)
+    if not np.isfinite(row).all() or abs(float(row.sum()) - 1.0) > 1e-6:
+        raise ValueError("attention hook produced a non-distribution row")
+    return row
+
+
 def per_head_loop_reference(model, targets, tokens, hooks):
     """The layer math written out per position and per head over column
     slices; yields each step's distribution and attention rows."""
@@ -165,7 +190,7 @@ def per_head_loop_reference(model, targets, tokens, hooks):
                     kc, vc = np.stack(target_k[layer]), np.stack(target_v[layer])
                     scores_targets = kc[:, sl] @ q[sl] / np.sqrt(dh)
                     v_all = np.concatenate([vc[:, sl], V[:, sl]], axis=0)
-                row = (hook.shift_row(scores_targets, scores_prefix) if hook is not None
+                row = (shift_row(hook, scores_targets, scores_prefix) if hook is not None
                        else softmax(np.concatenate([scores_targets, scores_prefix])))
                 rows.append(row)
                 heads.append(row @ v_all)
@@ -192,6 +217,77 @@ class TestBatchedHeads:
                 [r.tobytes() for r in rows]
 
 
+# A batched row may differ from the same row stepped alone in the last bits:
+# the batch multiplies by a matrix (BLAS gemm) where one row uses gemv.
+# Measured differences are a few 1e-16; anything near this bound is a bug.
+BATCH_TOLERANCE = 1e-12
+
+
+class TestStepBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 24), n_targets=st.integers(0, 3),
+           prefix_len=st.integers(1, 6), hooked=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_step_batch_equals_loop_of_step(self, model, batch, n_targets, prefix_len,
+                                            hooked, seed):
+        rng = np.random.default_rng(seed)
+        targets = tuple(int(t) for t in rng.integers(0, CFG.vocab_size, size=n_targets))
+        parent = model.begin_session(targets)
+        for token in rng.integers(0, CFG.vocab_size, size=prefix_len):
+            model.step(parent, int(token))
+        tokens = [int(t) for t in rng.integers(0, CFG.vocab_size, size=batch)]
+        length = prefix_len + 1
+        hooks = [AttentionHookBundle(float(rng.uniform(0, 30)), float(rng.uniform(0, 30)),
+                                     rng.random(length),
+                                     rng.random(n_targets) if n_targets else None)
+                 if hooked and rng.random() < 0.8 else None for _ in range(batch)]
+        cache = [k.copy() for k in parent.keys] + [v.copy() for v in parent.values]
+        parent_tokens = list(parent.tokens)
+
+        batched = [parent.clone() for _ in range(batch)]
+        got = model.step_batch(batched, tokens, hooks, record_attention=True)
+        looped = [parent.clone() for _ in range(batch)]
+        want = [model.step(s, t, hooks=h, record_attention=True)
+                for s, t, h in zip(looped, tokens, hooks)]
+
+        assert len(got) == batch
+        for b in range(batch):
+            rows_got = [r for _l, _h, r in batched[b].attention_rows]
+            rows_want = [r for _l, _h, r in looped[b].attention_rows]
+            assert len(rows_got) == len(rows_want) == CFG.n_layers * CFG.n_heads
+            if batch == 1:
+                assert got[b].tobytes() == want[b].tobytes()
+                assert [r.tobytes() for r in rows_got] == [r.tobytes() for r in rows_want]
+            else:
+                assert np.abs(got[b] - want[b]).max() <= BATCH_TOLERANCE
+                for r_got, r_want in zip(rows_got, rows_want):
+                    assert np.abs(r_got - r_want).max() <= BATCH_TOLERANCE
+            assert batched[b].tokens == parent_tokens + [tokens[b]]
+        assert parent.tokens == parent_tokens
+        assert all((a == b).all() for a, b in zip(list(parent.keys) + list(parent.values), cache))
+
+    def test_unequal_lengths_rejected(self, model):
+        short, long = model.begin_session(), model.begin_session()
+        model.step(long, 1)
+        with pytest.raises(ValueError, match="equal length"):
+            model.step_batch([short, long], [2, 3])
+        assert short.tokens == [] and long.tokens == [1]
+
+    @pytest.mark.parametrize("alpha1, prefix, targets, problem", [
+        (1.0, np.zeros(3), np.zeros(2), "prefix truth vector"),
+        (1.0, np.zeros(2), np.zeros(1), "target truth vector"),
+        (np.inf, np.ones(2), np.zeros(2), "non-distribution row"),
+    ])
+    def test_bad_hooks_rejected_in_a_batch(self, model, alpha1, prefix, targets, problem):
+        parent = model.begin_session([3, 5])
+        model.step(parent, 1)
+        sessions = [parent.clone(), parent.clone()]
+        hooks = [None, AttentionHookBundle(alpha1, 1.0, prefix, targets)]
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=problem):
+            model.step_batch(sessions, [2, 4], hooks)
+        assert all(s.tokens == [1] for s in sessions)
+
+
 class TestWeightFile:
     def test_round_trip(self, model, tmp_path):
         path = tmp_path / "weights.bin"
@@ -213,6 +309,63 @@ class TestWeightFile:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ValueError, match="truncated"):
             load_weights(path)
+
+    @pytest.mark.parametrize("cut, dims, problem", [
+        (4, None, "truncated"),                       # the magic alone
+        (20, None, "truncated"),                      # header cut inside the dims
+        (None, (40, 2, 0, 32, 64, 32), "n_heads must be >= 1"),
+        (None, (0, 0, 0, 0, 0, 0), "must be >= 1"),
+        (None, (40, 2, 3, 32, 64, 32), "divisible"),
+        (None, (40, 2**32 - 1, 2, 32, 64, 32), "truncated"),
+        (None, (2**32 - 1, 2, 2, 2**32 - 2, 64, 32), "truncated"),
+    ])
+    def test_malformed_header_rejected(self, model, tmp_path, cut, dims, problem):
+        path = tmp_path / "weights.bin"
+        save_weights(model, path)
+        blob = path.read_bytes()
+        if cut is not None:
+            blob = blob[:cut]
+        if dims is not None:
+            blob = blob[:6] + struct.pack("<6I", *dims) + blob[30:]
+        path.write_bytes(blob)
+        with pytest.raises(WeightsError, match=problem) as err:
+            load_weights(path)
+        assert str(path) in str(err.value)
+
+    def test_named_tensor_and_trailing_bytes(self, model, tmp_path):
+        path = tmp_path / "weights.bin"
+        save_weights(model, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8])
+        with pytest.raises(WeightsError, match="truncated") as err:
+            load_weights(path)
+        assert err.value.section == "tensor 'wout'"
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(WeightsError, match="trailing bytes"):
+            load_weights(path)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupt_weights_load_or_raise_weights_error(self, model, tmp_path, data):
+        path = tmp_path / "weights.bin"
+        save_weights(model, path)
+        blob = path.read_bytes()
+        kind = data.draw(st.sampled_from(["truncate", "append", "dims"]))
+        if kind == "truncate":
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        elif kind == "append":
+            blob = blob + data.draw(st.binary(min_size=1, max_size=16))
+        else:
+            dims = data.draw(st.lists(st.one_of(st.integers(0, 80), st.integers(0, 2**32 - 1)),
+                                      min_size=6, max_size=6))
+            blob = blob[:6] + struct.pack("<6I", *dims) + blob[30:]
+        path.write_bytes(blob)
+        try:
+            loaded = load_weights(path)
+        except WeightsError:
+            return
+        assert isinstance(loaded, TinyTransformer)
 
     def test_seeded_init_reproducible(self):
         a = TinyTransformer(CFG)
