@@ -9,8 +9,9 @@ covered-concept bitmask; at most ``max_groups`` groups stay, the
 most-covered one always among them.  The next beam takes, in this order and
 up to ``beam_size``: the best candidate of each group, most-covered groups
 first; then the next ``group_budget - 1`` of each group by global score;
-then the rest by global score.  The beam's unfinished hypotheses are
-scored together, with one ``Scorer.step_batch`` call per step.
+then the rest by global score.  A step first scores the live beam with one
+``Scorer.step_batch`` call: a hypothesis is scored only at the step that
+expands it, so nothing is scored after the last selection.
 
 Each hypothesis step proves at most once: the vocabulary truth vector under
 the hypothesis's own prefix.  The attention hooks' prefix and target truth
@@ -171,14 +172,6 @@ def _prefix_dependence(program: R.RuleProgram, rule: str) -> str:
 # ---------------------------------------------------------------------------
 # Decoding
 
-@dataclass
-class _Live:
-    hyp: Hypothesis
-    session: object
-    scores: np.ndarray      # shifted next-token log-scores
-    raw_dist: np.ndarray    # before the prediction shift, kept for tracing
-
-
 def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str],
            ctx: Optional[EvalContext], config: DecodingConfig,
            prompt: Optional[Sequence[int]] = None,
@@ -217,7 +210,7 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
             vocab_memo[key] = hit
         return hit
 
-    def step_dist(sessions: list, hyps: list[Hypothesis]) -> list[tuple]:
+    def step_dist(sessions: Sequence, hyps: Sequence[Hypothesis]) -> list[tuple]:
         """Consume each hypothesis's last token in its session with one
         ``step_batch`` call; return per session (shifted log-scores, dist
         before the prediction shift)."""
@@ -240,66 +233,56 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     table = coverage_table(concepts, facts)
     # without a fact base there are no concepts, so every lookup misses
     class_of = facts.stems.class_of if facts is not None else range(scorer.vocab_size)
-    root_session = scorer.begin_session(concepts)
-    mask = 0
-    for i, tok in enumerate(prompt_tokens):
-        mask |= table.get(class_of[tok], 0)
-        root = Hypothesis(prompt_tokens[: i + 1], 0.0, mask)
-        [(scores, raw)] = step_dist([root_session], [root])
-    live = [_Live(root, root_session, scores, raw)]
+    session = scorer.begin_session(concepts)
+    # the loop's first step consumes the last prompt token
+    mask = table.get(class_of[prompt_tokens[0]], 0)
+    for i in range(1, len(prompt_tokens)):
+        step_dist([session], [Hypothesis(prompt_tokens[:i], 0.0, mask)])
+        mask |= table.get(class_of[prompt_tokens[i]], 0)
+    # (hypothesis, session that has consumed all of its tokens but the last)
+    live = [(Hypothesis(prompt_tokens, 0.0, mask), session)]
     finished: list[Hypothesis] = []
     trace_log: list = []
     log_rho = math.log(config.prune_ratio)
+    k = min(config.beam_size, scorer.vocab_size)
     steps_run = 0
-
-    for step_index in range(config.max_length):
-        if not live:
-            break
-        steps_run += 1
+    while live and steps_run < config.max_length:
+        hyps, sessions = zip(*live)
+        dists = step_dist(sessions, hyps)
         if trace:
-            trace_log.append(_trace_entry(step_index, live[0], shifting))
+            trace_log.append(_trace_entry(steps_run, *dists[0], shifting))
+        steps_run += 1
 
-        # (3)-(4) expand top candidates per hypothesis under shifted scores
-        candidates = []  # (score, hyp_index, token)
-        for hi, item in enumerate(live):
-            logd = item.scores
-            k = min(config.beam_size, len(logd))
-            top = np.argpartition(-logd, k - 1)[:k]
-            for w in top:
-                score = item.hyp.logp + float(logd[w])
-                if not np.isfinite(score) or logd[w] <= SCORE_FLOOR / 2:
-                    continue
-                candidates.append((score, hi, int(w)))
-        if not candidates:
+        # (3)-(4) expand the top k candidates per hypothesis under shifted
+        # scores, as one (hypotheses, k) block
+        top = np.array([np.argpartition(-scores, k - 1)[:k] for scores, _ in dists])
+        logd = np.array([scores[row] for (scores, _), row in zip(dists, top)])
+        score = np.array([hyp.logp for hyp in hyps])[:, None] + logd
+        keep = np.isfinite(score) & (logd > SCORE_FLOOR / 2)
+        if not keep.any():
             break
 
         # (6) relative pruning against the best candidate of this step
-        best_score = max(c[0] for c in candidates)
-        threshold = best_score + log_rho
-        survivors = [c for c in candidates if c[0] >= threshold - 1e-12]
+        keep &= score >= (score[keep].max() + log_rho) - 1e-12
 
-        # (5) coverage update per survivor
-        enriched = [(score, hi, w, live[hi].hyp.covered | table.get(class_of[w], 0))
-                    for score, hi, w in survivors]
+        # (5) coverage update per survivor, in row-major order
+        rows, cols = np.nonzero(keep)
+        candidates = [(s, hi, w, hyps[hi].covered | table.get(class_of[w], 0))
+                      for s, hi, w in zip(score[rows, cols].tolist(), rows.tolist(),
+                                          top[rows, cols].tolist())]
 
         # (7) group by bitmask, keep top k per group, fill beam by score
-        selected = _select_beam(enriched, config)
-
-        children, sessions = [], []
-        for score, hi, w, mask in selected:
-            parent = live[hi]
-            hyp = Hypothesis(parent.hyp.tokens + (w,), score, mask,
+        live = []
+        for s, hi, w, mask in _select_beam(candidates, config):
+            hyp = Hypothesis(hyps[hi].tokens + (w,), s, mask,
                              finished=(config.eos_id is not None and w == config.eos_id))
             if hyp.finished:
                 finished.append(hyp)
-                continue
-            children.append(hyp)
-            sessions.append(parent.session.clone())
-        live = [_Live(hyp, session, scores, raw) for hyp, session, (scores, raw)
-                in zip(children, sessions, step_dist(sessions, children))]
+            else:
+                live.append((hyp, sessions[hi].clone()))
 
     completed = bool(finished)
-    pool = finished if finished else [item.hyp for item in live]
+    pool = finished if finished else [hyp for hyp, _ in live]
     prompt_len = len(prompt_tokens)
     ranked = sorted(
         pool,
@@ -358,10 +341,10 @@ def _select_beam(candidates: list[tuple[float, int, int, int]],
     return beam
 
 
-def _trace_entry(step_index: int, item: _Live, shifting: bool) -> dict:
-    before = [[int(i), float(item.raw_dist[i])] for i in np.argsort(-item.raw_dist)[:5]]
+def _trace_entry(step_index: int, scores: np.ndarray, raw: np.ndarray, shifting: bool) -> dict:
+    before = [[int(i), float(raw[i])] for i in np.argsort(-raw)[:5]]
     # exponentiate only the five shifted scores reported
-    after = [[int(i), float(np.exp(item.scores[i]))] for i in np.argsort(-item.scores)[:5]] \
+    after = [[int(i), float(np.exp(scores[i]))] for i in np.argsort(-scores)[:5]] \
         if shifting else before
     return {"step": step_index, "top_after": after, "top_before": before}
 

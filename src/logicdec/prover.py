@@ -152,13 +152,13 @@ def _atom_vector(pred: str, a, b, domain: Domain, ctx: EvalContext):
     domain position, a scalar when both arguments are bound."""
     facts = ctx.facts
     if a is _DOMAIN_ARG and b is _DOMAIN_ARG:
-        return 1.0 if pred == "Equal" else 0.0  # Edge and W have no self-loops
+        return 1.0 if pred == "Equal" else 0.0  # Edge has no self-loops
     if a is not _DOMAIN_ARG and b is not _DOMAIN_ARG:
         return float(facts.same_stem(a, b)) if pred == "Equal" else facts.edge_weight(a, b)
     other = b if a is _DOMAIN_ARG else a
     if pred == "Equal":
         return equal_vector(domain.ids, other, facts)
-    # Edge and W both read the adjacency; softness is a property of the facts.
+    # Edge reads the adjacency; softness is a property of the facts.
     column = facts.edge_column(other)
     return column if domain.kind == "vocab" else column[domain.ids]
 

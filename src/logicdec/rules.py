@@ -20,7 +20,7 @@ one averaging node over three children while ``(A ^ B) ^ C`` keeps its
 grouping.  ``0`` and ``1`` are the empty disjunction and empty hard
 conjunction, the constant truth values.
 
-Built-in predicates are ``Equal``, ``Edge`` and ``W`` (all binary); every
+Built-in predicates are ``Equal`` and ``Edge`` (both binary); every
 other referenced name must be defined as a rule.  Reference cycles are
 rejected: programs are finite trees, not fixpoints.
 """
@@ -35,11 +35,16 @@ __all__ = [
     "Atom", "Not", "OrNode", "AndAvgNode", "AndLukNode", "Quant", "RuleRef",
     "Var", "Rule", "RuleProgram", "RuleExpr",
     "Token", "TokenKind", "RuleSyntaxError", "RuleLinkError",
-    "EmptyDomainError", "UnboundSetError", "BUILTIN_PREDICATES",
+    "EmptyDomainError", "UnboundSetError", "BUILTIN_PREDICATES", "MAX_NESTING",
     "tokenize", "parse_program", "pretty",
 ]
 
-BUILTIN_PREDICATES = {"Equal": 2, "Edge": 2, "W": 2}
+BUILTIN_PREDICATES = {"Equal": 2, "Edge": 2}
+
+# Deepest nesting of '(', '~' and quantifiers in a rule body: parsing,
+# printing and both provers recurse per level, so a deeper rule would end in
+# RecursionError.  The shipped templates nest a few levels.
+MAX_NESTING = 64
 
 
 class RuleSyntaxError(ValueError):
@@ -238,6 +243,7 @@ class _Parser:
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -255,6 +261,16 @@ class _Parser:
                 tok.line, tok.col,
             )
         return self.pop()
+
+    def nested(self, parse, opener: Token) -> RuleExpr:
+        """``parse()`` one nesting level deeper, the level opened at ``opener``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise RuleSyntaxError(f"nesting deeper than {MAX_NESTING} levels",
+                                  opener.line, opener.col)
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse_rule(self) -> Rule:
         head = self.expect(TokenKind.IDENT)
@@ -281,7 +297,7 @@ class _Parser:
             self.expect(TokenKind.IN)
             set_name = self.expect(TokenKind.IDENT).text
             self.expect(TokenKind.COMMA)
-            body = self.parse_body()
+            body = self.nested(self.parse_body, tok)
             return Quant(tok.text, var, set_name, body)
         return self.parse_or()
 
@@ -315,7 +331,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind is TokenKind.NOT:
             self.pop()
-            return Not(self.parse_unary())
+            return Not(self.nested(self.parse_unary, tok))
         return self.parse_primary()
 
     def parse_primary(self) -> RuleExpr:
@@ -326,7 +342,7 @@ class _Parser:
             return OrNode(()) if tok.text == "0" else AndLukNode(())
         if tok.kind is TokenKind.LP:
             self.pop()
-            body = self.parse_body()
+            body = self.nested(self.parse_body, tok)
             self.expect(TokenKind.RP)
             return body
         if tok.kind is TokenKind.IDENT:

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from logicdec.decoder import (DecodingConfig, Hypothesis, PRESETS,
                               _prefix_dependence, _select_beam, coverage_of,
                               coverage_table, decode, plain_beam_search)
 from logicdec.kb import FactBase, Vocabulary
-from logicdec.lm import NgramScorer, ngram_train
+from logicdec.lm import NgramScorer, Scorer, ngram_train
 from logicdec.prover import Domain, EvalContext, prove
 from logicdec.rules import parse_program
 from logicdec.tasks import lexical_rule_template, load_instances
@@ -127,7 +128,7 @@ def _toy_program(rnd, n_rules: int) -> str:
                 name, arity = rnd.choice(callable_rules)
                 pool = concept_vars if concept_vars and rnd.random() < 0.8 else variables
                 return f"{name}({', '.join(rnd.choice(pool) for _ in range(arity))})"
-            pred = rnd.choice(["Equal", "Edge", "W"])
+            pred = rnd.choice(["Equal", "Edge"])
             return f"{pred}({rnd.choice(variables)}, {rnd.choice(variables)})"
         if roll < 0.4:
             return f"~({expr(depth - 1, variables, concept_vars)})"
@@ -412,6 +413,76 @@ class TestDecode:
         result = decode(lexical_scorer, None, None, ctx, config,
                         prompt=(bos, v.id_of("garden")))
         assert all(h.covered == 1 for h in result.hypotheses)
+
+
+class _TableSession:
+    def __init__(self, tokens=()):
+        self.tokens = list(tokens)
+
+    def clone(self):
+        return _TableSession(self.tokens)
+
+
+class TableScorer(Scorer):
+    """The next-token distribution is the table's row for the last token
+    consumed; ``calls`` counts the tokens consumed."""
+
+    def __init__(self, table):
+        self.table = table
+        self.vocab_size = table.shape[1]
+        self.calls = 0
+
+    def begin_session(self, targets=()):
+        return _TableSession()
+
+    def step(self, session, token, hooks=None):
+        self.calls += 1
+        session.tokens.append(token)
+        return self.table[token].copy()
+
+
+def table_of(rows) -> np.ndarray:
+    table = np.array(rows, dtype=np.float64)
+    return table / table.sum(axis=1, keepdims=True)
+
+
+# weights drawn from a short list, so that rows hold zero-probability
+# tokens and exact ties
+_TABLES = st.integers(2, 6).flatmap(lambda v: st.lists(
+    st.lists(st.sampled_from([0, 0, 1, 1, 2, 5]), min_size=v, max_size=v).filter(any),
+    min_size=v, max_size=v))
+
+
+class TestDecodeLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_TABLES, beam_size=st.integers(1, 8), group_budget=st.integers(1, 4),
+           max_length=st.integers(1, 6), data=st.data())
+    def test_unconstrained_decode_equals_plain_beam_search(self, rows, beam_size,
+                                                           group_budget, max_length,
+                                                           data):
+        table = table_of(rows)
+        v = len(table)
+        prompt = data.draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=2))
+        eos = data.draw(st.none() | st.integers(0, v - 1))
+        config = DecodingConfig(beam_size=beam_size, group_budget=group_budget,
+                                prune_ratio=1e-300, max_length=max_length, eos_id=eos)
+        got = decode(TableScorer(table), None, None, None, config, prompt=prompt)
+        want = plain_beam_search(TableScorer(table), beam_size, max_length,
+                                 eos_id=eos, prompt=prompt)
+        assert [h.tokens for h in got.hypotheses] == [h.tokens for h in want.hypotheses]
+        assert [h.logp.hex() for h in got.hypotheses] == \
+            [h.logp.hex() for h in want.hypotheses]
+        assert got.completed == want.completed
+
+    @pytest.mark.parametrize("prompt", [(0,), (0, 1), (2, 0, 1)])
+    def test_final_beam_is_never_scored(self, prompt):
+        # one step consumes the last prompt token and expands; the children
+        # it selects are returned unscored
+        scorer = TableScorer(table_of([[1, 2, 3, 4]] * 4))
+        config = DecodingConfig(beam_size=3, max_length=1)
+        result = decode(scorer, None, None, None, config, prompt=prompt)
+        assert len(result.hypotheses) == 3 and result.steps == 1
+        assert scorer.calls == len(prompt)
 
 
 class TestTransformerIntegration:

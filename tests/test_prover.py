@@ -256,7 +256,7 @@ def random_world(rng: np.random.Generator):
 def random_expression(rng, depth, variables, rules_so_far):
     roll = rng.random()
     if depth <= 0 or roll < 0.35:
-        pred = ["Equal", "Edge", "W"][int(rng.integers(3))]
+        pred = ["Equal", "Edge"][int(rng.integers(2))]
         a = variables[int(rng.integers(len(variables)))]
         b = variables[int(rng.integers(len(variables)))]
         return f"{pred}({a}, {b})"

@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logicdec.kb import FactBase, Vocabulary
-from logicdec.prover import Domain, EvalContext, prove
-from logicdec.rules import (AndAvgNode, AndLukNode, Atom, EmptyDomainError,
-                            Not, OrNode, Quant, RuleLinkError, RuleRef,
-                            RuleSyntaxError, UnboundSetError, Var,
-                            parse_program, rule_source, tokenize)
+from logicdec.prover import Domain, EvalContext, prove, prove_scalar
+from logicdec.rules import (MAX_NESTING, AndAvgNode, AndLukNode, Atom,
+                            EmptyDomainError, Not, OrNode, Quant, RuleLinkError,
+                            RuleProgram, RuleRef, RuleSyntaxError, UnboundSetError,
+                            Var, parse_program, rule_source, tokenize)
 
 PROGRAM = """
 R(x) :- exists c in C, ~Y(c) ^ Rel(x, c)
@@ -206,7 +208,7 @@ class TestRoundTrip:
         "Y(x) :- exists y in Prev, Equal(x, y)",
         "R(x) :- Persona(x) | Common(x)",
         "Common(x) :- (exists p in P, Edge(x, p)) ^ (exists u in U, Edge(x, u))",
-        "A(x) :- ~(Equal(x, x) | Edge(x, x)) & W(x, x)",
+        "A(x) :- ~(Equal(x, x) | Edge(x, x)) & Edge(x, x)",
         "A(x) :- Equal(x, x) ^ Equal(x, x) ^ Equal(x, x)",
         "A(x) :- (Equal(x, x) ^ Equal(x, x)) ^ Equal(x, x)",
         "A(x) :- forall c in C, Edge(x, c) | 0",
@@ -221,3 +223,64 @@ class TestRoundTrip:
         printed = rule_source(program.rules[name]) + stubs
         reparsed = parse_program(printed)
         assert reparsed.rules[name] == program.rules[name]
+
+
+def nested(opener: str, depth: int) -> str:
+    """A one-rule program with ``depth`` levels of ``opener`` ('(', '~' or
+    'exists') around one atom."""
+    if opener == "(":
+        return "R(x) :- " + "(" * depth + "Equal(x, x)" + ")" * depth
+    if opener == "~":
+        return "R(x) :- " + "~" * depth + "Equal(x, x)"
+    return "R(x) :- " + "".join(f"exists v{i} in C, " for i in range(depth)) + "Edge(x, v0)"
+
+
+_RULE_TOKENS = ["R", "S", "Equal", "Edge", "x", "y", "C", "(", ")", ",", ":-",
+                "|", "^", "&", "~", "exists", "forall", "in", "0", "1", "\n", "#"]
+
+
+@st.composite
+def rule_sources(draw):
+    """Random token runs, or a deep nest at, just past or far past the cap
+    with a few random tokens spliced in."""
+    if draw(st.booleans()):
+        return " ".join(draw(st.lists(st.sampled_from(_RULE_TOKENS), max_size=40)))
+    depth = draw(st.sampled_from([MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1,
+                                  20 * MAX_NESTING]))
+    words = nested(draw(st.sampled_from(["(", "~", "exists"])), depth).split(" ")
+    for _ in range(draw(st.integers(0, 3))):
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(_RULE_TOKENS)))
+    return " ".join(words)
+
+
+class TestNesting:
+    VOCAB = Vocabulary(["dog", "park", "ball"])
+    FACTS = FactBase.from_edges(VOCAB, [(0, 1, 0.5), (1, 2, 0.25)], mode="soft")
+
+    @pytest.mark.parametrize("opener", ["(", "~", "exists"])
+    def test_cap_is_usable_and_one_more_level_is_a_syntax_error(self, opener):
+        program = parse_program(nested(opener, MAX_NESTING))
+        # every recursive consumer of the tree handles the deepest legal rule
+        assert parse_program(rule_source(program.rules["R"])) == program
+        # one element in C: nested quantifiers multiply the work by |C| per level
+        ctx = EvalContext(facts=self.FACTS, sets={"C": (1,)})
+        vector = prove(program, "R", Domain.vocabulary(self.FACTS), ctx)
+        assert [prove_scalar(program, "R", w, ctx) for w in range(3)] == vector.tolist()
+        for depth in (MAX_NESTING + 1, 20 * MAX_NESTING):
+            line = nested(opener, depth)
+            with pytest.raises(RuleSyntaxError, match="nesting deeper than") as err:
+                parse_program("# deep\n" + line)
+            assert err.value.line == 2
+            # the error points at the opener of the first level past the cap
+            body_start = line.index(":-") + 3
+            openers = [i for i in range(body_start, len(line)) if line.startswith(opener, i)]
+            assert err.value.col == openers[MAX_NESTING] + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(source=rule_sources())
+    def test_any_source_parses_or_raises_a_named_error(self, source):
+        try:
+            result = parse_program(source)
+        except (RuleSyntaxError, RuleLinkError):
+            return
+        assert isinstance(result, RuleProgram)
