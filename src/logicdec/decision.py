@@ -2,9 +2,10 @@
 vector by boosting pre-activation scores.
 
 ``pre_activation(P, I, alpha)`` is ``log softmax(log P + I * (alpha * P))``,
-the log of the shifted distribution: the decoder ranks it directly for every
-scorer, the transformer's included, so it is the one place the prediction
-shift happens; ``decide`` is its exponential.  The boost on entry ``i`` is
+the log of the shifted distribution, and the one place the prediction shift
+happens: the decoder ranks it for every scorer, the transformer's included,
+through ``top_k_shifted``, which scores only the entries that can reach the
+top k; ``decide`` is its exponential.  The boost on entry ``i`` is
 ``alpha * I_i * P_i``: words the rules like gain probability, with the
 original probability gating the magnitude so that a near-zero candidate is
 never catapulted to the top.  With ``I = 0`` or ``alpha = 0`` the scores are
@@ -13,15 +14,21 @@ never catapulted to the top.  With ``I = 0`` or ``alpha = 0`` the scores are
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 
-__all__ = ["decide", "pre_activation", "softmax", "SCORE_FLOOR"]
+__all__ = ["decide", "pre_activation", "top_k_shifted", "support_of", "Support",
+           "softmax", "SCORE_FLOOR"]
 
 # Pre-activation assigned to zero-probability entries.  Finite so that the
 # additive boost (which is zero there anyway) cannot produce NaNs.
 SCORE_FLOOR = -1e30
 # How far the mass of a distribution given to ``decide`` may stray from 1.
 SUM_TOLERANCE = 1e-6
+# Longest vector that ``top_k_shifted`` ranks in full; past it, bounding the
+# candidates first is faster (the crossover is measured in CHANGES.md).
+FULL_RANK_MAX_V = 1024
 
 
 def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -34,6 +41,46 @@ def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+class Support(NamedTuple):
+    """A truth vector with its support: the ids of its nonzero entries,
+    ascending, and their values."""
+    truth: np.ndarray
+    ids: np.ndarray
+    values: np.ndarray
+
+
+def support_of(truth: np.ndarray) -> Support:
+    truth = np.asarray(truth, dtype=np.float64)
+    ids = np.flatnonzero(truth != 0.0)
+    return Support(truth, ids, truth[ids])
+
+
+def _log(p: np.ndarray) -> np.ndarray:
+    return np.log(p, out=np.full(p.shape, SCORE_FLOOR), where=p > 0.0)
+
+
+def _boost(p: np.ndarray, support: Support, alpha: float) -> tuple[np.ndarray, float]:
+    """``b = alpha * I * p`` on the support, and ``log Z`` with ``Z =
+    sum(p * exp(b))``, computed from the support alone."""
+    pz = p[support.ids]
+    b = support.values * (alpha * pz)
+    m = b.max(initial=0.0)
+    if m <= 700.0:  # sum(p * expm1(b)) <= exp(m) stays finite
+        return b, np.log1p((pz * np.expm1(b)).sum())
+    # shift by the largest boost; the mass off the support weighs exp(-m)
+    return b, m + np.log((pz * np.exp(b - m)).sum() + (1.0 - pz.sum()) * np.exp(-m))
+
+
+def _shifted(p: np.ndarray, support: Optional[Support], alpha: float) -> np.ndarray:
+    scores = _log(p)
+    if support is None:
+        return scores
+    b, log_z = _boost(p, support, alpha)
+    scores[support.ids] += b
+    scores -= log_z
+    return scores
+
+
 def pre_activation(p: np.ndarray, truth: np.ndarray | None = None,
                    alpha: float = 0.0) -> np.ndarray:
     """log p, with zero entries floored at ``SCORE_FLOOR``; given ``truth``,
@@ -41,19 +88,57 @@ def pre_activation(p: np.ndarray, truth: np.ndarray | None = None,
     sum(p * exp(b))``.  ``Z`` is computed from the support alone, so ``p``
     must be a distribution and ``b`` nonnegative."""
     p = np.asarray(p, dtype=np.float64)
-    scores = np.log(p, out=np.full(p.shape, SCORE_FLOOR), where=p > 0.0)
-    if truth is None:
-        return scores
-    nz = np.flatnonzero(truth)
-    pz = p[nz]
-    b = np.asarray(truth, dtype=np.float64)[nz] * (alpha * pz)
-    scores[nz] += b
-    m = b.max(initial=0.0)
-    if m <= 700.0:  # sum(p * expm1(b)) <= exp(m) stays finite
-        scores -= np.log1p((pz * np.expm1(b)).sum())
-    else:  # shift by the largest boost; the mass off the support weighs exp(-m)
-        scores -= m + np.log((pz * np.exp(b - m)).sum() + (1.0 - pz.sum()) * np.exp(-m))
-    return scores
+    return _shifted(p, None if truth is None else support_of(truth), alpha)
+
+
+def top_k_shifted(p: np.ndarray, support: Optional[Support], alpha: float,
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and scores of the ``k`` best entries of ``pre_activation(p,
+    support.truth, alpha)`` (``support`` None for no truth vector), best
+    first, ties to the smaller id; the scores equal ``pre_activation``'s bit
+    for bit.  ``1 <= k <= len(p)``.
+
+    Off the support the boost is zero, so a score orders like ``p``: the top
+    ``k`` lie on the support or among the entries whose ``p`` reaches the
+    ``k``-th largest.  Past ``FULL_RANK_MAX_V`` entries only those
+    candidates are scored; the full row is ranked when the vector is short,
+    or when an entry left out could tie the ``k``-th score.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if len(p) > FULL_RANK_MAX_V:
+        top = _top_k_of_candidates(p, support, alpha, k)
+        if top is not None:
+            return top
+    scores = _shifted(p, support, alpha)
+    ids = np.argsort(-scores, kind="stable")[:k]
+    return ids, scores[ids]
+
+
+def _top_k_of_candidates(p: np.ndarray, support: Optional[Support], alpha: float,
+                         k: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """``top_k_shifted`` from the candidates alone, or None when an entry
+    left out could tie the ``k``-th score."""
+    # Each of k blocks holds an entry at least its maximum, so the smallest
+    # block maximum bounds the k-th largest p from below.  The margin keeps
+    # entries whose p lies a few ulps lower, whose score may round to the
+    # same value, so that the check below rarely fails.
+    lo = (1.0 - 1e-9) * p[: len(p) // k * k].reshape(k, -1).max(axis=1).min()
+    keep = p >= lo
+    log_z = 0.0
+    if support is not None:
+        keep[support.ids] = True
+    ids = np.flatnonzero(keep)
+    scores = _log(p[ids])
+    if support is not None:
+        b, log_z = _boost(p, support, alpha)
+        scores[np.searchsorted(ids, support.ids)] += b
+    scores -= log_z
+    top = np.argsort(-scores, kind="stable")[:k]  # ids ascend, so ties go to the smaller
+    # an entry left out is off the support with p below lo: it scores at
+    # most log(lo) - log Z, and must not reach the k-th score
+    if scores[top[-1]] <= (np.log(lo) if lo > 0.0 else SCORE_FLOOR) - log_z:
+        return None
+    return ids[top], scores[top]
 
 
 def decide(p: np.ndarray, truth: np.ndarray, alpha: float) -> np.ndarray:

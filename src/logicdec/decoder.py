@@ -1,8 +1,13 @@
 """Constrained beam search: per-hypothesis rule evaluation, distribution
 shifting, coverage tracking, grouping, and pruning.
 
-Each step, every live hypothesis expands its top candidates from its shifted
-next-token log-scores ``pre_activation(p, I, alpha3)``.  Candidates are
+Each step, every live hypothesis expands its top ``beam_size`` candidates
+from its shifted next-token log-scores ``pre_activation(p, I, alpha3)``; at
+the ``beam_size``-th place, ties go to the smaller token id.  Off the truth
+vector's support the boost is zero, so those top candidates lie on the
+support or among the tokens whose ``p`` reaches the ``beam_size``-th
+largest: ``decision.top_k_shifted`` scores only those when the vocabulary is
+large, bit for bit as ``pre_activation`` would.  Candidates are
 pruned relative to the best candidate of the step (keep those within a
 ``prune_ratio`` fraction of the best likelihood) and grouped by their
 covered-concept bitmask; at most ``max_groups`` groups stay, the
@@ -18,8 +23,8 @@ the hypothesis's own prefix.  The attention hooks' prefix and target truth
 values are gathers of it, since an atom reads only the token id at a
 position.  When static analysis shows the rules depend on the prefix only
 through stem-equality coverage of the constraint set (the shipped lexical
-templates do), the vector is memoised on the coverage bitmask; rules that
-never mention the prefix are proved once.
+templates do), the vector is memoised, with its support, on the coverage
+bitmask; rules that never mention the prefix are proved once.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ import numpy as np
 
 from . import rules as R
 # decide is not called here; the benchmark's tracer patches this name
-from .decision import SCORE_FLOOR, decide, pre_activation  # noqa: F401
+from .decision import (SCORE_FLOOR, Support, decide, pre_activation,  # noqa: F401
+                       support_of, top_k_shifted)
 from .kb import FactBase
 from .lm import Scorer
 from .prover import Domain, EvalContext, prove
@@ -196,7 +202,7 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     memo_mode = _prefix_dependence(program, rule) if shifting or hooking else "full"
     vocab_memo: dict = {}
 
-    def vocab_truth(tokens: tuple[int, ...], covered: int) -> np.ndarray:
+    def vocab_truth(tokens: tuple[int, ...], covered: int) -> Support:
         if memo_mode == "none":
             key = ()
         elif memo_mode == "coverage":
@@ -206,25 +212,24 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         hit = vocab_memo.get(key)
         if hit is None:
             local = EvalContext(facts=facts, sets={**ctx.sets, "Prev": tokens})
-            hit = prove(program, rule, Domain.vocabulary(facts), local)
+            hit = support_of(prove(program, rule, Domain.vocabulary(facts), local))
             vocab_memo[key] = hit
         return hit
 
-    def step_dist(sessions: Sequence, hyps: Sequence[Hypothesis]) -> list[tuple]:
+    def step_dist(sessions: Sequence, hyps: Sequence[Hypothesis]) -> tuple[list, list]:
         """Consume each hypothesis's last token in its session with one
-        ``step_batch`` call; return per session (shifted log-scores, dist
-        before the prediction shift)."""
-        truths = [vocab_truth(h.tokens, h.covered) if hooking or shifting else None
-                  for h in hyps]
+        ``step_batch`` call; return per session the dist before the
+        prediction shift and the truth support (None when unshifted)."""
+        supports = [vocab_truth(h.tokens, h.covered) if hooking or shifting else None
+                    for h in hyps]
         hooks = [AttentionHookBundle(
             alpha1=config.alpha1,
             alpha2=config.alpha2,
-            truth_prefix=truth[list(h.tokens)],
-            truth_targets=truth[list(concepts)] if concepts else None,
-        ) for h, truth in zip(hyps, truths)] if hooking else None
+            truth_prefix=support.truth[list(h.tokens)],
+            truth_targets=support.truth[list(concepts)] if concepts else None,
+        ) for h, support in zip(hyps, supports)] if hooking else None
         raws = scorer.step_batch(sessions, [h.tokens[-1] for h in hyps], hooks)
-        return [(pre_activation(raw, truth if shifting else None, config.alpha3), raw)
-                for raw, truth in zip(raws, truths)]
+        return raws, supports if shifting else [None] * len(hyps)
 
     prompt_tokens = tuple(prompt) if prompt is not None else (config.bos_id,)
     if not prompt_tokens:
@@ -248,15 +253,19 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     steps_run = 0
     while live and steps_run < config.max_length:
         hyps, sessions = zip(*live)
-        dists = step_dist(sessions, hyps)
+        raws, supports = step_dist(sessions, hyps)
         if trace:
-            trace_log.append(_trace_entry(steps_run, *dists[0], shifting))
+            truth = supports[0].truth if shifting else None
+            scores = pre_activation(raws[0], truth, config.alpha3)
+            trace_log.append(_trace_entry(steps_run, scores, raws[0], shifting))
         steps_run += 1
 
         # (3)-(4) expand the top k candidates per hypothesis under shifted
         # scores, as one (hypotheses, k) block
-        top = np.array([np.argpartition(-scores, k - 1)[:k] for scores, _ in dists])
-        logd = np.array([scores[row] for (scores, _), row in zip(dists, top)])
+        tops = [top_k_shifted(raw, support, config.alpha3, k)
+                for raw, support in zip(raws, supports)]
+        top = np.array([ids for ids, _ in tops])
+        logd = np.array([scores for _, scores in tops])
         score = np.array([hyp.logp for hyp in hyps])[:, None] + logd
         keep = np.isfinite(score) & (logd > SCORE_FLOOR / 2)
         if not keep.any():
@@ -371,7 +380,7 @@ def plain_beam_search(scorer: Scorer, beam_size: int, max_length: int,
         for hi, (hyp, _sess, d) in enumerate(live):
             logd = pre_activation(d)
             k = min(beam_size, len(logd))
-            top = np.argpartition(-logd, k - 1)[:k]
+            top = np.argsort(-logd, kind="stable")[:k]  # ties to the smaller id
             for w in top:
                 score = hyp.logp + float(logd[w])
                 if np.isfinite(score) and logd[w] > SCORE_FLOOR / 2:

@@ -41,7 +41,8 @@ __all__ = [
 
 BUILTIN_PREDICATES = {"Equal": 2, "Edge": 2}
 
-# Deepest nesting of '(', '~' and quantifiers in a rule body: parsing,
+# Deepest nesting of '(', '~' and quantifiers in a rule body, and of '~',
+# quantifiers and rule references through the rules a rule calls: parsing,
 # printing and both provers recurse per level, so a deeper rule would end in
 # RecursionError.  The shipped templates nest a few levels.
 MAX_NESTING = 64
@@ -362,15 +363,17 @@ class _Parser:
         )
 
 
-def _walk(expr: RuleExpr) -> Iterable[RuleExpr]:
-    yield expr
+def _walk(expr: RuleExpr, level: int = 0) -> Iterable[tuple[RuleExpr, int]]:
+    """Every node of ``expr`` with its nesting level: ``level`` plus the
+    number of ``~`` and quantifiers above it."""
+    yield expr, level
     if isinstance(expr, Not):
-        yield from _walk(expr.child)
+        yield from _walk(expr.child, level + 1)
     elif isinstance(expr, (OrNode, AndAvgNode, AndLukNode)):
         for child in expr.children:
-            yield from _walk(child)
+            yield from _walk(child, level)
     elif isinstance(expr, Quant):
-        yield from _walk(expr.body)
+        yield from _walk(expr.body, level + 1)
 
 
 def _check_scopes(rule: Rule) -> None:
@@ -407,8 +410,12 @@ def _link(rules: list[Rule]) -> RuleProgram:
         table[rule.name] = rule
 
     deps: dict[str, set[str]] = {name: set() for name in table}
+    levels: dict[str, int] = {}                # deepest level of each body
+    calls: dict[str, list[tuple[int, str]]] = {name: [] for name in table}
     for rule in rules:
-        for node in _walk(rule.body):
+        levels[rule.name] = 0
+        for node, level in _walk(rule.body):
+            levels[rule.name] = max(levels[rule.name], level)
             if isinstance(node, Atom):
                 if len(node.args) != BUILTIN_PREDICATES[node.pred]:
                     raise RuleLinkError(
@@ -427,10 +434,14 @@ def _link(rules: list[Rule]) -> RuleProgram:
                         f"arguments, got {len(node.args)}"
                     )
                 deps[rule.name].add(node.rule)
+                calls[rule.name].append((level, node.rule))
         _check_scopes(rule)
 
-    # Topological sort; leftover nodes mean a reference cycle.
+    # Topological sort; leftover nodes mean a reference cycle.  A rule's
+    # depth is its nesting with each reference one level deeper than where
+    # it stands plus its callee's depth: both provers recurse through it.
     order: list[str] = []
+    depth: dict[str, int] = {}
     remaining = dict(deps)
     while remaining:
         ready = sorted(n for n, d in remaining.items() if not d)
@@ -438,6 +449,11 @@ def _link(rules: list[Rule]) -> RuleProgram:
             cycle = sorted(remaining)
             raise RuleLinkError(f"cyclic rule references among: {', '.join(cycle)}")
         for name in ready:
+            depth[name] = max([levels[name]] + [level + 1 + depth[callee]
+                                                for level, callee in calls[name]])
+            if depth[name] > MAX_NESTING:
+                raise RuleLinkError(f"rule '{name}' nests {depth[name]} levels deep through "
+                                    f"its references, past the cap of {MAX_NESTING}")
             order.append(name)
             del remaining[name]
         for d in remaining.values():

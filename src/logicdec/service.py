@@ -7,9 +7,10 @@ One JSON object per line in, one per line out.  Requests::
     {"op": "decide", "p": [..], "truth": [..], "alpha": 2.0}
 
 Responses carry ``{"truth": [...]}`` or ``{"p_shifted": [...]}``.  A
-malformed request yields a single ``{"error": ...}`` line and the connection
-stays open.  The fact base and rule program are immutable, so any number of
-connections are served concurrently.
+``decide`` takes ``p`` and ``truth`` over the served vocabulary, one value
+per token.  A malformed request yields a single ``{"error": ...}`` line and
+the connection stays open.  The fact base and rule program are immutable, so
+any number of connections are served concurrently.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ def handle_request(request: dict, facts: FactBase, program: RuleProgram) -> dict
         if op == "decide":
             p = np.asarray(request["p"], dtype=np.float64)
             truth = np.asarray(request["truth"], dtype=np.float64)
+            for name, vector in (("p", p), ("truth", truth)):
+                if vector.shape != (len(facts.vocab),):
+                    return {"error": f"{name} must hold one value per vocabulary token "
+                                     f"({len(facts.vocab)}), got shape {vector.shape}"}
             alpha = float(request["alpha"])
             return {"p_shifted": decide(p, truth, alpha).tolist()}
         return {"error": f"unknown op {op!r}"}

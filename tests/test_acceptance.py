@@ -260,10 +260,9 @@ def test_c09_service_differential(toy_world):
                                              sets={k: tuple(x) for k, x in sets.items()}))
                 key = "truth"
             else:
-                k = int(rng.integers(2, 16))
-                p = rng.random(k) + 1e-6
+                p = rng.random(n) + 1e-6   # decide takes one value per token
                 p /= p.sum()
-                truth = rng.random(k)
+                truth = rng.random(n)
                 alpha = float(rng.uniform(0, 40))
                 request = {"op": "decide", "p": p.tolist(),
                            "truth": truth.tolist(), "alpha": alpha}

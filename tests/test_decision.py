@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from logicdec.decision import SCORE_FLOOR, decide, pre_activation, softmax
+from logicdec.decision import (FULL_RANK_MAX_V, SCORE_FLOOR, _top_k_of_candidates,
+                                decide, pre_activation, softmax, support_of,
+                                top_k_shifted)
 
 
 def normalized(values):
@@ -132,3 +134,58 @@ class TestDecide:
         out = decide(p, np.array([1, 0], dtype=np.float32), 2.0)
         assert out.dtype == np.float64
         assert out[0] == pytest.approx(math.e / (math.e + 1), abs=1e-7)
+
+
+@st.composite
+def ranking_cases(draw):
+    """(p, truth or None, alpha, k) for the top-k kernel: rows on both sides
+    of ``FULL_RANK_MAX_V``, with few distinct values, ulp-adjacent values
+    (which can round to equal shifted scores), zeros, support entries whose
+    p is 0, and fewer than k positive entries."""
+    v = draw(st.integers(1, 40) | st.integers(FULL_RANK_MAX_V + 1, FULL_RANK_MAX_V + 40))
+    k = draw(st.integers(1, min(v, 8)))
+    # a background weight under most entries; 0 leaves the row sparse
+    weights = np.full(v, draw(st.sampled_from([0.0, 0.0, 1.0, 3.0])))
+    picked = draw(st.lists(st.integers(0, v - 1), max_size=12, unique=True))
+    for i in picked:
+        weights[i] = draw(st.sampled_from([0.0, 1.0, 2.0, 5.0, 50.0]))
+    assume(weights.any())
+    p = weights / weights.sum()
+    for i in picked:  # a few ulps down
+        for _ in range(draw(st.integers(0, 2))):
+            p[i] = np.nextafter(p[i], 0.0)
+    truth = None
+    if draw(st.booleans()):
+        truth = np.zeros(v)
+        for i in draw(st.lists(st.integers(0, v - 1), max_size=8, unique=True)):
+            truth[i] = draw(st.sampled_from([1.0, 0.5, 1e-3]))
+    # 1e30: every score off the support rounds to -log Z, so all of them tie
+    alpha = draw(st.floats(0.0, 1e3) | st.sampled_from([24.0, 1e30]))
+    return p, truth, alpha, k
+
+
+class TestTopK:
+    @settings(max_examples=500, deadline=None)
+    @given(ranking_cases())
+    @example((np.array([0.25, 0.25, 0.5]), None, 0.0, 2))
+    # token 0 is one ulp below token 2 and rounds to the same log
+    @example((np.array([np.nextafter(1e-3, 0.0), 0.998, 1e-3, 0.0]), None, 0.0, 2))
+    # off the support every score is -log Z: tokens 0, 2 and 3 tie
+    @example((np.array([1.0, 2.0, 3.0, 3.0]) / 9.0, np.array([0.0, 1.0, 0.0, 0.0]), 1e30, 2))
+    def test_equals_a_lexsort_of_pre_activation(self, case):
+        p, truth, alpha, k = case
+        scores = pre_activation(p, truth, alpha)
+        want = np.lexsort((np.arange(len(p)), -scores))[:k]
+        support = None if truth is None else support_of(truth)
+        results = [top_k_shifted(p, support, alpha, k)]
+        # the candidate path alone, at every size; None sends a row to the
+        # full ranking
+        bounded = _top_k_of_candidates(p, support, alpha, k)
+        if bounded is not None:
+            results.append(bounded)
+        # entries at the floor are never expanded, so their order is free
+        n = int((scores[want] > SCORE_FLOOR / 2).sum())
+        for ids, got in results:
+            assert ids.tolist()[:n] == want.tolist()[:n]
+            assert got[:n].tobytes() == scores[want][:n].tobytes()
+            assert len(ids) == k and (got[n:] <= SCORE_FLOOR / 2).all()

@@ -485,6 +485,38 @@ class TestDecodeLoop:
         assert scorer.calls == len(prompt)
 
 
+class SameRowScorer(TableScorer):
+    """Every next-token distribution is the table's first row."""
+
+    def step(self, session, token, hooks=None):
+        return super().step(session, 0, hooks)
+
+
+def boundary_tie_scorer(v: int, k: int) -> SameRowScorer:
+    """The next-token distribution over ``v`` tokens whose ``k + 1`` last
+    tokens tie and share all the mass: a beam of ``k`` has room for all but
+    the last of them."""
+    row = np.zeros((1, v))
+    row[0, v - k - 1:] = 1.0 / (k + 1)
+    return SameRowScorer(row)
+
+
+class TestBoundaryTies:
+    # v = 6 ranks full rows; v = 2000 ranks bounded candidates
+    @pytest.mark.parametrize("v", [6, 2000])
+    def test_decode_keeps_the_smaller_ids(self, v):
+        k = 3
+        config = DecodingConfig(beam_size=k, max_length=1)
+        result = decode(boundary_tie_scorer(v, k), None, None, None, config, prompt=(0,))
+        assert sorted(h.tokens[-1] for h in result.hypotheses) == list(range(v - k - 1, v - 1))
+
+    @pytest.mark.parametrize("v", [6, 2000])
+    def test_plain_beam_search_keeps_the_smaller_ids(self, v):
+        k = 3
+        result = plain_beam_search(boundary_tie_scorer(v, k), k, 1, prompt=(0,))
+        assert sorted(h.tokens[-1] for h in result.hypotheses) == list(range(v - k - 1, v - 1))
+
+
 class TestTransformerIntegration:
     def test_decode_drives_attention_hooks(self, toy_facts, sentinel_ids):
         from logicdec.transformer import TinyTransformer, TransformerConfig, TransformerScorer

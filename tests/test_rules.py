@@ -276,6 +276,25 @@ class TestNesting:
             openers = [i for i in range(body_start, len(line)) if line.startswith(opener, i)]
             assert err.value.col == openers[MAX_NESTING] + 1
 
+    @pytest.mark.parametrize("step", ["", "~"])
+    def test_reference_chain_at_the_cap_links_and_deeper_is_a_link_error(self, step):
+        def chain(n: int) -> str:
+            """R0(x) :- R1(x), ..., Rn(x) :- Equal(x, x), with ``step``
+            before each reference."""
+            return "\n".join([f"R{i}(x) :- {step}R{i + 1}(x)" for i in range(n)]
+                             + [f"R{n}(x) :- Equal(x, x)"])
+
+        # a reference is one level, and a '~' before it one more
+        at_cap = MAX_NESTING // (1 + len(step))
+        program = parse_program(chain(at_cap))
+        ctx = EvalContext(facts=self.FACTS, sets={})
+        vector = prove(program, "R0", Domain.vocabulary(self.FACTS), ctx)
+        assert [prove_scalar(program, "R0", w, ctx) for w in range(3)] == vector.tolist()
+        # the provers overflowed the stack from about 600 references on
+        for n in (at_cap + 1, 600, 20 * MAX_NESTING):
+            with pytest.raises(RuleLinkError, match="past the cap"):
+                parse_program(chain(n))
+
     @settings(max_examples=300, deadline=None)
     @given(source=rule_sources())
     def test_any_source_parses_or_raises_a_named_error(self, source):

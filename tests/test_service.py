@@ -62,24 +62,32 @@ def test_prove_request_matches_library_bitwise(server, toy_facts, program):
         client.close()
 
 
-def test_decide_identity_over_the_wire(server):
+def one_hot(n, i):
+    return [1.0 if j == i else 0.0 for j in range(n)]
+
+
+def test_decide_identity_over_the_wire(server, toy_facts):
     client = Client(server)
     try:
-        p = [0.25, 0.25, 0.5]
-        reply = client.call({"op": "decide", "p": p, "truth": [0, 0, 0], "alpha": 3.0})
+        n = len(toy_facts.vocab)
+        p = [(1 + i % 3) / (2 * n) for i in range(n)]
+        p[0] = 1.0 - sum(p[1:])
+        reply = client.call({"op": "decide", "p": p, "truth": [0] * n, "alpha": 3.0})
         assert reply["p_shifted"] == pytest.approx(p, abs=1e-9)
     finally:
         client.close()
 
 
-def test_malformed_line_keeps_connection_open(server):
+def test_malformed_line_keeps_connection_open(server, toy_facts):
     client = Client(server)
     try:
         reply = client.call("this is not json")
         assert "error" in reply
         # the connection is still usable
-        good = client.call({"op": "decide", "p": [1.0], "truth": [0.0], "alpha": 0.0})
-        assert good["p_shifted"] == [1.0]
+        n = len(toy_facts.vocab)
+        good = client.call({"op": "decide", "p": one_hot(n, 3), "truth": [0.0] * n,
+                            "alpha": 0.0})
+        assert good["p_shifted"] == one_hot(n, 3)
     finally:
         client.close()
 
@@ -95,12 +103,13 @@ def test_unknown_op_and_missing_fields(server):
         client.close()
 
 
-def test_concurrent_clients(server):
+def test_concurrent_clients(server, toy_facts):
     clients = [Client(server) for _ in range(4)]
+    n = len(toy_facts.vocab)
     try:
         for i, c in enumerate(clients):
-            reply = c.call({"op": "decide", "p": [0.5, 0.5],
-                            "truth": [1.0, 0.0], "alpha": float(i)})
+            reply = c.call({"op": "decide", "p": [1.0 / n] * n,
+                            "truth": one_hot(n, i), "alpha": float(i)})
             assert "p_shifted" in reply
     finally:
         for c in clients:
@@ -120,6 +129,22 @@ def test_handle_request_never_raises(toy_facts, program):
     for req in bad_requests:
         out = handle_request(req, toy_facts, program)
         assert "error" in out
+
+
+@pytest.mark.parametrize("p_len, truth_len", [(74, 75), (75, 74), (76, 76), (3, 3)])
+def test_decide_vectors_must_span_the_vocabulary(server, toy_facts, p_len, truth_len):
+    assert len(toy_facts.vocab) == 75
+    client = Client(server)
+    try:
+        reply = client.call({"op": "decide", "p": [1.0 / p_len] * p_len,
+                             "truth": [0.5] * truth_len, "alpha": 1.0})
+        assert "one value per vocabulary token (75)" in reply["error"]
+        # the connection is still usable
+        good = client.call({"op": "decide", "p": [1.0 / 75] * 75, "truth": [0.5] * 75,
+                            "alpha": 1.0})
+        assert len(good["p_shifted"]) == 75
+    finally:
+        client.close()
 
 
 def test_domain_as_id_list(server, toy_facts, program):

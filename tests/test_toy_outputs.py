@@ -1,0 +1,61 @@
+"""The toy suites' decoded outputs, pinned.
+
+Both toy scorers are built as the benchmark's ``toy-ngram`` and
+``toy-transformer`` workloads build them, every instance of ``lexical20`` and
+``dialogue10`` is decoded, and the best outputs are hashed the way the
+benchmark digests them, so that output drift fails here and not only in a
+benchmark run.
+"""
+
+import hashlib
+import json
+from dataclasses import replace
+
+import pytest
+
+from logicdec.decoder import PRESETS, decode
+from logicdec.lm import NgramScorer, ngram_train
+from logicdec.rules import parse_program
+from logicdec.tasks import dialogue_rule_template, lexical_rule_template, load_instances
+from logicdec.transformer import TinyTransformer, TransformerConfig, TransformerScorer
+
+from conftest import DATA, corpus_ids
+
+DIGESTS = {"ngram": "616705dfeb86cba1", "transformer": "8cd5293b7c98f9db"}
+
+
+def digest_of(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(json.dumps(item).encode("utf-8"))
+        h.update(b"\n")
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("scorer_kind", sorted(DIGESTS))
+def test_best_outputs_match_the_pinned_digest(scorer_kind, toy_vocab, toy_facts):
+    bos, eos = toy_vocab.id_of("<s>"), toy_vocab.id_of("</s>")
+    if scorer_kind == "ngram":
+        lexical, dialogue = (
+            NgramScorer(ngram_train(corpus_ids(toy_vocab, DATA / corpus), order=3,
+                                    vocab_size=len(toy_vocab)))
+            for corpus in ("corpus_lexical.txt", "corpus_dialogue.txt"))
+    else:
+        lexical = dialogue = TransformerScorer(
+            TinyTransformer(TransformerConfig(vocab_size=len(toy_vocab), seed=0)))
+    lex_cfg = replace(PRESETS["commongen"], max_length=16, bos_id=bos, eos_id=eos,
+                      length_norm_power=1.0)
+    dlg_cfg = replace(PRESETS["personachat"], max_length=10, bos_id=bos, eos_id=eos,
+                      length_norm_power=1.0)
+    outputs = []
+    instances = load_instances(DATA / "lexical20.jsonl") + load_instances(DATA / "dialogue10.jsonl")
+    for inst in instances:
+        if inst.kind == "lexical":
+            binding = lexical_rule_template(inst.concepts, toy_facts, gate="luk")
+            scorer, config = lexical, lex_cfg
+        else:
+            binding = dialogue_rule_template(inst.persona, inst.history, toy_facts)
+            scorer, config = dialogue, dlg_cfg
+        result = decode(scorer, parse_program(binding.source), binding.rule, binding.ctx, config)
+        outputs.append([inst.instance_id, list(result.best.tokens)])
+    assert digest_of(outputs) == DIGESTS[scorer_kind]
