@@ -138,8 +138,7 @@ def _prefix_dependence(program: R.RuleProgram, rule: str) -> str:
     enters only through probes ``Y(x) :- exists y in Prev, Equal(x, y)``
     applied to elements of the concept set, so the coverage bitmask
     determines the truth vector), or ``"full"`` (re-prove every step).  One
-    walk over the reachable rule bodies, tracking the set each quantified
-    variable ranges over.
+    ``rules.walk`` over each reachable rule body.
     """
     def is_probe(r: R.Rule) -> bool:
         q = r.body
@@ -151,27 +150,18 @@ def _prefix_dependence(program: R.RuleProgram, rule: str) -> str:
     if is_probe(program.rule(rule)):
         return "full"  # its argument is the domain position, not a concept
     result = "none"
-    seen = {rule}
-    stack = [(program.rule(rule).body, {})]  # (expr, variable -> set name)
-    while stack:
-        expr, sets = stack.pop()
-        if isinstance(expr, R.Quant):
-            if expr.set_name == "Prev":
+    reachable = [rule]
+    for name in reachable:  # grows as callees are met
+        for node, _, scope in R.walk(program.rule(name)):
+            if isinstance(node, R.Quant) and node.set_name == "Prev":
                 return "full"
-            stack.append((expr.body, {**sets, expr.var: expr.set_name}))
-        elif isinstance(expr, R.Not):
-            stack.append((expr.child, sets))
-        elif isinstance(expr, (R.OrNode, R.AndAvgNode, R.AndLukNode)):
-            stack.extend((child, sets) for child in expr.children)
-        elif isinstance(expr, R.RuleRef):
-            callee = program.rule(expr.rule)
-            if is_probe(callee):
-                if any(sets.get(a.name) != "C" for a in expr.args):
-                    return "full"
-                result = "coverage"
-            elif expr.rule not in seen:
-                seen.add(expr.rule)
-                stack.append((callee.body, {}))
+            if isinstance(node, R.RuleRef):
+                if is_probe(program.rule(node.rule)):
+                    if any(scope[a.name] != "C" for a in node.args):
+                        return "full"
+                    result = "coverage"
+                elif node.rule not in reachable:
+                    reachable.append(node.rule)
     return result
 
 
@@ -232,8 +222,8 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         return raws, supports if shifting else [None] * len(hyps)
 
     prompt_tokens = tuple(prompt) if prompt is not None else (config.bos_id,)
-    if not prompt_tokens:
-        raise ValueError("prompt must contain at least one token")
+    if not prompt_tokens or not all(0 <= t < scorer.vocab_size for t in prompt_tokens):
+        raise ValueError(f"prompt must be one or more token ids in [0, {scorer.vocab_size})")
 
     table = coverage_table(concepts, facts)
     # without a fact base there are no concepts, so every lookup misses
@@ -367,6 +357,8 @@ def plain_beam_search(scorer: Scorer, beam_size: int, max_length: int,
                       length_norm_power: float = 0.7) -> DecodeResult:
     """Reference beam search over raw scorer distributions."""
     prompt_tokens = tuple(prompt) if prompt is not None else (bos_id,)
+    if not prompt_tokens or not all(0 <= t < scorer.vocab_size for t in prompt_tokens):
+        raise ValueError(f"prompt must be one or more token ids in [0, {scorer.vocab_size})")
     session = scorer.begin_session()
     dist = None
     for tok in prompt_tokens:

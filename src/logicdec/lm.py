@@ -159,6 +159,8 @@ class NgramScorer(Scorer):
     def step(self, session: NgramSession, token: int, hooks=None) -> np.ndarray:
         if hooks is not None:
             raise ValueError("n-gram scorer does not support attention hooks")
+        if not 0 <= token < self.vocab_size:
+            raise ValueError(f"token id {token} outside vocabulary")
         keep = self.lm.order - 1
         session.window = (session.window + (token,))[-keep:] if keep else ()
         return self.lm.next_dist(session.window)

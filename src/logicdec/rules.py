@@ -28,23 +28,24 @@ rejected: programs are finite trees, not fixpoints.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "Atom", "Not", "OrNode", "AndAvgNode", "AndLukNode", "Quant", "RuleRef",
     "Var", "Rule", "RuleProgram", "RuleExpr",
     "Token", "TokenKind", "RuleSyntaxError", "RuleLinkError",
     "EmptyDomainError", "UnboundSetError", "BUILTIN_PREDICATES", "MAX_NESTING",
-    "tokenize", "parse_program", "pretty",
+    "tokenize", "parse_program", "pretty", "walk",
 ]
 
 BUILTIN_PREDICATES = {"Equal": 2, "Edge": 2}
 
-# Deepest nesting of '(', '~' and quantifiers in a rule body, and of '~',
-# quantifiers and rule references through the rules a rule calls: parsing,
-# printing and both provers recurse per level, so a deeper rule would end in
-# RecursionError.  The shipped templates nest a few levels.
+# Deepest nesting of '(', '~' and quantifiers in a rule's source, of the levels
+# ``walk`` counts in its tree, and of those plus the rules it references:
+# parsing, printing and both provers recurse per level, so a deeper rule would
+# end in RecursionError.  The shipped templates nest a few levels.
 MAX_NESTING = 64
 
 
@@ -100,68 +101,46 @@ class Token:
     col: int
 
 
-_KEYWORDS = {"exists": TokenKind.EXISTS, "forall": TokenKind.FORALL, "in": TokenKind.IN}
-_SINGLE = {
-    ",": TokenKind.COMMA, "|": TokenKind.OR, "^": TokenKind.ANDAVG,
-    "&": TokenKind.ANDLUK, "~": TokenKind.NOT, "(": TokenKind.LP,
-    ")": TokenKind.RP,
-}
+_KEYWORDS = ("exists", "forall", "in")
+_KINDS = {kind.value: kind for kind in TokenKind}  # a symbol or keyword is its own value
+# Newline, blanks or comment, literal, symbol, word, or any other (illegal)
+# character.  ``\w`` is exactly ``str.isalnum()`` or ``_``; a word must
+# still start with a letter or ``_``, which ``_token_lines`` checks.
+_TOKEN = re.compile(r"(?P<nl>\n)|(?P<skip>[ \t\r]+|#[^\n]*)|(?P<lit>[01])"
+                    r"|(?P<sym>:-|[,|^&~()])|(?P<word>\w+)|.", re.DOTALL)
+
+
+def _token_lines(source: str) -> Iterator[list[Token]]:
+    """The tokens of each ``\\n``-separated line of ``source`` in turn, an
+    empty list for a blank line; a line is lexed only when it is reached."""
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        group = m.lastgroup
+        if group == "skip":
+            continue
+        if group == "nl":
+            yield tokens
+            tokens, line, line_start = [], line + 1, m.end()
+            continue
+        text, col = m.group(), m.start() - line_start + 1
+        if group == "lit":
+            kind = TokenKind.LIT
+        elif group == "sym" or text in _KEYWORDS:
+            kind = _KINDS[text]
+        elif group == "word" and (text[0].isalpha() or text[0] == "_"):
+            kind = TokenKind.IDENT if text[0].isupper() else TokenKind.VAR
+        else:
+            raise RuleSyntaxError(f"illegal character {text[0]!r}", line, col)
+        tokens.append(Token(kind, text, line, col))
+    yield tokens
 
 
 def tokenize(source: str) -> list[Token]:
     """Lex rule text into tokens with 1-based line/column positions."""
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == ":" and i + 1 < n and source[i + 1] == "-":
-            tokens.append(Token(TokenKind.IMPLIES, ":-", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in "01":
-            tokens.append(Token(TokenKind.LIT, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            if word in _KEYWORDS:
-                kind = _KEYWORDS[word]
-            elif word[0].isupper():
-                kind = TokenKind.IDENT
-            else:
-                kind = TokenKind.VAR
-            tokens.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise RuleSyntaxError(f"illegal character {ch!r}", line, start_col)
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+    tokens = [tok for line in _token_lines(source) for tok in line]
+    last_line = source.rfind("\n") + 1
+    tokens.append(Token(TokenKind.EOF, "", source.count("\n") + 1, len(source) - last_line + 1))
     return tokens
 
 
@@ -303,16 +282,11 @@ class _Parser:
         return self.parse_or()
 
     def parse_or(self) -> RuleExpr:
-        node = self.parse_and()
-        children = None
+        children = [self.parse_and()]
         while self.peek().kind is TokenKind.OR:
             self.pop()
-            rhs = self.parse_and()
-            if children is None:
-                children = [node, rhs]
-            else:
-                children.append(rhs)
-        return OrNode(tuple(children)) if children is not None else node
+            children.append(self.parse_and())
+        return OrNode(tuple(children)) if len(children) > 1 else children[0]
 
     def parse_and(self) -> RuleExpr:
         node = self.parse_unary()
@@ -363,41 +337,29 @@ class _Parser:
         )
 
 
-def _walk(expr: RuleExpr, level: int = 0) -> Iterable[tuple[RuleExpr, int]]:
-    """Every node of ``expr`` with its nesting level: ``level`` plus the
-    number of ``~`` and quantifiers above it."""
-    yield expr, level
-    if isinstance(expr, Not):
-        yield from _walk(expr.child, level + 1)
-    elif isinstance(expr, (OrNode, AndAvgNode, AndLukNode)):
-        for child in expr.children:
-            yield from _walk(child, level)
-    elif isinstance(expr, Quant):
-        yield from _walk(expr.body, level + 1)
+_CONNECTIVES = (OrNode, AndAvgNode, AndLukNode)
 
 
-def _check_scopes(rule: Rule) -> None:
-    def visit(expr: RuleExpr, bound: frozenset[str]) -> None:
-        if isinstance(expr, Quant):
-            if expr.var in bound:
-                raise RuleLinkError(
-                    f"rule '{rule.name}': quantifier variable '{expr.var}' shadows an enclosing binding"
-                )
-            visit(expr.body, bound | {expr.var})
-        elif isinstance(expr, Not):
-            visit(expr.child, bound)
-        elif isinstance(expr, (OrNode, AndAvgNode, AndLukNode)):
-            for child in expr.children:
-                visit(child, bound)
-        elif isinstance(expr, (Atom, RuleRef)):
-            for arg in expr.args:
-                if arg.name not in bound:
-                    raise RuleLinkError(
-                        f"rule '{rule.name}': variable '{arg.name}' is neither a head "
-                        f"parameter nor bound by a quantifier"
-                    )
+def walk(rule: Rule) -> Iterator[tuple[RuleExpr, int, Mapping[str, Optional[str]]]]:
+    """Every node of ``rule.body`` in source order, with its nesting level
+    and the variables in scope, each mapped to the set it ranges over (None
+    for a head parameter; a quantifier's own variable is in scope below it).
 
-    visit(rule.body, frozenset(rule.params))
+    A level is a ``~``, a quantifier, or a connective directly under another
+    connective: ``A ^ B & C`` is the same tree as ``(A ^ B) & C``, so both
+    count alike.  Iterative, so a tree of any depth can be walked.
+    """
+    stack = [(rule.body, 0, dict.fromkeys(rule.params))]
+    while stack:
+        node, level, scope = stack.pop()
+        yield node, level, scope
+        if isinstance(node, Not):
+            stack.append((node.child, level + 1, scope))
+        elif isinstance(node, Quant):
+            stack.append((node.body, level + 1, {**scope, node.var: node.set_name}))
+        elif isinstance(node, _CONNECTIVES):
+            stack.extend((child, level + isinstance(child, _CONNECTIVES), scope)
+                         for child in reversed(node.children))
 
 
 def _link(rules: list[Rule]) -> RuleProgram:
@@ -409,13 +371,17 @@ def _link(rules: list[Rule]) -> RuleProgram:
             raise RuleLinkError(f"duplicate rule name '{rule.name}'")
         table[rule.name] = rule
 
-    deps: dict[str, set[str]] = {name: set() for name in table}
-    levels: dict[str, int] = {}                # deepest level of each body
+    levels = dict.fromkeys(table, 0)           # deepest level of each body
     calls: dict[str, list[tuple[int, str]]] = {name: [] for name in table}
     for rule in rules:
-        levels[rule.name] = 0
-        for node, level in _walk(rule.body):
+        for node, level, scope in walk(rule):
+            if level > MAX_NESTING:
+                raise RuleLinkError(f"rule '{rule.name}' nests deeper than {MAX_NESTING} levels")
             levels[rule.name] = max(levels[rule.name], level)
+            if isinstance(node, Quant) and node.var in scope:
+                raise RuleLinkError(
+                    f"rule '{rule.name}': quantifier variable '{node.var}' shadows an enclosing binding"
+                )
             if isinstance(node, Atom):
                 if len(node.args) != BUILTIN_PREDICATES[node.pred]:
                     raise RuleLinkError(
@@ -433,16 +399,20 @@ def _link(rules: list[Rule]) -> RuleProgram:
                         f"rule '{rule.name}': '{node.rule}' takes {len(target.params)} "
                         f"arguments, got {len(node.args)}"
                     )
-                deps[rule.name].add(node.rule)
                 calls[rule.name].append((level, node.rule))
-        _check_scopes(rule)
+            for arg in node.args if isinstance(node, (Atom, RuleRef)) else ():
+                if arg.name not in scope:
+                    raise RuleLinkError(
+                        f"rule '{rule.name}': variable '{arg.name}' is neither a head "
+                        f"parameter nor bound by a quantifier"
+                    )
 
     # Topological sort; leftover nodes mean a reference cycle.  A rule's
     # depth is its nesting with each reference one level deeper than where
     # it stands plus its callee's depth: both provers recurse through it.
     order: list[str] = []
     depth: dict[str, int] = {}
-    remaining = dict(deps)
+    remaining = {name: {callee for _, callee in calls[name]} for name in table}
     while remaining:
         ready = sorted(n for n, d in remaining.items() if not d)
         if not ready:
@@ -467,17 +437,15 @@ def parse_program(source: str) -> RuleProgram:
 
     Source is line-oriented: one rule per line, ``#`` starts a comment,
     blank lines are ignored.  Forward references between rules are fine;
-    cycles are not.
+    cycles are not.  Error positions are lines and columns of ``source``.
     """
     rules: list[Rule] = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        tokens = tokenize(text)
-        # re-base positions onto the original source line
-        tokens = [Token(t.kind, t.text, lineno, t.col) for t in tokens]
-        rules.append(_Parser(tokens).parse_rule())
+    # every line break that str.splitlines knows ends a rule
+    for tokens in _token_lines("\n".join(source.splitlines())):
+        if tokens:
+            last = tokens[-1]
+            tokens.append(Token(TokenKind.EOF, "", last.line, last.col + len(last.text)))
+            rules.append(_Parser(tokens).parse_rule())
     if not rules:
         raise RuleLinkError("program contains no rules")
     return _link(rules)

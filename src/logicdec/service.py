@@ -9,8 +9,10 @@ One JSON object per line in, one per line out.  Requests::
 Responses carry ``{"truth": [...]}`` or ``{"p_shifted": [...]}``.  A
 ``decide`` takes ``p`` and ``truth`` over the served vocabulary, one value
 per token.  A malformed request yields a single ``{"error": ...}`` line and
-the connection stays open.  The fact base and rule program are immutable, so
-any number of connections are served concurrently.
+the connection stays open; a line longer than ``_line_limit`` of the served
+vocabulary size gets one ``{"error": ...}`` line, and the connection
+closes.  The fact base and rule program are immutable, so any number of
+connections are served concurrently.
 """
 
 from __future__ import annotations
@@ -65,9 +67,20 @@ def handle_request(request: dict, facts: FactBase, program: RuleProgram) -> dict
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
+def _line_limit(vocab_size: int) -> int:
+    """Longest request line, newline included: room for a ``decide`` whose
+    two vectors hold float64 ``repr``s (at most 24 characters) and ", "
+    separators, plus its keys and ``alpha``."""
+    return 2 * 26 * vocab_size + 4096
+
+
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
-        for raw in self.rfile:
+        limit = _line_limit(len(self.server.facts.vocab))
+        while raw := self.rfile.readline(limit + 1):
+            if len(raw) > limit:
+                self.reply({"error": f"request line longer than {limit} bytes"})
+                return  # the rest of the line is never read
             line = raw.decode("utf-8", errors="replace").strip()
             if not line:
                 continue
@@ -79,8 +92,11 @@ class _Handler(socketserver.StreamRequestHandler):
                 response = {"error": f"bad request line: {exc}"}
             else:
                 response = handle_request(request, self.server.facts, self.server.program)
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
+            self.reply(response)
+
+    def reply(self, response: dict) -> None:
+        self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+        self.wfile.flush()
 
 
 class LogicServer(socketserver.ThreadingTCPServer):

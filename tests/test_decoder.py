@@ -324,6 +324,18 @@ class TestDecode:
         assert unconstrained.best.tokens == (0, 2, 1)  # <s> a </s>
         assert coverage_of(constrained.best, (3,)) == 1.0
 
+    @pytest.mark.parametrize("prompt", [(-1,), (7,), (0, 4), ()])
+    def test_prompt_ids_outside_the_vocabulary_are_rejected(self, prompt):
+        vocab, facts, scorer = bigram_world()  # V = 4
+        ctx = EvalContext(facts=facts, sets={"C": (3,)})
+        config = DecodingConfig(beam_size=2, alpha3=24.0, max_length=2)
+        for program, rule, context in ((None, None, None),
+                                       (parse_program(LEXICAL_RULES), "R", ctx)):
+            with pytest.raises(ValueError, match=r"prompt must be .* in \[0, 4\)"):
+                decode(scorer, program, rule, context, config, prompt=prompt)
+        with pytest.raises(ValueError, match=r"prompt must be .* in \[0, 4\)"):
+            plain_beam_search(scorer, 2, 2, prompt=prompt)
+
     def test_degenerate_config_equals_plain_beam_search(self, lexical_scorer, sentinel_ids):
         bos, eos = sentinel_ids
         config = DecodingConfig(beam_size=5, alpha1=0, alpha2=0, alpha3=0,

@@ -79,3 +79,9 @@ class TestScorer:
         assert not scorer.supports_attention_hooks
         with pytest.raises(ValueError, match="hooks"):
             scorer.step(scorer.begin_session(), 0, hooks=object())
+
+    @pytest.mark.parametrize("token", [-1, 6])
+    def test_token_ids_outside_the_vocabulary_rejected(self, token):
+        scorer = NgramScorer(ngram_train(toy_corpus(), order=2, vocab_size=6))
+        with pytest.raises(ValueError, match="outside vocabulary"):
+            scorer.step(scorer.begin_session(), token)

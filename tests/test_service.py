@@ -6,7 +6,7 @@ import pytest
 from logicdec.decision import decide
 from logicdec.prover import Domain, EvalContext, prove
 from logicdec.rules import parse_program
-from logicdec.service import LogicServer, handle_request
+from logicdec.service import LogicServer, _line_limit, handle_request
 
 RULES = """
 R(x) :- exists c in C, ~Y(c) ^ Rel(x, c)
@@ -159,5 +159,30 @@ def test_domain_as_id_list(server, toy_facts, program):
                       EvalContext(facts=toy_facts,
                                   sets={k: tuple(x) for k, x in sets.items()}))
         assert reply["truth"] == local.tolist()
+    finally:
+        client.close()
+
+
+def test_line_cap_admits_any_decide_and_closes_on_a_longer_line(server, toy_facts):
+    n = len(toy_facts.vocab)
+    limit = _line_limit(n)
+    client = Client(server)
+    try:
+        # the longest float64 repr, 24 characters, in every slot
+        worst = json.dumps({"op": "decide", "p": [-2.2250738585072014e-308] * n,
+                            "truth": [-2.2250738585072014e-308] * n,
+                            "alpha": -2.2250738585072014e-308})
+        assert len(worst) < limit
+        assert "nonnegative" in client.call(worst)["error"]
+        # a line of exactly the limit, newline included, is served
+        good = json.dumps({"op": "decide", "p": [1.0 / n] * n, "truth": [0.5] * n,
+                           "alpha": 1.0})
+        assert len(client.call(good.ljust(limit - 1))["p_shifted"]) == n
+        client.sock.sendall(b" " * limit + b"{}\n" + (good + "\n").encode("utf-8"))
+        assert "longer than" in json.loads(client.reader.readline())["error"]
+        try:
+            assert client.reader.readline() == ""  # closed: the next request is not served
+        except ConnectionResetError:
+            pass  # the server closed with the rest of the line unread
     finally:
         client.close()
