@@ -26,8 +26,9 @@ __all__ = ["decide", "pre_activation", "top_k_shifted", "support_of", "Support",
 SCORE_FLOOR = -1e30
 # How far the mass of a distribution given to ``decide`` may stray from 1.
 SUM_TOLERANCE = 1e-6
-# Longest vector that ``top_k_shifted`` ranks in full; past it, bounding the
-# candidates first is faster (the crossover is measured in CHANGES.md).
+# Longest vector that ``top_k_shifted`` ranks in full, and the most scores
+# that ``_best_k`` sorts; past it, bounding the candidates first is faster
+# (the crossover is measured in CHANGES.md).
 FULL_RANK_MAX_V = 1024
 
 
@@ -102,7 +103,8 @@ def top_k_shifted(p: np.ndarray, support: Optional[Support], alpha: float,
     ``k`` lie on the support or among the entries whose ``p`` reaches the
     ``k``-th largest.  Past ``FULL_RANK_MAX_V`` entries only those
     candidates are scored; the full row is ranked when the vector is short,
-    or when an entry left out could tie the ``k``-th score.
+    when half of it or more are candidates, or when an entry left out could
+    tie the ``k``-th score.
     """
     p = np.asarray(p, dtype=np.float64)
     if len(p) > FULL_RANK_MAX_V:
@@ -110,14 +112,15 @@ def top_k_shifted(p: np.ndarray, support: Optional[Support], alpha: float,
         if top is not None:
             return top
     scores = _shifted(p, support, alpha)
-    ids = np.argsort(-scores, kind="stable")[:k]
+    ids = _best_k(scores, k)
     return ids, scores[ids]
 
 
 def _top_k_of_candidates(p: np.ndarray, support: Optional[Support], alpha: float,
                          k: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """``top_k_shifted`` from the candidates alone, or None when an entry
-    left out could tie the ``k``-th score."""
+    left out could tie the ``k``-th score or when half the row or more are
+    candidates (gathering them then costs more than scoring the row)."""
     # Each of k blocks holds an entry at least its maximum, so the smallest
     # block maximum bounds the k-th largest p from below.  The margin keeps
     # entries whose p lies a few ulps lower, whose score may round to the
@@ -128,17 +131,38 @@ def _top_k_of_candidates(p: np.ndarray, support: Optional[Support], alpha: float
     if support is not None:
         keep[support.ids] = True
     ids = np.flatnonzero(keep)
+    if 2 * len(ids) >= len(p):
+        return None
     scores = _log(p[ids])
     if support is not None:
         b, log_z = _boost(p, support, alpha)
         scores[np.searchsorted(ids, support.ids)] += b
     scores -= log_z
-    top = np.argsort(-scores, kind="stable")[:k]  # ids ascend, so ties go to the smaller
+    top = _best_k(scores, k)  # ids ascend, so ties go to the smaller
     # an entry left out is off the support with p below lo: it scores at
     # most log(lo) - log Z, and must not reach the k-th score
     if scores[top[-1]] <= (np.log(lo) if lo > 0.0 else SCORE_FLOOR) - log_z:
         return None
     return ids[top], scores[top]
+
+
+def _best_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` largest of at least ``k`` ``scores``, largest
+    first, ties to the smaller position.  Up to ``FULL_RANK_MAX_V`` scores
+    are sorted; past it only the entries above the ``k``-th score are, and
+    the first positions tied with it fill the rest, so that a large tied
+    group costs one pass and no sort."""
+    if len(scores) <= FULL_RANK_MAX_V:
+        return np.argsort(-scores, kind="stable")[:k]
+    # the smallest of k block maxima bounds the k-th score from below, and
+    # is the k-th score when fewer than k entries lie above it
+    kth = scores[: len(scores) // k * k].reshape(k, -1).max(axis=1).min()
+    above = np.flatnonzero(scores > kth)
+    if len(above) >= k:
+        kth = -np.partition(-scores[above], k - 1)[k - 1]
+        above = above[scores[above] > kth]
+    tied = np.flatnonzero(scores == kth)[: k - len(above)]
+    return np.concatenate([above[np.argsort(-scores[above], kind="stable")], tied])
 
 
 def decide(p: np.ndarray, truth: np.ndarray, alpha: float) -> np.ndarray:

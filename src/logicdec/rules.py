@@ -281,25 +281,23 @@ class _Parser:
             return Quant(tok.text, var, set_name, body)
         return self.parse_or()
 
-    def parse_or(self) -> RuleExpr:
-        children = [self.parse_and()]
-        while self.peek().kind is TokenKind.OR:
+    def run(self, first: RuleExpr, parse, op: TokenKind) -> list[RuleExpr]:
+        """``first`` and each ``parse()`` joined to it by the operator ``op``."""
+        children = [first]
+        while self.peek().kind is op:
             self.pop()
-            children.append(self.parse_and())
+            children.append(parse())
+        return children
+
+    def parse_or(self) -> RuleExpr:
+        children = self.run(self.parse_and(), self.parse_and, TokenKind.OR)
         return OrNode(tuple(children)) if len(children) > 1 else children[0]
 
     def parse_and(self) -> RuleExpr:
         node = self.parse_unary()
-        run_op = None
-        while self.peek().kind in (TokenKind.ANDAVG, TokenKind.ANDLUK):
-            op = self.pop().kind
-            rhs = self.parse_unary()
-            cls = AndAvgNode if op is TokenKind.ANDAVG else AndLukNode
-            if op is run_op:
-                node = cls(node.children + (rhs,))  # extend current run
-            else:
-                node = cls((node, rhs))
-                run_op = op
+        # each run of one operator is one node; a switch of operator nests it
+        while (op := self.peek().kind) in _AND_NODES:
+            node = _AND_NODES[op](tuple(self.run(node, self.parse_unary, op)))
         return node
 
     def parse_unary(self) -> RuleExpr:
@@ -338,6 +336,7 @@ class _Parser:
 
 
 _CONNECTIVES = (OrNode, AndAvgNode, AndLukNode)
+_AND_NODES = {TokenKind.ANDAVG: AndAvgNode, TokenKind.ANDLUK: AndLukNode}
 
 
 def walk(rule: Rule) -> Iterator[tuple[RuleExpr, int, Mapping[str, Optional[str]]]]:

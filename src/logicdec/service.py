@@ -6,10 +6,18 @@ One JSON object per line in, one per line out.  Requests::
      "ctx": {"sets": {"C": [..], "Prev": [..]}}}
     {"op": "decide", "p": [..], "truth": [..], "alpha": 2.0}
 
-Responses carry ``{"truth": [...]}`` or ``{"p_shifted": [...]}``.  A
-``decide`` takes ``p`` and ``truth`` over the served vocabulary, one value
-per token.  A malformed request yields a single ``{"error": ...}`` line and
-the connection stays open; a line longer than ``_line_limit`` of the served
+Replies::
+
+    {"truth": [0.0, 0.75, ...]}     one float per domain entry
+    {"p_shifted": "AAAA..."}        base64 of the V little-endian float64s
+    {"error": "..."}
+
+A client reads ``p_shifted`` back, exact to the bit, with
+``np.frombuffer(base64.b64decode(s), "<f8")``.  A ``decide`` takes ``p``
+and ``truth`` over the served vocabulary, one value per token.  A ``prove``
+whose truth vector holds a non-finite value gets an ``{"error": ...}``
+reply.  A malformed request yields a single ``{"error": ...}`` line and the
+connection stays open; a line longer than ``_line_limit`` of the served
 vocabulary size gets one ``{"error": ...}`` line, and the connection
 closes.  The fact base and rule program are immutable, so any number of
 connections are served concurrently.
@@ -17,10 +25,12 @@ connections are served concurrently.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import socketserver
 import threading
+from typing import Union
 
 import numpy as np
 
@@ -33,9 +43,12 @@ __all__ = ["LogicServer", "serve_forever", "handle_request"]
 
 log = logging.getLogger("logicdec.service")
 
+# A request answered: ("truth", vector), ("p_shifted", vector) or ("error", message).
+Answer = tuple[str, Union[np.ndarray, str]]
 
-def handle_request(request: dict, facts: FactBase, program: RuleProgram) -> dict:
-    """Dispatch one decoded request; never raises on bad input."""
+
+def _answer(request: dict, facts: FactBase, program: RuleProgram) -> Answer:
+    """Answer one decoded request; never raises on bad input."""
     try:
         op = request.get("op")
         if op == "prove":
@@ -46,25 +59,70 @@ def handle_request(request: dict, facts: FactBase, program: RuleProgram) -> dict
             elif isinstance(raw_domain, list):
                 domain = Domain.targets([int(i) for i in raw_domain])
             else:
-                return {"error": f"domain must be 'vocab' or a list of ids, got {raw_domain!r}"}
+                return "error", f"domain must be 'vocab' or a list of ids, got {raw_domain!r}"
             raw_ctx = request.get("ctx", {})
             sets = {str(k): tuple(int(i) for i in v)
                     for k, v in raw_ctx.get("sets", {}).items()}
             ctx = EvalContext(facts=facts, sets=sets)
-            truth = prove(program, rule, domain, ctx)
-            return {"truth": truth.tolist()}
+            truth = np.asarray(prove(program, rule, domain, ctx), dtype=np.float64)
+            if not np.isfinite(truth).all():
+                return "error", f"rule '{rule}' gave a non-finite truth value"
+            return "truth", truth
         if op == "decide":
             p = np.asarray(request["p"], dtype=np.float64)
             truth = np.asarray(request["truth"], dtype=np.float64)
             for name, vector in (("p", p), ("truth", truth)):
                 if vector.shape != (len(facts.vocab),):
-                    return {"error": f"{name} must hold one value per vocabulary token "
-                                     f"({len(facts.vocab)}), got shape {vector.shape}"}
+                    return "error", (f"{name} must hold one value per vocabulary token "
+                                     f"({len(facts.vocab)}), got shape {vector.shape}")
             alpha = float(request["alpha"])
-            return {"p_shifted": decide(p, truth, alpha).tolist()}
-        return {"error": f"unknown op {op!r}"}
+            return "p_shifted", decide(p, truth, alpha)
+        return "error", f"unknown op {op!r}"
     except Exception as exc:  # per-request failures must not kill the service
-        return {"error": f"{type(exc).__name__}: {exc}"}
+        return "error", f"{type(exc).__name__}: {exc}"
+
+
+_ZERO = "0.0, "
+
+
+def _float_list(v: np.ndarray) -> str:
+    """``json.dumps(v.tolist())`` of a finite float64 vector, byte for byte.
+    Only the entries with nonzero bits go through ``repr`` (so ``-0.0``
+    keeps its sign); each run of zeros is one repeated ``"0.0, "``."""
+    nz = np.flatnonzero(v.view(np.uint64))
+    zeros_before = np.diff(nz, prepend=-1) - 1
+    text = "".join([_ZERO * z + repr(x) + ", "
+                    for z, x in zip(zeros_before.tolist(), v[nz].tolist())])
+    text += _ZERO * (len(v) - 1 - nz[-1] if len(nz) else len(v))
+    return "[" + text[:-2] + "]"
+
+
+def _base64(v: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(v, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _reply_line(answer: Answer) -> bytes:
+    """The reply line of an answer, newline included."""
+    key, value = answer
+    if key == "truth":
+        text = _float_list(value)
+    elif key == "p_shifted":
+        text = '"' + _base64(value) + '"'
+    else:
+        text = json.dumps(value)
+    return f'{{"{key}": {text}}}\n'.encode("ascii")
+
+
+def handle_request(request: dict, facts: FactBase, program: RuleProgram) -> dict:
+    """The reply to one decoded request as a client decodes its line: the
+    truth as a list of floats, ``p_shifted`` as its base64 string, or an
+    ``error`` message.  Never raises on bad input."""
+    key, value = _answer(request, facts, program)
+    if key == "truth":
+        value = value.tolist()
+    elif key == "p_shifted":
+        value = _base64(value)
+    return {key: value}
 
 
 def _line_limit(vocab_size: int) -> int:
@@ -79,7 +137,7 @@ class _Handler(socketserver.StreamRequestHandler):
         limit = _line_limit(len(self.server.facts.vocab))
         while raw := self.rfile.readline(limit + 1):
             if len(raw) > limit:
-                self.reply({"error": f"request line longer than {limit} bytes"})
+                self.reply(("error", f"request line longer than {limit} bytes"))
                 return  # the rest of the line is never read
             line = raw.decode("utf-8", errors="replace").strip()
             if not line:
@@ -89,13 +147,13 @@ class _Handler(socketserver.StreamRequestHandler):
                 if not isinstance(request, dict):
                     raise ValueError("request must be a JSON object")
             except ValueError as exc:
-                response = {"error": f"bad request line: {exc}"}
+                answer = ("error", f"bad request line: {exc}")
             else:
-                response = handle_request(request, self.server.facts, self.server.program)
-            self.reply(response)
+                answer = _answer(request, self.server.facts, self.server.program)
+            self.reply(answer)
 
-    def reply(self, response: dict) -> None:
-        self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+    def reply(self, answer: Answer) -> None:
+        self.wfile.write(_reply_line(answer))
         self.wfile.flush()
 
 

@@ -1,11 +1,18 @@
+import base64
 import pathlib
 
+import numpy as np
 import pytest
 
 from logicdec import (FactBase, NgramScorer, Vocabulary, ingest_triples,
                       ngram_train)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data" / "toy"
+
+
+def p_shifted_of(reply: dict) -> np.ndarray:
+    """A service ``decide`` reply's ``p_shifted``, decoded as a client does."""
+    return np.frombuffer(base64.b64decode(reply["p_shifted"]), "<f8")
 
 
 def read_words(path):

@@ -27,7 +27,7 @@ from logicdec.tasks import (dialogue_rule_template, instance_coverage,
 from logicdec.transformer import (AttentionHookBundle, TinyTransformer,
                                   TransformerConfig)
 
-from conftest import DATA
+from conftest import DATA, p_shifted_of
 
 LEXICAL_HARD = """
 R(x) :- exists c in C, ~Y(c) & Rel(x, c)
@@ -270,7 +270,11 @@ def test_c09_service_differential(toy_world):
                 key = "p_shifted"
             sock.sendall((json.dumps(request) + "\n").encode("utf-8"))
             reply = json.loads(reader.readline())
-            assert reply[key] == expected.tolist(), f"request {i} diverged"
+            if key == "truth":
+                assert reply[key] == expected.tolist(), f"request {i} diverged"
+            else:
+                assert p_shifted_of(reply).tobytes() == expected.astype("<f8").tobytes(), \
+                    f"request {i} diverged"
         reader.close()
         sock.close()
     finally:

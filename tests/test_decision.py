@@ -172,6 +172,9 @@ class TestTopK:
     @example((np.array([np.nextafter(1e-3, 0.0), 0.998, 1e-3, 0.0]), None, 0.0, 2))
     # off the support every score is -log Z: tokens 0, 2 and 3 tie
     @example((np.array([1.0, 2.0, 3.0, 3.0]) / 9.0, np.array([0.0, 1.0, 0.0, 0.0]), 1e30, 2))
+    # flat rows: a V=50k group tied at the k-th place, on and off the support
+    @example((np.full(50_000, 1 / 50_000), (np.arange(50_000) % 200 == 0) * 1.0, 24.0, 20))
+    @example((np.full(50_000, 1 / 50_000), None, 0.0, 20))
     def test_equals_a_lexsort_of_pre_activation(self, case):
         p, truth, alpha, k = case
         scores = pre_activation(p, truth, alpha)

@@ -421,6 +421,14 @@ class TestNesting:
             with pytest.raises(RuleLinkError, match=f"nests deeper than {MAX_NESTING} levels"):
                 parse_program(nested("^&", depth))
 
+    @pytest.mark.parametrize("op, node", [("^", AndAvgNode), ("&", AndLukNode)])
+    def test_a_long_run_of_one_operator_is_one_node(self, op, node):
+        # the run is collected once, not copied at each operator
+        n = 32 * 1024
+        program = parse_program("R(x) :- " + f" {op} ".join(["Equal(x, x)"] * (n + 1)))
+        body = program.rules["R"].body
+        assert type(body) is node and len(body.children) == n + 1
+
     @settings(max_examples=300, deadline=None)
     @given(source=rule_sources())
     @example(source=nested("^&", 20 * MAX_NESTING))

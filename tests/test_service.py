@@ -1,12 +1,19 @@
 import json
+import math
 import socket
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from logicdec import service
 from logicdec.decision import decide
 from logicdec.prover import Domain, EvalContext, prove
 from logicdec.rules import parse_program
-from logicdec.service import LogicServer, _line_limit, handle_request
+from logicdec.service import LogicServer, _float_list, _line_limit, handle_request
+
+from conftest import p_shifted_of
 
 RULES = """
 R(x) :- exists c in C, ~Y(c) ^ Rel(x, c)
@@ -34,13 +41,16 @@ class Client:
         self.sock = socket.create_connection(server.server_address, timeout=10)
         self.reader = self.sock.makefile("r", encoding="utf-8")
 
-    def call(self, payload) -> dict:
+    def call_raw(self, payload) -> str:
         if isinstance(payload, str):
             line = payload
         else:
             line = json.dumps(payload)
         self.sock.sendall((line + "\n").encode("utf-8"))
-        return json.loads(self.reader.readline())
+        return self.reader.readline()
+
+    def call(self, payload) -> dict:
+        return json.loads(self.call_raw(payload))
 
     def close(self):
         self.reader.close()
@@ -73,7 +83,7 @@ def test_decide_identity_over_the_wire(server, toy_facts):
         p = [(1 + i % 3) / (2 * n) for i in range(n)]
         p[0] = 1.0 - sum(p[1:])
         reply = client.call({"op": "decide", "p": p, "truth": [0] * n, "alpha": 3.0})
-        assert reply["p_shifted"] == pytest.approx(p, abs=1e-9)
+        assert p_shifted_of(reply).tolist() == pytest.approx(p, abs=1e-9)
     finally:
         client.close()
 
@@ -87,7 +97,7 @@ def test_malformed_line_keeps_connection_open(server, toy_facts):
         n = len(toy_facts.vocab)
         good = client.call({"op": "decide", "p": one_hot(n, 3), "truth": [0.0] * n,
                             "alpha": 0.0})
-        assert good["p_shifted"] == one_hot(n, 3)
+        assert p_shifted_of(good).tolist() == one_hot(n, 3)
     finally:
         client.close()
 
@@ -142,7 +152,7 @@ def test_decide_vectors_must_span_the_vocabulary(server, toy_facts, p_len, truth
         # the connection is still usable
         good = client.call({"op": "decide", "p": [1.0 / 75] * 75, "truth": [0.5] * 75,
                             "alpha": 1.0})
-        assert len(good["p_shifted"]) == 75
+        assert len(p_shifted_of(good)) == 75
     finally:
         client.close()
 
@@ -177,12 +187,83 @@ def test_line_cap_admits_any_decide_and_closes_on_a_longer_line(server, toy_fact
         # a line of exactly the limit, newline included, is served
         good = json.dumps({"op": "decide", "p": [1.0 / n] * n, "truth": [0.5] * n,
                            "alpha": 1.0})
-        assert len(client.call(good.ljust(limit - 1))["p_shifted"]) == n
+        assert len(p_shifted_of(client.call(good.ljust(limit - 1)))) == n
         client.sock.sendall(b" " * limit + b"{}\n" + (good + "\n").encode("utf-8"))
         assert "longer than" in json.loads(client.reader.readline())["error"]
         try:
             assert client.reader.readline() == ""  # closed: the next request is not served
         except ConnectionResetError:
             pass  # the server closed with the rest of the line unread
+    finally:
+        client.close()
+
+
+def test_prove_reply_line_is_json_dumps_of_the_truth_list(server, toy_facts, program):
+    client = Client(server)
+    try:
+        v = toy_facts.vocab
+        sets = {"C": [v.id_of("garden"), v.id_of("dog")], "Prev": [v.id_of("<s>")]}
+        ctx = EvalContext(facts=toy_facts, sets={k: tuple(ids) for k, ids in sets.items()})
+        for domain, dom in (("vocab", Domain.vocabulary(toy_facts)),
+                            ([v.id_of("garden"), 0, 5], Domain.targets([v.id_of("garden"), 0, 5])),
+                            ([], Domain.targets([]))):
+            line = client.call_raw({"op": "prove", "rule": "R", "domain": domain,
+                                    "ctx": {"sets": sets}})
+            local = prove(program, "R", dom, ctx)
+            assert line == json.dumps({"truth": local.tolist()}) + "\n"
+    finally:
+        client.close()
+
+
+# Values around the points where float repr changes form (1e-4 and 1e16),
+# the smallest subnormal, a signed zero and the extremes.
+SPECIAL_VALUES = [-0.0, 5e-324, -5e-324, 1.0, 0.5, 1e-4, 1e16, 1.7976931348623157e308,
+                  2.2250738585072014e-308] + [
+    math.nextafter(x, toward) for x in (1e-4, 1e16) for toward in (0.0, math.inf)]
+
+
+@st.composite
+def sparse_vectors(draw):
+    n = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 3000)))
+    density = draw(st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0]))
+    values = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_VALUES),
+                                     st.floats(allow_nan=False, allow_infinity=False)),
+                           min_size=1, max_size=20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = np.zeros(n)
+    on = rng.random(n) < density
+    v[on] = rng.choice(np.array(values), size=int(on.sum()))
+    # some entries from random bit patterns, which reach every exponent
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+    mixed = on & (rng.random(n) < 0.3) & np.isfinite(bits)
+    v[mixed] = bits[mixed]
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_vectors())
+@example(np.array([]))
+@example(np.array([-0.0]))
+@example(np.array([0.0, 5e-324]))
+@example(np.zeros(3000))
+@example(np.array(SPECIAL_VALUES))
+def test_truth_list_text_equals_json_dumps_of_the_list(v):
+    assert _float_list(v) == json.dumps(v.tolist())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_truth_is_an_error_reply_and_the_connection_stays_open(
+        server, toy_facts, program, monkeypatch, bad):
+    n = len(toy_facts.vocab)
+    monkeypatch.setattr(service, "prove", lambda *args: np.array([0.0, 0.5, bad]))
+    request = {"op": "prove", "rule": "R", "domain": [1, 2, 3], "ctx": {"sets": {}}}
+    assert "non-finite" in handle_request(request, toy_facts, program)["error"]
+    client = Client(server)
+    try:
+        line = client.call_raw(request)
+        assert set(json.loads(line)) == {"error"} and "non-finite" in line
+        good = client.call({"op": "decide", "p": one_hot(n, 3), "truth": [0.0] * n,
+                            "alpha": 0.0})
+        assert p_shifted_of(good).tolist() == one_hot(n, 3)
     finally:
         client.close()

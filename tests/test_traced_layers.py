@@ -12,7 +12,7 @@ from logicdec import decoder, service
 from logicdec.rules import parse_program
 from logicdec.tasks import lexical_rule_template, load_instances
 
-from conftest import DATA
+from conftest import DATA, p_shifted_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -37,7 +37,7 @@ def test_traced_decode_and_decide_record_spans_and_restore_names(lexical_scorer,
                                 binding.ctx, config)
         reply = service.handle_request({"op": "decide", "p": [1.0 / n] * n,
                                         "truth": [0.5] * n, "alpha": 1.0}, toy_facts, program)
-    assert result.hypotheses and len(reply["p_shifted"]) == n
+    assert result.hypotheses and len(p_shifted_of(reply)) == n
     summary = tracer.summary()
     assert summary["prover.prove_vocab"]["calls"] > 0
     assert summary["decision.decide"]["calls"] == 1
