@@ -5,7 +5,8 @@ vector by boosting pre-activation scores.
 the log of the shifted distribution, and the one place the prediction shift
 happens: the decoder ranks it for every scorer, the transformer's included,
 through ``top_k_shifted``, which scores only the entries that can reach the
-top k; ``decide`` is its exponential.  The boost on entry ``i`` is
+top k (of a vector, or of an ``lm.NgramDist`` without writing it out);
+``decide`` is its exponential.  The boost on entry ``i`` is
 ``alpha * I_i * P_i``: words the rules like gain probability, with the
 original probability gating the magnitude so that a near-zero candidate is
 never catapulted to the top.  With ``I = 0`` or ``alpha = 0`` the scores are
@@ -17,6 +18,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+from .lm import NgramDist
 
 __all__ = ["decide", "pre_activation", "top_k_shifted", "support_of", "Support",
            "softmax", "SCORE_FLOOR"]
@@ -60,10 +63,9 @@ def _log(p: np.ndarray) -> np.ndarray:
     return np.log(p, out=np.full(p.shape, SCORE_FLOOR), where=p > 0.0)
 
 
-def _boost(p: np.ndarray, support: Support, alpha: float) -> tuple[np.ndarray, float]:
+def _boost(pz: np.ndarray, support: Support, alpha: float) -> tuple[np.ndarray, float]:
     """``b = alpha * I * p`` on the support, and ``log Z`` with ``Z =
-    sum(p * exp(b))``, computed from the support alone."""
-    pz = p[support.ids]
+    sum(p * exp(b))``, from ``pz``, the entries of ``p`` on the support."""
     b = support.values * (alpha * pz)
     m = b.max(initial=0.0)
     if m <= 700.0:  # sum(p * expm1(b)) <= exp(m) stays finite
@@ -76,7 +78,7 @@ def _shifted(p: np.ndarray, support: Optional[Support], alpha: float) -> np.ndar
     scores = _log(p)
     if support is None:
         return scores
-    b, log_z = _boost(p, support, alpha)
+    b, log_z = _boost(p[support.ids], support, alpha)
     scores[support.ids] += b
     scores -= log_z
     return scores
@@ -92,54 +94,75 @@ def pre_activation(p: np.ndarray, truth: np.ndarray | None = None,
     return _shifted(p, None if truth is None else support_of(truth), alpha)
 
 
-def top_k_shifted(p: np.ndarray, support: Optional[Support], alpha: float,
+def top_k_shifted(p: np.ndarray | NgramDist, support: Optional[Support], alpha: float,
                   k: int) -> tuple[np.ndarray, np.ndarray]:
     """Ids and scores of the ``k`` best entries of ``pre_activation(p,
     support.truth, alpha)`` (``support`` None for no truth vector), best
     first, ties to the smaller id; the scores equal ``pre_activation``'s bit
-    for bit.  ``1 <= k <= len(p)``.
+    for bit.  ``p`` is a vector or an ``NgramDist`` (then read as its
+    ``dense()``), and ``1 <= k <= len(p)``.
 
     Off the support the boost is zero, so a score orders like ``p``: the top
     ``k`` lie on the support or among the entries whose ``p`` reaches the
-    ``k``-th largest.  Past ``FULL_RANK_MAX_V`` entries only those
-    candidates are scored; the full row is ranked when the vector is short,
-    when half of it or more are candidates, or when an entry left out could
-    tie the ``k``-th score.
+    ``k``-th largest.  Past ``FULL_RANK_MAX_V`` entries only candidates
+    that hold those are scored; the full row is ranked when the vector is
+    short, when half of it or more are candidates, or when an entry left
+    out could tie the ``k``-th score.
     """
-    p = np.asarray(p, dtype=np.float64)
     if len(p) > FULL_RANK_MAX_V:
         top = _top_k_of_candidates(p, support, alpha, k)
         if top is not None:
             return top
+    p = p.dense() if isinstance(p, NgramDist) else np.asarray(p, dtype=np.float64)
     scores = _shifted(p, support, alpha)
     ids = _best_k(scores, k)
     return ids, scores[ids]
 
 
-def _top_k_of_candidates(p: np.ndarray, support: Optional[Support], alpha: float,
-                         k: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def _top_k_of_candidates(p: np.ndarray | NgramDist, support: Optional[Support],
+                         alpha: float, k: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """``top_k_shifted`` from the candidates alone, or None when an entry
     left out could tie the ``k``-th score or when half the row or more are
     candidates (gathering them then costs more than scoring the row)."""
+    if isinstance(p, NgramDist):
+        ids, lo = p.top_candidates(k)
+        if support is not None:
+            ids = np.concatenate([ids, support.ids])
+        ids.sort()
+        ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+        if 2 * len(ids) >= len(p):
+            return None
+        return _rank_candidates(ids, p.at(ids), lo, support, alpha, k)
+    p = np.asarray(p, dtype=np.float64)
     # Each of k blocks holds an entry at least its maximum, so the smallest
     # block maximum bounds the k-th largest p from below.  The margin keeps
     # entries whose p lies a few ulps lower, whose score may round to the
-    # same value, so that the check below rarely fails.
+    # same value, so that the bound check rarely fails.
     lo = (1.0 - 1e-9) * p[: len(p) // k * k].reshape(k, -1).max(axis=1).min()
     keep = p >= lo
-    log_z = 0.0
     if support is not None:
         keep[support.ids] = True
     ids = np.flatnonzero(keep)
     if 2 * len(ids) >= len(p):
         return None
-    scores = _log(p[ids])
+    return _rank_candidates(ids, p[ids], lo, support, alpha, k)
+
+
+def _rank_candidates(ids: np.ndarray, p: np.ndarray, lo: float, support: Optional[Support],
+                     alpha: float, k: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """``top_k_shifted`` from at least ``k`` ascending candidate ``ids``
+    that hold the support, and their ``p``, given that every other entry's
+    ``p`` is at most ``lo``; None when such an entry could reach the
+    ``k``-th score."""
+    scores = _log(p)
+    log_z = 0.0
     if support is not None:
-        b, log_z = _boost(p, support, alpha)
-        scores[np.searchsorted(ids, support.ids)] += b
+        on = np.searchsorted(ids, support.ids)
+        b, log_z = _boost(p[on], support, alpha)
+        scores[on] += b
     scores -= log_z
     top = _best_k(scores, k)  # ids ascend, so ties go to the smaller
-    # an entry left out is off the support with p below lo: it scores at
+    # an entry left out is off the support with p at most lo: it scores at
     # most log(lo) - log Z, and must not reach the k-th score
     if scores[top[-1]] <= (np.log(lo) if lo > 0.0 else SCORE_FLOOR) - log_z:
         return None

@@ -16,7 +16,11 @@ up to ``beam_size``: the best candidate of each group, most-covered groups
 first; then the next ``group_budget - 1`` of each group by global score;
 then the rest by global score.  A step first scores the live beam with one
 ``Scorer.step_batch`` call: a hypothesis is scored only at the step that
-expands it, so nothing is scored after the last selection.
+expands it, so nothing is scored after the last selection.  The n-gram
+scorer's batch holds ``lm.NgramDist``s, which ``top_k_shifted`` ranks from
+their unigram order and sparse corrections, so a step over a large
+vocabulary builds no V-long distribution; only ``trace`` writes one out,
+for the first hypothesis.
 
 Each hypothesis step proves at most once: the vocabulary truth vector under
 the hypothesis's own prefix.  The attention hooks' prefix and target truth
@@ -40,7 +44,7 @@ from . import rules as R
 from .decision import (SCORE_FLOOR, Support, decide, pre_activation,  # noqa: F401
                        support_of, top_k_shifted)
 from .kb import FactBase
-from .lm import Scorer
+from .lm import NgramDist, Scorer
 from .prover import Domain, EvalContext, prove
 from .transformer import AttentionHookBundle
 
@@ -81,6 +85,11 @@ class DecodingConfig:
             raise ValueError("per-group budget must be >= 1")
         if self.max_groups < 1:
             raise ValueError("group cap must be >= 1")
+        if self.max_length < 0:
+            raise ValueError("max length must be >= 0")
+        if not math.isfinite(self.length_norm_power):
+            # a NaN would make every ranking key NaN, and the order arbitrary
+            raise ValueError("length-normalisation power must be finite")
         for name in ("alpha1", "alpha2", "alpha3"):
             # a NaN would pass a `< 0` test and silently switch its shift off
             if not math.isfinite(getattr(self, name)) or getattr(self, name) < 0:
@@ -246,8 +255,9 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         raws, supports = step_dist(sessions, hyps)
         if trace:
             truth = supports[0].truth if shifting else None
-            scores = pre_activation(raws[0], truth, config.alpha3)
-            trace_log.append(_trace_entry(steps_run, scores, raws[0], shifting))
+            raw = raws[0].dense() if isinstance(raws[0], NgramDist) else raws[0]
+            scores = pre_activation(raw, truth, config.alpha3)
+            trace_log.append(_trace_entry(steps_run, scores, raw, shifting))
         steps_run += 1
 
         # (3)-(4) expand the top k candidates per hypothesis under shifted

@@ -2,28 +2,32 @@
 
 A scorer owns a fixed vocabulary and hands out per-hypothesis sessions.
 ``step(session, token)`` consumes one token and returns the distribution for
-the next position.  ``step_batch(sessions, tokens, hooks)`` does the same for
-a batch of equal-length sessions and returns one vector per session; the
-default loops ``step``, and a scorer whose model can run the batch as one
-forward overrides it.  The decoder makes one ``step_batch`` call per decoder
-step.  Sessions are single-owner; beam search clones them when a hypothesis
+the next position as a V-long vector.  ``step_batch(sessions, tokens, hooks)``
+does the same for a batch of equal-length sessions and returns one
+distribution per session, a vector or an :class:`NgramDist`; the default
+loops ``step``, and a scorer whose model can run the batch as one forward
+overrides it.  The decoder makes one ``step_batch`` call per decoder step.
+Sessions are single-owner; beam search clones them when a hypothesis
 forks.  Scorers that can shift their internal attention expose
 ``supports_attention_hooks`` and accept a hook bundle in ``step``.
 
 The n-gram model here is the desk-scale stand-in for a large pretrained LM:
-absolute-discount interpolation down to a unigram floor, so every token has
-positive probability in every context.
+absolute-discount interpolation down to a unigram floor, so every token
+seen in training has positive probability in every context.  Such a
+distribution is the unigram, scaled once per context order, plus a few
+sparse corrections: :class:`NgramDist` holds it in that form, so that the
+decoder can rank it from the unigram's order without writing out V entries.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Scorer", "NgramLM", "NgramScorer", "ngram_train"]
+__all__ = ["Scorer", "NgramLM", "NgramDist", "NgramScorer", "ngram_train"]
 
 
 class Scorer(abc.ABC):
@@ -31,8 +35,9 @@ class Scorer(abc.ABC):
 
     ``step_batch`` takes sessions of equal length, their next tokens and,
     optionally, one hook bundle or None per session, and returns one
-    next-position distribution per session, in order.  This default loops
-    ``step``, so a subclass need only implement ``step``.
+    next-position distribution per session, in order: a V-long vector or an
+    :class:`NgramDist`.  This default loops ``step``, so a subclass need only
+    implement ``step``.
     """
 
     vocab_size: int
@@ -47,7 +52,7 @@ class Scorer(abc.ABC):
         """Consume ``token``; return the next-position distribution over V."""
 
     def step_batch(self, sessions: Sequence, tokens: Sequence[int],
-                   hooks: Optional[Sequence] = None) -> list[np.ndarray]:
+                   hooks: Optional[Sequence] = None) -> list:
         """Consume ``tokens[b]`` in ``sessions[b]``; return one distribution
         per session."""
         if hooks is None:
@@ -56,12 +61,69 @@ class Scorer(abc.ABC):
                 for session, token, h in zip(sessions, tokens, hooks, strict=True)]
 
 
-@dataclass
-class _ContextStats:
+class _ContextStats(NamedTuple):
+    """One context's term of the interpolation: ``out = lower * scale;
+    out[ids] += add``."""
+    scale: float          # D * T(h) / c(h)
     ids: np.ndarray       # successor token ids, sorted
-    counts: np.ndarray    # successor counts, aligned with ids
-    total: float
-    n_types: int
+    add: np.ndarray       # max(c(hw) - D, 0) / c(h), aligned with ids
+
+
+class NgramDist:
+    """A conditional distribution of an :class:`NgramLM`, not written out:
+    the unigram, then per context order that has stats, shortest context
+    first, ``out = out * scale; out[ids] += add``.
+
+    ``dense()`` writes the V entries out; ``at(ids)`` gathers entries with
+    the same float operations in the same order, so it equals
+    ``dense()[ids]`` bit for bit.  ``ranked`` holds the token ids by
+    descending unigram probability: a positive scale rounds monotonically,
+    so an entry off the corrections is at most any entry off the
+    corrections that comes before it there.
+    """
+
+    __slots__ = ("unigram", "ranked", "levels")
+
+    def __init__(self, unigram: np.ndarray, ranked: np.ndarray,
+                 levels: list[_ContextStats]):
+        self.unigram = unigram
+        self.ranked = ranked
+        self.levels = levels
+
+    def __len__(self) -> int:
+        return len(self.unigram)
+
+    def dense(self) -> np.ndarray:
+        out = self.unigram.copy()
+        for scale, ids, add in self.levels:
+            out *= scale
+            out[ids] += add
+        return out
+
+    def at(self, ids: np.ndarray) -> np.ndarray:
+        """The entries at ``ids``, which ascend without repeats."""
+        out = self.unigram[ids]
+        if not len(ids):
+            return out
+        for scale, successors, add in self.levels:
+            out *= scale
+            pos = np.searchsorted(ids, successors)
+            hit = ids.take(pos, mode="clip") == successors
+            out[pos[hit]] += add[hit]
+        return out
+
+    def top_candidates(self, k: int) -> tuple[np.ndarray, float]:
+        """Ids, unsorted and possibly repeated, and a bound ``lo`` that every
+        entry off them is at most: the correction ids and the first ``2k +
+        |corrections|`` ids of ``ranked`` (so at least ``2k`` entries off the
+        corrections reach ``lo``), and the value off the corrections of the
+        last of those."""
+        corrections = [ids for _, ids, _ in self.levels]
+        head = self.ranked[: 2 * k + sum(len(ids) for ids in corrections)]
+        lo = float(self.unigram[head[-1]])
+        for scale, _, _ in self.levels:
+            lo *= scale
+        return np.concatenate([head, *corrections]), lo
 
 
 class NgramLM:
@@ -83,22 +145,17 @@ class NgramLM:
         self.discount = discount
         self._tables = tables
         self._unigram = unigram
+        self._ranked = np.argsort(-unigram, kind="stable")
+
+    def dist(self, context: Sequence[int]) -> NgramDist:
+        """P(. | context) as an :class:`NgramDist`."""
+        ctx = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
+        levels = [stats for n in range(1, len(ctx) + 1)
+                  if (stats := self._tables[n].get(ctx[-n:])) is not None]
+        return NgramDist(self._unigram, self._ranked, levels)
 
     def next_dist(self, context: Sequence[int]) -> np.ndarray:
-        ctx = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
-        return self._dist(ctx)
-
-    def _dist(self, ctx: tuple[int, ...]) -> np.ndarray:
-        if not ctx:
-            return self._unigram.copy()
-        stats = self._tables[len(ctx)].get(ctx)
-        if stats is None:
-            return self._dist(ctx[1:])
-        lower = self._dist(ctx[1:])
-        d = self.discount
-        out = lower * (d * stats.n_types / stats.total)
-        out[stats.ids] += np.maximum(stats.counts - d, 0.0) / stats.total
-        return out
+        return self.dist(context).dense()
 
 
 def ngram_train(corpus: Sequence[Sequence[int]], order: int,
@@ -129,10 +186,22 @@ def ngram_train(corpus: Sequence[Sequence[int]], order: int,
 
     tables: list[dict[tuple[int, ...], _ContextStats]] = [dict() for _ in range(order)]
     for k in range(1, order):
-        for ctx, successors in raw[k].items():
-            ids = np.fromiter(sorted(successors), dtype=np.int64)
-            counts = np.array([successors[int(i)] for i in ids], dtype=np.float64)
-            tables[k][ctx] = _ContextStats(ids, counts, float(counts.sum()), len(ids))
+        if not raw[k]:
+            continue
+        # every context of the order at once: its sorted (id, count) pairs
+        # laid end to end, each context's terms sliced out of the flat arrays
+        successors = [sorted(s.items()) for s in raw[k].values()]
+        sizes = np.fromiter(map(len, successors), dtype=np.int64, count=len(successors))
+        pairs = np.array([pair for s in successors for pair in s], dtype=np.int64)
+        ids = np.ascontiguousarray(pairs[:, 0])
+        counts = pairs[:, 1].astype(np.float64)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        totals = np.add.reduceat(counts, starts)  # integer-valued, so exact
+        add = np.maximum(counts - discount, 0.0) / np.repeat(totals, sizes)
+        scales = discount * sizes / totals
+        for ctx, scale, a, b in zip(raw[k], scales.tolist(), starts.tolist(), ends.tolist()):
+            tables[k][ctx] = _ContextStats(scale, ids[a:b], add[a:b])
 
     unigram = uni / uni.sum()
     return NgramLM(order, vocab_size, discount, tables, unigram)
@@ -156,11 +225,21 @@ class NgramScorer(Scorer):
     def begin_session(self, targets: Sequence[int] = ()) -> NgramSession:
         return NgramSession()
 
-    def step(self, session: NgramSession, token: int, hooks=None) -> np.ndarray:
+    def _advance(self, session: NgramSession, token: int, hooks) -> tuple[int, ...]:
         if hooks is not None:
             raise ValueError("n-gram scorer does not support attention hooks")
         if not 0 <= token < self.vocab_size:
             raise ValueError(f"token id {token} outside vocabulary")
         keep = self.lm.order - 1
         session.window = (session.window + (token,))[-keep:] if keep else ()
-        return self.lm.next_dist(session.window)
+        return session.window
+
+    def step(self, session: NgramSession, token: int, hooks=None) -> np.ndarray:
+        return self.lm.next_dist(self._advance(session, token, hooks))
+
+    def step_batch(self, sessions: Sequence[NgramSession], tokens: Sequence[int],
+                   hooks: Optional[Sequence] = None) -> list[NgramDist]:
+        if hooks is None:
+            hooks = [None] * len(sessions)
+        return [self.lm.dist(self._advance(session, token, h))
+                for session, token, h in zip(sessions, tokens, hooks, strict=True)]

@@ -54,10 +54,10 @@ __all__ = [
 class Domain:
     """An ordered evaluation domain: one token id per position.
 
-    ``kind`` records what the positions mean (the whole vocabulary, the
-    generated prefix, or a target-word list); repeated ids are distinct
-    positions with equal truth values.  A ``"vocab"`` domain holds every
-    token id in order, as :meth:`vocabulary` builds it.
+    ``kind`` records what the positions mean (the whole vocabulary, or a
+    list of token ids such as target words or a generated prefix); repeated
+    ids are distinct positions with equal truth values.  A ``"vocab"``
+    domain holds every token id in order, as :meth:`vocabulary` builds it.
     """
     kind: str
     ids: np.ndarray
@@ -65,10 +65,6 @@ class Domain:
     @classmethod
     def vocabulary(cls, facts: FactBase) -> "Domain":
         return cls("vocab", np.arange(len(facts.vocab), dtype=np.int64))
-
-    @classmethod
-    def prefix(cls, token_ids: Sequence[int]) -> "Domain":
-        return cls("prefix", np.asarray(token_ids, dtype=np.int64))
 
     @classmethod
     def targets(cls, token_ids: Sequence[int]) -> "Domain":

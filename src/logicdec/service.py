@@ -3,7 +3,7 @@
 One JSON object per line in, one per line out.  Requests::
 
     {"op": "prove", "rule": "R", "domain": "vocab" | [ids],
-     "ctx": {"sets": {"C": [..], "Prev": [..]}}}
+     "ctx": {"sets": {"C": [ids], "Prev": [ids]}}}
     {"op": "decide", "p": [..], "truth": [..], "alpha": 2.0}
 
 Replies::
@@ -12,7 +12,9 @@ Replies::
     {"p_shifted": "AAAA..."}        base64 of the V little-endian float64s
     {"error": "..."}
 
-A client reads ``p_shifted`` back, exact to the bit, with
+Token ids are JSON integers; any other value where an id belongs gets an
+``{"error": ...}`` reply that names the field.  A client reads
+``p_shifted`` back, exact to the bit, with
 ``np.frombuffer(base64.b64decode(s), "<f8")``.  A ``decide`` takes ``p``
 and ``truth`` over the served vocabulary, one value per token.  A ``prove``
 whose truth vector holds a non-finite value gets an ``{"error": ...}``
@@ -47,6 +49,17 @@ log = logging.getLogger("logicdec.service")
 Answer = tuple[str, Union[np.ndarray, str]]
 
 
+def _ids(value, field: str) -> tuple[int, ...]:
+    """The token ids of a request field, which must be a list of JSON
+    integers: ``41.9``, ``true`` or ``"41"`` is refused, not read as an id."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list of token ids, got {type(value).__name__}")
+    for i in value:
+        if type(i) is not int:
+            raise ValueError(f"{field} must hold integer token ids, got {i!r}")
+    return tuple(value)
+
+
 def _answer(request: dict, facts: FactBase, program: RuleProgram) -> Answer:
     """Answer one decoded request; never raises on bad input."""
     try:
@@ -57,12 +70,11 @@ def _answer(request: dict, facts: FactBase, program: RuleProgram) -> Answer:
             if raw_domain == "vocab":
                 domain = Domain.vocabulary(facts)
             elif isinstance(raw_domain, list):
-                domain = Domain.targets([int(i) for i in raw_domain])
+                domain = Domain.targets(_ids(raw_domain, "domain"))
             else:
                 return "error", f"domain must be 'vocab' or a list of ids, got {raw_domain!r}"
             raw_ctx = request.get("ctx", {})
-            sets = {str(k): tuple(int(i) for i in v)
-                    for k, v in raw_ctx.get("sets", {}).items()}
+            sets = {k: _ids(v, f"ctx.sets.{k}") for k, v in raw_ctx.get("sets", {}).items()}
             ctx = EvalContext(facts=facts, sets=sets)
             truth = np.asarray(prove(program, rule, domain, ctx), dtype=np.float64)
             if not np.isfinite(truth).all():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from logicdec.decision import (FULL_RANK_MAX_V, SCORE_FLOOR, _top_k_of_candidates,
                                 decide, pre_activation, softmax, support_of,
                                 top_k_shifted)
+from logicdec.lm import ngram_train
 
 
 def normalized(values):
@@ -192,3 +193,46 @@ class TestTopK:
             assert ids.tolist()[:n] == want.tolist()[:n]
             assert got[:n].tobytes() == scores[want][:n].tobytes()
             assert len(ids) == k and (got[n:] <= SCORE_FLOOR / 2).all()
+
+
+@st.composite
+def ngram_ranking_cases(draw):
+    """(n-gram distribution, truth or None, alpha, k) past
+    ``FULL_RANK_MAX_V``: a model of a random corpus over a few active
+    tokens (so small counts tie, and most of the unigram is zero) in a seen,
+    unseen or backed-off context; supports that favour the likely tokens;
+    k from 1 to beyond V/2; and boosts past 700."""
+    v = draw(st.integers(FULL_RANK_MAX_V + 1, FULL_RANK_MAX_V + 600))
+    order = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    active = rng.choice(v, size=draw(st.integers(1, 300)), replace=False)
+    corpus = [rng.choice(active, size=rng.integers(1, 15)).tolist()
+              for _ in range(draw(st.integers(1, 60)))]
+    lm = ngram_train(corpus, order, vocab_size=v)
+    seq = corpus[rng.integers(len(corpus))]
+    end = int(rng.integers(0, len(seq) + 1))
+    ctx = seq[max(0, end - order + 1):end]
+    if draw(st.booleans()):
+        ctx = [int(rng.integers(v))] + ctx
+    dist = lm.dist(ctx)
+    k = draw(st.integers(1, 40) | st.integers(1, v))
+    truth = None
+    if draw(st.booleans()):
+        truth = np.zeros(v)
+        on = rng.choice(np.concatenate([active, rng.integers(0, v, size=20)]),
+                        size=draw(st.integers(0, 60)))
+        truth[on] = rng.choice([1.0, 0.5, 1e-3, rng.random()], size=len(on))
+    alpha = draw(st.floats(0.0, 1e3) | st.sampled_from([24.0, 1e4, 1e6, 1e30]))
+    return dist, truth, alpha, k
+
+
+class TestTopKOfNgramDist:
+    @settings(max_examples=300, deadline=None)
+    @given(ngram_ranking_cases())
+    def test_equals_the_top_k_of_the_dense_row(self, case):
+        dist, truth, alpha, k = case
+        support = None if truth is None else support_of(truth)
+        ids, scores = top_k_shifted(dist, support, alpha, k)
+        want_ids, want_scores = top_k_shifted(dist.dense(), support, alpha, k)
+        assert ids.tolist() == want_ids.tolist()
+        assert scores.tobytes() == want_scores.tobytes()

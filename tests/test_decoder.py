@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logicdec.decision import FULL_RANK_MAX_V
 from logicdec.decoder import (DecodingConfig, Hypothesis, PRESETS,
                               _prefix_dependence, _select_beam, coverage_of,
                               coverage_table, decode, plain_beam_search)
@@ -42,6 +43,17 @@ class TestPresets:
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             DecodingConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_length": -1}, "max length"),
+        ({"length_norm_power": float("nan")}, "length-normalisation"),
+        ({"length_norm_power": float("inf")}, "length-normalisation"),
+        ({"length_norm_power": float("-inf")}, "length-normalisation"),
+    ])
+    def test_length_settings_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            DecodingConfig(**kwargs)
+        assert DecodingConfig(max_length=0, length_norm_power=0.0).max_length == 0
 
 
 def cover(mask, word, concepts, facts):
@@ -701,3 +713,64 @@ class TestMemoisedTruthEqualsFresh:
         assert [h.tokens for h in memoised.hypotheses] == \
             [h.tokens for h in fresh.hypotheses]
         assert memoised.best.logp == pytest.approx(fresh.best.logp, abs=1e-12)
+
+
+class DenseNgramScorer(Scorer):
+    """An n-gram scorer whose ``step_batch`` writes every distribution out."""
+
+    def __init__(self, inner: NgramScorer):
+        self.inner = inner
+        self.vocab_size = inner.vocab_size
+
+    def begin_session(self, targets=()):
+        return self.inner.begin_session(targets)
+
+    def step(self, session, token, hooks=None):
+        return self.inner.step(session, token, hooks)
+
+    def step_batch(self, sessions, tokens, hooks=None):
+        return [d.dense() for d in self.inner.step_batch(sessions, tokens, hooks)]
+
+
+@st.composite
+def large_vocabulary_decodes(draw):
+    """A random n-gram world past ``FULL_RANK_MAX_V`` tokens: a corpus over a
+    few active tokens, random edges among them, concepts and a config."""
+    v = draw(st.integers(FULL_RANK_MAX_V + 1, FULL_RANK_MAX_V + 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    active = rng.choice(np.arange(2, v), size=draw(st.integers(3, 200)), replace=False)
+    corpus = [[0] + rng.choice(active, size=rng.integers(1, 12)).tolist() + [1]
+              for _ in range(draw(st.integers(1, 80)))]
+    vocab = Vocabulary(["<s>", "</s>"] + [f"w{i}" for i in range(2, v)])
+    edges = [(int(a), int(b), float(rng.uniform(0.1, 1.0)))
+             for a, b in rng.choice(active, size=(draw(st.integers(0, 300)), 2)) if a != b]
+    facts = FactBase.from_edges(vocab, edges, mode="soft")
+    concepts = [vocab.token(int(i)) for i in rng.choice(active, size=draw(st.integers(1, 3)),
+                                                        replace=False)]
+    config = replace(PRESETS["commongen"], beam_size=draw(st.integers(1, 12)),
+                     max_length=draw(st.integers(1, 8)), bos_id=0,
+                     eos_id=draw(st.sampled_from([1, None])),
+                     prune_ratio=draw(st.sampled_from([1e-9, 0.6])),
+                     alpha3=draw(st.sampled_from([0.0, 24.0, 1e4])))
+    lm = ngram_train(corpus, order=draw(st.integers(1, 4)), vocab_size=v)
+    return lm, facts, concepts, config, draw(st.booleans())
+
+
+class TestSparseNgramDecode:
+    @settings(max_examples=40, deadline=None)
+    @given(large_vocabulary_decodes())
+    def test_equals_decode_over_dense_rows(self, case):
+        lm, facts, concepts, config, constrained = case
+        results = []
+        for scorer in (NgramScorer(lm), DenseNgramScorer(NgramScorer(lm))):
+            if constrained:
+                binding = lexical_rule_template(concepts, facts, gate="luk")
+                results.append(decode(scorer, parse_program(binding.source), binding.rule,
+                                      binding.ctx, config, trace=True))
+            else:
+                results.append(decode(scorer, None, None, None, config, trace=True))
+        sparse, dense = results
+        assert [(h.tokens, h.logp, h.covered, h.finished) for h in sparse.hypotheses] == \
+            [(h.tokens, h.logp, h.covered, h.finished) for h in dense.hypotheses]
+        assert (sparse.completed, sparse.steps, sparse.trace) == \
+            (dense.completed, dense.steps, dense.trace)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from logicdec.lm import NgramScorer, ngram_train
+from logicdec.lm import NgramDist, NgramScorer, ngram_train
 
 
 def toy_corpus():
@@ -85,3 +87,57 @@ class TestScorer:
         scorer = NgramScorer(ngram_train(toy_corpus(), order=2, vocab_size=6))
         with pytest.raises(ValueError, match="outside vocabulary"):
             scorer.step(scorer.begin_session(), token)
+
+
+@st.composite
+def ngram_contexts(draw):
+    """A model trained on a random corpus, and a context that was seen, was
+    never seen, or was never seen but ends in a seen one (so it backs off)."""
+    v = draw(st.integers(1, 40))
+    order = draw(st.integers(1, 5))
+    active = draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=12, unique=True))
+    corpus = draw(st.lists(st.lists(st.sampled_from(active), min_size=1, max_size=12),
+                           min_size=1, max_size=8))
+    lm = ngram_train(corpus, order, draw(st.sampled_from([0.1, 0.5, 0.75, 0.9])),
+                     vocab_size=v)
+    seq = draw(st.sampled_from(corpus))
+    end = draw(st.integers(0, len(seq)))
+    seen = seq[max(0, end - order + 1):end]
+    ctx = draw(st.sampled_from([
+        seen, [draw(st.integers(0, v - 1))] + seen,
+        draw(st.lists(st.integers(0, v - 1), max_size=5))]))
+    ids = np.array(sorted(draw(st.sets(st.integers(0, v - 1)))), dtype=np.int64)
+    return lm, ctx, ids
+
+
+class TestNgramDist:
+    @settings(max_examples=300, deadline=None)
+    @given(ngram_contexts())
+    def test_at_equals_the_dense_gather(self, case):
+        lm, ctx, ids = case
+        dist = lm.dist(ctx)
+        dense = dist.dense()
+        assert dense.tobytes() == lm.next_dist(ctx).tobytes()
+        assert dist.at(ids).tobytes() == dense[ids].tobytes()
+        assert len(dist) == lm.vocab_size
+
+    @settings(max_examples=200, deadline=None)
+    @given(ngram_contexts(), st.integers(1, 50))
+    def test_top_candidates_bound_every_entry_left_out(self, case, k):
+        lm, ctx, _ = case
+        dist = lm.dist(ctx)
+        ids, lo = dist.top_candidates(k)
+        left_out = np.setdiff1d(np.arange(lm.vocab_size), ids)
+        assert (dist.dense()[left_out] <= lo).all()
+
+    def test_step_batch_returns_the_steps_distributions(self):
+        scorer = NgramScorer(ngram_train(toy_corpus(), order=3, vocab_size=6))
+        batch = [scorer.begin_session() for _ in range(3)]
+        loop = [s.clone() for s in batch]
+        for tokens in ([0, 0, 0], [2, 3, 5]):
+            dists = scorer.step_batch(batch, tokens)
+            assert all(isinstance(d, NgramDist) for d in dists)
+            for d, session, token in zip(dists, loop, tokens):
+                assert d.dense().tobytes() == scorer.step(session, token).tobytes()
+        with pytest.raises(ValueError, match="hooks"):
+            scorer.step_batch(batch, [1, 1, 1], [None, object(), None])

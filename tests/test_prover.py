@@ -127,7 +127,7 @@ class TestProve:
     def test_prefix_domain_is_positional(self):
         facts, ctx = commongen_fixture()
         program = parse_program(COMMONGEN_AVG)
-        domain = Domain.prefix((1, 1, 2))
+        domain = Domain.targets((1, 1, 2))
         out = prove(program, "R", domain, ctx)
         assert len(out) == 3
         assert out[0] == out[1]  # repeated token, distinct positions
@@ -170,7 +170,7 @@ class TestProve:
         facts, _ = commongen_fixture()
         ctx = EvalContext(facts=facts, sets={"C": (1, 2), "Prev": (0, 2)})
         program = parse_program("R(x) :- exists c in C, (exists y in Prev, Equal(c, y))")
-        for domain in (Domain.vocabulary(facts), Domain.prefix((1, 1, 2)),
+        for domain in (Domain.vocabulary(facts), Domain.targets((1, 1, 2)),
                        Domain.targets((3,))):
             out = prove(program, "R", domain, ctx)
             assert isinstance(out, np.ndarray) and out.dtype == np.float64
@@ -206,7 +206,7 @@ class TestPositionsMatchVocabulary:
         ctx = EvalContext(facts=toy_facts, sets={"C": tuple(concepts), "P": tuple(persona),
                                                  "U": tuple(user), "Prev": tuple(prev)})
         vocab = prove(program, "R", Domain.vocabulary(toy_facts), ctx)
-        prefix = prove(program, "R", Domain.prefix(prev), ctx)
+        prefix = prove(program, "R", Domain.targets(prev), ctx)
         targets = prove(program, "R", Domain.targets(concepts), ctx)
         assert prefix.tobytes() == vocab[prev].tobytes()
         assert targets.tobytes() == vocab[concepts].tobytes()

@@ -267,3 +267,23 @@ def test_non_finite_truth_is_an_error_reply_and_the_connection_stays_open(
         assert p_shifted_of(good).tolist() == one_hot(n, 3)
     finally:
         client.close()
+
+
+@pytest.mark.parametrize("domain, sets, field", [
+    ([41.9], {"C": [41], "Prev": [0]}, "domain"),      # would prove id 41
+    ([True], {"C": [41], "Prev": [0]}, "domain"),      # would read as id 1
+    ("vocab", {"C": "41", "Prev": [0]}, "ctx.sets.C"),  # would bind C = (4, 1)
+    ("vocab", {"C": [41], "Prev": [0, 2.0]}, "ctx.sets.Prev"),
+])
+def test_ids_that_are_not_json_integers_get_an_error_naming_the_field(server, domain, sets,
+                                                                      field):
+    request = {"op": "prove", "rule": "R", "domain": domain, "ctx": {"sets": sets}}
+    client = Client(server)
+    try:
+        reply = client.call(request)
+        assert set(reply) == {"error"} and field in reply["error"]
+        # the connection is still usable
+        good = client.call({**request, "domain": [41], "ctx": {"sets": {"C": [41], "Prev": [0]}}})
+        assert len(good["truth"]) == 1
+    finally:
+        client.close()
