@@ -164,21 +164,16 @@ def _detokenize(tokens, vocab: Vocabulary, bos: int, eos) -> str:
 
 
 def _decode_config(args) -> DecodingConfig:
-    if getattr(args, "preset", "custom") != "custom":
-        base = PRESETS[args.preset]
-    else:
-        base = DecodingConfig()
-    overrides = {}
-    if args.beam is not None:
-        overrides["beam_size"] = args.beam
-    for flag, name in (("alpha1", "alpha1"), ("alpha2", "alpha2"), ("alpha3", "alpha3"),
-                       ("rho", "prune_ratio"), ("group_k", "group_budget")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[name] = value
-    overrides["max_length"] = args.max_length
-    overrides["length_norm_power"] = args.length_norm
-    return replace(base, **overrides)
+    base = PRESETS.get(getattr(args, "preset", "custom"), DecodingConfig())
+    flags = {"beam": "beam_size", "alpha1": "alpha1", "alpha2": "alpha2", "alpha3": "alpha3",
+             "rho": "prune_ratio", "group_k": "group_budget"}
+    overrides = {name: getattr(args, flag) for flag, name in flags.items()
+                 if getattr(args, flag, None) is not None}
+    overrides.update(max_length=args.max_length, length_norm_power=args.length_norm)
+    try:
+        return replace(base, **overrides)
+    except ValueError as exc:  # DecodingConfig rejects the setting
+        raise UsageError(f"invalid decode setting: {exc}") from None
 
 
 def _result_line(instance, hyp, facts, config, concepts, completed, trace=None) -> dict:
@@ -214,10 +209,10 @@ def cmd_ingest_kg(args) -> int:
 
 
 def _decode_common(args, constrained: bool) -> int:
+    config = _decode_config(args)
     facts = load_factbase(_require_file(args.factbase, "--factbase"))
     instances = load_instances(_require_file(args.instances, "--instances"))
     scorer = _build_scorer(args, facts)
-    config = _decode_config(args)
     bos = facts.vocab.id_of("<s>")
     eos = facts.vocab.id_of("</s>")
     if bos is None:

@@ -23,12 +23,12 @@ vocabulary builds no V-long distribution; only ``trace`` writes one out,
 for the first hypothesis.
 
 Each hypothesis step proves at most once: the vocabulary truth vector under
-the hypothesis's own prefix.  The attention hooks' prefix and target truth
-values are gathers of it, since an atom reads only the token id at a
-position.  When static analysis shows the rules depend on the prefix only
+its own prefix, of which the attention hooks' prefix and target truths are
+gathers (an atom reads only the token id at a position).  It is memoised
+with its support on the coverage bitmask when the rules read the prefix only
 through stem-equality coverage of the constraint set (the shipped lexical
-templates do), the vector is memoised, with its support, on the coverage
-bitmask; rules that never mention the prefix are proved once.
+templates do), else on the prefix.  Across proves, the prover's memo keeps
+the entries of rules that never read the prefix, as ``Rel(x, c)`` there.
 """
 
 from __future__ import annotations
@@ -174,6 +174,26 @@ def _prefix_dependence(program: R.RuleProgram, rule: str) -> str:
     return result
 
 
+def _prefix_free_rules(program: R.RuleProgram) -> frozenset[str]:
+    """Rules whose closure never quantifies over ``Prev`` (callees first in ``order``)."""
+    free: set[str] = set()
+    for name in program.order:
+        if not any(isinstance(node, R.Quant) and node.set_name == "Prev"
+                   or isinstance(node, R.RuleRef) and node.rule not in free
+                   for node, _, _ in R.walk(program.rule(name))):
+            free.add(name)
+    return frozenset(free)
+
+
+def _keep_prefix_free(memo: dict, free: frozenset[str]) -> None:
+    """Drop the entries of rules outside ``free``; freeze the vectors kept."""
+    for key in list(memo):
+        if key[0] not in free:
+            del memo[key]
+        elif isinstance(memo[key], np.ndarray):
+            memo[key].flags.writeable = False
+
+
 # ---------------------------------------------------------------------------
 # Decoding
 
@@ -199,21 +219,17 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         and scorer.supports_attention_hooks and (config.alpha1 > 0 or config.alpha2 > 0)
 
     memo_mode = _prefix_dependence(program, rule) if shifting or hooking else "full"
+    prefix_free = _prefix_free_rules(program) if shifting or hooking else frozenset()
     vocab_memo: dict = {}
+    rule_memo: dict = {}  # the prover's, carried across proves for prefix-free rules
 
     def vocab_truth(tokens: tuple[int, ...], covered: int) -> Support:
-        if memo_mode == "none":
-            key = ()
-        elif memo_mode == "coverage":
-            key = covered
-        else:
-            key = tokens
-        hit = vocab_memo.get(key)
-        if hit is None:
-            local = EvalContext(facts=facts, sets={**ctx.sets, "Prev": tokens})
-            hit = support_of(prove(program, rule, Domain.vocabulary(facts), local))
-            vocab_memo[key] = hit
-        return hit
+        key = tokens if memo_mode == "full" else covered
+        if key not in vocab_memo:
+            local = EvalContext(facts, {**ctx.sets, "Prev": tokens}, rule_memo)
+            vocab_memo[key] = support_of(prove(program, rule, Domain.vocabulary(facts), local))
+            _keep_prefix_free(rule_memo, prefix_free)
+        return vocab_memo[key]
 
     def step_dist(sessions: Sequence, hyps: Sequence[Hypothesis]) -> tuple[list, list]:
         """Consume each hypothesis's last token in its session with one

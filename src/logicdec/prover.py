@@ -34,7 +34,7 @@ recursion, quantifiers iterated directly, facts read through scalar lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -78,10 +78,12 @@ class Domain:
 class EvalContext:
     """Bindings a rule needs at evaluation time.
 
-    ``sets`` maps set names (C, P, U, Prev, ...) to token-id tuples.
+    ``sets`` maps set names (C, P, U, Prev, ...) to token-id tuples; ``memo``
+    is an optional caller-owned ``(rule, args) -> truth`` dict (see ``prove``).
     """
     facts: FactBase
     sets: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
+    memo: Optional[dict] = None
 
     def bound(self, name: str) -> tuple[int, ...]:
         if name not in self.sets:
@@ -159,47 +161,47 @@ def _atom_vector(pred: str, a, b, domain: Domain, ctx: EvalContext):
     return column if domain.kind == "vocab" else column[domain.ids]
 
 
-def _eval_vector(expr, subst, domain: Domain, ctx: EvalContext, memo):
+def _eval_vector(program: R.RuleProgram, expr, subst, domain: Domain, ctx: EvalContext, memo):
+    def ev(child, inner=subst):
+        return _eval_vector(program, child, inner, domain, ctx, memo)
     if isinstance(expr, R.Atom):
         a = _resolve(expr.args[0], subst)
         b = _resolve(expr.args[1], subst)
         return _atom_vector(expr.pred, a, b, domain, ctx)
     if isinstance(expr, R.Not):
-        return not_vec(_eval_vector(expr.child, subst, domain, ctx, memo))
+        return not_vec(ev(expr.child))
     if isinstance(expr, R.OrNode):
         if not expr.children:
             return 0.0
-        return or_vec([_eval_vector(c, subst, domain, ctx, memo) for c in expr.children])
+        return or_vec([ev(c) for c in expr.children])
     if isinstance(expr, R.AndAvgNode):
-        return and_avg_vec([_eval_vector(c, subst, domain, ctx, memo) for c in expr.children])
+        return and_avg_vec([ev(c) for c in expr.children])
     if isinstance(expr, R.AndLukNode):
         if not expr.children:
             return 1.0
-        return and_luk_vec([_eval_vector(c, subst, domain, ctx, memo) for c in expr.children])
+        return and_luk_vec([ev(c) for c in expr.children])
     if isinstance(expr, R.Quant):
         elements = ctx.bound(expr.set_name)
         if not elements:
             raise R.EmptyDomainError(expr.set_name)
-        values = [_eval_vector(expr.body, {**subst, expr.var: int(tid)}, domain, ctx, memo)
-                  for tid in elements]
+        values = [ev(expr.body, {**subst, expr.var: int(tid)}) for tid in elements]
         if len(values) == 1:
             return values[0]
         return or_vec(values) if expr.kind == "exists" else and_avg_vec(values)
     if isinstance(expr, R.RuleRef):
         resolved = tuple(_resolve(arg, subst) for arg in expr.args)
-        return _eval_rule(expr.rule, resolved, domain, ctx, memo)
+        return _eval_rule(program, expr.rule, resolved, domain, ctx, memo)
     raise TypeError(f"unexpected node {expr!r}")
 
 
-def _eval_rule(name: str, resolved_args, domain: Domain, ctx: EvalContext, memo: dict):
+def _eval_rule(program: R.RuleProgram, name: str, resolved_args, domain, ctx, memo: dict):
     key = (name, resolved_args)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    program: R.RuleProgram = memo["__program__"]
     rule = program.rule(name)
     subst = dict(zip(rule.params, resolved_args))
-    out = _eval_vector(rule.body, subst, domain, ctx, memo)
+    out = _eval_vector(program, rule.body, subst, domain, ctx, memo)
     memo[key] = out
     return out
 
@@ -209,8 +211,8 @@ def prove(program: R.RuleProgram, rule: str, domain: Domain,
     """Evaluate ``rule`` for every position of ``domain`` in parallel.
 
     Returns a float64 truth vector in [0, 1] with one entry per domain
-    position.  Results for repeated (rule, argument) evaluations are shared
-    within one call.
+    position.  Repeated (rule, argument) evaluations share one result, kept
+    in ``ctx.memo`` if the caller gives one (vocabulary domains only).
     """
     target = program.rule(rule)
     if len(target.params) != 1:
@@ -223,8 +225,10 @@ def prove(program: R.RuleProgram, rule: str, domain: Domain,
         for tid in ids:
             if not (0 <= tid < n_vocab):
                 raise ValueError(f"set '{name}' binds token id {tid} outside the vocabulary")
-    memo: dict = {"__program__": program}
-    out = _eval_rule(rule, (_DOMAIN_ARG,), domain, ctx, memo)
+    if ctx.memo is not None and domain.kind != "vocab":
+        raise ValueError("a caller-owned memo needs the vocabulary domain")
+    memo = {} if ctx.memo is None else ctx.memo
+    out = _eval_rule(program, rule, (_DOMAIN_ARG,), domain, ctx, memo)
     return np.full(len(domain), out) if np.ndim(out) == 0 else out
 
 

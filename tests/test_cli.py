@@ -130,6 +130,22 @@ class TestDecode:
         assert code == 1
         assert "--factbase" in err
 
+    @pytest.mark.parametrize("flag, value, words", [
+        ("--beam", "0", "beam size"),
+        ("--length-norm", "nan", "length-normalisation power"),
+    ])
+    def test_invalid_decode_setting_is_a_usage_error(self, snapshot, tmp_path, capsys,
+                                                      flag, value, words):
+        out = tmp_path / "results.jsonl"
+        code, _, err = run(["decode", "--factbase", str(snapshot),
+                            "--instances", str(DATA / "lexical20.jsonl"),
+                            "--corpus", str(DATA / "corpus_lexical.txt"),
+                            flag, value, "--out", str(out)], capsys)
+        assert code == 1
+        assert "runtime failure" not in err and "Traceback" not in err
+        assert f"invalid decode setting: {words}" in err
+        assert not out.exists()
+
     def test_transformer_scorer_runs(self, snapshot, tmp_path, capsys):
         out = tmp_path / "tf.jsonl"
         instances = tmp_path / "one.jsonl"

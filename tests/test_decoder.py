@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -6,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logicdec.decision import FULL_RANK_MAX_V
-from logicdec.decoder import (DecodingConfig, Hypothesis, PRESETS,
-                              _prefix_dependence, _select_beam, coverage_of,
-                              coverage_table, decode, plain_beam_search)
+from logicdec import prover as P
+from logicdec.decoder import (DecodingConfig, Hypothesis, PRESETS, _keep_prefix_free,
+                              _prefix_dependence, _prefix_free_rules, _select_beam,
+                              coverage_of, coverage_table, decode, plain_beam_search)
 from logicdec.kb import FactBase, Vocabulary
 from logicdec.lm import NgramScorer, Scorer, ngram_train
-from logicdec.prover import Domain, EvalContext, prove
+from logicdec.prover import Domain, EvalContext, prove, prove_scalar
 from logicdec.rules import parse_program
 from logicdec.tasks import lexical_rule_template, load_instances
 
@@ -200,6 +202,70 @@ class TestPrefixDependenceIsSound:
                                                            "Prev": tuple(prefix)}))
                   for prefix in prefixes]
         assert truths[0].tobytes() == truths[1].tobytes()
+
+
+class TestCarriedProverMemo:
+    """The decoder carries the prover's entries of prefix-free rules from one
+    vocabulary prove to the next; nothing it carries may change a truth."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rnd=st.randoms(use_true_random=False), n_rules=st.integers(1, 4))
+    def test_carried_memo_equals_fresh_proving(self, toy_facts, rnd, n_rules):
+        program = parse_program(_toy_program(rnd, n_rules))
+        free = _prefix_free_rules(program)
+        vocab = Domain.vocabulary(toy_facts)
+        n = len(toy_facts.vocab)
+        sets = {"C": tuple(rnd.randrange(n) for _ in range(rnd.randint(1, 3))),
+                "P": tuple(rnd.randrange(n) for _ in range(rnd.randint(1, 3)))}
+        memo: dict = {}
+        for _ in range(rnd.randint(2, 5)):
+            sets["Prev"] = tuple(rnd.randrange(n) for _ in range(rnd.randint(1, 8)))
+            carried = prove(program, "R", vocab, EvalContext(toy_facts, sets, memo))
+            _keep_prefix_free(memo, free)
+            assert all(name in free for name, _ in memo)
+            ctx = EvalContext(toy_facts, dict(sets))
+            assert carried.tobytes() == prove(program, "R", vocab, ctx).tobytes()
+            scalar = np.array([prove_scalar(program, "R", w, ctx) for w in range(n)])
+            assert np.abs(carried - scalar).max() <= 1e-9
+
+    def test_prefix_free_rule_is_proved_once_per_argument(self, lexical_scorer, toy_facts,
+                                                          sentinel_ids, monkeypatch):
+        bos, eos = sentinel_ids
+        inst = load_instances(DATA / "lexical20.jsonl")[0]
+        binding = lexical_rule_template(inst.concepts, toy_facts, gate="luk")
+        program = parse_program(binding.source)
+        bodies = {id(program.rule(name).body): name for name in ("R", "Rel")}
+        evaluated = Counter()
+        original = P._eval_vector
+
+        def counting(program_, expr, *rest):
+            if id(expr) in bodies:  # a rule body is evaluated only on a memo miss
+                evaluated[bodies[id(expr)]] += 1
+            return original(program_, expr, *rest)
+
+        monkeypatch.setattr(P, "_eval_vector", counting)
+        config = replace(PRESETS["commongen"], max_length=16, bos_id=bos, eos_id=eos)
+        decode(lexical_scorer, program, "R", binding.ctx, config)
+        concepts = set(binding.ctx.sets["C"])
+        assert len(concepts) > 1 and evaluated["R"] > 1
+        assert evaluated["Rel"] == len(concepts)
+
+    def test_carried_vectors_reject_in_place_writes(self, toy_facts):
+        v = toy_facts.vocab
+        program = parse_program(LEXICAL_RULES)
+        free = _prefix_free_rules(program)
+        assert free == {"Rel"}
+        memo: dict = {}
+        ctx = EvalContext(toy_facts, {"C": (v.id_of("garden"),), "Prev": (v.id_of("the"),)},
+                          memo)
+        prove(program, "R", Domain.vocabulary(toy_facts), ctx)
+        assert {name for name, _ in memo} == {"R", "Rel", "Y"}
+        _keep_prefix_free(memo, free)
+        (vector,) = memo.values()
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(vector, 1.0, out=vector)
 
 
 def _select_beam_oracle(candidates, config):

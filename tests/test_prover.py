@@ -161,6 +161,19 @@ class TestProve:
         with pytest.raises(ValueError, match="outside"):
             prove(parse_program(COMMONGEN_AVG), "R", Domain.targets((99,)), ctx)
 
+    def test_caller_memo_is_keyed_by_rule_and_arguments_over_the_vocabulary(self):
+        facts, ctx = commongen_fixture()
+        program = parse_program(COMMONGEN_AVG)
+        memo: dict = {}
+        with_memo = EvalContext(facts=facts, sets=ctx.sets, memo=memo)
+        # the keys omit the domain, so only vocabulary domains may share them
+        with pytest.raises(ValueError, match="vocabulary domain"):
+            prove(program, "R", Domain.targets((1, 2)), with_memo)
+        out = prove(program, "R", Domain.vocabulary(facts), with_memo)
+        assert out.tobytes() == prove(program, "R", Domain.vocabulary(facts), ctx).tobytes()
+        assert memo and all(isinstance(name, str) and isinstance(args, tuple)
+                            for name, args in memo)
+
     def test_multi_parameter_rule_not_provable(self):
         facts, ctx = commongen_fixture()
         with pytest.raises(ValueError, match="exactly one"):
