@@ -3,10 +3,10 @@ vector by boosting pre-activation scores.
 
 ``pre_activation(P, I, alpha)`` is ``log softmax(log P + I * (alpha * P))``,
 the log of the shifted distribution, and the one place the prediction shift
-happens: the decoder ranks it for every scorer, the transformer's included,
-through ``top_k_shifted``, which scores only the entries that can reach the
-top k (of a vector, or of an ``lm.NgramDist`` without writing it out);
-``decide`` is its exponential.  The boost on entry ``i`` is
+happens: the decoder ranks it for every scorer with one ``top_k_rows`` call
+per step, which scores all rows together, and of long rows only the entries
+that can reach their top k (of a vector, or of an ``lm.NgramDist`` without
+writing it out); ``decide`` is its exponential.  The boost on entry ``i`` is
 ``alpha * I_i * P_i``: words the rules like gain probability, with the
 original probability gating the magnitude so that a near-zero candidate is
 never catapulted to the top.  With ``I = 0`` or ``alpha = 0`` the scores are
@@ -15,13 +15,13 @@ never catapulted to the top.  With ``I = 0`` or ``alpha = 0`` the scores are
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .lm import NgramDist
 
-__all__ = ["decide", "pre_activation", "top_k_shifted", "support_of", "Support",
+__all__ = ["decide", "pre_activation", "top_k_shifted", "top_k_rows", "support_of", "Support",
            "softmax", "SCORE_FLOOR"]
 
 # Pre-activation assigned to zero-probability entries.  Finite so that the
@@ -29,9 +29,8 @@ __all__ = ["decide", "pre_activation", "top_k_shifted", "support_of", "Support",
 SCORE_FLOOR = -1e30
 # How far the mass of a distribution given to ``decide`` may stray from 1.
 SUM_TOLERANCE = 1e-6
-# Longest vector that ``top_k_shifted`` ranks in full, and the most scores
-# that ``_best_k`` sorts; past it, bounding the candidates first is faster
-# (the crossover is measured in CHANGES.md).
+# Longest row that ``top_k_rows`` ranks in full; past it, bounding the
+# candidates first is faster (the crossover is measured in CHANGES.md).
 FULL_RANK_MAX_V = 1024
 
 
@@ -63,25 +62,39 @@ def _log(p: np.ndarray) -> np.ndarray:
     return np.log(p, out=np.full(p.shape, SCORE_FLOOR), where=p > 0.0)
 
 
-def _boost(pz: np.ndarray, support: Support, alpha: float) -> tuple[np.ndarray, float]:
-    """``b = alpha * I * p`` on the support, and ``log Z`` with ``Z =
-    sum(p * exp(b))``, from ``pz``, the entries of ``p`` on the support."""
-    b = support.values * (alpha * pz)
-    m = b.max(initial=0.0)
-    if m <= 700.0:  # sum(p * expm1(b)) <= exp(m) stays finite
-        return b, np.log1p((pz * np.expm1(b)).sum())
-    # shift by the largest boost; the mass off the support weighs exp(-m)
-    return b, m + np.log((pz * np.exp(b - m)).sum() + (1.0 - pz.sum()) * np.exp(-m))
+def _boost(pz: np.ndarray, supports: Sequence[Support],
+           alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """``b = alpha * I * p`` on nonempty supports laid end to end, from
+    ``pz``, the entries of ``p`` there, and per support ``log Z`` with ``Z =
+    sum(p * exp(b))``, summed over its own slice to round as if alone."""
+    sizes = np.array([len(s.ids) for s in supports])
+    starts = np.cumsum(sizes) - sizes
+    b = np.concatenate([s.values for s in supports]) * (alpha * pz)
+    m = np.maximum(np.maximum.reduceat(b, starts), 0.0)
+    # where m <= 700, sum(p * expm1(b)) <= exp(m) stays finite (the cap
+    # changes no such b, and keeps the other sums finite)
+    terms = pz * np.expm1(np.minimum(b, 700.0))
+    log_z = np.log1p([terms[i:i + n].sum() for i, n in zip(starts, sizes)])
+    for r in np.flatnonzero(m > 700.0):
+        # shift by the largest boost; the mass off the support weighs exp(-m)
+        on = slice(starts[r], starts[r] + sizes[r])
+        log_z[r] = m[r] + np.log((pz[on] * np.exp(b[on] - m[r])).sum()
+                                 + (1.0 - pz[on].sum()) * np.exp(-m[r]))
+    return b, log_z
 
 
-def _shifted(p: np.ndarray, support: Optional[Support], alpha: float) -> np.ndarray:
+def _shift(p: np.ndarray, rows: np.ndarray, on: np.ndarray,
+           supports: Sequence[Optional[Support]], alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """``pre_activation`` of rows laid end to end in ``p``, given each entry's
+    row and the supports' positions ``on``, and each row's ``log Z``."""
     scores = _log(p)
-    if support is None:
-        return scores
-    b, log_z = _boost(p[support.ids], support, alpha)
-    scores[support.ids] += b
-    scores -= log_z
-    return scores
+    log_z = np.zeros(len(supports))
+    boosted = [i for i, s in enumerate(supports) if s is not None and len(s.ids)]
+    if boosted:  # an empty support has log Z = log1p(0) = 0
+        b, log_z[boosted] = _boost(p[on], [supports[i] for i in boosted], alpha)
+        scores[on] += b
+        scores -= log_z[rows]
+    return scores, log_z
 
 
 def pre_activation(p: np.ndarray, truth: np.ndarray | None = None,
@@ -91,101 +104,118 @@ def pre_activation(p: np.ndarray, truth: np.ndarray | None = None,
     sum(p * exp(b))``.  ``Z`` is computed from the support alone, so ``p``
     must be a distribution and ``b`` nonnegative."""
     p = np.asarray(p, dtype=np.float64)
-    return _shifted(p, None if truth is None else support_of(truth), alpha)
+    sups = [None if truth is None else support_of(truth)]
+    return _shift(p, np.zeros(len(p), dtype=np.intp), _keys(sups, len(p)), sups, alpha)[0]
 
 
 def top_k_shifted(p: np.ndarray | NgramDist, support: Optional[Support], alpha: float,
                   k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ids and scores of the ``k`` best entries of ``pre_activation(p,
-    support.truth, alpha)`` (``support`` None for no truth vector), best
-    first, ties to the smaller id; the scores equal ``pre_activation``'s bit
-    for bit.  ``p`` is a vector or an ``NgramDist`` (then read as its
-    ``dense()``), and ``1 <= k <= len(p)``.
-
-    Off the support the boost is zero, so a score orders like ``p``: the top
-    ``k`` lie on the support or among the entries whose ``p`` reaches the
-    ``k``-th largest.  Past ``FULL_RANK_MAX_V`` entries only candidates
-    that hold those are scored; the full row is ranked when the vector is
-    short, when half of it or more are candidates, or when an entry left
-    out could tie the ``k``-th score.
-    """
-    if len(p) > FULL_RANK_MAX_V:
-        top = _top_k_of_candidates(p, support, alpha, k)
-        if top is not None:
-            return top
-    p = p.dense() if isinstance(p, NgramDist) else np.asarray(p, dtype=np.float64)
-    scores = _shifted(p, support, alpha)
-    ids = _best_k(scores, k)
-    return ids, scores[ids]
+    """``top_k_rows`` of the one row ``p``."""
+    ids, scores = top_k_rows([p], [support], alpha, k)
+    return ids[0], scores[0]
 
 
-def _top_k_of_candidates(p: np.ndarray | NgramDist, support: Optional[Support],
-                         alpha: float, k: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """``top_k_shifted`` from the candidates alone, or None when an entry
-    left out could tie the ``k``-th score or when half the row or more are
-    candidates (gathering them then costs more than scoring the row)."""
-    if isinstance(p, NgramDist):
-        ids, lo = p.top_candidates(k)
-        if support is not None:
-            ids = np.concatenate([ids, support.ids])
-        ids.sort()
-        ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
-        if 2 * len(ids) >= len(p):
-            return None
-        return _rank_candidates(ids, p.at(ids), lo, support, alpha, k)
-    p = np.asarray(p, dtype=np.float64)
-    # Each of k blocks holds an entry at least its maximum, so the smallest
-    # block maximum bounds the k-th largest p from below.  The margin keeps
-    # entries whose p lies a few ulps lower, whose score may round to the
-    # same value, so that the bound check rarely fails.
-    lo = (1.0 - 1e-9) * p[: len(p) // k * k].reshape(k, -1).max(axis=1).min()
-    keep = p >= lo
-    if support is not None:
-        keep[support.ids] = True
-    ids = np.flatnonzero(keep)
-    if 2 * len(ids) >= len(p):
-        return None
-    return _rank_candidates(ids, p[ids], lo, support, alpha, k)
+def top_k_rows(rows: Sequence[np.ndarray | NgramDist], supports: Sequence[Optional[Support]],
+               alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and scores, each ``(len(rows), k)``, of the ``k`` best entries of
+    each row's ``pre_activation(p, support.truth, alpha)`` (``support`` None
+    for no truth vector), best first, ties to the smaller id; the scores
+    equal ``pre_activation``'s bit for bit.  ``rows`` are vectors or
+    ``NgramDist``s (read as their ``dense()``) of one length ``V >= k``.
+
+    Off the support the boost is zero, so a score orders like ``p``: past
+    ``FULL_RANK_MAX_V`` entries only the support and the entries whose ``p``
+    can reach the ``k``-th largest are ranked, unless one left out could tie."""
+    if len(rows[0]) <= FULL_RANK_MAX_V:
+        return _top_k_of_whole(rows, supports, alpha, k)
+    ids, scores, ok = _top_k_of_candidates(rows, supports, alpha, k)
+    whole = np.flatnonzero(~ok)
+    if len(whole):
+        ids[whole], scores[whole] = _top_k_of_whole([rows[i] for i in whole],
+                                                    [supports[i] for i in whole], alpha, k)
+    return ids, scores
 
 
-def _rank_candidates(ids: np.ndarray, p: np.ndarray, lo: float, support: Optional[Support],
-                     alpha: float, k: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """``top_k_shifted`` from at least ``k`` ascending candidate ``ids``
-    that hold the support, and their ``p``, given that every other entry's
-    ``p`` is at most ``lo``; None when such an entry could reach the
-    ``k``-th score."""
-    scores = _log(p)
-    log_z = 0.0
-    if support is not None:
-        on = np.searchsorted(ids, support.ids)
-        b, log_z = _boost(p[on], support, alpha)
-        scores[on] += b
-    scores -= log_z
-    top = _best_k(scores, k)  # ids ascend, so ties go to the smaller
-    # an entry left out is off the support with p at most lo: it scores at
-    # most log(lo) - log Z, and must not reach the k-th score
-    if scores[top[-1]] <= (np.log(lo) if lo > 0.0 else SCORE_FLOOR) - log_z:
-        return None
-    return ids[top], scores[top]
+def _top_k_of_whole(rows: Sequence, supports: Sequence[Optional[Support]], alpha: float,
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+    n, v = len(rows), len(rows[0])
+    p = NgramDist.at(rows, np.arange(n * v)) if _one_model(rows) else np.concatenate(
+        [r.dense() if isinstance(r, NgramDist) else r for r in rows], dtype=float)
+    row = np.repeat(np.arange(n), v)
+    scores, _ = _shift(p, row, _keys(supports, v), supports, alpha)
+    top = _best_k(scores, row, k)
+    return top - np.arange(n)[:, None] * v, scores[top]
 
 
-def _best_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the ``k`` largest of at least ``k`` ``scores``, largest
-    first, ties to the smaller position.  Up to ``FULL_RANK_MAX_V`` scores
-    are sorted; past it only the entries above the ``k``-th score are, and
-    the first positions tied with it fill the rest, so that a large tied
-    group costs one pass and no sort."""
-    if len(scores) <= FULL_RANK_MAX_V:
-        return np.argsort(-scores, kind="stable")[:k]
-    # the smallest of k block maxima bounds the k-th score from below, and
-    # is the k-th score when fewer than k entries lie above it
-    kth = scores[: len(scores) // k * k].reshape(k, -1).max(axis=1).min()
-    above = np.flatnonzero(scores > kth)
-    if len(above) >= k:
-        kth = -np.partition(-scores[above], k - 1)[k - 1]
-        above = above[scores[above] > kth]
-    tied = np.flatnonzero(scores == kth)[: k - len(above)]
-    return np.concatenate([above[np.argsort(-scores[above], kind="stable")], tied])
+def _one_model(rows: Sequence) -> bool:
+    return all(isinstance(p, NgramDist) and p.unigram is rows[0].unigram for p in rows)
+
+
+def _keys(supports: Sequence[Optional[Support]], v: int) -> np.ndarray:
+    """The supports' ids as keys ``i * v + id`` (entry ``id`` of row ``i``)."""
+    on = [(i * v, s.ids) for i, s in enumerate(supports) if s is not None]
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [ids for _, ids in on]) + np.repeat(
+        np.array([i for i, _ in on], dtype=np.int64), [len(ids) for _, ids in on])
+
+
+def _top_k_of_candidates(rows: Sequence, supports: Sequence[Optional[Support]], alpha: float,
+                         k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``top_k_rows`` from each row's candidates, and whether that holds: the
+    support plus corrections and ``ranked`` head for ``NgramDist``s of one
+    model, else the entries that reach the least of ``k`` block maxima."""
+    n, v = len(rows), len(rows[0])
+    on = _keys(supports, v)
+    if _one_model(rows):
+        head, lo = NgramDist.top_candidates(rows, k)
+        keys = np.sort(np.concatenate([head, on]))
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        p = NgramDist.at(rows, keys)
+    else:  # row by row, while each V-long row is in cache
+        keys, p, lo = [], [], []
+        for i, (row, support) in enumerate(zip(rows, supports)):
+            row = row.dense() if isinstance(row, NgramDist) else np.asarray(row, float)
+            # each of k blocks holds an entry at least its maximum; the margin
+            # keeps entries a few ulps lower, whose score may round the same
+            lo.append((1.0 - 1e-9) * row[: v // k * k].reshape(k, -1).max(1).min())
+            keep = row >= lo[-1]
+            if support is not None:
+                keep[support.ids] = True
+            keys.append(np.flatnonzero(keep) + i * v)
+            p.append(row[keys[-1] - i * v])
+        keys, p, lo = np.concatenate(keys), np.concatenate(p), np.array(lo)
+    row = keys // v
+    scores, log_z = _shift(p, row, np.searchsorted(keys, on), supports, alpha)
+    # an entry left out has p <= lo, so it scores at most log(lo) - log Z: a
+    # row holds when k candidates score above that; its top k are among them
+    above = scores > (_log(lo) - log_z)[row]
+    ok = np.bincount(row[above], minlength=n) >= k
+    ids, top_scores = np.empty((n, k), dtype=np.int64), np.empty((n, k))
+    pos = np.flatnonzero(above & ok[row])
+    if len(pos):
+        top = pos[_best_k(scores[pos], (np.cumsum(ok) - 1)[row[pos]], k)]
+        ids[ok], top_scores[ok] = keys[top] - row[top] * v, scores[top]
+    return ids, top_scores, ok
+
+
+def _best_k(scores: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Positions, ``k`` per row, of each row's ``k`` largest ``scores``,
+    largest first, ties to the smaller position; ``rows`` (ascending from
+    0, at least ``k`` of each) gives each score's row.  Only the entries
+    above a row's ``k``-th score are sorted; the first tied ones fill up."""
+    sizes = np.bincount(rows)
+    n, width = len(sizes), sizes.max()
+    if sizes.min() == width:
+        grid = scores.reshape(n, width)
+    else:
+        grid = np.full((n, width), -np.inf)
+        grid[rows, np.arange(len(scores)) - (np.cumsum(sizes) - sizes)[rows]] = scores
+    kth = np.partition(grid, width - k, axis=1)[:, width - k][rows]
+    keep = scores > kth
+    tied = np.flatnonzero(scores == kth)
+    rank = np.arange(len(tied)) - np.searchsorted(rows[tied], np.arange(n))[rows[tied]]
+    keep[tied[rank < (k - np.bincount(rows[keep], minlength=n))[rows[tied]]]] = True
+    top = np.flatnonzero(keep).reshape(n, k)
+    return top[np.arange(n)[:, None], np.argsort(-scores[top], axis=1, kind="stable")]
 
 
 def decide(p: np.ndarray, truth: np.ndarray, alpha: float) -> np.ndarray:

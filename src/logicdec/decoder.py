@@ -6,8 +6,9 @@ from its shifted next-token log-scores ``pre_activation(p, I, alpha3)``; at
 the ``beam_size``-th place, ties go to the smaller token id.  Off the truth
 vector's support the boost is zero, so those top candidates lie on the
 support or among the tokens whose ``p`` reaches the ``beam_size``-th
-largest: ``decision.top_k_shifted`` scores only those when the vocabulary is
-large, bit for bit as ``pre_activation`` would.  Candidates are
+largest: one ``decision.top_k_rows`` call per step ranks the live beam,
+scoring only those when the vocabulary is large, bit for bit as
+``pre_activation`` would.  Candidates are
 pruned relative to the best candidate of the step (keep those within a
 ``prune_ratio`` fraction of the best likelihood) and grouped by their
 covered-concept bitmask; at most ``max_groups`` groups stay, the
@@ -17,7 +18,7 @@ first; then the next ``group_budget - 1`` of each group by global score;
 then the rest by global score.  A step first scores the live beam with one
 ``Scorer.step_batch`` call: a hypothesis is scored only at the step that
 expands it, so nothing is scored after the last selection.  The n-gram
-scorer's batch holds ``lm.NgramDist``s, which ``top_k_shifted`` ranks from
+scorer's batch holds ``lm.NgramDist``s, which ``top_k_rows`` ranks from
 their unigram order and sparse corrections, so a step over a large
 vocabulary builds no V-long distribution; only ``trace`` writes one out,
 for the first hypothesis.
@@ -27,8 +28,8 @@ its own prefix, of which the attention hooks' prefix and target truths are
 gathers (an atom reads only the token id at a position).  It is memoised
 with its support on the coverage bitmask when the rules read the prefix only
 through stem-equality coverage of the constraint set (the shipped lexical
-templates do), else on the prefix.  Across proves, the prover's memo keeps
-the entries of rules that never read the prefix, as ``Rel(x, c)`` there.
+templates do), else not kept.  Across proves, the prover's memo keeps the
+entries of rules that never read the prefix, as ``Rel(x, c)`` there.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from . import rules as R
 # decide is not called here; the benchmark's tracer patches this name
 from .decision import (SCORE_FLOOR, Support, decide, pre_activation,  # noqa: F401
-                       support_of, top_k_shifted)
+                       support_of, top_k_rows)
 from .kb import FactBase
 from .lm import NgramDist, Scorer
 from .prover import Domain, EvalContext, prove
@@ -224,12 +225,14 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     rule_memo: dict = {}  # the prover's, carried across proves for prefix-free rules
 
     def vocab_truth(tokens: tuple[int, ...], covered: int) -> Support:
-        key = tokens if memo_mode == "full" else covered
-        if key not in vocab_memo:
-            local = EvalContext(facts, {**ctx.sets, "Prev": tokens}, rule_memo)
-            vocab_memo[key] = support_of(prove(program, rule, Domain.vocabulary(facts), local))
-            _keep_prefix_free(rule_memo, prefix_free)
-        return vocab_memo[key]
+        if covered in vocab_memo:
+            return vocab_memo[covered]
+        local = EvalContext(facts, {**ctx.sets, "Prev": tokens}, rule_memo)
+        support = support_of(prove(program, rule, Domain.vocabulary(facts), local))
+        _keep_prefix_free(rule_memo, prefix_free)
+        if memo_mode != "full":  # no two hypothesis steps share a prefix
+            vocab_memo[covered] = support
+        return support
 
     def step_dist(sessions: Sequence, hyps: Sequence[Hypothesis]) -> tuple[list, list]:
         """Consume each hypothesis's last token in its session with one
@@ -278,10 +281,7 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
 
         # (3)-(4) expand the top k candidates per hypothesis under shifted
         # scores, as one (hypotheses, k) block
-        tops = [top_k_shifted(raw, support, config.alpha3, k)
-                for raw, support in zip(raws, supports)]
-        top = np.array([ids for ids, _ in tops])
-        logd = np.array([scores for _, scores in tops])
+        top, logd = top_k_rows(raws, supports, config.alpha3, k)
         score = np.array([hyp.logp for hyp in hyps])[:, None] + logd
         keep = np.isfinite(score) & (logd > SCORE_FLOOR / 2)
         if not keep.any():

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -74,12 +74,12 @@ class NgramDist:
     the unigram, then per context order that has stats, shortest context
     first, ``out = out * scale; out[ids] += add``.
 
-    ``dense()`` writes the V entries out; ``at(ids)`` gathers entries with
-    the same float operations in the same order, so it equals
-    ``dense()[ids]`` bit for bit.  ``ranked`` holds the token ids by
+    ``dense()`` writes the V entries out.  ``ranked`` holds the token ids by
     descending unigram probability: a positive scale rounds monotonically,
     so an entry off the corrections is at most any entry off the
-    corrections that comes before it there.
+    corrections that comes before it there.  ``at`` and ``top_candidates``
+    take distributions of one model, entry ``id`` of the ``i``-th as the
+    key ``i * V + id``.
     """
 
     __slots__ = ("unigram", "ranked", "levels")
@@ -100,30 +100,51 @@ class NgramDist:
             out[ids] += add
         return out
 
-    def at(self, ids: np.ndarray) -> np.ndarray:
-        """The entries at ``ids``, which ascend without repeats."""
-        out = self.unigram[ids]
-        if not len(ids):
+    @staticmethod
+    def _levels(dists: Sequence["NgramDist"], v: int) -> Iterator[tuple]:
+        """Per context order, shortest first: each distribution's scale (1,
+        which changes no float, where it has none) and the stats' keys and adds."""
+        for j in range(max(len(d.levels) for d in dists)):
+            at, stats = zip(*[(i * v, d.levels[j])
+                              for i, d in enumerate(dists) if j < len(d.levels)])
+            ids = [s[1] for s in stats]
+            yield (np.array([d.levels[j][0] if j < len(d.levels) else 1.0 for d in dists]),
+                   np.concatenate(ids) + np.repeat(at, [len(x) for x in ids]),
+                   np.concatenate([s[2] for s in stats]))
+
+    @staticmethod
+    def at(dists: Sequence["NgramDist"], keys: np.ndarray) -> np.ndarray:
+        """The entries at ``keys``, which ascend without repeats, by the float
+        operations of ``dense()`` in its order, so they equal them bit for bit."""
+        v = len(dists[0])
+        rows = keys // v
+        out = dists[0].unigram[keys - rows * v]
+        if not len(keys):
             return out
-        for scale, successors, add in self.levels:
-            out *= scale
-            pos = np.searchsorted(ids, successors)
-            hit = ids.take(pos, mode="clip") == successors
+        for scale, successors, add in NgramDist._levels(dists, v):
+            out *= scale[rows]
+            pos = np.searchsorted(keys, successors)
+            hit = keys.take(pos, mode="clip") == successors
             out[pos[hit]] += add[hit]
         return out
 
-    def top_candidates(self, k: int) -> tuple[np.ndarray, float]:
-        """Ids, unsorted and possibly repeated, and a bound ``lo`` that every
-        entry off them is at most: the correction ids and the first ``2k +
-        |corrections|`` ids of ``ranked`` (so at least ``2k`` entries off the
-        corrections reach ``lo``), and the value off the corrections of the
-        last of those."""
-        corrections = [ids for _, ids, _ in self.levels]
-        head = self.ranked[: 2 * k + sum(len(ids) for ids in corrections)]
-        lo = float(self.unigram[head[-1]])
-        for scale, _, _ in self.levels:
+    @staticmethod
+    def top_candidates(dists: Sequence["NgramDist"], k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Keys, unsorted and possibly repeated, of each one's corrections and
+        first ``2k + |corrections|`` ids of ``ranked``, so that ``2k`` entries
+        off the corrections reach ``lo``, the value off them of the last."""
+        v = len(dists[0])
+        levels = list(NgramDist._levels(dists, v))
+        corrections = [np.empty(0, dtype=np.int64), *(c for _, c, _ in levels)]
+        size = np.minimum(2 * k + np.bincount(np.concatenate(corrections) // v,
+                                              minlength=len(dists)), v)
+        at = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # heads end to end
+        keys = np.concatenate([dists[0].ranked[at] + np.repeat(np.arange(len(dists)) * v, size),
+                               *corrections])
+        lo = dists[0].unigram[dists[0].ranked[size - 1]]
+        for scale, _, _ in levels:
             lo *= scale
-        return np.concatenate([head, *corrections]), lo
+        return keys, lo
 
 
 class NgramLM:

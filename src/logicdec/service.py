@@ -81,14 +81,16 @@ def _answer(request: dict, facts: FactBase, program: RuleProgram) -> Answer:
                 return "error", f"rule '{rule}' gave a non-finite truth value"
             return "truth", truth
         if op == "decide":
-            p = np.asarray(request["p"], dtype=np.float64)
-            truth = np.asarray(request["truth"], dtype=np.float64)
+            if type(alpha := request["alpha"]) not in (int, float):  # not bool either
+                return "error", f"alpha must be a JSON number, got {alpha!r}"
+            p, truth = np.asarray(request["p"]), np.asarray(request["truth"])
             for name, vector in (("p", p), ("truth", truth)):
+                if vector.dtype.kind not in "fi":  # strings, booleans, nulls
+                    return "error", f"{name} must be a list of JSON numbers"
                 if vector.shape != (len(facts.vocab),):
                     return "error", (f"{name} must hold one value per vocabulary token "
                                      f"({len(facts.vocab)}), got shape {vector.shape}")
-            alpha = float(request["alpha"])
-            return "p_shifted", decide(p, truth, alpha)
+            return "p_shifted", decide(p, truth, float(alpha))
         return "error", f"unknown op {op!r}"
     except Exception as exc:  # per-request failures must not kill the service
         return "error", f"{type(exc).__name__}: {exc}"

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from logicdec.decision import (FULL_RANK_MAX_V, SCORE_FLOOR, _top_k_of_candidates,
                                 decide, pre_activation, softmax, support_of,
-                                top_k_shifted)
-from logicdec.lm import ngram_train
+                                top_k_rows, top_k_shifted)
+from logicdec.lm import NgramDist, ngram_train
 
 
 def normalized(values):
@@ -179,20 +179,26 @@ class TestTopK:
     def test_equals_a_lexsort_of_pre_activation(self, case):
         p, truth, alpha, k = case
         scores = pre_activation(p, truth, alpha)
-        want = np.lexsort((np.arange(len(p)), -scores))[:k]
         support = None if truth is None else support_of(truth)
         results = [top_k_shifted(p, support, alpha, k)]
-        # the candidate path alone, at every size; None sends a row to the
-        # full ranking
-        bounded = _top_k_of_candidates(p, support, alpha, k)
-        if bounded is not None:
-            results.append(bounded)
-        # entries at the floor are never expanded, so their order is free
-        n = int((scores[want] > SCORE_FLOOR / 2).sum())
+        # the candidate path alone, at every size; a row that does not hold
+        # goes to the full ranking
+        bounded, bounded_scores, holds = _top_k_of_candidates([p], [support], alpha, k)
+        if holds[0]:
+            results.append((bounded[0], bounded_scores[0]))
         for ids, got in results:
-            assert ids.tolist()[:n] == want.tolist()[:n]
-            assert got[:n].tobytes() == scores[want][:n].tobytes()
-            assert len(ids) == k and (got[n:] <= SCORE_FLOOR / 2).all()
+            assert_lexsort_top_k(ids, got, scores, k)
+
+
+def assert_lexsort_top_k(ids, got, scores, k):
+    """``ids`` and ``got`` are the top ``k`` of ``scores`` in lexsort order,
+    bit for bit."""
+    want = np.lexsort((np.arange(len(scores)), -scores))[:k]
+    # entries at the floor are never expanded, so their order is free
+    n = int((scores[want] > SCORE_FLOOR / 2).sum())
+    assert ids.tolist()[:n] == want.tolist()[:n]
+    assert got[:n].tobytes() == scores[want][:n].tobytes()
+    assert len(ids) == k and (got[n:] <= SCORE_FLOOR / 2).all()
 
 
 @st.composite
@@ -236,3 +242,74 @@ class TestTopKOfNgramDist:
         want_ids, want_scores = top_k_shifted(dist.dense(), support, alpha, k)
         assert ids.tolist() == want_ids.tolist()
         assert scores.tobytes() == want_scores.tobytes()
+
+
+def dense_row(draw, v):
+    """A distribution over ``v`` entries as ``ranking_cases`` draws them, or
+    a flat one, whose entries all tie."""
+    if draw(st.booleans()):
+        return np.full(v, 1.0 / v)
+    weights = np.full(v, draw(st.sampled_from([0.0, 0.0, 1.0, 3.0])))
+    picked = draw(st.lists(st.integers(0, v - 1), max_size=12, unique=True))
+    for i in picked:
+        weights[i] = draw(st.sampled_from([0.0, 1.0, 2.0, 5.0, 50.0]))
+    if not weights.any():
+        weights[draw(st.integers(0, v - 1))] = 1.0
+    p = weights / weights.sum()
+    for i in picked:
+        for _ in range(draw(st.integers(0, 2))):
+            p[i] = np.nextafter(p[i], 0.0)
+    return p
+
+
+@st.composite
+def beam_cases(draw):
+    """(rows, supports, alpha, k) as a decoder step ranks them: 1 to 24 rows
+    of one length, short or past ``FULL_RANK_MAX_V``; past it, n-gram
+    distributions of one model mixed with dense rows; supports shared
+    between rows, of one row, or None; and boosts past 700."""
+    long = draw(st.booleans())
+    v = draw(st.integers(FULL_RANK_MAX_V + 1, FULL_RANK_MAX_V + 300) if long
+             else st.integers(1, 40))
+    k = draw(st.integers(1, min(v, 20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lm = None
+    if long:
+        active = rng.choice(v, size=draw(st.integers(1, 200)), replace=False)
+        corpus = [rng.choice(active, size=rng.integers(1, 12)).tolist()
+                  for _ in range(draw(st.integers(1, 40)))]
+        lm = ngram_train(corpus, draw(st.integers(1, 4)), vocab_size=v)
+
+    def truth():
+        t = np.zeros(v)
+        on = rng.choice(v, size=draw(st.integers(0, min(v, 60))))
+        t[on] = rng.choice([1.0, 0.5, 1e-3, rng.random()], size=len(on))
+        return support_of(t)
+
+    shared = [truth(), truth()]
+    rows, supports = [], []
+    for _ in range(draw(st.integers(1, 24))):
+        if lm is not None and draw(st.booleans()):
+            seq = corpus[rng.integers(len(corpus))]
+            end = int(rng.integers(0, len(seq) + 1))
+            rows.append(lm.dist(seq[max(0, end - 3):end]))
+        else:
+            rows.append(dense_row(draw, v))
+        kind = draw(st.sampled_from(["none", "shared", "shared", "own"]))
+        supports.append(None if kind == "none" else truth() if kind == "own"
+                        else shared[draw(st.integers(0, 1))])
+    alpha = draw(st.floats(0.0, 1e3) | st.sampled_from([24.0, 1e4, 1e30]))
+    return rows, supports, alpha, k
+
+
+class TestTopKRows:
+    @settings(max_examples=200, deadline=None)
+    @given(beam_cases())
+    def test_every_row_equals_a_lexsort_of_pre_activation(self, case):
+        rows, supports, alpha, k = case
+        ids, got = top_k_rows(rows, supports, alpha, k)
+        assert ids.shape == got.shape == (len(rows), k)
+        for row, support, row_ids, row_got in zip(rows, supports, ids, got):
+            p = row.dense() if isinstance(row, NgramDist) else row
+            scores = pre_activation(p, None if support is None else support.truth, alpha)
+            assert_lexsort_top_k(row_ids, row_got, scores, k)

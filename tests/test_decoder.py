@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -752,6 +753,84 @@ class TestGroupCap:
             candidates.append((-2.0 - g * 0.1, 0, 60 + g, 1 << g))
         beam = _select_beam(candidates, config)
         assert len({c[3] for c in beam}) <= config.max_groups
+
+
+class StepWatchingScorer(Scorer):
+    """Delegates to ``inner``, calling ``on_step(batch size)`` before each
+    ``step_batch``."""
+
+    def __init__(self, inner: Scorer, on_step):
+        self.inner, self.on_step = inner, on_step
+        self.vocab_size = inner.vocab_size
+
+    def begin_session(self, targets=()):
+        return self.inner.begin_session(targets)
+
+    def step(self, session, token, hooks=None):
+        return self.inner.step(session, token, hooks)
+
+    def step_batch(self, sessions, tokens, hooks=None):
+        self.on_step(len(sessions))
+        return self.inner.step_batch(sessions, tokens, hooks)
+
+
+class TestDecodeStepWork:
+    def test_full_mode_proves_every_step_and_keeps_no_earlier_truth(
+            self, lexical_scorer, toy_facts, sentinel_ids, monkeypatch):
+        # no two hypothesis steps share a prefix, so a "full" decode proves
+        # once per hypothesis step and stores nothing: a step's truth
+        # vectors die once the next step has ranked
+        from logicdec import decoder as D
+        monkeypatch.setattr(D, "_prefix_dependence", lambda *a, **k: "full")
+        proved, pending, steps = [], [], []
+        original_prove, original_support_of = D.prove, D.support_of
+
+        def counting_prove(program, rule, domain, ctx):
+            proved.append(ctx.sets["Prev"])
+            return original_prove(program, rule, domain, ctx)
+
+        def watching_support_of(truth):
+            support = original_support_of(truth)
+            pending.append(weakref.ref(support.truth))
+            return support
+
+        def on_step(batch):
+            # the previous step's supports are still held; older ones not
+            assert all(ref() is None for _, refs in steps[:-1] for ref in refs)
+            steps.append((batch, pending[:]))
+            pending.clear()
+
+        monkeypatch.setattr(D, "prove", counting_prove)
+        monkeypatch.setattr(D, "support_of", watching_support_of)
+        bos, eos = sentinel_ids
+        v = toy_facts.vocab
+        ctx = EvalContext(facts=toy_facts, sets={"C": (v.id_of("garden"), v.id_of("river"))})
+        config = replace(PRESETS["commongen"], max_length=8, bos_id=bos, eos_id=eos)
+        result = decode(StepWatchingScorer(lexical_scorer, on_step), parse_program(LEXICAL_RULES),
+                        "R", ctx, config, prompt=[bos, v.id_of("the")])
+        assert result.hypotheses and len(steps) == result.steps + 1  # one prompt step
+        assert len(proved) == sum(batch for batch, _ in steps) == len(set(proved))
+        assert all(len(refs) == batch for batch, refs in steps)
+
+    def test_one_ranking_call_per_decoder_step(self, lexical_scorer, toy_facts, sentinel_ids,
+                                               monkeypatch):
+        from logicdec import decoder as D
+        calls = []
+        original = D.top_k_rows
+
+        def counting_top_k_rows(rows, supports, alpha, k):
+            calls.append(len(rows))
+            return original(rows, supports, alpha, k)
+
+        monkeypatch.setattr(D, "top_k_rows", counting_top_k_rows)
+        bos, eos = sentinel_ids
+        instance = load_instances(DATA / "lexical20.jsonl")[0]
+        binding = lexical_rule_template(instance.concepts, toy_facts, gate="luk")
+        config = replace(PRESETS["commongen"], max_length=16, bos_id=bos, eos_id=eos)
+        result = decode(lexical_scorer, parse_program(binding.source), binding.rule, binding.ctx,
+                        config)
+        assert result.steps > 1 and len(calls) == result.steps
+        assert max(calls) > 1  # each call ranks the whole beam
 
 
 class TestMemoisedTruthEqualsFresh:

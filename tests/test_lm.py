@@ -118,7 +118,7 @@ class TestNgramDist:
         dist = lm.dist(ctx)
         dense = dist.dense()
         assert dense.tobytes() == lm.next_dist(ctx).tobytes()
-        assert dist.at(ids).tobytes() == dense[ids].tobytes()
+        assert NgramDist.at([dist], ids).tobytes() == dense[ids].tobytes()
         assert len(dist) == lm.vocab_size
 
     @settings(max_examples=200, deadline=None)
@@ -126,7 +126,7 @@ class TestNgramDist:
     def test_top_candidates_bound_every_entry_left_out(self, case, k):
         lm, ctx, _ = case
         dist = lm.dist(ctx)
-        ids, lo = dist.top_candidates(k)
+        ids, (lo,) = NgramDist.top_candidates([dist], k)
         left_out = np.setdiff1d(np.arange(lm.vocab_size), ids)
         assert (dist.dense()[left_out] <= lo).all()
 

@@ -141,6 +141,27 @@ def test_handle_request_never_raises(toy_facts, program):
         assert "error" in out
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("alpha", "2", "alpha must be a JSON number"),
+    ("alpha", True, "alpha must be a JSON number"),
+    ("alpha", None, "alpha must be a JSON number"),
+    ("alpha", [1.0], "alpha must be a JSON number"),
+    ("p", ["0.5"] * 75, "p must be a list of JSON numbers"),
+    ("p", [None] * 75, "p must be a list of JSON numbers"),
+    ("p", [1.0 / 75] * 74 + ["x"], "p must be a list of JSON numbers"),
+    ("truth", [True] * 75, "truth must be a list of JSON numbers"),
+    ("truth", ["1"] * 75, "truth must be a list of JSON numbers"),
+])
+def test_decide_takes_only_json_numbers(toy_facts, program, field, value, message):
+    request = {"op": "decide", "p": [1.0 / 75] * 75, "truth": [0.5] * 75, "alpha": 1.0}
+    assert len(p_shifted_of(handle_request(request, toy_facts, program))) == 75
+    # integers are numbers too
+    request_ints = {**request, "truth": [1] * 75, "alpha": 2}
+    assert len(p_shifted_of(handle_request(request_ints, toy_facts, program))) == 75
+    reply = handle_request({**request, field: value}, toy_facts, program)
+    assert list(reply) == ["error"] and message in reply["error"]
+
+
 @pytest.mark.parametrize("p_len, truth_len", [(74, 75), (75, 74), (76, 76), (3, 3)])
 def test_decide_vectors_must_span_the_vocabulary(server, toy_facts, p_len, truth_len):
     assert len(toy_facts.vocab) == 75
