@@ -62,8 +62,7 @@ def _log(p: np.ndarray) -> np.ndarray:
     return np.log(p, out=np.full(p.shape, SCORE_FLOOR), where=p > 0.0)
 
 
-def _boost(pz: np.ndarray, supports: Sequence[Support],
-           alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def _boost(pz: np.ndarray, supports: Sequence[Support], alpha: float) -> tuple:
     """``b = alpha * I * p`` on nonempty supports laid end to end, from
     ``pz``, the entries of ``p`` there, and per support ``log Z`` with ``Z =
     sum(p * exp(b))``, summed over its own slice to round as if alone."""
@@ -136,8 +135,7 @@ def top_k_rows(rows: Sequence[np.ndarray | NgramDist], supports: Sequence[Option
     return ids, scores
 
 
-def _top_k_of_whole(rows: Sequence, supports: Sequence[Optional[Support]], alpha: float,
-                    k: int) -> tuple[np.ndarray, np.ndarray]:
+def _top_k_of_whole(rows: Sequence, supports: Sequence, alpha: float, k: int) -> tuple:
     n, v = len(rows), len(rows[0])
     p = NgramDist.at(rows, np.arange(n * v)) if _one_model(rows) else np.concatenate(
         [r.dense() if isinstance(r, NgramDist) else r for r in rows], dtype=float)
@@ -158,18 +156,17 @@ def _keys(supports: Sequence[Optional[Support]], v: int) -> np.ndarray:
         np.array([i for i, _ in on], dtype=np.int64), [len(ids) for _, ids in on])
 
 
-def _top_k_of_candidates(rows: Sequence, supports: Sequence[Optional[Support]], alpha: float,
-                         k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _top_k_of_candidates(rows: Sequence, supports: Sequence, alpha: float, k: int) -> tuple:
     """``top_k_rows`` from each row's candidates, and whether that holds: the
     support plus corrections and ``ranked`` head for ``NgramDist``s of one
     model, else the entries that reach the least of ``k`` block maxima."""
     n, v = len(rows), len(rows[0])
     on = _keys(supports, v)
     if _one_model(rows):
-        head, lo = NgramDist.top_candidates(rows, k)
+        head, lo, levels = NgramDist.top_candidates(rows, k)
         keys = np.sort(np.concatenate([head, on]))
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        p = NgramDist.at(rows, keys)
+        p = NgramDist.at(rows, keys, levels)
     else:  # row by row, while each V-long row is in cache
         keys, p, lo = [], [], []
         for i, (row, support) in enumerate(zip(rows, supports)):

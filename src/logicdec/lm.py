@@ -113,15 +113,15 @@ class NgramDist:
                    np.concatenate([s[2] for s in stats]))
 
     @staticmethod
-    def at(dists: Sequence["NgramDist"], keys: np.ndarray) -> np.ndarray:
-        """The entries at ``keys``, which ascend without repeats, by the float
-        operations of ``dense()`` in its order, so they equal them bit for bit."""
+    def at(dists: Sequence["NgramDist"], keys: np.ndarray, levels=None) -> np.ndarray:
+        """The entries at ``keys`` (ascending, no repeats; ``levels`` as from
+        ``top_candidates``) by the float operations of ``dense()``, bit for bit."""
         v = len(dists[0])
         rows = keys // v
         out = dists[0].unigram[keys - rows * v]
         if not len(keys):
             return out
-        for scale, successors, add in NgramDist._levels(dists, v):
+        for scale, successors, add in levels or NgramDist._levels(dists, v):
             out *= scale[rows]
             pos = np.searchsorted(keys, successors)
             hit = keys.take(pos, mode="clip") == successors
@@ -129,10 +129,10 @@ class NgramDist:
         return out
 
     @staticmethod
-    def top_candidates(dists: Sequence["NgramDist"], k: int) -> tuple[np.ndarray, np.ndarray]:
+    def top_candidates(dists: Sequence["NgramDist"], k: int) -> tuple:
         """Keys, unsorted and possibly repeated, of each one's corrections and
         first ``2k + |corrections|`` ids of ``ranked``, so that ``2k`` entries
-        off the corrections reach ``lo``, the value off them of the last."""
+        off the corrections reach ``lo``, the value off them of the last; levels."""
         v = len(dists[0])
         levels = list(NgramDist._levels(dists, v))
         corrections = [np.empty(0, dtype=np.int64), *(c for _, c, _ in levels)]
@@ -144,7 +144,7 @@ class NgramDist:
         lo = dists[0].unigram[dists[0].ranked[size - 1]]
         for scale, _, _ in levels:
             lo *= scale
-        return keys, lo
+        return keys, lo, levels
 
 
 class NgramLM:
