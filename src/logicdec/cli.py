@@ -19,7 +19,7 @@ import numpy as np
 
 from .decoder import (PRESETS, DecodingConfig, coverage_of, coverage_table,
                       decode, plain_beam_search)
-from .kb import WORD_BOUNDARY, Vocabulary, ingest_triples, load_factbase
+from .kb import Vocabulary, ingest_triples, load_factbase
 from .lm import NgramScorer, ngram_train
 from .rules import parse_program
 from .tasks import (DEFAULT_STOPWORDS, align_concepts, corpus_coverage,
@@ -154,15 +154,6 @@ def _build_scorer(args, facts):
     return TransformerScorer(model)
 
 
-def _detokenize(tokens, vocab: Vocabulary, bos: int, eos) -> str:
-    words = []
-    for tid in tokens:
-        if tid == bos or (eos is not None and tid == eos):
-            continue
-        words.append(vocab.token(tid).removeprefix(WORD_BOUNDARY))
-    return " ".join(words)
-
-
 def _decode_config(args) -> DecodingConfig:
     base = PRESETS.get(getattr(args, "preset", "custom"), DecodingConfig())
     flags = {"beam": "beam_size", "alpha1": "alpha1", "alpha2": "alpha2", "alpha3": "alpha3",
@@ -179,7 +170,8 @@ def _decode_config(args) -> DecodingConfig:
 def _result_line(instance, hyp, facts, config, concepts, completed, trace=None) -> dict:
     rec = {
         "id": instance.instance_id,
-        "text": _detokenize(hyp.tokens, facts.vocab, config.bos_id, config.eos_id),
+        "text": " ".join(facts.vocab.surface(t) for t in hyp.tokens
+                         if t not in (config.bos_id, config.eos_id)),
         "score": hyp.logp,
         "coverage": coverage_of(hyp, concepts),
         "finished": bool(hyp.finished and completed),
@@ -210,6 +202,13 @@ def cmd_ingest_kg(args) -> int:
 
 def _decode_common(args, constrained: bool) -> int:
     config = _decode_config(args)
+    # the scorer settings too, before anything is loaded
+    for flag, value, ok, wanted in (
+            ("--ngram-order", args.ngram_order, 1 <= args.ngram_order <= 5, "in 1..5"),
+            ("--discount", args.discount, 0.0 < args.discount < 1.0, "in (0, 1)"),
+            ("--seed", args.seed, args.seed >= 0, "nonnegative")):
+        if not ok:
+            raise UsageError(f"{flag} must be {wanted}, got {value}")
     facts = load_factbase(_require_file(args.factbase, "--factbase"))
     instances = load_instances(_require_file(args.instances, "--instances"))
     scorer = _build_scorer(args, facts)
@@ -305,11 +304,11 @@ def cmd_eval(args) -> int:
 
 def cmd_serve(args) -> int:
     from .service import serve_forever
+    host, _, port = args.bind.rpartition(":")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise UsageError(f"--bind: expected host:port with a port in 0..65535, got {args.bind!r}")
     facts = load_factbase(_require_file(args.factbase, "--factbase"))
     program = parse_program(Path(_require_file(args.rules, "--rules")).read_text("utf-8"))
-    host, _, port = args.bind.rpartition(":")
-    if not host or not port.isdigit():
-        raise UsageError(f"--bind: expected host:port, got {args.bind!r}")
     serve_forever(facts, program, host, int(port))
     return 0
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .lm import NgramDist
 
-__all__ = ["decide", "pre_activation", "top_k_shifted", "top_k_rows", "support_of", "Support",
-           "softmax", "SCORE_FLOOR"]
+__all__ = ["decide", "pre_activation", "top_k_rows", "support_of", "Support", "softmax",
+           "SCORE_FLOOR"]
 
 # Pre-activation assigned to zero-probability entries.  Finite so that the
 # additive boost (which is zero there anyway) cannot produce NaNs.
@@ -105,13 +105,6 @@ def pre_activation(p: np.ndarray, truth: np.ndarray | None = None,
     p = np.asarray(p, dtype=np.float64)
     sups = [None if truth is None else support_of(truth)]
     return _shift(p, np.zeros(len(p), dtype=np.intp), _keys(sups, len(p)), sups, alpha)[0]
-
-
-def top_k_shifted(p: np.ndarray | NgramDist, support: Optional[Support], alpha: float,
-                  k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``top_k_rows`` of the one row ``p``."""
-    ids, scores = top_k_rows([p], [support], alpha, k)
-    return ids[0], scores[0]
 
 
 def top_k_rows(rows: Sequence[np.ndarray | NgramDist], supports: Sequence[Optional[Support]],

@@ -25,11 +25,13 @@ for the first hypothesis.
 
 Each hypothesis step proves at most once: the vocabulary truth vector under
 its own prefix, of which the attention hooks' prefix and target truths are
-gathers (an atom reads only the token id at a position).  It is memoised
-with its support on the coverage bitmask when the rules read the prefix only
-through stem-equality coverage of the constraint set (the shipped lexical
-templates do), else not kept.  Across proves, the prover's memo keeps the
-entries of rules that never read the prefix, as ``Rel(x, c)`` there.
+gathers (an atom reads only the token id at a position).  One pass over
+the program, callees first, classes each rule by how its closure reads the
+prefix: ``"none"`` (never), ``"coverage"`` (only through stem-equality probes
+of the constraint set, as ``R`` of the shipped lexical templates) or
+``"full"``.  Unless the proved rule is ``"full"``, the vector is memoised
+with its support on the coverage bitmask.  Across proves, the prover's memo
+keeps the entries of the ``"none"`` rules, as ``Rel(x, c)`` there.
 """
 
 from __future__ import annotations
@@ -141,14 +143,15 @@ def coverage_of(hyp: Hypothesis, concepts: Sequence[int]) -> float:
 # ---------------------------------------------------------------------------
 # Prefix-dependence analysis for truth-vector memoisation
 
-def _prefix_dependence(program: R.RuleProgram, rule: str) -> str:
-    """Classify how the rule closure depends on the generated prefix.
+def _prefix_classes(program: R.RuleProgram) -> dict[str, str]:
+    """How each rule's closure depends on the generated prefix, in one pass
+    over ``program.order`` (callees first).
 
-    Returns ``"none"`` (prefix never referenced), ``"coverage"`` (prefix
-    enters only through probes ``Y(x) :- exists y in Prev, Equal(x, y)``
+    ``"none"``: it never quantifies over ``Prev``.  ``"coverage"``: it reads
+    the prefix only through probes ``Y(x) :- exists y in Prev, Equal(x, y)``
     applied to elements of the concept set, so the coverage bitmask
-    determines the truth vector), or ``"full"`` (re-prove every step).  One
-    ``rules.walk`` over each reachable rule body.
+    determines its truth.  ``"full"``: anything else, a probe itself
+    included (its argument is then the domain position, not a concept).
     """
     def is_probe(r: R.Rule) -> bool:
         q = r.body
@@ -157,39 +160,25 @@ def _prefix_dependence(program: R.RuleProgram, rule: str) -> str:
                 and q.body.pred == "Equal"
                 and {a.name for a in q.body.args} == {r.params[0], q.var})
 
-    if is_probe(program.rule(rule)):
-        return "full"  # its argument is the domain position, not a concept
-    result = "none"
-    reachable = [rule]
-    for name in reachable:  # grows as callees are met
+    rank = ("none", "coverage", "full").index
+    classes: dict[str, str] = {}
+    for name in program.order:
+        cls = "none"
         for node, _, scope in R.walk(program.rule(name)):
             if isinstance(node, R.Quant) and node.set_name == "Prev":
-                return "full"
-            if isinstance(node, R.RuleRef):
-                if is_probe(program.rule(node.rule)):
-                    if any(scope[a.name] != "C" for a in node.args):
-                        return "full"
-                    result = "coverage"
-                elif node.rule not in reachable:
-                    reachable.append(node.rule)
-    return result
+                cls = "full"
+            elif isinstance(node, R.RuleRef):
+                on_concepts = is_probe(program.rule(node.rule)) and all(
+                    scope[a.name] == "C" for a in node.args)
+                cls = max(cls, "coverage" if on_concepts else classes[node.rule], key=rank)
+        classes[name] = cls
+    return classes
 
 
-def _prefix_free_rules(program: R.RuleProgram) -> frozenset[str]:
-    """Rules whose closure never quantifies over ``Prev`` (callees first in ``order``)."""
-    free: set[str] = set()
-    for name in program.order:
-        if not any(isinstance(node, R.Quant) and node.set_name == "Prev"
-                   or isinstance(node, R.RuleRef) and node.rule not in free
-                   for node, _, _ in R.walk(program.rule(name))):
-            free.add(name)
-    return frozenset(free)
-
-
-def _keep_prefix_free(memo: dict, free: frozenset[str]) -> None:
-    """Drop the entries of rules outside ``free``; freeze the vectors kept."""
+def _keep_prefix_free(memo: dict, classes: dict[str, str]) -> None:
+    """Drop the entries of rules not classed ``"none"``; freeze the vectors kept."""
     for key in list(memo):
-        if key[0] not in free:
+        if classes[key[0]] != "none":
             del memo[key]
         elif isinstance(memo[key], np.ndarray):
             memo[key].flags.writeable = False
@@ -219,17 +208,17 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     hooking = program is not None and rule is not None and ctx is not None \
         and scorer.supports_attention_hooks and (config.alpha1 > 0 or config.alpha2 > 0)
 
-    memo_mode = _prefix_dependence(program, rule) if shifting or hooking else "full"
-    prefix_free = _prefix_free_rules(program) if shifting or hooking else frozenset()
+    classes = _prefix_classes(program) if shifting or hooking else {}
+    memo_mode = classes[program.rule(rule).name] if shifting or hooking else "full"
     vocab_memo: dict = {}
-    rule_memo: dict = {}  # the prover's, carried across proves for prefix-free rules
+    rule_memo: dict = {}  # the prover's, carried across proves for "none" rules
 
     def vocab_truth(tokens: tuple[int, ...], covered: int) -> Support:
         if covered in vocab_memo:
             return vocab_memo[covered]
         local = EvalContext(facts, {**ctx.sets, "Prev": tokens}, rule_memo)
         support = support_of(prove(program, rule, Domain.vocabulary(facts), local))
-        _keep_prefix_free(rule_memo, prefix_free)
+        _keep_prefix_free(rule_memo, classes)
         if memo_mode != "full":  # no two hypothesis steps share a prefix
             vocab_memo[covered] = support
         return support
@@ -367,9 +356,10 @@ def _select_beam(candidates: list[tuple[float, int, int, int]],
 
 
 def _trace_entry(step_index: int, scores: np.ndarray, raw: np.ndarray, shifting: bool) -> dict:
-    before = [[int(i), float(raw[i])] for i in np.argsort(-raw)[:5]]
+    # ties go to the smaller id, as in the ranking the decoder expands
+    before = [[int(i), float(raw[i])] for i in np.argsort(-raw, kind="stable")[:5]]
     # exponentiate only the five shifted scores reported
-    after = [[int(i), float(np.exp(scores[i]))] for i in np.argsort(-scores)[:5]] \
+    after = [[int(i), float(np.exp(scores[i]))] for i in np.argsort(-scores, kind="stable")[:5]] \
         if shifting else before
     return {"step": step_index, "top_after": after, "top_before": before}
 

@@ -175,9 +175,6 @@ class NgramLM:
                   if (stats := self._tables[n].get(ctx[-n:])) is not None]
         return NgramDist(self._unigram, self._ranked, levels)
 
-    def next_dist(self, context: Sequence[int]) -> np.ndarray:
-        return self.dist(context).dense()
-
 
 def ngram_train(corpus: Sequence[Sequence[int]], order: int,
                 discount: float = 0.75, vocab_size: Optional[int] = None) -> NgramLM:
@@ -256,7 +253,7 @@ class NgramScorer(Scorer):
         return session.window
 
     def step(self, session: NgramSession, token: int, hooks=None) -> np.ndarray:
-        return self.lm.next_dist(self._advance(session, token, hooks))
+        return self.lm.dist(self._advance(session, token, hooks)).dense()
 
     def step_batch(self, sessions: Sequence[NgramSession], tokens: Sequence[int],
                    hooks: Optional[Sequence] = None) -> list[NgramDist]:

@@ -83,14 +83,15 @@ def _answer(request: dict, facts: FactBase, program: RuleProgram) -> Answer:
         if op == "decide":
             if type(alpha := request["alpha"]) not in (int, float):  # not bool either
                 return "error", f"alpha must be a JSON number, got {alpha!r}"
-            p, truth = np.asarray(request["p"]), np.asarray(request["truth"])
-            for name, vector in (("p", p), ("truth", truth)):
-                if vector.dtype.kind not in "fi":  # strings, booleans, nulls
+            for name in ("p", "truth"):
+                # not booleans, strings, nulls or nested lists, even among numbers
+                if type(vector := request[name]) is not list \
+                        or not set(map(type, vector)) <= {int, float}:
                     return "error", f"{name} must be a list of JSON numbers"
-                if vector.shape != (len(facts.vocab),):
+                if len(vector) != len(facts.vocab):
                     return "error", (f"{name} must hold one value per vocabulary token "
-                                     f"({len(facts.vocab)}), got shape {vector.shape}")
-            return "p_shifted", decide(p, truth, float(alpha))
+                                     f"({len(facts.vocab)}), got {len(vector)}")
+            return "p_shifted", decide(request["p"], request["truth"], float(alpha))
         return "error", f"unknown op {op!r}"
     except Exception as exc:  # per-request failures must not kill the service
         return "error", f"{type(exc).__name__}: {exc}"

@@ -157,16 +157,10 @@ def dialogue_rule_template(persona: Sequence[str], history: Sequence[str],
     error, so empty sides of the bridging conjunction are replaced by the
     constant 0, preserving the disjunctive structure of the top rule.
     """
-    p_words: list[str] = []
-    for sent in persona:
-        for w in extract_keywords(sent, stopwords):
-            if w not in p_words:
-                p_words.append(w)
-    u_words: list[str] = []
-    for utterance in history:
-        for w in extract_keywords(utterance, stopwords):
-            if w not in u_words:
-                u_words.append(w)
+    # each side's keywords once, in first-seen order
+    p_words, u_words = (list(dict.fromkeys(w for sent in side
+                                           for w in extract_keywords(sent, stopwords)))
+                        for side in (persona, history))
 
     p_ids, p_skipped = _align_words(p_words, facts)
     u_ids, u_skipped = _align_words(u_words, facts)

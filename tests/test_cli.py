@@ -146,6 +146,25 @@ class TestDecode:
         assert f"invalid decode setting: {words}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, wanted", [
+        ("--ngram-order", "0", "in 1..5"), ("--ngram-order", "6", "in 1..5"),
+        ("--discount", "0", "in (0, 1)"), ("--discount", "1", "in (0, 1)"),
+        ("--discount", "nan", "in (0, 1)"), ("--seed", "-1", "nonnegative"),
+    ])
+    def test_bad_scorer_setting_is_a_usage_error(self, snapshot, tmp_path, capsys,
+                                                 flag, value, wanted):
+        out = tmp_path / "results.jsonl"
+        scorer = "transformer" if flag == "--seed" else "ngram"
+        for factbase in (snapshot, "/missing.fb"):  # checked before the fact base
+            code, _, err = run(["decode", "--factbase", str(factbase),
+                                "--instances", str(DATA / "lexical20.jsonl"),
+                                "--corpus", str(DATA / "corpus_lexical.txt"),
+                                "--scorer", scorer, flag, value, "--out", str(out)], capsys)
+            assert code == 1
+            (line,) = err.strip().splitlines()  # one message, no traceback
+            assert line.startswith(f"logicdec: error: {flag} must be {wanted}, got ")
+            assert not out.exists()
+
     def test_transformer_scorer_runs(self, snapshot, tmp_path, capsys):
         out = tmp_path / "tf.jsonl"
         instances = tmp_path / "one.jsonl"
@@ -213,6 +232,16 @@ class TestServeValidation:
                             "--rules", str(rules), "--bind", "nonsense"], capsys)
         assert code == 1
         assert "--bind" in err
+
+    @pytest.mark.parametrize("bind", ["127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:²"])
+    def test_port_out_of_range_is_a_usage_error(self, tmp_path, capsys, bind):
+        # checked before the fact base and rules are read
+        code, _, err = run(["serve", "--factbase", "/missing.fb",
+                            "--rules", "/missing.rules", "--bind", bind], capsys)
+        assert code == 1
+        (line,) = err.strip().splitlines()
+        assert line.startswith("logicdec: error: --bind: expected host:port with a port "
+                               "in 0..65535")
 
 
 class TestHelpDocSync:

@@ -7,13 +7,19 @@ from hypothesis import strategies as st
 
 from logicdec.decision import (FULL_RANK_MAX_V, SCORE_FLOOR, _top_k_of_candidates,
                                 decide, pre_activation, softmax, support_of,
-                                top_k_rows, top_k_shifted)
+                                top_k_rows)
 from logicdec.lm import NgramDist, ngram_train
 
 
 def normalized(values):
     arr = np.asarray(values, dtype=np.float64)
     return arr / arr.sum()
+
+
+def top_k_shifted(p, support, alpha, k):
+    """``top_k_rows`` of the one row ``p``."""
+    ids, scores = top_k_rows([p], [support], alpha, k)
+    return ids[0], scores[0]
 
 
 class TestPreActivation:

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from logicdec.decision import FULL_RANK_MAX_V
 from logicdec import prover as P
 from logicdec.decoder import (DecodingConfig, Hypothesis, PRESETS, _keep_prefix_free,
-                              _prefix_dependence, _prefix_free_rules, _select_beam,
-                              coverage_of, coverage_table, decode, plain_beam_search)
+                              _prefix_classes, _select_beam, coverage_of, coverage_table,
+                              decode, plain_beam_search)
 from logicdec.kb import FactBase, Vocabulary
 from logicdec.lm import NgramScorer, Scorer, ngram_train
 from logicdec.prover import Domain, EvalContext, prove, prove_scalar
 from logicdec.rules import parse_program
-from logicdec.tasks import lexical_rule_template, load_instances
+from logicdec.tasks import lexical_rule_template, load_instances, template_text
 
 from conftest import DATA
 
@@ -88,9 +88,17 @@ class TestConstraintState:
         assert coverage_of(Hypothesis((0,), 0.0), ()) == 1.0
 
 
+def proved_rule_is_full(monkeypatch, rule="R"):
+    """Class the proved rule ``"full"`` in ``decode``; the other rules keep
+    their classes, so the prover entries carried stay the same."""
+    from logicdec import decoder as D
+    monkeypatch.setattr(D, "_prefix_classes",
+                        lambda program: {**_prefix_classes(program), rule: "full"})
+
+
 class TestPrefixDependence:
     def test_lexical_templates_are_coverage_determined(self):
-        assert _prefix_dependence(parse_program(LEXICAL_RULES), "R") == "coverage"
+        assert _prefix_classes(parse_program(LEXICAL_RULES))["R"] == "coverage"
 
     def test_dialogue_rules_never_read_the_prefix(self):
         program = parse_program("""
@@ -98,18 +106,26 @@ R(x) :- Persona(x) | Common(x)
 Persona(x) :- exists p in P, Equal(x, p)
 Common(x) :- (exists p in P, Edge(x, p)) ^ (exists u in U, Edge(x, u))
 """)
-        assert _prefix_dependence(program, "R") == "none"
+        assert _prefix_classes(program)["R"] == "none"
+
+    @pytest.mark.parametrize("name, classes", [
+        ("commongen", {"R": "coverage", "Rel": "none", "Y": "full"}),
+        ("commongen_hard", {"R": "coverage", "Rel": "none", "Y": "full"}),
+        ("personachat", {"R": "none", "Persona": "none", "Common": "none"}),
+    ])
+    def test_shipped_template_classes(self, name, classes):
+        assert _prefix_classes(parse_program(template_text(name))) == classes
 
     def test_direct_prefix_use_forces_reproving(self):
         program = parse_program("R(x) :- exists y in Prev, Edge(x, y)")
-        assert _prefix_dependence(program, "R") == "full"
+        assert _prefix_classes(program)["R"] == "full"
 
     def test_probe_applied_to_head_variable_forces_reproving(self):
         program = parse_program("""
 R(x) :- Y(x)
 Y(x) :- exists y in Prev, Equal(x, y)
 """)
-        assert _prefix_dependence(program, "R") == "full"
+        assert _prefix_classes(program)["R"] == "full"
 
     def test_probe_as_proved_rule_forces_reproving(self, lexical_scorer, toy_facts,
                                                    sentinel_ids, monkeypatch):
@@ -117,13 +133,12 @@ Y(x) :- exists y in Prev, Equal(x, y)
         # its truth vector changes with every prefix, not with coverage
         for body in ("Equal(x, y)", "Equal(y, x)"):
             program = parse_program(f"R(x) :- exists y in Prev, {body}")
-            assert _prefix_dependence(program, "R") == "full"
+            assert _prefix_classes(program)["R"] == "full"
         bos, eos = sentinel_ids
         config = replace(PRESETS["commongen"], max_length=10, bos_id=bos, eos_id=eos)
         ctx = EvalContext(facts=toy_facts, sets={"C": (toy_facts.vocab.id_of("garden"),)})
         memoised = decode(lexical_scorer, program, "R", ctx, config)
-        from logicdec import decoder as D
-        monkeypatch.setattr(D, "_prefix_dependence", lambda *a, **k: "full")
+        proved_rule_is_full(monkeypatch)
         fresh = decode(lexical_scorer, program, "R", ctx, config)
         assert [(h.tokens, h.logp) for h in memoised.hypotheses] == \
             [(h.tokens, h.logp) for h in fresh.hypotheses]
@@ -170,50 +185,59 @@ def _toy_program(rnd, n_rules: int) -> str:
 
 class TestPrefixDependenceIsSound:
     """Whatever the analysis leaves out of the memo key cannot change the
-    vocabulary truth vector."""
+    vocabulary truth vector of any one-parameter rule: a ``"none"`` rule's
+    under any two prefixes, a ``"coverage"`` rule's under two prefixes of
+    one coverage mask."""
 
     @settings(max_examples=200, deadline=None)
     @given(rnd=st.randoms(use_true_random=True), n_rules=st.integers(1, 4))
     def test_memo_key_determines_the_truth_vector(self, toy_facts, rnd, n_rules):
         program = parse_program(_toy_program(rnd, n_rules))
-        mode = _prefix_dependence(program, "R")
-        assert mode in ("none", "coverage", "full")
-        if mode == "full":
-            return
+        classes = _prefix_classes(program)
+        assert classes.keys() == program.rules.keys()
+        assert set(classes.values()) <= {"none", "coverage", "full"}
         n = len(toy_facts.vocab)
         concepts = tuple(rnd.randrange(n) for _ in range(rnd.randint(1, 3)))
         persona = tuple(rnd.randrange(n) for _ in range(rnd.randint(1, 3)))
         prefixes = [[rnd.randrange(n) for _ in range(rnd.randint(1, 8))] for _ in range(2)]
-        if mode == "coverage":
-            # extend each prefix with stem-mates of the concepts only the
-            # other covers, so that both end with the same coverage mask
-            table = coverage_table(concepts, toy_facts)
-            class_of = toy_facts.stems.class_of
-            masks = [0, 0]
-            for i, prefix in enumerate(prefixes):
-                for tok in prefix:
-                    masks[i] |= table.get(class_of[tok], 0)
-            for i, prefix in enumerate(prefixes):
-                for bit, cid in enumerate(concepts):
-                    if masks[1 - i] >> bit & 1 and not masks[i] >> bit & 1:
-                        mates = [t for t in range(n) if class_of[t] == class_of[cid]]
-                        prefix.insert(rnd.randrange(len(prefix) + 1), rnd.choice(mates))
-        truths = [prove(program, "R", Domain.vocabulary(toy_facts),
-                        EvalContext(facts=toy_facts, sets={"C": concepts, "P": persona,
-                                                           "Prev": tuple(prefix)}))
-                  for prefix in prefixes]
-        assert truths[0].tobytes() == truths[1].tobytes()
+        unary = [name for name in program.order if len(program.rule(name).params) == 1]
+
+        def assert_same_truth(cls):
+            for name in unary:
+                if classes[name] == cls:
+                    truths = [prove(program, name, Domain.vocabulary(toy_facts),
+                                    EvalContext(facts=toy_facts,
+                                                sets={"C": concepts, "P": persona,
+                                                      "Prev": tuple(prefix)}))
+                              for prefix in prefixes]
+                    assert truths[0].tobytes() == truths[1].tobytes(), name
+
+        assert_same_truth("none")  # the prefixes are unrelated
+        # extend each prefix with stem-mates of the concepts only the other
+        # covers, so that both end with the same coverage mask
+        table = coverage_table(concepts, toy_facts)
+        class_of = toy_facts.stems.class_of
+        masks = [0, 0]
+        for i, prefix in enumerate(prefixes):
+            for tok in prefix:
+                masks[i] |= table.get(class_of[tok], 0)
+        for i, prefix in enumerate(prefixes):
+            for bit, cid in enumerate(concepts):
+                if masks[1 - i] >> bit & 1 and not masks[i] >> bit & 1:
+                    mates = [t for t in range(n) if class_of[t] == class_of[cid]]
+                    prefix.insert(rnd.randrange(len(prefix) + 1), rnd.choice(mates))
+        assert_same_truth("coverage")
 
 
 class TestCarriedProverMemo:
-    """The decoder carries the prover's entries of prefix-free rules from one
+    """The decoder carries the prover's entries of ``"none"`` rules from one
     vocabulary prove to the next; nothing it carries may change a truth."""
 
     @settings(max_examples=100, deadline=None)
     @given(rnd=st.randoms(use_true_random=False), n_rules=st.integers(1, 4))
     def test_carried_memo_equals_fresh_proving(self, toy_facts, rnd, n_rules):
         program = parse_program(_toy_program(rnd, n_rules))
-        free = _prefix_free_rules(program)
+        classes = _prefix_classes(program)
         vocab = Domain.vocabulary(toy_facts)
         n = len(toy_facts.vocab)
         sets = {"C": tuple(rnd.randrange(n) for _ in range(rnd.randint(1, 3))),
@@ -222,8 +246,8 @@ class TestCarriedProverMemo:
         for _ in range(rnd.randint(2, 5)):
             sets["Prev"] = tuple(rnd.randrange(n) for _ in range(rnd.randint(1, 8)))
             carried = prove(program, "R", vocab, EvalContext(toy_facts, sets, memo))
-            _keep_prefix_free(memo, free)
-            assert all(name in free for name, _ in memo)
+            _keep_prefix_free(memo, classes)
+            assert all(classes[name] == "none" for name, _ in memo)
             ctx = EvalContext(toy_facts, dict(sets))
             assert carried.tobytes() == prove(program, "R", vocab, ctx).tobytes()
             scalar = np.array([prove_scalar(program, "R", w, ctx) for w in range(n)])
@@ -254,14 +278,14 @@ class TestCarriedProverMemo:
     def test_carried_vectors_reject_in_place_writes(self, toy_facts):
         v = toy_facts.vocab
         program = parse_program(LEXICAL_RULES)
-        free = _prefix_free_rules(program)
-        assert free == {"Rel"}
+        classes = _prefix_classes(program)
+        assert classes == {"R": "coverage", "Rel": "none", "Y": "full"}
         memo: dict = {}
         ctx = EvalContext(toy_facts, {"C": (v.id_of("garden"),), "Prev": (v.id_of("the"),)},
                           memo)
         prove(program, "R", Domain.vocabulary(toy_facts), ctx)
         assert {name for name, _ in memo} == {"R", "Rel", "Y"}
-        _keep_prefix_free(memo, free)
+        _keep_prefix_free(memo, classes)
         (vector,) = memo.values()
         with pytest.raises(ValueError, match="read-only"):
             vector[0] = 1.0
@@ -607,6 +631,21 @@ class TestBoundaryTies:
         result = plain_beam_search(boundary_tie_scorer(v, k), k, 1, prompt=(0,))
         assert sorted(h.tokens[-1] for h in result.hypotheses) == list(range(v - k - 1, v - 1))
 
+    def test_trace_lists_ties_by_smaller_id(self, toy_facts):
+        # weights on three levels over the toy vocabulary: each top five,
+        # before and after the shift, is a run of ties among many
+        row = np.random.default_rng(0).choice([4.0, 2.0, 1.0], size=len(toy_facts.vocab))
+        program = parse_program("R(x) :- exists c in C, Equal(x, c)")
+        ctx = EvalContext(facts=toy_facts, sets={"C": (int(np.argmin(row)),)})
+        config = DecodingConfig(beam_size=5, max_length=1, alpha3=1.0)
+        result = decode(SameRowScorer(row[None, :] / row.sum()), program, "R", ctx, config,
+                        prompt=(0,), trace=True)
+        (step,) = result.trace
+        for listed in (step["top_before"], step["top_after"]):
+            assert listed == sorted(listed, key=lambda entry: (-entry[1], entry[0]))
+        expanded = sorted(result.hypotheses, key=lambda h: (-h.logp, h.tokens))
+        assert [i for i, _ in step["top_after"]] == [h.tokens[-1] for h in expanded]
+
 
 class TestTransformerIntegration:
     def test_decode_drives_attention_hooks(self, toy_facts, sentinel_ids):
@@ -781,7 +820,7 @@ class TestDecodeStepWork:
         # once per hypothesis step and stores nothing: a step's truth
         # vectors die once the next step has ranked
         from logicdec import decoder as D
-        monkeypatch.setattr(D, "_prefix_dependence", lambda *a, **k: "full")
+        proved_rule_is_full(monkeypatch)
         proved, pending, steps = [], [], []
         original_prove, original_support_of = D.prove, D.support_of
 
@@ -835,7 +874,7 @@ class TestDecodeStepWork:
 
 class TestMemoisedTruthEqualsFresh:
     def test_coverage_memo_matches_full_reproving(self, lexical_scorer, toy_facts,
-                                                  sentinel_ids):
+                                                  sentinel_ids, monkeypatch):
         # same decode through the memoised path and a rule variant that the
         # analysis cannot memoise (forced "full") must agree exactly
         bos, eos = sentinel_ids
@@ -846,15 +885,10 @@ class TestMemoisedTruthEqualsFresh:
         config = replace(PRESETS["commongen"], max_length=10, bos_id=bos, eos_id=eos)
         memoised = decode(lexical_scorer, program, "R", ctx, config)
 
-        from logicdec import decoder as D
-        original = D._prefix_dependence
-        D._prefix_dependence = lambda *a, **k: "full"
-        try:
-            ctx2 = EvalContext(facts=toy_facts,
-                               sets={"C": (v.id_of("garden"), v.id_of("river"))})
-            fresh = decode(lexical_scorer, program, "R", ctx2, config)
-        finally:
-            D._prefix_dependence = original
+        proved_rule_is_full(monkeypatch)
+        ctx2 = EvalContext(facts=toy_facts,
+                           sets={"C": (v.id_of("garden"), v.id_of("river"))})
+        fresh = decode(lexical_scorer, program, "R", ctx2, config)
         assert [h.tokens for h in memoised.hypotheses] == \
             [h.tokens for h in fresh.hypotheses]
         assert memoised.best.logp == pytest.approx(fresh.best.logp, abs=1e-12)

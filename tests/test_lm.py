@@ -19,7 +19,7 @@ def toy_corpus():
 class TestTraining:
     def test_unigram_matches_empirical_frequencies(self):
         lm = ngram_train([[2, 2, 3]], order=1, discount=0.5, vocab_size=4)
-        dist = lm.next_dist(())
+        dist = lm.dist(()).dense()
         assert dist.tolist() == [0.0, 0.0, 2 / 3, 1 / 3]
 
     def test_order_out_of_range(self):
@@ -32,8 +32,8 @@ class TestTraining:
 
     def test_unseen_context_backs_off(self):
         lm = ngram_train(toy_corpus(), order=3, vocab_size=6)
-        unseen = lm.next_dist((5, 2))       # context never observed
-        backoff = lm.next_dist((2,))        # its lower-order fallback
+        unseen = lm.dist((5, 2)).dense()       # context never observed
+        backoff = lm.dist((2,)).dense()        # its lower-order fallback
         assert unseen == pytest.approx(backoff)
 
     def test_normalization_over_random_contexts(self):
@@ -41,7 +41,7 @@ class TestTraining:
         rng = np.random.default_rng(3)
         for _ in range(100):
             ctx = tuple(int(t) for t in rng.integers(0, 6, size=rng.integers(0, 4)))
-            dist = lm.next_dist(ctx)
+            dist = lm.dist(ctx).dense()
             assert abs(dist.sum() - 1.0) <= 1e-6
             assert (dist >= 0).all()
             # every token observed in training stays reachable
@@ -54,9 +54,9 @@ class TestScorer:
         scorer = NgramScorer(lm)
         session = scorer.begin_session()
         d1 = scorer.step(session, 0)
-        assert d1 == pytest.approx(lm.next_dist((0,)))
+        assert d1 == pytest.approx(lm.dist((0,)).dense())
         d2 = scorer.step(session, 2)
-        assert d2 == pytest.approx(lm.next_dist((0, 2)))
+        assert d2 == pytest.approx(lm.dist((0, 2)).dense())
 
     def test_sessions_fork_independently(self):
         lm = ngram_train(toy_corpus(), order=3, vocab_size=6)
@@ -117,7 +117,7 @@ class TestNgramDist:
         lm, ctx, ids = case
         dist = lm.dist(ctx)
         dense = dist.dense()
-        assert dense.tobytes() == lm.next_dist(ctx).tobytes()
+        assert dense.tobytes() == lm.dist(ctx).dense().tobytes()
         assert NgramDist.at([dist], ids).tobytes() == dense[ids].tobytes()
         assert len(dist) == lm.vocab_size
 

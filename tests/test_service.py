@@ -151,6 +151,12 @@ def test_handle_request_never_raises(toy_facts, program):
     ("p", [1.0 / 75] * 74 + ["x"], "p must be a list of JSON numbers"),
     ("truth", [True] * 75, "truth must be a list of JSON numbers"),
     ("truth", ["1"] * 75, "truth must be a list of JSON numbers"),
+    # booleans among numbers, nested lists and values that are not lists
+    ("truth", [True] + [0.5] * 74, "truth must be a list of JSON numbers"),
+    ("p", [True] + [0] * 74, "p must be a list of JSON numbers"),
+    ("p", [[1.0 / 75]] * 75, "p must be a list of JSON numbers"),
+    ("truth", 0.5, "truth must be a list of JSON numbers"),
+    ("truth", {"0": 0.5}, "truth must be a list of JSON numbers"),
 ])
 def test_decide_takes_only_json_numbers(toy_facts, program, field, value, message):
     request = {"op": "decide", "p": [1.0 / 75] * 75, "truth": [0.5] * 75, "alpha": 1.0}
