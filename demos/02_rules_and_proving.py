@@ -30,7 +30,8 @@ print("the quantifier ranges over C =", [vocab.token(t) for t in ctx.sets["C"]],
       "(exists: capped sum over the elements; forall: their mean)")
 
 truth = prove(program, "R", Domain.vocabulary(facts), ctx)
-print("\ntruth vector over the vocabulary:")
+print("\ntruth over the vocabulary:", truth)
+truth = truth.dense()
 for tid in range(len(vocab)):
     marker = " <-- edge to the target" if vocab.token(tid) == "learning" else ""
     print(f"  {vocab.token(tid):<10} {truth[tid]:.2f}{marker}")
@@ -43,4 +44,4 @@ covered = EvalContext(facts=facts,
                       sets={"C": (vocab.id_of("classroom"),),
                             "Prev": (vocab.id_of("<s>"), vocab.id_of("classroom"))})
 print("\nafter generating 'classroom' the boost fades:")
-print(prove(program, "R", Domain.vocabulary(facts), covered).round(2))
+print(prove(program, "R", Domain.vocabulary(facts), covered).dense().round(2))

@@ -40,7 +40,7 @@ for inst in load_instances(DATA / "dialogue10.jsonl")[:5]:
     program = parse_program(binding.source)
     result = decode(scorer, program, "R", binding.ctx, config)
     text = " ".join(vocab.token(t) for t in result.best.tokens[1:-1])
-    truth = prove(program, "R", Domain.vocabulary(facts), binding.ctx)
+    truth = prove(program, "R", Domain.vocabulary(facts), binding.ctx).dense()
     top = max(range(len(vocab)), key=lambda t: truth[t])
     print(f"\npersona : {inst.persona[0]!r}")
     print(f"user    : {inst.history[0]!r}")

@@ -1,6 +1,6 @@
 """logicdec: rule-controllable constrained decoding.
 
-User-defined first-order rules are evaluated as soft truth vectors over an
+User-defined first-order rules are evaluated as soft truth values over an
 entire vocabulary; a decision function shifts a language model's attention
 and next-token distributions toward words the rules favour, inside a grouped,
 pruned beam search.
@@ -10,10 +10,11 @@ from .decision import decide, pre_activation
 from .decoder import (DecodeResult, DecodingConfig, Hypothesis, PRESETS,
                       coverage_of, coverage_table, decode, plain_beam_search)
 from .kb import (FactBase, StemIndex, Vocabulary, align_word_to_token,
-                 equal_vector, ingest_triples, load_factbase)
+                 ingest_triples, load_factbase)
 from .lm import NgramDist, NgramLM, NgramScorer, Scorer, ngram_train
 from .prover import (Domain, EvalContext, and_avg_vec, and_luk_vec, not_vec,
                      or_vec, prove, prove_scalar)
+from .truth import Truth
 from .rules import (EmptyDomainError, RuleLinkError, RuleProgram,
                     RuleSyntaxError, parse_program, pretty, tokenize)
 from .stemming import word_stem

@@ -6,7 +6,8 @@ the log of the shifted distribution, and the one place the prediction shift
 happens: the decoder ranks it for every scorer with one ``top_k_rows`` call
 per step, which scores all rows together, and of long rows only the entries
 that can reach their top k (of a vector, or of an ``lm.NgramDist`` without
-writing it out); ``decide`` is its exponential.  The boost on entry ``i`` is
+writing it out), taking each row's truth as a ``Truth`` (a background plus
+sparse entries); ``decide`` is its exponential.  The boost on entry ``i`` is
 ``alpha * I_i * P_i``: words the rules like gain probability, with the
 original probability gating the magnitude so that a near-zero candidate is
 never catapulted to the top.  With ``I = 0`` or ``alpha = 0`` the scores are
@@ -15,14 +16,14 @@ never catapulted to the top.  With ``I = 0`` or ``alpha = 0`` the scores are
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .lm import NgramDist
+from .truth import Truth
 
-__all__ = ["decide", "pre_activation", "top_k_rows", "support_of", "Support", "softmax",
-           "SCORE_FLOOR"]
+__all__ = ["decide", "pre_activation", "top_k_rows", "support_of", "softmax", "SCORE_FLOOR"]
 
 # Pre-activation assigned to zero-probability entries.  Finite so that the
 # additive boost (which is zero there anyway) cannot produce NaNs.
@@ -44,25 +45,19 @@ def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-class Support(NamedTuple):
-    """A truth vector with its support: the ids of its nonzero entries,
-    ascending, and their values."""
-    truth: np.ndarray
-    ids: np.ndarray
-    values: np.ndarray
-
-
-def support_of(truth: np.ndarray) -> Support:
+def support_of(truth: np.ndarray) -> Truth:
+    """A truth vector as its support: background 0, and the ids and values of
+    its nonzero entries."""
     truth = np.asarray(truth, dtype=np.float64)
     ids = np.flatnonzero(truth != 0.0)
-    return Support(truth, ids, truth[ids])
+    return Truth(0.0, ids, truth[ids], len(truth))
 
 
 def _log(p: np.ndarray) -> np.ndarray:
     return np.log(p, out=np.full(p.shape, SCORE_FLOOR), where=p > 0.0)
 
 
-def _boost(pz: np.ndarray, supports: Sequence[Support], alpha: float) -> tuple:
+def _boost(pz: np.ndarray, supports: Sequence[Truth], alpha: float) -> tuple:
     """``b = alpha * I * p`` on nonempty supports laid end to end, from
     ``pz``, the entries of ``p`` there, and per support ``log Z`` with ``Z =
     sum(p * exp(b))``, summed over its own slice to round as if alone."""
@@ -83,7 +78,7 @@ def _boost(pz: np.ndarray, supports: Sequence[Support], alpha: float) -> tuple:
 
 
 def _shift(p: np.ndarray, rows: np.ndarray, on: np.ndarray,
-           supports: Sequence[Optional[Support]], alpha: float) -> tuple[np.ndarray, np.ndarray]:
+           supports: Sequence[Optional[Truth]], alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """``pre_activation`` of rows laid end to end in ``p``, given each entry's
     row and the supports' positions ``on``, and each row's ``log Z``."""
     scores = _log(p)
@@ -107,21 +102,29 @@ def pre_activation(p: np.ndarray, truth: np.ndarray | None = None,
     return _shift(p, np.zeros(len(p), dtype=np.intp), _keys(sups, len(p)), sups, alpha)[0]
 
 
-def top_k_rows(rows: Sequence[np.ndarray | NgramDist], supports: Sequence[Optional[Support]],
+def top_k_rows(rows: Sequence[np.ndarray | NgramDist], truths: Sequence[Optional[Truth]],
                alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Ids and scores, each ``(len(rows), k)``, of the ``k`` best entries of
-    each row's ``pre_activation(p, support.truth, alpha)`` (``support`` None
-    for no truth vector), best first, ties to the smaller id; the scores
-    equal ``pre_activation``'s bit for bit.  ``rows`` are vectors or
-    ``NgramDist``s (read as their ``dense()``) of one length ``V >= k``.
+    each row's ``pre_activation(p, truth.dense(), alpha)`` (``truth`` None for
+    no truth vector), best first, ties to the smaller id; the scores equal
+    ``pre_activation``'s bit for bit.  ``rows`` are vectors or ``NgramDist``s
+    (read as their ``dense()``) of one length ``V >= k``.
 
-    Off the support the boost is zero, so a score orders like ``p``: past
-    ``FULL_RANK_MAX_V`` entries only the support and the entries whose ``p``
-    can reach the ``k``-th largest are ranked, unless one left out could tie."""
+    Off the ids of a truth with background 0 the boost is zero, so a score
+    orders like ``p``: past ``FULL_RANK_MAX_V`` entries only those ids and the
+    entries whose ``p`` can reach the ``k``-th largest are ranked, unless one
+    left out could tie.  A truth with a nonzero background boosts every
+    entry, so ``log Z`` needs every ``p``: its row is ranked whole."""
+    ranked = np.array([t is None or t.background == 0.0 for t in truths])
+    supports = [t if ok else support_of(t.dense()) for t, ok in zip(truths, ranked)]
     if len(rows[0]) <= FULL_RANK_MAX_V:
         return _top_k_of_whole(rows, supports, alpha, k)
-    ids, scores, ok = _top_k_of_candidates(rows, supports, alpha, k)
-    whole = np.flatnonzero(~ok)
+    ids, scores = np.empty((len(rows), k), dtype=np.int64), np.empty((len(rows), k))
+    part = np.flatnonzero(ranked)
+    if len(part):  # the rows that hold stay ranked
+        ids[part], scores[part], ranked[part] = _top_k_of_candidates(
+            [rows[i] for i in part], [supports[i] for i in part], alpha, k)
+    whole = np.flatnonzero(~ranked)
     if len(whole):
         ids[whole], scores[whole] = _top_k_of_whole([rows[i] for i in whole],
                                                     [supports[i] for i in whole], alpha, k)
@@ -142,7 +145,7 @@ def _one_model(rows: Sequence) -> bool:
     return all(isinstance(p, NgramDist) and p.unigram is rows[0].unigram for p in rows)
 
 
-def _keys(supports: Sequence[Optional[Support]], v: int) -> np.ndarray:
+def _keys(supports: Sequence[Optional[Truth]], v: int) -> np.ndarray:
     """The supports' ids as keys ``i * v + id`` (entry ``id`` of row ``i``)."""
     on = [(i * v, s.ids) for i, s in enumerate(supports) if s is not None]
     return np.concatenate([np.empty(0, dtype=np.int64)] + [ids for _, ids in on]) + np.repeat(

@@ -3,12 +3,13 @@ shifting, coverage tracking, grouping, and pruning.
 
 Each step, every live hypothesis expands its top ``beam_size`` candidates
 from its shifted next-token log-scores ``pre_activation(p, I, alpha3)``; at
-the ``beam_size``-th place, ties go to the smaller token id.  Off the truth
-vector's support the boost is zero, so those top candidates lie on the
-support or among the tokens whose ``p`` reaches the ``beam_size``-th
-largest: one ``decision.top_k_rows`` call per step ranks the live beam,
-scoring only those when the vocabulary is large, bit for bit as
-``pre_activation`` would.  Candidates are
+the ``beam_size``-th place, ties go to the smaller token id.  The truth ``I``
+is a ``Truth`` (a background plus sparse entries); where its background is
+0, the boost is zero off its ids, so those top candidates lie on the ids or
+among the tokens whose ``p`` reaches the ``beam_size``-th largest: one
+``decision.top_k_rows`` call per step ranks the live beam, scoring only
+those when the vocabulary is large, bit for bit as ``pre_activation``
+would.  Candidates are
 pruned relative to the best candidate of the step (keep those within a
 ``prune_ratio`` fraction of the best likelihood) and grouped by their
 covered-concept bitmask; at most ``max_groups`` groups stay, the
@@ -20,18 +21,18 @@ then the rest by global score.  A step first scores the live beam with one
 expands it, so nothing is scored after the last selection.  The n-gram
 scorer's batch holds ``lm.NgramDist``s, which ``top_k_rows`` ranks from
 their unigram order and sparse corrections, so a step over a large
-vocabulary builds no V-long distribution; only ``trace`` writes one out,
-for the first hypothesis.
+vocabulary builds no V-long distribution or truth vector; only ``trace``
+writes them out, for the first hypothesis.
 
-Each hypothesis step proves at most once: the vocabulary truth vector under
-its own prefix, of which the attention hooks' prefix and target truths are
-gathers (an atom reads only the token id at a position).  One pass over
-the program, callees first, classes each rule by how its closure reads the
-prefix: ``"none"`` (never), ``"coverage"`` (only through stem-equality probes
-of the constraint set, as ``R`` of the shipped lexical templates) or
-``"full"``.  Unless the proved rule is ``"full"``, the vector is memoised
-with its support on the coverage bitmask.  Across proves, the prover's memo
-keeps the entries of the ``"none"`` rules, as ``Rel(x, c)`` there.
+Each hypothesis step proves at most once: the vocabulary truth under its own
+prefix, of which the attention hooks' prefix and target truths are gathers
+(an atom reads only the token id at a position).  One pass over the program,
+callees first, classes each rule by how its closure reads the prefix:
+``"none"`` (never), ``"coverage"`` (only through stem-equality probes of the
+constraint set, as ``R`` of the shipped lexical templates) or ``"full"``.
+Unless the proved rule is ``"full"``, the truth is memoised on the coverage
+bitmask.  Across proves, the prover's memo keeps the truths of the
+``"none"`` rules, as ``Rel(x, c)`` there.
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ import numpy as np
 
 from . import rules as R
 # decide is not called here; the benchmark's tracer patches this name
-from .decision import (SCORE_FLOOR, Support, decide, pre_activation,  # noqa: F401
-                       support_of, top_k_rows)
+from .decision import SCORE_FLOOR, decide, pre_activation, top_k_rows  # noqa: F401
 from .kb import FactBase
 from .lm import NgramDist, Scorer
 from .prover import Domain, EvalContext, prove
 from .transformer import AttentionHookBundle
+from .truth import Truth
 
 __all__ = [
     "Hypothesis", "DecodingConfig", "DecodeResult", "PRESETS",
@@ -176,12 +177,12 @@ def _prefix_classes(program: R.RuleProgram) -> dict[str, str]:
 
 
 def _keep_prefix_free(memo: dict, classes: dict[str, str]) -> None:
-    """Drop the entries of rules not classed ``"none"``; freeze the vectors kept."""
+    """Drop the entries of rules not classed ``"none"``; freeze the truths kept."""
     for key in list(memo):
         if classes[key[0]] != "none":
             del memo[key]
-        elif isinstance(memo[key], np.ndarray):
-            memo[key].flags.writeable = False
+        elif isinstance(memo[key], Truth):
+            memo[key].ids.flags.writeable = memo[key].values.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -212,31 +213,32 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     memo_mode = classes[program.rule(rule).name] if shifting or hooking else "full"
     vocab_memo: dict = {}
     rule_memo: dict = {}  # the prover's, carried across proves for "none" rules
+    vocabulary = Domain.vocabulary(facts) if shifting or hooking else None
 
-    def vocab_truth(tokens: tuple[int, ...], covered: int) -> Support:
+    def vocab_truth(tokens: tuple[int, ...], covered: int) -> Truth:
         if covered in vocab_memo:
             return vocab_memo[covered]
         local = EvalContext(facts, {**ctx.sets, "Prev": tokens}, rule_memo)
-        support = support_of(prove(program, rule, Domain.vocabulary(facts), local))
+        truth = prove(program, rule, vocabulary, local)
         _keep_prefix_free(rule_memo, classes)
         if memo_mode != "full":  # no two hypothesis steps share a prefix
-            vocab_memo[covered] = support
-        return support
+            vocab_memo[covered] = truth
+        return truth
 
     def step_dist(sessions: Sequence, hyps: Sequence[Hypothesis]) -> tuple[list, list]:
         """Consume each hypothesis's last token in its session with one
         ``step_batch`` call; return per session the dist before the
-        prediction shift and the truth support (None when unshifted)."""
-        supports = [vocab_truth(h.tokens, h.covered) if hooking or shifting else None
-                    for h in hyps]
+        prediction shift and the vocabulary truth (None when unshifted)."""
+        truths = [vocab_truth(h.tokens, h.covered) if hooking or shifting else None
+                  for h in hyps]
         hooks = [AttentionHookBundle(
             alpha1=config.alpha1,
             alpha2=config.alpha2,
-            truth_prefix=support.truth[list(h.tokens)],
-            truth_targets=support.truth[list(concepts)] if concepts else None,
-        ) for h, support in zip(hyps, supports)] if hooking else None
+            truth_prefix=truth.at(h.tokens),
+            truth_targets=truth.at(concepts) if concepts else None,
+        ) for h, truth in zip(hyps, truths)] if hooking else None
         raws = scorer.step_batch(sessions, [h.tokens[-1] for h in hyps], hooks)
-        return raws, supports if shifting else [None] * len(hyps)
+        return raws, truths if shifting else [None] * len(hyps)
 
     prompt_tokens = tuple(prompt) if prompt is not None else (config.bos_id,)
     if not prompt_tokens or not all(0 <= t < scorer.vocab_size for t in prompt_tokens):
@@ -260,9 +262,9 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     steps_run = 0
     while live and steps_run < config.max_length:
         hyps, sessions = zip(*live)
-        raws, supports = step_dist(sessions, hyps)
+        raws, truths = step_dist(sessions, hyps)
         if trace:
-            truth = supports[0].truth if shifting else None
+            truth = truths[0].dense() if shifting else None
             raw = raws[0].dense() if isinstance(raws[0], NgramDist) else raws[0]
             scores = pre_activation(raw, truth, config.alpha3)
             trace_log.append(_trace_entry(steps_run, scores, raw, shifting))
@@ -270,7 +272,7 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
 
         # (3)-(4) expand the top k candidates per hypothesis under shifted
         # scores, as one (hypotheses, k) block
-        top, logd = top_k_rows(raws, supports, config.alpha3, k)
+        top, logd = top_k_rows(raws, truths, config.alpha3, k)
         score = np.array([hyp.logp for hyp in hyps])[:, None] + logd
         keep = np.isfinite(score) & (logd > SCORE_FLOOR / 2)
         if not keep.any():

@@ -19,10 +19,11 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .stemming import word_stem
+from .truth import Truth
 
 __all__ = [
     "WORD_BOUNDARY", "Vocabulary", "StemIndex", "FactBase", "IngestReport",
-    "align_word_to_token", "ingest_triples", "equal_vector",
+    "align_word_to_token", "ingest_triples",
     "rescale_weight", "load_factbase", "SnapshotError",
 ]
 
@@ -125,19 +126,24 @@ class StemIndex:
             self.n_classes = int(self.class_of.max()) + 1 if len(self.class_of) else 0
 
     @functools.cached_property
-    def members(self) -> dict[int, tuple[int, ...]]:
-        """Class id -> token ids, built on first use (ingestion reads it; a
-        snapshot load does not)."""
-        members: dict[int, list[int]] = {}
-        for tid, cid in enumerate(self.class_of):
-            members.setdefault(int(cid), []).append(tid)
-        return {cid: tuple(tids) for cid, tids in members.items()}
+    def _member_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, members)``: the token ids of class ``c``, ascending, are
+        ``members[indptr[c]:indptr[c + 1]]``.  Built on first use (ingestion
+        and proving read it; a snapshot load does not), and read-only."""
+        members = np.argsort(self.class_of, kind="stable").astype(np.int32)
+        indptr = np.zeros(self.n_classes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.class_of, minlength=self.n_classes), out=indptr[1:])
+        members.flags.writeable = indptr.flags.writeable = False
+        return indptr, members
 
     def same_class(self, a: int, b: int) -> bool:
         return int(self.class_of[a]) == int(self.class_of[b])
 
-    def class_members(self, token_id: int) -> tuple[int, ...]:
-        return self.members[int(self.class_of[token_id])]
+    def class_members(self, token_id: int) -> np.ndarray:
+        """The token ids of ``token_id``'s class, ascending, as a read-only view."""
+        indptr, members = self._member_index
+        cid = self.class_of[token_id]
+        return members[indptr[cid]:indptr[cid + 1]]
 
 
 def rescale_weight(raw: float) -> float:
@@ -180,6 +186,8 @@ class FactBase:
         self._csc_indptr = indptr
         self._csc_rows = rows.astype(np.int32, copy=False)
         self._csc_vals = vals
+        for array in (self._csc_indptr, self._csc_rows, self._csc_vals):
+            array.flags.writeable = False  # the atoms hand out views of them
 
     # -- construction -------------------------------------------------------
 
@@ -205,14 +213,20 @@ class FactBase:
     def same_stem(self, a: int, b: int) -> bool:
         return self.stems.same_class(a, b)
 
-    # -- vector fact access (whole-domain path) -------------------------------
+    # -- whole-vocabulary fact access (the prover's atoms) --------------------
 
-    def edge_column(self, p: int) -> np.ndarray:
-        """Dense column ``p`` of the adjacency matrix as float64 over V."""
-        out = np.zeros(len(self.vocab), dtype=np.float64)
+    def edge_truth(self, p: int) -> Truth:
+        """``Edge(x, p)`` for every token ``x``: column ``p`` of the adjacency,
+        as read-only views of its rows and weights."""
         lo, hi = self._csc_indptr[p], self._csc_indptr[p + 1]
-        out[self._csc_rows[lo:hi]] = self._csc_vals[lo:hi]
-        return out
+        return Truth(0.0, self._csc_rows[lo:hi], self._csc_vals[lo:hi], len(self.vocab))
+
+    def equal_truth(self, y: int) -> Truth:
+        """``Equal(x, y)`` for every token ``x``: 1.0 on ``y``'s stem class."""
+        if not (0 <= y < len(self.vocab)):
+            raise ValueError(f"token id {y} outside vocabulary")
+        mates = self.stems.class_members(y)
+        return Truth(0.0, mates, np.ones(len(mates)), len(self.vocab))
 
     @property
     def num_edges(self) -> int:
@@ -317,18 +331,6 @@ def load_factbase(path) -> FactBase:
     except ValueError as exc:
         raise SnapshotError(path, "edge arrays", str(exc)) from None
     return facts
-
-
-# ---------------------------------------------------------------------------
-# Vectorised predicates
-
-def equal_vector(domain: Sequence[int], y: int, facts: FactBase) -> np.ndarray:
-    """Truth values of stem-equality between each domain token and ``y``."""
-    if not (0 <= y < len(facts.vocab)):
-        raise ValueError(f"token id {y} outside vocabulary")
-    ids = np.asarray(domain, dtype=np.int64)
-    cls = facts.stems.class_of
-    return (cls[ids] == cls[y]).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +443,8 @@ def ingest_triples(source, vocab: Vocabulary, mode: str = "soft",
     # Morphological extension: mirror each edge over both stem classes.
     extended: dict[tuple[int, int], float] = {}
     for (a, b), w in pairs.items():
-        for am in stems.class_members(a):
-            for bm in stems.class_members(b):
+        for am in stems.class_members(a).tolist():
+            for bm in stems.class_members(b).tolist():
                 if am == bm:
                     continue
                 key = (min(am, bm), max(am, bm))

@@ -17,14 +17,20 @@ rules assume their sets are populated, and a silent default would hide data
 bugs.
 
 An atom whose arguments are both bound (``Equal(c, p)`` with ``c`` in C and
-``p`` in Prev) is a scalar; only atoms that read the domain position build a
-vector (``Edge(x, c)`` reads column ``c`` of the adjacency).  Connectives
-broadcast scalars against vectors and sum children in a left fold, so a
-position's value never depends on its domain: proving a prefix or target list
-gives exactly the vocabulary vector's entries at those ids.  The n-ary or
-equals the left fold of its binary form; the Lukasiewicz fold is associative,
-so the closed form max(sum - (n-1), 0) agrees with it.  Every result is
-clamped to [0, 1]; ``prove`` returns one float64 per domain position.
+``p`` in Prev) is a scalar; an atom that reads the domain position is a
+``Truth`` over the vocabulary with background 0 (``Edge(x, c)`` is column
+``c`` of the adjacency, ``Equal(x, c)`` the members of ``c``'s stem class), so
+no step of a proof runs over the whole vocabulary.  A connective gathers its
+children's values on the union of their ids, each child's background where it
+has no entry, and applies its operation to those and to the backgrounds: every
+position gets the float operations of a dense evaluation, bit for bit.
+Scalars broadcast, and children are summed in a left fold, so a position's
+value never depends on its domain: proving a prefix or target list gives
+exactly the vocabulary truth's values at those ids.  The n-ary or equals the
+left fold of its binary form; the Lukasiewicz fold is associative, so the
+closed form max(sum - (n-1), 0) agrees with it.  Every result is clamped to
+[0, 1]; ``prove`` returns a canonical ``Truth`` over the domain's positions
+(see ``truth``), whose ``dense()`` has one float64 per position.
 
 ``prove_scalar`` is the word-by-word reference implementation used as a test
 oracle.  It shares no combinator code with the vector path: pure-Python
@@ -39,10 +45,11 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import rules as R
-from .kb import FactBase, equal_vector
+from .kb import FactBase
+from .truth import Truth
 
 __all__ = [
-    "Domain", "EvalContext", "prove", "prove_scalar",
+    "Domain", "EvalContext", "Truth", "prove", "prove_scalar",
     "or_vec", "and_avg_vec", "and_luk_vec", "not_vec",
 ]
 
@@ -94,42 +101,67 @@ class EvalContext:
 # ---------------------------------------------------------------------------
 # Vector connectives
 
-def _first(children: Sequence) -> np.ndarray:
-    """First child as float64; vector children must agree in length."""
+try:  # the ufunc that np.clip calls, without its Python-level dispatch
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
+
+def _checked(children: Sequence) -> list:
+    """The children, the first as float64; vector children must agree in length."""
     if not children:
         raise ValueError("connective requires at least one child")
     if len({np.shape(c) for c in children if np.ndim(c)}) > 1:
         raise ValueError("connective children differ in length")
-    return np.asarray(children[0], dtype=np.float64)
+    return [np.asarray(children[0], dtype=np.float64), *children[1:]]
 
 
-def _sum(children: Sequence) -> np.ndarray:
-    acc = _first(children)
+# The kernels take floats and float64 arrays of one length, as the prover
+# builds them; the public connectives check their children first.
+
+def _sum(children: Sequence):
+    acc = children[0]
     for c in children[1:]:
         acc = acc + c
     return acc
 
 
+def _or(children: Sequence):
+    return _clip(_sum(children), 0.0, 1.0)
+
+
+def _and_avg(children: Sequence):
+    return _clip(_sum(children) / len(children), 0.0, 1.0)
+
+
+def _and_luk(children: Sequence):
+    acc = children[0]
+    for c in children[1:]:
+        acc = np.maximum(acc + c - 1.0, 0.0)
+    return _clip(acc, 0.0, 1.0)
+
+
+def _not(children: Sequence):
+    return _clip(1.0 - children[0], 0.0, 1.0)
+
+
 def or_vec(children: Sequence[np.ndarray]) -> np.ndarray:
     """n-ary disjunction: min(1, sum of children)."""
-    return np.clip(_sum(children), 0.0, 1.0)
+    return _or(_checked(children))
 
 
 def and_avg_vec(children: Sequence[np.ndarray]) -> np.ndarray:
     """Averaging conjunction: the arithmetic mean of all children."""
-    return np.clip(_sum(children) / len(children), 0.0, 1.0)
+    return _and_avg(_checked(children))
 
 
 def and_luk_vec(children: Sequence[np.ndarray]) -> np.ndarray:
     """Hard conjunction: left fold of max(a + b - 1, 0)."""
-    acc = _first(children)
-    for c in children[1:]:
-        acc = np.maximum(acc + c - 1.0, 0.0)
-    return np.clip(acc, 0.0, 1.0)
+    return _and_luk(_checked(children))
 
 
 def not_vec(child: np.ndarray) -> np.ndarray:
-    return np.clip(1.0 - np.asarray(child, dtype=np.float64), 0.0, 1.0)
+    return _not([np.asarray(child, dtype=np.float64)])
 
 
 # ---------------------------------------------------------------------------
@@ -145,41 +177,66 @@ def _resolve(arg: R.Var, subst: Mapping[str, object]):
         raise R.RuleLinkError(f"unbound variable '{arg.name}'") from None
 
 
-def _atom_vector(pred: str, a, b, domain: Domain, ctx: EvalContext):
-    """Truth of one atom: a vector over the domain when an argument is the
-    domain position, a scalar when both arguments are bound."""
-    facts = ctx.facts
+def _atom(pred: str, a, b, facts: FactBase):
+    """Truth of one atom: a ``Truth`` over the vocabulary when an argument is
+    the domain position, a scalar when both arguments are bound."""
     if a is _DOMAIN_ARG and b is _DOMAIN_ARG:
         return 1.0 if pred == "Equal" else 0.0  # Edge has no self-loops
     if a is not _DOMAIN_ARG and b is not _DOMAIN_ARG:
         return float(facts.same_stem(a, b)) if pred == "Equal" else facts.edge_weight(a, b)
     other = b if a is _DOMAIN_ARG else a
-    if pred == "Equal":
-        return equal_vector(domain.ids, other, facts)
     # Edge reads the adjacency; softness is a property of the facts.
-    column = facts.edge_column(other)
-    return column if domain.kind == "vocab" else column[domain.ids]
+    return facts.equal_truth(other) if pred == "Equal" else facts.edge_truth(other)
 
 
-def _eval_vector(program: R.RuleProgram, expr, subst, domain: Domain, ctx: EvalContext, memo):
+def _combine(op, children: Sequence):
+    """``op`` at every position of its children, scalars or ``Truth``s: on
+    the union of the ``Truth``s' ids, of each child's value there (its
+    background where it has no entry), and of the backgrounds elsewhere."""
+    sparse = [c for c in children if isinstance(c, Truth)]
+    if not sparse:
+        return op(children)
+    backgrounds = [c.background if isinstance(c, Truth) else c for c in children]
+    if len(sparse) == 1:
+        ids = sparse[0].ids
+        gathered = [c.values if isinstance(c, Truth) else c for c in children]
+    else:
+        ids = np.concatenate([t.ids for t in sparse])
+        ids.sort()
+        first = np.ones(len(ids), dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        ids = ids[first]
+        gathered = []
+        for c in children:
+            if isinstance(c, Truth):
+                column = np.full(len(ids), c.background, dtype=np.float64)
+                column[np.searchsorted(ids, c.ids)] = c.values
+                c = column
+            gathered.append(c)
+    return Truth(op(backgrounds), ids, op(gathered), sparse[0].size)
+
+
+def _eval(program: R.RuleProgram, expr, subst, ctx: EvalContext, memo):
     def ev(child, inner=subst):
-        return _eval_vector(program, child, inner, domain, ctx, memo)
+        return _eval(program, child, inner, ctx, memo)
     if isinstance(expr, R.Atom):
         a = _resolve(expr.args[0], subst)
         b = _resolve(expr.args[1], subst)
-        return _atom_vector(expr.pred, a, b, domain, ctx)
+        return _atom(expr.pred, a, b, ctx.facts)
     if isinstance(expr, R.Not):
-        return not_vec(ev(expr.child))
+        return _combine(_not, [ev(expr.child)])
     if isinstance(expr, R.OrNode):
         if not expr.children:
             return 0.0
-        return or_vec([ev(c) for c in expr.children])
+        return _combine(_or, [ev(c) for c in expr.children])
     if isinstance(expr, R.AndAvgNode):
-        return and_avg_vec([ev(c) for c in expr.children])
+        if not expr.children:
+            raise ValueError("averaging conjunction with no children")
+        return _combine(_and_avg, [ev(c) for c in expr.children])
     if isinstance(expr, R.AndLukNode):
         if not expr.children:
             return 1.0
-        return and_luk_vec([ev(c) for c in expr.children])
+        return _combine(_and_luk, [ev(c) for c in expr.children])
     if isinstance(expr, R.Quant):
         elements = ctx.bound(expr.set_name)
         if not elements:
@@ -187,31 +244,30 @@ def _eval_vector(program: R.RuleProgram, expr, subst, domain: Domain, ctx: EvalC
         values = [ev(expr.body, {**subst, expr.var: int(tid)}) for tid in elements]
         if len(values) == 1:
             return values[0]
-        return or_vec(values) if expr.kind == "exists" else and_avg_vec(values)
+        return _combine(_or if expr.kind == "exists" else _and_avg, values)
     if isinstance(expr, R.RuleRef):
         resolved = tuple(_resolve(arg, subst) for arg in expr.args)
-        return _eval_rule(program, expr.rule, resolved, domain, ctx, memo)
+        return _eval_rule(program, expr.rule, resolved, ctx, memo)
     raise TypeError(f"unexpected node {expr!r}")
 
 
-def _eval_rule(program: R.RuleProgram, name: str, resolved_args, domain, ctx, memo: dict):
+def _eval_rule(program: R.RuleProgram, name: str, resolved_args, ctx, memo: dict):
     key = (name, resolved_args)
     hit = memo.get(key)
     if hit is not None:
         return hit
     rule = program.rule(name)
     subst = dict(zip(rule.params, resolved_args))
-    out = _eval_vector(program, rule.body, subst, domain, ctx, memo)
+    out = _eval(program, rule.body, subst, ctx, memo)
     memo[key] = out
     return out
 
 
-def prove(program: R.RuleProgram, rule: str, domain: Domain,
-          ctx: EvalContext) -> np.ndarray:
+def prove(program: R.RuleProgram, rule: str, domain: Domain, ctx: EvalContext) -> Truth:
     """Evaluate ``rule`` for every position of ``domain`` in parallel.
 
-    Returns a float64 truth vector in [0, 1] with one entry per domain
-    position.  Repeated (rule, argument) evaluations share one result, kept
+    Returns a canonical ``Truth`` over the domain's positions, with values
+    in [0, 1].  Repeated (rule, argument) evaluations share one result, kept
     in ``ctx.memo`` if the caller gives one (vocabulary domains only).
     """
     target = program.rule(rule)
@@ -219,7 +275,10 @@ def prove(program: R.RuleProgram, rule: str, domain: Domain,
         raise ValueError(f"rule '{rule}' takes {len(target.params)} arguments; "
                          "a proved rule must take exactly one")
     n_vocab = len(ctx.facts.vocab)
-    if len(domain) and (domain.ids.min() < 0 or domain.ids.max() >= n_vocab):
+    if domain.kind == "vocab":
+        if len(domain) != n_vocab:
+            raise ValueError("a vocabulary domain needs one position per vocabulary token")
+    elif len(domain) and (domain.ids.min() < 0 or domain.ids.max() >= n_vocab):
         raise ValueError("domain contains token ids outside the fact-base vocabulary")
     for name, ids in ctx.sets.items():
         for tid in ids:
@@ -228,8 +287,16 @@ def prove(program: R.RuleProgram, rule: str, domain: Domain,
     if ctx.memo is not None and domain.kind != "vocab":
         raise ValueError("a caller-owned memo needs the vocabulary domain")
     memo = {} if ctx.memo is None else ctx.memo
-    out = _eval_rule(program, rule, (_DOMAIN_ARG,), domain, ctx, memo)
-    return np.full(len(domain), out) if np.ndim(out) == 0 else out
+    out = _eval_rule(program, rule, (_DOMAIN_ARG,), ctx, memo)
+    if not isinstance(out, Truth):
+        return Truth(np.float64(out), _NO_IDS, _NO_VALUES, len(domain))
+    if domain.kind != "vocab":  # the values at the domain's token ids
+        out = Truth(out.background, np.arange(len(domain)), out.at(domain.ids), len(domain))
+    return out.canonical()
+
+
+_NO_IDS, _NO_VALUES = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+_NO_IDS.flags.writeable = _NO_VALUES.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------

@@ -40,13 +40,14 @@ from .decision import decide
 from .kb import FactBase
 from .prover import Domain, EvalContext, prove
 from .rules import RuleProgram
+from .truth import Truth
 
 __all__ = ["LogicServer", "serve_forever", "handle_request"]
 
 log = logging.getLogger("logicdec.service")
 
-# A request answered: ("truth", vector), ("p_shifted", vector) or ("error", message).
-Answer = tuple[str, Union[np.ndarray, str]]
+# A request answered: ("truth", Truth), ("p_shifted", vector) or ("error", message).
+Answer = tuple[str, Union[Truth, np.ndarray, str]]
 
 
 def _ids(value, field: str) -> tuple[int, ...]:
@@ -76,8 +77,8 @@ def _answer(request: dict, facts: FactBase, program: RuleProgram) -> Answer:
             raw_ctx = request.get("ctx", {})
             sets = {k: _ids(v, f"ctx.sets.{k}") for k, v in raw_ctx.get("sets", {}).items()}
             ctx = EvalContext(facts=facts, sets=sets)
-            truth = np.asarray(prove(program, rule, domain, ctx), dtype=np.float64)
-            if not np.isfinite(truth).all():
+            truth = prove(program, rule, domain, ctx)
+            if not (np.isfinite(truth.background) and np.isfinite(truth.values).all()):
                 return "error", f"rule '{rule}' gave a non-finite truth value"
             return "truth", truth
         if op == "decide":
@@ -97,18 +98,16 @@ def _answer(request: dict, facts: FactBase, program: RuleProgram) -> Answer:
         return "error", f"{type(exc).__name__}: {exc}"
 
 
-_ZERO = "0.0, "
-
-
-def _float_list(v: np.ndarray) -> str:
-    """``json.dumps(v.tolist())`` of a finite float64 vector, byte for byte.
-    Only the entries with nonzero bits go through ``repr`` (so ``-0.0``
-    keeps its sign); each run of zeros is one repeated ``"0.0, "``."""
-    nz = np.flatnonzero(v.view(np.uint64))
-    zeros_before = np.diff(nz, prepend=-1) - 1
-    text = "".join([_ZERO * z + repr(x) + ", "
-                    for z, x in zip(zeros_before.tolist(), v[nz].tolist())])
-    text += _ZERO * (len(v) - 1 - nz[-1] if len(nz) else len(v))
+def _float_list(truth: Truth) -> str:
+    """``json.dumps(truth.dense().tolist())`` of a finite truth, byte for
+    byte, written from its entries: each goes through ``repr``, and each run
+    of background positions between them is one repeated ``repr`` of the
+    background."""
+    background = repr(float(truth.background)) + ", "
+    gaps = np.diff(truth.ids, prepend=-1) - 1
+    text = "".join([background * gap + repr(x) + ", "
+                    for gap, x in zip(gaps.tolist(), truth.values.tolist())])
+    text += background * (truth.size - 1 - truth.ids[-1] if len(truth.ids) else truth.size)
     return "[" + text[:-2] + "]"
 
 
@@ -134,7 +133,7 @@ def handle_request(request: dict, facts: FactBase, program: RuleProgram) -> dict
     ``error`` message.  Never raises on bad input."""
     key, value = _answer(request, facts, program)
     if key == "truth":
-        value = value.tolist()
+        value = value.dense().tolist()
     elif key == "p_shifted":
         value = _base64(value)
     return {key: value}

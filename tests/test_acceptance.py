@@ -70,7 +70,7 @@ def test_c02_prover_oracle_equivalence():
     for _ in range(200):
         program = parse_program(random_program_source(rng))
         facts, ctx = random_world(rng)
-        vector = prove(program, "R", Domain.vocabulary(facts), ctx)
+        vector = prove(program, "R", Domain.vocabulary(facts), ctx).dense()
         scalar = np.array([prove_scalar(program, "R", w, ctx)
                            for w in range(len(facts.vocab))])
         worst = max(worst, float(np.abs(vector - scalar).max()))
@@ -257,7 +257,7 @@ def test_c09_service_differential(toy_world):
                     else Domain.targets(domain)
                 expected = prove(program, "R", dom,
                                  EvalContext(facts=facts,
-                                             sets={k: tuple(x) for k, x in sets.items()}))
+                                             sets={k: tuple(x) for k, x in sets.items()})).dense()
                 key = "truth"
             else:
                 p = rng.random(n) + 1e-6   # decide takes one value per token

@@ -9,6 +9,7 @@ from logicdec.decision import (FULL_RANK_MAX_V, SCORE_FLOOR, _top_k_of_candidate
                                 decide, pre_activation, softmax, support_of,
                                 top_k_rows)
 from logicdec.lm import NgramDist, ngram_train
+from logicdec.truth import Truth
 
 
 def normalized(values):
@@ -317,5 +318,19 @@ class TestTopKRows:
         assert ids.shape == got.shape == (len(rows), k)
         for row, support, row_ids, row_got in zip(rows, supports, ids, got):
             p = row.dense() if isinstance(row, NgramDist) else row
-            scores = pre_activation(p, None if support is None else support.truth, alpha)
+            scores = pre_activation(p, None if support is None else support.dense(), alpha)
+            assert_lexsort_top_k(row_ids, row_got, scores, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(beam_cases(), st.data())
+    def test_rows_whose_truth_has_a_background_equal_a_lexsort_too(self, case, data):
+        # a soft-gate truth: nonzero off its ids, so every entry is boosted
+        rows, supports, alpha, k = case
+        truths = [t if t is None or not data.draw(st.booleans()) else
+                  Truth(data.draw(st.sampled_from([1e-3, 0.5, 1.0])), t.ids, t.values,
+                        t.size).canonical() for t in supports]
+        ids, got = top_k_rows(rows, truths, alpha, k)
+        for row, truth, row_ids, row_got in zip(rows, truths, ids, got):
+            p = row.dense() if isinstance(row, NgramDist) else row
+            scores = pre_activation(p, None if truth is None else truth.dense(), alpha)
             assert_lexsort_top_k(row_ids, row_got, scores, k)

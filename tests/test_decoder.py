@@ -210,7 +210,7 @@ class TestPrefixDependenceIsSound:
                                                 sets={"C": concepts, "P": persona,
                                                       "Prev": tuple(prefix)}))
                               for prefix in prefixes]
-                    assert truths[0].tobytes() == truths[1].tobytes(), name
+                    assert truths[0].dense().tobytes() == truths[1].dense().tobytes(), name
 
         assert_same_truth("none")  # the prefixes are unrelated
         # extend each prefix with stem-mates of the concepts only the other
@@ -245,11 +245,11 @@ class TestCarriedProverMemo:
         memo: dict = {}
         for _ in range(rnd.randint(2, 5)):
             sets["Prev"] = tuple(rnd.randrange(n) for _ in range(rnd.randint(1, 8)))
-            carried = prove(program, "R", vocab, EvalContext(toy_facts, sets, memo))
+            carried = prove(program, "R", vocab, EvalContext(toy_facts, sets, memo)).dense()
             _keep_prefix_free(memo, classes)
             assert all(classes[name] == "none" for name, _ in memo)
             ctx = EvalContext(toy_facts, dict(sets))
-            assert carried.tobytes() == prove(program, "R", vocab, ctx).tobytes()
+            assert carried.tobytes() == prove(program, "R", vocab, ctx).dense().tobytes()
             scalar = np.array([prove_scalar(program, "R", w, ctx) for w in range(n)])
             assert np.abs(carried - scalar).max() <= 1e-9
 
@@ -261,14 +261,14 @@ class TestCarriedProverMemo:
         program = parse_program(binding.source)
         bodies = {id(program.rule(name).body): name for name in ("R", "Rel")}
         evaluated = Counter()
-        original = P._eval_vector
+        original = P._eval
 
         def counting(program_, expr, *rest):
             if id(expr) in bodies:  # a rule body is evaluated only on a memo miss
                 evaluated[bodies[id(expr)]] += 1
             return original(program_, expr, *rest)
 
-        monkeypatch.setattr(P, "_eval_vector", counting)
+        monkeypatch.setattr(P, "_eval", counting)
         config = replace(PRESETS["commongen"], max_length=16, bos_id=bos, eos_id=eos)
         decode(lexical_scorer, program, "R", binding.ctx, config)
         concepts = set(binding.ctx.sets["C"])
@@ -286,11 +286,12 @@ class TestCarriedProverMemo:
         prove(program, "R", Domain.vocabulary(toy_facts), ctx)
         assert {name for name, _ in memo} == {"R", "Rel", "Y"}
         _keep_prefix_free(memo, classes)
-        (vector,) = memo.values()
-        with pytest.raises(ValueError, match="read-only"):
-            vector[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            np.add(vector, 1.0, out=vector)
+        (truth,) = memo.values()
+        for vector in (truth.ids, truth.values):
+            with pytest.raises(ValueError, match="read-only"):
+                vector[0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                np.add(vector, 1, out=vector)
 
 
 def _select_beam_oracle(candidates, config):
@@ -777,7 +778,7 @@ class TestTransformerIntegration:
         sets = binding.ctx.sets
         for prefix, hooks in looping.calls[-40:]:
             truth = prove(program, "R", Domain.vocabulary(toy_facts),
-                          EvalContext(facts=toy_facts, sets={**sets, "Prev": prefix}))
+                          EvalContext(facts=toy_facts, sets={**sets, "Prev": prefix})).dense()
             assert (hooks.truth_prefix == truth[list(prefix)]).all()
             assert (hooks.truth_targets == truth[list(sets["C"])]).all()
 
@@ -822,16 +823,13 @@ class TestDecodeStepWork:
         from logicdec import decoder as D
         proved_rule_is_full(monkeypatch)
         proved, pending, steps = [], [], []
-        original_prove, original_support_of = D.prove, D.support_of
+        original_prove = D.prove
 
         def counting_prove(program, rule, domain, ctx):
             proved.append(ctx.sets["Prev"])
-            return original_prove(program, rule, domain, ctx)
-
-        def watching_support_of(truth):
-            support = original_support_of(truth)
-            pending.append(weakref.ref(support.truth))
-            return support
+            truth = original_prove(program, rule, domain, ctx)
+            pending.append(weakref.ref(truth.values))
+            return truth
 
         def on_step(batch):
             # the previous step's supports are still held; older ones not
@@ -840,7 +838,6 @@ class TestDecodeStepWork:
             pending.clear()
 
         monkeypatch.setattr(D, "prove", counting_prove)
-        monkeypatch.setattr(D, "support_of", watching_support_of)
         bos, eos = sentinel_ids
         v = toy_facts.vocab
         ctx = EvalContext(facts=toy_facts, sets={"C": (v.id_of("garden"), v.id_of("river"))})

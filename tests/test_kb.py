@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from logicdec.kb import (WORD_BOUNDARY, FactBase, SnapshotError, StemIndex,
-                         Vocabulary, align_word_to_token, equal_vector,
-                         ingest_triples, load_factbase, rescale_weight)
+                         Vocabulary, align_word_to_token, ingest_triples,
+                         load_factbase, rescale_weight)
 from logicdec.stemming import word_stem
 
 from conftest import DATA, read_words
@@ -65,7 +65,8 @@ class TestAlignment:
 class TestStemIndex:
     def test_partition(self, toy_vocab):
         index = StemIndex(toy_vocab)
-        total = sum(len(m) for m in index.members.values())
+        classes = {tuple(index.class_members(t).tolist()) for t in range(len(toy_vocab))}
+        total = sum(len(m) for m in classes)
         assert total == len(toy_vocab)
 
     def test_equivalence_relation(self, toy_vocab):
@@ -79,41 +80,61 @@ class TestStemIndex:
 
 
 class TestEqualVector:
+    """Stem equality over the vocabulary, ``FactBase.equal_truth``."""
+
     def test_stem_mates_match(self, toy_facts):
         v = toy_facts.vocab
         domain = [v.id_of("run"), v.id_of("ran"), v.id_of("dog")]
-        out = equal_vector(domain, v.id_of("running"), toy_facts)
+        out = toy_facts.equal_truth(v.id_of("running")).at(domain)
         assert out.tolist() == [1.0, 1.0, 0.0]
 
     def test_identity_one_hot(self, toy_facts):
         v = toy_facts.vocab
         domain = [v.id_of("garden"), v.id_of("piano"), v.id_of("river")]
-        out = equal_vector(domain, v.id_of("garden"), toy_facts)
+        out = toy_facts.equal_truth(v.id_of("garden")).at(domain)
         assert out.tolist() == [1.0, 0.0, 0.0]
 
     def test_disjoint_classes_all_zero(self, toy_facts):
         v = toy_facts.vocab
         domain = [v.id_of("garden"), v.id_of("piano")]
-        assert equal_vector(domain, v.id_of("dog"), toy_facts).tolist() == [0.0, 0.0]
+        assert toy_facts.equal_truth(v.id_of("dog")).at(domain).tolist() == [0.0, 0.0]
+
+    def test_members_are_the_stem_class_as_read_only_views(self, toy_facts):
+        v = toy_facts.vocab
+        truth = toy_facts.equal_truth(v.id_of("running"))
+        assert truth.background == 0.0 and (truth.values == 1.0).all()
+        assert [v.token(t) for t in truth.ids] == sorted(
+            ("run", "runs", "running", "ran"), key=v.id_of)
+        with pytest.raises(ValueError, match="read-only"):
+            truth.ids[0] = 0
+        with pytest.raises(ValueError, match="outside"):
+            toy_facts.equal_truth(len(v))
 
 
 class TestEdgeVector:
-    """Dense adjacency columns, ``FactBase.edge_column``."""
+    """Adjacency columns over the vocabulary, ``FactBase.edge_truth``."""
 
     def test_single_soft_edge(self):
         vocab = Vocabulary(["a", "b", "p"])
         facts = FactBase.from_edges(vocab, [(0, 2, 0.7)], mode="soft")
-        assert facts.edge_column(2).tolist() == [0.7, 0.0, 0.0]
+        assert facts.edge_truth(2).dense().tolist() == [0.7, 0.0, 0.0]
 
     def test_hard_mode_two_neighbours(self):
         vocab = Vocabulary(["a", "b", "c", "p"])
         facts = FactBase.from_edges(vocab, [(0, 3, 1.0), (2, 3, 1.0)], mode="hard")
-        assert facts.edge_column(3).tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert facts.edge_truth(3).dense().tolist() == [1.0, 0.0, 1.0, 0.0]
 
     def test_symmetry_over_all_stored_edges(self, toy_facts):
         for a, b, w in toy_facts.edges():
-            assert toy_facts.edge_column(b)[a] == pytest.approx(w)
-            assert toy_facts.edge_column(a)[b] == pytest.approx(w)
+            assert toy_facts.edge_truth(b).dense()[a] == pytest.approx(w)
+            assert toy_facts.edge_truth(a).dense()[b] == pytest.approx(w)
+
+    def test_columns_are_read_only_views(self, toy_facts):
+        truth = toy_facts.edge_truth(toy_facts.vocab.id_of("garden"))
+        assert len(truth.ids) and truth.background == 0.0
+        for array in (truth.ids, truth.values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestRescale:
@@ -379,7 +400,7 @@ class TestFactBaseValidation:
     def test_edge_weight_matches_columns(self, toy_facts):
         n = len(toy_facts.vocab)
         dense = np.array([[toy_facts.edge_weight(a, b) for a in range(n)] for b in range(n)])
-        assert (dense == np.stack([toy_facts.edge_column(b) for b in range(n)])).all()
+        assert (dense == np.stack([toy_facts.edge_truth(b).dense() for b in range(n)])).all()
 
     @pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (75, 0), (0, 75)])
     def test_edge_weight_rejects_ids_outside_vocabulary(self, toy_facts, a, b):

@@ -1,13 +1,19 @@
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logicdec.kb import FactBase, Vocabulary
 from logicdec.prover import (Domain, EvalContext, and_avg_vec, and_luk_vec,
                              not_vec, or_vec, prove, prove_scalar)
+from logicdec import rules as R
 from logicdec.rules import EmptyDomainError, UnboundSetError, parse_program
 from logicdec.tasks import template_text
+from logicdec.truth import Truth
+
+from test_decoder import _toy_program
 
 COMMONGEN_AVG = """
 R(x) :- exists c in C, ~Y(c) ^ Rel(x, c)
@@ -86,7 +92,7 @@ class TestProve:
     def test_commongen_single_concept_vector(self):
         facts, ctx = commongen_fixture()
         program = parse_program(COMMONGEN_AVG)
-        out = prove(program, "R", Domain.vocabulary(facts), ctx)
+        out = prove(program, "R", Domain.vocabulary(facts), ctx).dense()
         # oracle-computed: avg(1, Rel) with Rel = 1 for the edge endpoint and
         # the concept itself, 0 elsewhere
         expected = [0.5, 1.0, 1.0, 0.5, 0.5, 0.5]
@@ -98,11 +104,11 @@ class TestProve:
         vocab = Vocabulary(["<s>", "a", "b", "c"])
         facts = FactBase.from_edges(vocab, [], mode="soft")
         ctx = EvalContext(facts=facts, sets={"C": (3,), "Prev": (0,)})
-        soft = prove(parse_program(COMMONGEN_AVG), "R", Domain.vocabulary(facts), ctx)
+        soft = prove(parse_program(COMMONGEN_AVG), "R", Domain.vocabulary(facts), ctx).dense()
         # uncovered concept, no facts: every word scores half the gate,
         # except the concept itself through stem equality
         assert soft.tolist() == pytest.approx([0.5, 0.5, 0.5, 1.0])
-        hard = prove(parse_program(COMMONGEN_HARD), "R", Domain.vocabulary(facts), ctx)
+        hard = prove(parse_program(COMMONGEN_HARD), "R", Domain.vocabulary(facts), ctx).dense()
         assert hard.tolist() == pytest.approx([0.0, 0.0, 0.0, 1.0])
 
     def test_persona_bridging_word(self):
@@ -110,7 +116,7 @@ class TestProve:
         facts = FactBase.from_edges(vocab, [(0, 1, 1.0), (0, 2, 1.0)], mode="hard")
         ctx = EvalContext(facts=facts, sets={"P": (1,), "U": (2,)})
         program = parse_program(PERSONA)
-        out = prove(program, "Common", Domain.vocabulary(facts), ctx)
+        out = prove(program, "Common", Domain.vocabulary(facts), ctx).dense()
         assert out[0] == pytest.approx(1.0)
         assert (out[1:] < 1.0).all()
         assert out.tolist() == pytest.approx([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
@@ -119,16 +125,16 @@ class TestProve:
         facts, _ = commongen_fixture()
         # prefix now contains the concept itself
         ctx = EvalContext(facts=facts, sets={"C": (2,), "Prev": (0, 2)})
-        soft = prove(parse_program(COMMONGEN_AVG), "R", Domain.vocabulary(facts), ctx)
+        soft = prove(parse_program(COMMONGEN_AVG), "R", Domain.vocabulary(facts), ctx).dense()
         assert soft.tolist() == pytest.approx([0.0, 0.5, 0.5, 0.0, 0.0, 0.0])
-        hard = prove(parse_program(COMMONGEN_HARD), "R", Domain.vocabulary(facts), ctx)
+        hard = prove(parse_program(COMMONGEN_HARD), "R", Domain.vocabulary(facts), ctx).dense()
         assert hard.tolist() == pytest.approx([0.0] * 6)
 
     def test_prefix_domain_is_positional(self):
         facts, ctx = commongen_fixture()
         program = parse_program(COMMONGEN_AVG)
         domain = Domain.targets((1, 1, 2))
-        out = prove(program, "R", domain, ctx)
+        out = prove(program, "R", domain, ctx).dense()
         assert len(out) == 3
         assert out[0] == out[1]  # repeated token, distinct positions
 
@@ -169,8 +175,8 @@ class TestProve:
         # the keys omit the domain, so only vocabulary domains may share them
         with pytest.raises(ValueError, match="vocabulary domain"):
             prove(program, "R", Domain.targets((1, 2)), with_memo)
-        out = prove(program, "R", Domain.vocabulary(facts), with_memo)
-        assert out.tobytes() == prove(program, "R", Domain.vocabulary(facts), ctx).tobytes()
+        out = prove(program, "R", Domain.vocabulary(facts), with_memo).dense()
+        assert out.tobytes() == prove(program, "R", Domain.vocabulary(facts), ctx).dense().tobytes()
         assert memo and all(isinstance(name, str) and isinstance(args, tuple)
                             for name, args in memo)
 
@@ -186,18 +192,18 @@ class TestProve:
         for domain in (Domain.vocabulary(facts), Domain.targets((1, 1, 2)),
                        Domain.targets((3,))):
             out = prove(program, "R", domain, ctx)
-            assert isinstance(out, np.ndarray) and out.dtype == np.float64
-            assert out.tolist() == [1.0] * len(domain)
+            assert isinstance(out, Truth) and out.size == len(domain)
+            assert out.dense().tolist() == [1.0] * len(domain)
         never = parse_program(
             "R(x) :- exists c in C, (exists y in Prev, Equal(c, y) & Edge(c, y))")
-        out = prove(never, "R", Domain.vocabulary(facts), ctx)
+        out = prove(never, "R", Domain.vocabulary(facts), ctx).dense()
         assert out.shape == (len(facts.vocab),) and not out.any()
 
     def test_determinism(self):
         facts, ctx = commongen_fixture()
         program = parse_program(COMMONGEN_AVG)
-        a = prove(program, "R", Domain.vocabulary(facts), ctx)
-        b = prove(program, "R", Domain.vocabulary(facts), ctx)
+        a = prove(program, "R", Domain.vocabulary(facts), ctx).dense()
+        b = prove(program, "R", Domain.vocabulary(facts), ctx).dense()
         assert (a == b).all()
 
 
@@ -218,9 +224,9 @@ class TestPositionsMatchVocabulary:
         program = parse_program(template_text(template))
         ctx = EvalContext(facts=toy_facts, sets={"C": tuple(concepts), "P": tuple(persona),
                                                  "U": tuple(user), "Prev": tuple(prev)})
-        vocab = prove(program, "R", Domain.vocabulary(toy_facts), ctx)
-        prefix = prove(program, "R", Domain.targets(prev), ctx)
-        targets = prove(program, "R", Domain.targets(concepts), ctx)
+        vocab = prove(program, "R", Domain.vocabulary(toy_facts), ctx).dense()
+        prefix = prove(program, "R", Domain.targets(prev), ctx).dense()
+        targets = prove(program, "R", Domain.targets(concepts), ctx).dense()
         assert prefix.tobytes() == vocab[prev].tobytes()
         assert targets.tobytes() == vocab[concepts].tobytes()
 
@@ -319,10 +325,188 @@ class TestOracleEquivalence:
             source = random_program_source(rng)
             program = parse_program(source)
             facts, ctx = random_world(rng)
-            vector = prove(program, "R", Domain.vocabulary(facts), ctx)
+            vector = prove(program, "R", Domain.vocabulary(facts), ctx).dense()
             scalar = np.array([prove_scalar(program, "R", w, ctx)
                                for w in range(len(facts.vocab))])
             diff = np.abs(vector - scalar).max()
             assert diff <= 1e-9, f"program:\n{source}\nmax diff {diff}"
             assert (vector >= 0).all() and (vector <= 1).all()
             checked += 1
+
+
+# ---------------------------------------------------------------------------
+# Bitwise differential testing against the dense prover this one replaced
+#
+# The dense evaluation path, kept verbatim as the oracle of the sparse one
+# (names prefixed ``dense_``; the two deleted fact-base builders included):
+# every connective runs over the whole domain.
+
+def dense_equal_vector(domain, y, facts):
+    """Truth values of stem-equality between each domain token and ``y``."""
+    if not (0 <= y < len(facts.vocab)):
+        raise ValueError(f"token id {y} outside vocabulary")
+    ids = np.asarray(domain, dtype=np.int64)
+    cls = facts.stems.class_of
+    return (cls[ids] == cls[y]).astype(np.float64)
+
+
+def dense_edge_column(facts, p):
+    """Dense column ``p`` of the adjacency matrix as float64 over V."""
+    out = np.zeros(len(facts.vocab), dtype=np.float64)
+    lo, hi = facts._csc_indptr[p], facts._csc_indptr[p + 1]
+    out[facts._csc_rows[lo:hi]] = facts._csc_vals[lo:hi]
+    return out
+
+
+def dense_first(children):
+    """First child as float64; vector children must agree in length."""
+    if not children:
+        raise ValueError("connective requires at least one child")
+    if len({np.shape(c) for c in children if np.ndim(c)}) > 1:
+        raise ValueError("connective children differ in length")
+    return np.asarray(children[0], dtype=np.float64)
+
+
+def dense_sum(children):
+    acc = dense_first(children)
+    for c in children[1:]:
+        acc = acc + c
+    return acc
+
+
+def dense_or_vec(children):
+    """n-ary disjunction: min(1, sum of children)."""
+    return np.clip(dense_sum(children), 0.0, 1.0)
+
+
+def dense_and_avg_vec(children):
+    """Averaging conjunction: the arithmetic mean of all children."""
+    return np.clip(dense_sum(children) / len(children), 0.0, 1.0)
+
+
+def dense_and_luk_vec(children):
+    """Hard conjunction: left fold of max(a + b - 1, 0)."""
+    acc = dense_first(children)
+    for c in children[1:]:
+        acc = np.maximum(acc + c - 1.0, 0.0)
+    return np.clip(acc, 0.0, 1.0)
+
+
+def dense_not_vec(child):
+    return np.clip(1.0 - np.asarray(child, dtype=np.float64), 0.0, 1.0)
+
+
+_DOMAIN_ARG = object()  # marks the position being evaluated in parallel
+
+
+def dense_resolve(arg, subst):
+    try:
+        return subst[arg.name]
+    except KeyError:
+        raise R.RuleLinkError(f"unbound variable '{arg.name}'") from None
+
+
+def dense_atom_vector(pred, a, b, domain, ctx):
+    """Truth of one atom: a vector over the domain when an argument is the
+    domain position, a scalar when both arguments are bound."""
+    facts = ctx.facts
+    if a is _DOMAIN_ARG and b is _DOMAIN_ARG:
+        return 1.0 if pred == "Equal" else 0.0  # Edge has no self-loops
+    if a is not _DOMAIN_ARG and b is not _DOMAIN_ARG:
+        return float(facts.same_stem(a, b)) if pred == "Equal" else facts.edge_weight(a, b)
+    other = b if a is _DOMAIN_ARG else a
+    if pred == "Equal":
+        return dense_equal_vector(domain.ids, other, facts)
+    # Edge reads the adjacency; softness is a property of the facts.
+    column = dense_edge_column(facts, other)
+    return column if domain.kind == "vocab" else column[domain.ids]
+
+
+def dense_eval_vector(program, expr, subst, domain, ctx, memo):
+    def ev(child, inner=subst):
+        return dense_eval_vector(program, child, inner, domain, ctx, memo)
+    if isinstance(expr, R.Atom):
+        a = dense_resolve(expr.args[0], subst)
+        b = dense_resolve(expr.args[1], subst)
+        return dense_atom_vector(expr.pred, a, b, domain, ctx)
+    if isinstance(expr, R.Not):
+        return dense_not_vec(ev(expr.child))
+    if isinstance(expr, R.OrNode):
+        if not expr.children:
+            return 0.0
+        return dense_or_vec([ev(c) for c in expr.children])
+    if isinstance(expr, R.AndAvgNode):
+        return dense_and_avg_vec([ev(c) for c in expr.children])
+    if isinstance(expr, R.AndLukNode):
+        if not expr.children:
+            return 1.0
+        return dense_and_luk_vec([ev(c) for c in expr.children])
+    if isinstance(expr, R.Quant):
+        elements = ctx.bound(expr.set_name)
+        if not elements:
+            raise R.EmptyDomainError(expr.set_name)
+        values = [ev(expr.body, {**subst, expr.var: int(tid)}) for tid in elements]
+        if len(values) == 1:
+            return values[0]
+        return dense_or_vec(values) if expr.kind == "exists" else dense_and_avg_vec(values)
+    if isinstance(expr, R.RuleRef):
+        resolved = tuple(dense_resolve(arg, subst) for arg in expr.args)
+        return dense_eval_rule(program, expr.rule, resolved, domain, ctx, memo)
+    raise TypeError(f"unexpected node {expr!r}")
+
+
+def dense_eval_rule(program, name, resolved_args, domain, ctx, memo):
+    key = (name, resolved_args)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    rule = program.rule(name)
+    subst = dict(zip(rule.params, resolved_args))
+    out = dense_eval_vector(program, rule.body, subst, domain, ctx, memo)
+    memo[key] = out
+    return out
+
+
+def dense_prove(program, rule, domain, ctx):
+    """The float64 truth vector of ``rule``, one entry per domain position."""
+    out = dense_eval_rule(program, rule, (_DOMAIN_ARG,), domain, ctx, {})
+    return np.full(len(domain), out) if np.ndim(out) == 0 else out
+
+
+def assert_canonical(truth):
+    """ids strictly ascending within the domain, no value with the
+    background's bits, every value finite and in [0, 1]."""
+    ids, values = truth.ids, truth.values
+    assert ids.dtype == np.int64 and len(ids) == len(values)
+    assert (np.diff(ids) > 0).all() and ((ids >= 0) & (ids < truth.size)).all()
+    background = np.float64(truth.background)
+    assert not (values.view(np.uint64) == background.view(np.uint64)).any()
+    for v in (np.array([background]), values):
+        assert np.isfinite(v).all() and ((v >= 0.0) & (v <= 1.0)).all()
+
+
+class TestDenseOracle:
+    """``prove(...).dense()`` is the dense prover's vector bit for bit, and
+    the truth it returns is canonical."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), toy=st.booleans())
+    def test_dense_equals_the_dense_oracle_bitwise(self, toy_facts, seed, toy):
+        rng = np.random.default_rng(seed)
+        if toy:  # the decoder's random programs over C, P and Prev
+            rnd = random.Random(seed)
+            program = parse_program(_toy_program(rnd, rnd.randint(1, 4)))
+            facts, n = toy_facts, len(toy_facts.vocab)
+            ctx = EvalContext(facts, {name: tuple(rnd.randrange(n)
+                                                  for _ in range(rnd.randint(1, size)))
+                                      for name, size in (("C", 4), ("P", 4), ("Prev", 8))})
+        else:
+            program = parse_program(random_program_source(rng))
+            facts, ctx = random_world(rng)
+        n = len(facts.vocab)
+        targets = Domain.targets(rng.integers(0, n, size=int(rng.integers(0, 12))))
+        for domain in (Domain.vocabulary(facts), targets):
+            truth = prove(program, "R", domain, ctx)
+            assert isinstance(truth, Truth) and truth.size == len(domain)
+            assert truth.dense().tobytes() == dense_prove(program, "R", domain, ctx).tobytes()
+            assert_canonical(truth)

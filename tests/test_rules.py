@@ -268,10 +268,10 @@ class TestExpansion:
 
     def prove_all(self, source, **sets):
         ctx = EvalContext(facts=self.FACTS, sets={k: tuple(v) for k, v in sets.items()})
-        return prove(parse_program(source), "A", Domain.vocabulary(self.FACTS), ctx)
+        return prove(parse_program(source), "A", Domain.vocabulary(self.FACTS), ctx).dense()
 
     def edge(self, a, b):
-        return self.FACTS.edge_column(b)[a]
+        return self.FACTS.edge_weight(a, b)
 
     def test_exists_becomes_disjunction(self):
         out = self.prove_all("A(x) :- exists c in S, Edge(x, c)", S=[1, 2, 3])
@@ -291,7 +291,7 @@ class TestExpansion:
     def test_singleton_collapses(self):
         for kind in ("exists", "forall"):
             out = self.prove_all(f"A(x) :- {kind} c in S, Edge(x, c)", S=[2])
-            assert out.tobytes() == self.FACTS.edge_column(2).tobytes()
+            assert out.tobytes() == self.FACTS.edge_truth(2).dense().tobytes()
 
     def test_empty_domain_is_an_error(self):
         with pytest.raises(EmptyDomainError):
@@ -379,7 +379,7 @@ class TestNesting:
         assert parse_program(rule_source(program.rules["R"])) == program
         # one element in C: nested quantifiers multiply the work by |C| per level
         ctx = EvalContext(facts=self.FACTS, sets={"C": (1,)})
-        vector = prove(program, "R", Domain.vocabulary(self.FACTS), ctx)
+        vector = prove(program, "R", Domain.vocabulary(self.FACTS), ctx).dense()
         assert [prove_scalar(program, "R", w, ctx) for w in range(3)] == vector.tolist()
         for depth in (MAX_NESTING + 1, 20 * MAX_NESTING):
             line = nested(opener, depth)
@@ -403,7 +403,7 @@ class TestNesting:
         at_cap = MAX_NESTING // (1 + len(step))
         program = parse_program(chain(at_cap))
         ctx = EvalContext(facts=self.FACTS, sets={})
-        vector = prove(program, "R0", Domain.vocabulary(self.FACTS), ctx)
+        vector = prove(program, "R0", Domain.vocabulary(self.FACTS), ctx).dense()
         assert [prove_scalar(program, "R0", w, ctx) for w in range(3)] == vector.tolist()
         # the provers overflowed the stack from about 600 references on
         for n in (at_cap + 1, 600, 20 * MAX_NESTING):
@@ -414,7 +414,7 @@ class TestNesting:
         program = parse_program(nested("^&", MAX_NESTING))
         assert parse_program(rule_source(program.rules["R"])) == program
         ctx = EvalContext(facts=self.FACTS, sets={})
-        vector = prove(program, "R", Domain.vocabulary(self.FACTS), ctx)
+        vector = prove(program, "R", Domain.vocabulary(self.FACTS), ctx).dense()
         assert [prove_scalar(program, "R", w, ctx) for w in range(3)] == vector.tolist()
         # 1000 operators ended in RecursionError
         for depth in (MAX_NESTING + 1, 999, 20 * MAX_NESTING):

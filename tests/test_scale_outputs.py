@@ -6,17 +6,22 @@ where the decoder ranks only the candidates that can reach the top k.  This
 writes the seed-7 world, decodes its first 16 instances as that workload does
 and hashes the best outputs the way the benchmark digests them, so that
 output drift on the large-vocabulary path fails here and not only in a
-benchmark run.
+benchmark run.  On the same world, a vocabulary prove must not allocate a
+vector over the vocabulary.
 """
 
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from logicdec.decision import FULL_RANK_MAX_V
 from logicdec.decoder import PRESETS, decode
 from logicdec.kb import load_factbase
 from logicdec.lm import NgramScorer, ngram_train
+from logicdec.prover import Domain, EvalContext, prove
 from logicdec.rules import parse_program
 from logicdec.tasks import lexical_rule_template, load_instances
 
@@ -29,8 +34,15 @@ from world import write_world  # noqa: E402
 SEED, DIGEST = 7, "880e172028d25487"
 
 
-def test_seed_7_world_outputs_match_the_pinned_digest(tmp_path):
-    write_world(SEED, tmp_path)
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    out = tmp_path_factory.mktemp("world")
+    write_world(SEED, out)
+    return out
+
+
+def test_seed_7_world_outputs_match_the_pinned_digest(world):
+    tmp_path = world
     facts = load_factbase(tmp_path / "factbase.snap")
     vocab = facts.vocab
     assert len(vocab) > FULL_RANK_MAX_V
@@ -49,3 +61,21 @@ def test_seed_7_world_outputs_match_the_pinned_digest(tmp_path):
                         config)
         outputs.append([inst.instance_id, list(result.best.tokens)])
     assert digest_of(outputs) == DIGEST
+
+
+def test_a_warm_vocabulary_prove_allocates_less_than_one_vocabulary_vector(world):
+    facts = load_factbase(world / "factbase.snap")
+    vocabulary = Domain.vocabulary(facts)
+    inst = load_instances(world / "lexical.jsonl")[0]
+    binding = lexical_rule_template(inst.concepts, facts, gate="luk")
+    program = parse_program(binding.source)
+    ctx = EvalContext(facts, {**binding.ctx.sets, "Prev": (facts.vocab.id_of("<s>"),)})
+    prove(program, "R", vocabulary, ctx)  # warm: the stem classes' member index is built
+    tracemalloc.start()
+    try:
+        truth = prove(program, "R", vocabulary, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(truth.ids)
+    assert peak < 8 * len(facts.vocab), peak  # one float64 per token: 400 KB

@@ -12,6 +12,7 @@ from logicdec.decision import decide
 from logicdec.prover import Domain, EvalContext, prove
 from logicdec.rules import parse_program
 from logicdec.service import LogicServer, _float_list, _line_limit, handle_request
+from logicdec.truth import Truth
 
 from conftest import p_shifted_of
 
@@ -67,7 +68,7 @@ def test_prove_request_matches_library_bitwise(server, toy_facts, program):
         local = prove(program, "R", Domain.vocabulary(toy_facts),
                       EvalContext(facts=toy_facts,
                                   sets={k: tuple(ids) for k, ids in sets.items()}))
-        assert reply["truth"] == local.tolist()
+        assert reply["truth"] == local.dense().tolist()
     finally:
         client.close()
 
@@ -195,7 +196,7 @@ def test_domain_as_id_list(server, toy_facts, program):
         local = prove(program, "R", Domain.targets(ids),
                       EvalContext(facts=toy_facts,
                                   sets={k: tuple(x) for k, x in sets.items()}))
-        assert reply["truth"] == local.tolist()
+        assert reply["truth"] == local.dense().tolist()
     finally:
         client.close()
 
@@ -237,7 +238,7 @@ def test_prove_reply_line_is_json_dumps_of_the_truth_list(server, toy_facts, pro
             line = client.call_raw({"op": "prove", "rule": "R", "domain": domain,
                                     "ctx": {"sets": sets}})
             local = prove(program, "R", dom, ctx)
-            assert line == json.dumps({"truth": local.tolist()}) + "\n"
+            assert line == json.dumps({"truth": local.dense().tolist()}) + "\n"
     finally:
         client.close()
 
@@ -268,21 +269,26 @@ def sparse_vectors(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_vectors())
-@example(np.array([]))
-@example(np.array([-0.0]))
-@example(np.array([0.0, 5e-324]))
-@example(np.zeros(3000))
-@example(np.array(SPECIAL_VALUES))
-def test_truth_list_text_equals_json_dumps_of_the_list(v):
-    assert _float_list(v) == json.dumps(v.tolist())
+@given(sparse_vectors(), st.sampled_from([0.0, -0.0, 0.5, 1.0]))
+@example(np.array([]), 0.0)
+@example(np.array([-0.0]), 0.0)
+@example(np.array([0.0, 5e-324]), 0.0)
+@example(np.zeros(3000), 0.0)
+@example(np.array(SPECIAL_VALUES), 0.0)
+@example(np.array(SPECIAL_VALUES), 0.5)
+def test_truth_list_text_equals_json_dumps_of_the_list(v, background):
+    # the truth that is v, with the entries that equal the background left out
+    truth = Truth(background, np.arange(len(v)), v, len(v)).canonical()
+    assert truth.dense().tobytes() == v.tobytes()
+    assert _float_list(truth) == json.dumps(v.tolist())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_truth_is_an_error_reply_and_the_connection_stays_open(
         server, toy_facts, program, monkeypatch, bad):
     n = len(toy_facts.vocab)
-    monkeypatch.setattr(service, "prove", lambda *args: np.array([0.0, 0.5, bad]))
+    monkeypatch.setattr(service, "prove",
+                        lambda *args: Truth(0.0, np.array([1, 2]), np.array([0.5, bad]), 3))
     request = {"op": "prove", "rule": "R", "domain": [1, 2, 3], "ctx": {"sets": {}}}
     assert "non-finite" in handle_request(request, toy_facts, program)["error"]
     client = Client(server)

@@ -78,15 +78,13 @@ class TestLexicalTemplate:
 
     def test_single_concept_quantifier_collapses(self, toy_facts):
         # with one concept c, R(x) is its body ~Y(c) ^ Rel(x, c), bit for bit
-        from logicdec.kb import equal_vector
         from logicdec.prover import (Domain, EvalContext, and_avg_vec, not_vec,
                                      or_vec, prove)
         binding = lexical_rule_template(["garden"], toy_facts)
         (c,) = binding.ctx.sets["C"]
         ctx = EvalContext(facts=toy_facts, sets={"C": (c,), "Prev": (0,)})
-        out = prove(parse_program(binding.source), "R", Domain.vocabulary(toy_facts), ctx)
-        ids = Domain.vocabulary(toy_facts).ids
-        rel = or_vec([toy_facts.edge_column(c), equal_vector(ids, c, toy_facts)])
+        out = prove(parse_program(binding.source), "R", Domain.vocabulary(toy_facts), ctx).dense()
+        rel = or_vec([toy_facts.edge_truth(c).dense(), toy_facts.equal_truth(c).dense()])
         body = and_avg_vec([not_vec(float(toy_facts.same_stem(c, 0))), rel])
         assert out.tobytes() == body.tobytes()
 
@@ -119,7 +117,7 @@ class TestDialogueTemplate:
         # the rule still proves: persona side drives R, Common contributes
         # half of its remaining branch
         from logicdec.prover import Domain, prove, prove_scalar
-        out = prove(program, "R", Domain.vocabulary(toy_facts), binding.ctx)
+        out = prove(program, "R", Domain.vocabulary(toy_facts), binding.ctx).dense()
         pets = toy_facts.vocab.id_of("pets")
         assert out[pets] == pytest.approx(
             prove_scalar(program, "R", pets, binding.ctx))

@@ -22,6 +22,9 @@ from logicdec.transformer import TinyTransformer, TransformerConfig, Transformer
 from conftest import DATA, corpus_ids
 
 DIGESTS = {"ngram": "616705dfeb86cba1", "transformer": "8cd5293b7c98f9db"}
+# lexical20 under the soft gate (``gate="avg"``, the CLI's default template),
+# whose truths are nonzero off their ids
+SOFT_GATE_DIGESTS = {"ngram": "6c30f26515c2f7f6", "transformer": "4f3062e7ce21ef0c"}
 
 
 def digest_of(items) -> str:
@@ -32,19 +35,27 @@ def digest_of(items) -> str:
     return h.hexdigest()[:16]
 
 
+def toy_scorers(scorer_kind, toy_vocab):
+    """The (lexical, dialogue) scorers of a toy workload."""
+    if scorer_kind == "ngram":
+        return tuple(NgramScorer(ngram_train(corpus_ids(toy_vocab, DATA / corpus), order=3,
+                                             vocab_size=len(toy_vocab)))
+                     for corpus in ("corpus_lexical.txt", "corpus_dialogue.txt"))
+    scorer = TransformerScorer(TinyTransformer(TransformerConfig(vocab_size=len(toy_vocab),
+                                                                 seed=0)))
+    return scorer, scorer
+
+
+def lexical_config(toy_vocab):
+    return replace(PRESETS["commongen"], max_length=16, bos_id=toy_vocab.id_of("<s>"),
+                   eos_id=toy_vocab.id_of("</s>"), length_norm_power=1.0)
+
+
 @pytest.mark.parametrize("scorer_kind", sorted(DIGESTS))
 def test_best_outputs_match_the_pinned_digest(scorer_kind, toy_vocab, toy_facts):
     bos, eos = toy_vocab.id_of("<s>"), toy_vocab.id_of("</s>")
-    if scorer_kind == "ngram":
-        lexical, dialogue = (
-            NgramScorer(ngram_train(corpus_ids(toy_vocab, DATA / corpus), order=3,
-                                    vocab_size=len(toy_vocab)))
-            for corpus in ("corpus_lexical.txt", "corpus_dialogue.txt"))
-    else:
-        lexical = dialogue = TransformerScorer(
-            TinyTransformer(TransformerConfig(vocab_size=len(toy_vocab), seed=0)))
-    lex_cfg = replace(PRESETS["commongen"], max_length=16, bos_id=bos, eos_id=eos,
-                      length_norm_power=1.0)
+    lexical, dialogue = toy_scorers(scorer_kind, toy_vocab)
+    lex_cfg = lexical_config(toy_vocab)
     dlg_cfg = replace(PRESETS["personachat"], max_length=10, bos_id=bos, eos_id=eos,
                       length_norm_power=1.0)
     outputs = []
@@ -59,3 +70,15 @@ def test_best_outputs_match_the_pinned_digest(scorer_kind, toy_vocab, toy_facts)
         result = decode(scorer, parse_program(binding.source), binding.rule, binding.ctx, config)
         outputs.append([inst.instance_id, list(result.best.tokens)])
     assert digest_of(outputs) == DIGESTS[scorer_kind]
+
+
+@pytest.mark.parametrize("scorer_kind", sorted(SOFT_GATE_DIGESTS))
+def test_soft_gate_outputs_match_the_pinned_digest(scorer_kind, toy_vocab, toy_facts):
+    lexical, _ = toy_scorers(scorer_kind, toy_vocab)
+    outputs = []
+    for inst in load_instances(DATA / "lexical20.jsonl"):
+        binding = lexical_rule_template(inst.concepts, toy_facts, gate="avg")
+        result = decode(lexical, parse_program(binding.source), binding.rule, binding.ctx,
+                        lexical_config(toy_vocab))
+        outputs.append([inst.instance_id, list(result.best.tokens)])
+    assert digest_of(outputs) == SOFT_GATE_DIGESTS[scorer_kind]
