@@ -231,12 +231,15 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         prediction shift and the vocabulary truth (None when unshifted)."""
         truths = [vocab_truth(h.tokens, h.covered) if hooking or shifting else None
                   for h in hyps]
-        hooks = [AttentionHookBundle(
-            alpha1=config.alpha1,
-            alpha2=config.alpha2,
-            truth_prefix=truth.at(h.tokens),
-            truth_targets=truth.at(concepts) if concepts else None,
-        ) for h, truth in zip(hyps, truths)] if hooking else None
+        hooks = None
+        if hooking:  # each hypothesis's prefix and target truths, in one gather
+            gathered = [truth.at(h.tokens + concepts) for h, truth in zip(hyps, truths)]
+            hooks = [AttentionHookBundle(
+                alpha1=config.alpha1,
+                alpha2=config.alpha2,
+                truth_prefix=values[:len(h.tokens)],
+                truth_targets=values[len(h.tokens):] if concepts else None,
+            ) for h, values in zip(hyps, gathered)]
         raws = scorer.step_batch(sessions, [h.tokens[-1] for h in hyps], hooks)
         return raws, truths if shifting else [None] * len(hyps)
 

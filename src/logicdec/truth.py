@@ -37,12 +37,11 @@ class Truth:
     def at(self, positions) -> np.ndarray:
         """The values at ``positions`` (in any order, repeats allowed)."""
         positions = np.asarray(positions, dtype=np.int64)
-        out = np.full(len(positions), self.background, dtype=np.float64)
-        if len(self.ids):
-            pos = np.searchsorted(self.ids, positions)
-            pos[pos == len(self.ids)] = 0
-            hit = self.ids[pos] == positions
-            out[hit] = self.values[pos[hit]]
+        if not len(self.ids):
+            return np.full(len(positions), self.background, dtype=np.float64)
+        slot = self.ids.searchsorted(positions)
+        out = self.values.take(slot, mode="clip")
+        out[self.ids.take(slot, mode="clip") != positions] = self.background
         return out
 
     def canonical(self) -> "Truth":

@@ -510,3 +510,19 @@ class TestDenseOracle:
             assert isinstance(truth, Truth) and truth.size == len(domain)
             assert truth.dense().tobytes() == dense_prove(program, "R", domain, ctx).tobytes()
             assert_canonical(truth)
+
+
+class TestTruth:
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(1, 40), data=st.data())
+    def test_at_gathers_the_dense_vector_and_canonical_keeps_it(self, size, data):
+        ids = np.array(sorted(data.draw(st.sets(st.integers(0, size - 1)))), dtype=np.int64)
+        values = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 0.25]),
+                                             min_size=len(ids), max_size=len(ids))))
+        truth = Truth(data.draw(st.sampled_from([0.0, 0.5, 1.0])), ids, values, size)
+        positions = data.draw(st.lists(st.integers(0, size - 1), max_size=12))
+        dense = truth.dense()
+        assert truth.at(positions).tobytes() == dense[positions].tobytes()
+        canonical = truth.canonical()
+        assert_canonical(canonical)
+        assert canonical.dense().tobytes() == dense.tobytes()
