@@ -14,7 +14,6 @@ from .kb import (FactBase, StemIndex, Vocabulary, align_word_to_token,
 from .lm import NgramDist, NgramLM, NgramScorer, Scorer, ngram_train
 from .prover import (Domain, EvalContext, and_avg_vec, and_luk_vec, not_vec,
                      or_vec, prove, prove_scalar)
-from .truth import Truth
 from .rules import (EmptyDomainError, RuleLinkError, RuleProgram,
                     RuleSyntaxError, parse_program, pretty, tokenize)
 from .stemming import word_stem
@@ -24,5 +23,6 @@ from .tasks import (TaskInstance, corpus_coverage, dialogue_rule_template,
 from .transformer import (AttentionHookBundle, TinyTransformer,
                           TransformerConfig, TransformerScorer, WeightsError,
                           load_weights, precompute_target_kv, save_weights)
+from .truth import Truth
 
 __version__ = "0.1.0"
