@@ -131,7 +131,7 @@ class StemIndex:
         ``members[indptr[c]:indptr[c + 1]]``.  Built on first use (ingestion
         and proving read it; a snapshot load does not), and read-only."""
         members = np.argsort(self.class_of, kind="stable").astype(np.int32)
-        indptr = np.zeros(self.n_classes + 1, dtype=np.int64)
+        indptr = np.zeros(self.n_classes + 1, dtype=np.int32)
         np.cumsum(np.bincount(self.class_of, minlength=self.n_classes), out=indptr[1:])
         members.flags.writeable = indptr.flags.writeable = False
         return indptr, members
