@@ -1,28 +1,26 @@
 """Constrained beam search: per-hypothesis rule evaluation, distribution
 shifting, coverage tracking, grouping, and pruning.
 
-Each step, every live hypothesis expands its top ``beam_size`` candidates
-from its shifted next-token log-scores ``pre_activation(p, I, alpha3)``; at
-the ``beam_size``-th place, ties go to the smaller token id.  The truth ``I``
-is a ``Truth`` (a background plus sparse entries); where its background is
-0, the boost is zero off its ids, so those top candidates lie on the ids or
-among the tokens whose ``p`` reaches the ``beam_size``-th largest: one
-``decision.top_k_rows`` call per step ranks the live beam, scoring only
-those when the vocabulary is large, bit for bit as ``pre_activation``
-would.  Candidates are
-pruned relative to the best candidate of the step (keep those within a
-``prune_ratio`` fraction of the best likelihood) and grouped by their
-covered-concept bitmask; at most ``max_groups`` groups stay, the
-most-covered one always among them.  The next beam takes, in this order and
-up to ``beam_size``: the best candidate of each group, most-covered groups
-first; then the next ``group_budget - 1`` of each group by global score;
-then the rest by global score.  A step first scores the live beam with one
-``Scorer.step_batch`` call: a hypothesis is scored only at the step that
-expands it, so nothing is scored after the last selection.  The n-gram
-scorer's batch holds ``lm.NgramDist``s, which ``top_k_rows`` ranks from
-their unigram order and sparse corrections, so a step over a large
-vocabulary builds no V-long distribution or truth vector; only ``trace``
-writes them out, for the first hypothesis.
+The live beam is arrays: a token matrix (a row per hypothesis), the rows'
+log-probabilities and their uint64 covered-concept bitmasks, so at most 64
+concepts, beside one scorer session per row; ``Hypothesis`` objects are made
+only for finished hypotheses and the results.  A step scores the beam with
+one ``Scorer.step_batch`` call (a hypothesis is scored only at the step that
+expands it) and ranks each row's top ``beam_size`` shifted log-scores
+``pre_activation(p, I, alpha3)``, ties to the smaller token id, with one
+``decision.top_k_rows`` call.  Where the truth ``I`` (a ``Truth``: a
+background plus sparse entries) has background 0, the boost is zero off its
+ids, so over a large vocabulary only those ids and the tokens whose ``p``
+reaches the ``beam_size``-th largest are scored, bit for bit as
+``pre_activation`` would; ``lm.NgramDist``s are ranked from their unigram
+order and sparse corrections, so no V-long distribution or truth vector is
+built (``trace`` writes them out, for the first hypothesis).  Candidates
+within a ``prune_ratio`` fraction of the step's best likelihood survive, a
+survivor's mask being its parent's OR its token's stem-class bits.
+``_select_beam`` groups them by mask (at most ``max_groups`` groups, the
+most-covered always kept) and takes up to ``beam_size``: each group's best,
+most-covered groups first; then the next ``group_budget - 1`` of each group;
+then the rest, both by score.
 
 Each hypothesis step proves at most once: the vocabulary truth under its own
 prefix, of which the attention hooks' prefix and target truths are gathers
@@ -62,7 +60,7 @@ __all__ = [
 class Hypothesis:
     tokens: tuple[int, ...]
     logp: float
-    covered: int = 0           # bitmask over the constraint set
+    covered: int = 0           # bitmask over the constraint set, bit i for C[i] (i < 64)
     finished: bool = False
 
 
@@ -204,6 +202,10 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
             f"scorer vocabulary ({scorer.vocab_size}) does not match fact base "
             f"({len(facts.vocab)})")
     concepts = tuple(ctx.sets.get("C", ())) if ctx is not None else ()
+    if len(concepts) > 64:  # the coverage masks are uint64
+        raise ValueError(f"decode takes at most 64 concepts, got {len(concepts)}")
+    if outside := [c for c in concepts if not 0 <= c < scorer.vocab_size]:
+        raise ValueError(f"set 'C' binds token id {outside[0]} outside the vocabulary")
     shifting = program is not None and rule is not None and ctx is not None \
         and config.alpha3 > 0
     hooking = program is not None and rule is not None and ctx is not None \
@@ -215,57 +217,61 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     rule_memo: dict = {}  # the prover's, carried across proves for "none" rules
     vocabulary = Domain.vocabulary(facts) if shifting or hooking else None
 
-    def vocab_truth(tokens: tuple[int, ...], covered: int) -> Truth:
+    def vocab_truth(prefix: list[int], covered: int) -> Truth:
         if covered in vocab_memo:
             return vocab_memo[covered]
-        local = EvalContext(facts, {**ctx.sets, "Prev": tokens}, rule_memo)
+        local = EvalContext(facts, {**ctx.sets, "Prev": tuple(prefix)}, rule_memo)
         truth = prove(program, rule, vocabulary, local)
         _keep_prefix_free(rule_memo, classes)
         if memo_mode != "full":  # no two hypothesis steps share a prefix
             vocab_memo[covered] = truth
         return truth
 
-    def step_dist(sessions: Sequence, hyps: Sequence[Hypothesis]) -> tuple[list, list]:
-        """Consume each hypothesis's last token in its session with one
+    def step_dist(sessions: list, prefixes: list[list[int]], masks: list[int]) -> tuple:
+        """Consume each prefix's last token in its session with one
         ``step_batch`` call; return per session the dist before the
         prediction shift and the vocabulary truth (None when unshifted)."""
-        truths = [vocab_truth(h.tokens, h.covered) if hooking or shifting else None
-                  for h in hyps]
+        truths = [vocab_truth(prefix, mask) if hooking or shifting else None
+                  for prefix, mask in zip(prefixes, masks)]
         hooks = None
         if hooking:  # each hypothesis's prefix and target truths, in one gather
-            gathered = [truth.at(h.tokens + concepts) for h, truth in zip(hyps, truths)]
+            gathered = [truth.at(prefix + list(concepts))
+                        for prefix, truth in zip(prefixes, truths)]
             hooks = [AttentionHookBundle(
                 alpha1=config.alpha1,
                 alpha2=config.alpha2,
-                truth_prefix=values[:len(h.tokens)],
-                truth_targets=values[len(h.tokens):] if concepts else None,
-            ) for h, values in zip(hyps, gathered)]
-        raws = scorer.step_batch(sessions, [h.tokens[-1] for h in hyps], hooks)
-        return raws, truths if shifting else [None] * len(hyps)
+                truth_prefix=values[:len(prefix)],
+                truth_targets=values[len(prefix):] if concepts else None,
+            ) for prefix, values in zip(prefixes, gathered)]
+        raws = scorer.step_batch(sessions, [prefix[-1] for prefix in prefixes], hooks)
+        return raws, truths if shifting else [None] * len(prefixes)
 
     prompt_tokens = tuple(prompt) if prompt is not None else (config.bos_id,)
     if not prompt_tokens or not all(0 <= t < scorer.vocab_size for t in prompt_tokens):
         raise ValueError(f"prompt must be one or more token ids in [0, {scorer.vocab_size})")
 
     table = coverage_table(concepts, facts)
-    # without a fact base there are no concepts, so every lookup misses
-    class_of = facts.stems.class_of if facts is not None else range(scorer.vocab_size)
+    # stem class -> bits; without a fact base there are no concepts, so no bits
+    class_of = facts.stems.class_of if facts is not None else np.zeros(scorer.vocab_size, int)
+    bits = np.zeros(facts.stems.n_classes if facts is not None else 1, dtype=np.uint64)
+    bits[list(table)] = list(table.values())
     session = scorer.begin_session(concepts)
     # the loop's first step consumes the last prompt token
-    mask = table.get(class_of[prompt_tokens[0]], 0)
+    mask = int(bits[class_of[prompt_tokens[0]]])
     for i in range(1, len(prompt_tokens)):
-        step_dist([session], [Hypothesis(prompt_tokens[:i], 0.0, mask)])
-        mask |= table.get(class_of[prompt_tokens[i]], 0)
-    # (hypothesis, session that has consumed all of its tokens but the last)
-    live = [(Hypothesis(prompt_tokens, 0.0, mask), session)]
+        step_dist([session], [list(prompt_tokens[:i])], [mask])
+        mask |= int(bits[class_of[prompt_tokens[i]]])
+    # the live beam, a row per hypothesis; sessions[i] has consumed tokens[i] but the last
+    tokens, logp = np.array([prompt_tokens], dtype=np.int64), np.zeros(1)
+    covered, sessions = np.array([mask], dtype=np.uint64), [session]
     finished: list[Hypothesis] = []
     trace_log: list = []
     log_rho = math.log(config.prune_ratio)
     k = min(config.beam_size, scorer.vocab_size)
+    eos = -1 if config.eos_id is None else config.eos_id
     steps_run = 0
-    while live and steps_run < config.max_length:
-        hyps, sessions = zip(*live)
-        raws, truths = step_dist(sessions, hyps)
+    while sessions and steps_run < config.max_length:
+        raws, truths = step_dist(sessions, tokens.tolist(), covered.tolist())
         if trace:
             truth = truths[0].dense() if shifting else None
             raw = raws[0].dense() if isinstance(raws[0], NgramDist) else raws[0]
@@ -276,7 +282,7 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         # (3)-(4) expand the top k candidates per hypothesis under shifted
         # scores, as one (hypotheses, k) block
         top, logd = top_k_rows(raws, truths, config.alpha3, k)
-        score = np.array([hyp.logp for hyp in hyps])[:, None] + logd
+        score = logp[:, None] + logd
         keep = np.isfinite(score) & (logd > SCORE_FLOOR / 2)
         if not keep.any():
             break
@@ -285,33 +291,27 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         keep &= score >= (score[keep].max() + log_rho) - 1e-12
 
         # (5) coverage update per survivor, in row-major order
-        rows, cols = np.nonzero(keep)
-        candidates = [(s, hi, w, hyps[hi].covered | table.get(class_of[w], 0))
-                      for s, hi, w in zip(score[rows, cols].tolist(), rows.tolist(),
-                                          top[rows, cols].tolist())]
+        flat = keep.ravel().nonzero()[0]
+        rows, score, token = flat // k, score.take(flat), top.take(flat)
+        mask = covered[rows] | bits[class_of[token]]
 
         # (7) group by bitmask, keep top k per group, fill beam by score
-        live = []
-        for s, hi, w, mask in _select_beam(candidates, config):
-            hyp = Hypothesis(hyps[hi].tokens + (w,), s, mask,
-                             finished=(config.eos_id is not None and w == config.eos_id))
-            if hyp.finished:
-                finished.append(hyp)
-            else:
-                live.append((hyp, sessions[hi].clone()))
+        chosen = _select_beam(score, token, rows, mask, config)
+        ends = token[chosen] == eos
+        if ends.any():
+            finished += [Hypothesis((*tokens[rows[i]].tolist(), int(token[i])), float(score[i]),
+                                    int(mask[i]), finished=True) for i in chosen[ends].tolist()]
+            chosen = chosen[~ends]
+        rows, logp, covered = rows[chosen], score[chosen], mask[chosen]
+        tokens = np.concatenate((tokens[rows], token[chosen][:, None]), axis=1)
+        sessions = [sessions[i].clone() for i in rows.tolist()]
 
-    completed = bool(finished)
-    pool = finished if finished else [hyp for hyp, _ in live]
-    prompt_len = len(prompt_tokens)
-    ranked = sorted(
-        pool,
-        key=lambda h: (
-            -_length_normalized(h, prompt_len, config.length_norm_power),
-            -bin(h.covered).count("1"),
-            h.tokens,
-        ),
-    )
-    return DecodeResult(ranked, completed, steps_run, trace_log)
+    pool = finished or [Hypothesis(tuple(t), s, m) for t, s, m in
+                        zip(tokens.tolist(), logp.tolist(), covered.tolist())]
+    ranked = sorted(pool, key=lambda h: (
+        -_length_normalized(h, len(prompt_tokens), config.length_norm_power),
+        -h.covered.bit_count(), h.tokens))
+    return DecodeResult(ranked, bool(finished), steps_run, trace_log)
 
 
 def _length_normalized(hyp: Hypothesis, prompt_len: int, power: float) -> float:
@@ -319,45 +319,43 @@ def _length_normalized(hyp: Hypothesis, prompt_len: int, power: float) -> float:
     return hyp.logp / gen_len ** power
 
 
-def _select_beam(candidates: list[tuple[float, int, int, int]],
-                 config: DecodingConfig) -> list[tuple[float, int, int, int]]:
-    """Grouped beam selection over pruned candidates.
+def _select_beam(score: np.ndarray, token: np.ndarray, parent: np.ndarray,
+                 mask: np.ndarray, config: DecodingConfig) -> np.ndarray:
+    """Grouped beam selection: the indices of the chosen candidates, best first.
 
-    Candidates are (score, hyp_index, token, covered_mask), grouped by mask;
-    a group's head is its best candidate.  Groups rank by covered-concept
-    count, then by head; past ``max_groups`` the top-ranked group and the
-    ``max_groups - 1`` best-headed others are kept.  The beam takes, up to
-    ``beam_size``: each kept group's head in rank order, then every group's
-    2nd to ``group_budget``-th members by score, then the remaining members
-    by score; it is returned sorted by score.  Deterministic: ties break
-    toward smaller token ids, then earlier hypotheses.
+    Candidate ``i`` extends hypothesis ``parent[i]`` by ``token[i]``, scoring
+    ``score[i]`` and covering ``mask[i]`` (uint64).  Candidates rank by score,
+    then smaller token, then earlier hypothesis; a group (one mask) is headed
+    by its best.  Groups rank by covered-concept count, then by head; past
+    ``max_groups`` the top group and the ``max_groups - 1`` best-headed others
+    stay.  The beam takes, up to ``beam_size``: the heads in group rank, then
+    each group's 2nd to ``group_budget``-th members, then the rest, by rank.
     """
-    def order(c):
-        return (-c[0], c[2], c[1])
-
-    ranked = sorted(candidates, key=order)
-    heads: dict[int, tuple] = {}  # in head order, which the stable sort keeps on ties
-    for c in ranked:
-        heads.setdefault(c[3], c)
-    group_order = sorted(heads, key=lambda m: -bin(m).count("1"))
-    if len(group_order) > config.max_groups:
+    order = np.lexsort((parent, token, -score))
+    n = len(order)
+    ranked_mask = mask[order]
+    by_mask = ranked_mask.argsort(kind="stable")  # each group in a row, by rank
+    grouped = ranked_mask[by_mask]
+    within = np.arange(n) - grouped.searchsorted(grouped)  # place in its group
+    heads = (within == 0).nonzero()[0]
+    head_rank = by_mask[heads].tolist()
+    counts = [m.bit_count() for m in grouped[heads].tolist()]
+    groups = sorted(range(len(heads)), key=lambda g: (-counts[g], head_rank[g]))
+    # a head's key is its group rank (set below); then come each group's
+    # budget and the spare members, both by rank
+    key = by_mask + np.where(within < config.group_budget, n, 2 * n)
+    limit = config.beam_size
+    if len(groups) > config.max_groups:
         # keep the most-covered group plus the best-headed others
-        rest = [m for m in heads if m != group_order[0]][: config.max_groups - 1]
-        keep = {group_order[0], *rest}
-        group_order = [m for m in group_order if m in keep]
-
-    counts = dict.fromkeys(group_order, 0)  # members met so far per kept group
-    within, spare = [], []
-    for c in ranked:
-        n = counts.get(c[3])
-        if n is None:
-            continue
-        counts[c[3]] = n + 1
-        if n:
-            (within if n < config.group_budget else spare).append(c)
-    beam = ([heads[m] for m in group_order] + within + spare)[: config.beam_size]
-    beam.sort(key=order)
-    return beam
+        keep = {groups[0], *sorted(groups[1:], key=head_rank.__getitem__)[:config.max_groups - 1]}
+        groups = [g for g in groups if g in keep]
+        dropped = ~np.isin(grouped, grouped[heads[groups]])
+        key[dropped] = 3 * n
+        limit = min(limit, n - np.count_nonzero(dropped))
+    key[heads[groups]] = np.arange(len(groups))
+    take = by_mask[key.argsort()[:limit]]
+    take.sort()
+    return order[take]
 
 
 def _trace_entry(step_index: int, scores: np.ndarray, raw: np.ndarray, shifting: bool) -> dict:

@@ -165,6 +165,25 @@ class TestDecode:
             assert line.startswith(f"logicdec: error: {flag} must be {wanted}, got ")
             assert not out.exists()
 
+    def test_too_many_concepts_fail_only_their_instance(self, snapshot, tmp_path, capsys):
+        words = (DATA / "vocab.txt").read_text("utf-8").split()[2:67]  # 65 distinct tokens
+        instances = tmp_path / "three.jsonl"
+        instances.write_text("".join(json.dumps(rec) + "\n" for rec in (
+            {"id": "first", "kind": "lexical", "concepts": ["garden", "piano"]},
+            {"id": "many", "kind": "lexical", "concepts": words},
+            {"id": "last", "kind": "lexical", "concepts": ["river", "market"]})))
+        out = tmp_path / "results.jsonl"
+        code, _, _ = run(["decode", "--factbase", str(snapshot), "--instances", str(instances),
+                          "--corpus", str(DATA / "corpus_lexical.txt"),
+                          "--template", "hard-gate", "--preset", "commongen",
+                          "--max-length", "8", "--out", str(out)], capsys)
+        assert code == 0
+        first, many, last = [json.loads(line) for line in out.read_text().splitlines()]
+        assert many == {"id": "many",
+                        "error": "ValueError: decode takes at most 64 concepts, got 65"}
+        assert first["id"] == "first" and first["text"] and first["coverage"] > 0
+        assert last["id"] == "last" and last["text"] and last["coverage"] > 0
+
     def test_transformer_scorer_runs(self, snapshot, tmp_path, capsys):
         out = tmp_path / "tf.jsonl"
         instances = tmp_path / "one.jsonl"

@@ -1,3 +1,4 @@
+import json
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -16,7 +17,8 @@ from logicdec.kb import FactBase, Vocabulary
 from logicdec.lm import NgramScorer, Scorer, ngram_train
 from logicdec.prover import Domain, EvalContext, prove, prove_scalar
 from logicdec.rules import parse_program
-from logicdec.tasks import lexical_rule_template, load_instances, template_text
+from logicdec.tasks import (dialogue_rule_template, lexical_rule_template, load_instances,
+                            template_text)
 
 from conftest import DATA
 
@@ -356,9 +358,19 @@ _CANDIDATES = st.dictionaries(
     st.tuples(st.integers(0, 5), st.integers(0, 11)),
     st.tuples(st.one_of(st.sampled_from([-0.5, -1.0, -2.0]),
                         st.floats(-8.0, 0.0, allow_nan=False)),
-              st.integers(0, 15)),
+              # masks across the uint64 range, few enough that groups fill
+              st.one_of(st.integers(0, 15),
+                        st.sampled_from([2**32, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]))),
     min_size=1, max_size=40,
 ).map(lambda d: [(score, hi, tok, mask) for (hi, tok), (score, mask) in d.items()])
+
+
+def select_beam(candidates, config):
+    """``_select_beam`` over (score, hyp_index, token, mask) tuples: the
+    tuples chosen, in the order returned."""
+    score, parent, token, mask = (np.array(column, dtype=dtype) for column, dtype in
+                                  zip(zip(*candidates), (float, np.int64, np.int64, np.uint64)))
+    return [candidates[i] for i in _select_beam(score, token, parent, mask, config)]
 
 
 class TestBeamSelection:
@@ -369,7 +381,7 @@ class TestBeamSelection:
                                        max_groups):
         config = DecodingConfig(beam_size=beam_size, group_budget=group_budget,
                                 max_groups=max_groups)
-        assert _select_beam(list(candidates), config) == \
+        assert select_beam(list(candidates), config) == \
             _select_beam_oracle(list(candidates), config)
 
     def test_per_group_budget_before_fill(self):
@@ -381,7 +393,7 @@ class TestBeamSelection:
             candidates.append((score, 0, 10 + i, 0b00))
         for i, score in enumerate((-1.5, -2.5, -3.5, -4.5)):
             candidates.append((score, 0, 20 + i, 0b01))
-        beam = _select_beam(candidates, config)
+        beam = select_beam(candidates, config)
         masks = [c[3] for c in beam]
         assert masks.count(0b00) == 2 and masks.count(0b01) == 2
 
@@ -391,13 +403,13 @@ class TestBeamSelection:
             (-0.1, 0, 1, 0b00), (-0.2, 0, 2, 0b00), (-0.3, 0, 3, 0b00),
             (-9.0, 0, 4, 0b11),   # weak but maximally covered
         ]
-        beam = _select_beam(candidates, config)
+        beam = select_beam(candidates, config)
         assert any(c[3] == 0b11 for c in beam)
 
     def test_single_group_fills_whole_beam(self):
         config = DecodingConfig(beam_size=4, group_budget=2, prune_ratio=1e-9)
         candidates = [(-float(i), 0, i, 0) for i in range(1, 8)]
-        beam = _select_beam(candidates, config)
+        beam = select_beam(candidates, config)
         assert [c[2] for c in beam] == [1, 2, 3, 4]
 
 
@@ -791,7 +803,7 @@ class TestGroupCap:
         for g in range(6):  # six distinct masks, more than the cap
             candidates.append((-1.0 - g * 0.1, 0, 50 + g, 1 << g))
             candidates.append((-2.0 - g * 0.1, 0, 60 + g, 1 << g))
-        beam = _select_beam(candidates, config)
+        beam = select_beam(candidates, config)
         assert len({c[3] for c in beam}) <= config.max_groups
 
 
@@ -950,3 +962,75 @@ class TestSparseNgramDecode:
             [(h.tokens, h.logp, h.covered, h.finished) for h in dense.hypotheses]
         assert (sparse.completed, sparse.steps, sparse.trace) == \
             (dense.completed, dense.steps, dense.trace)
+
+
+class TestConceptSet:
+    """``decode`` checks the concept set before it scores anything, proving
+    or not: every id in the vocabulary, at most 64 ids (the coverage masks
+    are uint64)."""
+
+    @pytest.mark.parametrize("cid", [-1, 75])
+    @pytest.mark.parametrize("alpha3", [0.0, 24.0])
+    def test_ids_outside_the_vocabulary_are_refused(self, lexical_scorer, toy_facts,
+                                                    sentinel_ids, cid, alpha3):
+        bos, eos = sentinel_ids
+        assert len(toy_facts.vocab) == 75
+        steps = []
+        scorer = StepWatchingScorer(lexical_scorer, steps.append)
+        ctx = EvalContext(facts=toy_facts, sets={"C": (toy_facts.vocab.id_of("garden"), cid)})
+        config = DecodingConfig(beam_size=3, alpha3=alpha3, max_length=4, bos_id=bos,
+                                eos_id=eos)
+        for program, rule in ((None, None), (parse_program(LEXICAL_RULES), "R")):
+            with pytest.raises(ValueError, match=f"set 'C' binds token id {cid} outside"):
+                decode(scorer, program, rule, ctx, config)
+        assert not steps
+
+    def test_64_concepts_decode_and_65_are_refused(self, lexical_scorer, toy_facts,
+                                                   sentinel_ids):
+        bos, eos = sentinel_ids
+        v = len(toy_facts.vocab)
+        program = parse_program(LEXICAL_RULES)
+        config = replace(PRESETS["commongen"], max_length=4, bos_id=bos, eos_id=eos)
+        concepts = tuple(range(v - 64, v))
+        ctx = EvalContext(facts=toy_facts, sets={"C": concepts})
+        # the prompt covers the 64th concept, so every mask has bit 63 set
+        result = decode(lexical_scorer, program, "R", ctx, config, prompt=(bos, concepts[-1]))
+        assert result.hypotheses
+        table, class_of = coverage_table(concepts, toy_facts), toy_facts.stems.class_of
+        for hyp in result.hypotheses:
+            assert hyp.covered >> 63 & 1
+            folded = 0
+            for tok in hyp.tokens:
+                folded |= table.get(class_of[tok], 0)
+            assert hyp.covered == folded
+
+        steps = []
+        ctx = EvalContext(facts=toy_facts, sets={"C": tuple(range(v - 65, v))})
+        with pytest.raises(ValueError, match="at most 64 concepts, got 65"):
+            decode(StepWatchingScorer(lexical_scorer, steps.append), program, "R", ctx, config)
+        assert not steps
+
+
+class TestResultTypes:
+    """Hypotheses carry Python scalars: callers json-encode their tokens."""
+
+    @pytest.mark.parametrize("max_length", [16, 2])  # finished, then live, hypotheses
+    def test_hypotheses_hold_python_ints_and_floats(self, lexical_scorer, dialogue_scorer,
+                                                    toy_facts, sentinel_ids, max_length):
+        bos, eos = sentinel_ids
+        lexical = load_instances(DATA / "lexical20.jsonl")[0]
+        dialogue = load_instances(DATA / "dialogue10.jsonl")[0]
+        runs = [(lexical_scorer, lexical_rule_template(lexical.concepts, toy_facts, gate="luk"),
+                 PRESETS["commongen"]),
+                (dialogue_scorer,
+                 dialogue_rule_template(dialogue.persona, dialogue.history, toy_facts),
+                 PRESETS["personachat"])]
+        for scorer, binding, preset in runs:
+            config = replace(preset, max_length=max_length, bos_id=bos, eos_id=eos)
+            result = decode(scorer, parse_program(binding.source), binding.rule, binding.ctx,
+                            config)
+            assert result.completed == (max_length == 16)
+            assert json.loads(json.dumps(list(result.best.tokens))) == list(result.best.tokens)
+            for hyp in result.hypotheses:
+                assert all(type(t) is int for t in hyp.tokens)
+                assert type(hyp.covered) is int and type(hyp.logp) is float
