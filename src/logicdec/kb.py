@@ -39,10 +39,10 @@ class Vocabulary:
 
     def __init__(self, tokens: Sequence[str]):
         toks = tuple(tokens)
-        if len(set(toks)) != len(toks):
+        self._index = dict(zip(toks, range(len(toks))))
+        if len(self._index) != len(toks):
             raise ValueError("vocabulary contains duplicate tokens")
         self._tokens = toks
-        self._index = {tok: i for i, tok in enumerate(toks)}
 
     @classmethod
     def from_file(cls, path) -> "Vocabulary":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -176,53 +177,76 @@ class NgramLM:
         return NgramDist(self._unigram, self._ranked, levels)
 
 
+def _is_token_id(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and kind is not bool
+
+
 def ngram_train(corpus: Sequence[Sequence[int]], order: int,
                 discount: float = 0.75, vocab_size: Optional[int] = None) -> NgramLM:
-    """Count-based training over token-id sequences."""
+    """Count-based training over token-id sequences.
+
+    The ids (Python or numpy integers; not bools) are laid end to end in one
+    array.  For each context order k, the positions with at least k
+    predecessors in their own sentence are sorted by (context, successor),
+    so that each run of equal rows is one n-gram and its length the count;
+    a context's runs give its distinct successors and its total.
+    """
     if not (1 <= order <= 5):
         raise ValueError(f"order must be in 1..5, got {order}")
     if not (0.0 < discount < 1.0):
         raise ValueError(f"discount must be in (0, 1), got {discount}")
     sequences = [list(seq) for seq in corpus]
-    if not sequences or all(not s for s in sequences):
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    if not lengths.any():
         raise ValueError("training corpus is empty")
+    if not all(map(_is_token_id, set(map(type, chain.from_iterable(sequences))))):
+        tok = next(t for t in chain.from_iterable(sequences) if not _is_token_id(type(t)))
+        raise ValueError(f"token id {tok!r} is not an integer")
+    n = int(lengths.sum())
+    try:
+        flat = np.fromiter(chain.from_iterable(sequences), dtype=np.int64, count=n)
+    except OverflowError:
+        tok = next(t for t in chain.from_iterable(sequences) if not -2**63 <= t < 2**63)
+        raise ValueError(f"token id {tok} outside the int64 range") from None
     if vocab_size is None:
-        vocab_size = max(max(s) for s in sequences if s) + 1
-
-    raw: list[dict[tuple[int, ...], dict[int, int]]] = [dict() for _ in range(order)]
-    uni = np.zeros(vocab_size, dtype=np.float64)
-    for seq in sequences:
-        for i, tok in enumerate(seq):
-            if not (0 <= tok < vocab_size):
-                raise ValueError(f"token id {tok} outside vocabulary of size {vocab_size}")
-            uni[tok] += 1
-            for k in range(1, order):
-                if i - k < 0:
-                    break
-                successors = raw[k].setdefault(tuple(seq[i - k:i]), {})
-                successors[tok] = successors.get(tok, 0) + 1
+        vocab_size = int(flat.max()) + 1
+    outside = (flat < 0) | (flat >= vocab_size)
+    if outside.any():
+        raise ValueError(f"token id {flat[outside][0]} outside vocabulary of size {vocab_size}")
 
     tables: list[dict[tuple[int, ...], _ContextStats]] = [dict() for _ in range(order)]
+    offset = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # in its sentence
+    pos = np.arange(n)
     for k in range(1, order):
-        if not raw[k]:
-            continue
-        # every context of the order at once: its sorted (id, count) pairs
-        # laid end to end, each context's terms sliced out of the flat arrays
-        successors = [sorted(s.items()) for s in raw[k].values()]
-        sizes = np.fromiter(map(len, successors), dtype=np.int64, count=len(successors))
-        pairs = np.array([pair for s in successors for pair in s], dtype=np.int64)
-        ids = np.ascontiguousarray(pairs[:, 0])
-        counts = pairs[:, 1].astype(np.float64)
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        totals = np.add.reduceat(counts, starts)  # integer-valued, so exact
+        pos = pos[offset[pos] >= k]
+        if not len(pos):
+            break
+        # the successor, then the context newest to oldest: lexsort's last key is primary
+        cols = [flat[pos - j] for j in range(k + 1)]
+        perm = np.lexsort(cols)
+        cols = [c[perm] for c in cols]
+        m = len(pos)
+        new_ctx = np.zeros(m, dtype=bool)
+        new_ctx[0] = True
+        for c in cols[1:]:
+            new_ctx[1:] |= c[1:] != c[:-1]
+        new_pair = new_ctx.copy()
+        new_pair[1:] |= cols[0][1:] != cols[0][:-1]
+        pair_at, ctx_at = np.flatnonzero(new_pair), np.flatnonzero(new_ctx)
+        ids = cols[0][pair_at]
+        counts = np.diff(pair_at, append=m).astype(np.float64)
+        starts = np.flatnonzero(new_ctx[pair_at])       # each context's first pair
+        sizes = np.diff(starts, append=len(pair_at))     # T(h)
+        totals = np.diff(ctx_at, append=m).astype(np.float64)  # c(h)
         add = np.maximum(counts - discount, 0.0) / np.repeat(totals, sizes)
         scales = discount * sizes / totals
-        for ctx, scale, a, b in zip(raw[k], scales.tolist(), starts.tolist(), ends.tolist()):
-            tables[k][ctx] = _ContextStats(scale, ids[a:b], add[a:b])
+        contexts = zip(*[c[ctx_at].tolist() for c in reversed(cols[1:])])
+        tables[k] = {ctx: _ContextStats(scale, ids[a:b], add[a:b])
+                     for ctx, scale, a, b in zip(contexts, scales.tolist(), starts.tolist(),
+                                                 (starts + sizes).tolist())}
 
-    unigram = uni / uni.sum()
-    return NgramLM(order, vocab_size, discount, tables, unigram)
+    uni = np.bincount(flat, minlength=vocab_size).astype(np.float64)
+    return NgramLM(order, vocab_size, discount, tables, uni / uni.sum())
 
 
 @dataclass

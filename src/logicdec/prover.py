@@ -189,31 +189,45 @@ def _atom(pred: str, a, b, facts: FactBase):
     return facts.equal_truth(other) if pred == "Equal" else facts.edge_truth(other)
 
 
+def _gather(ids: np.ndarray, child):
+    """A child's value at each of ``ids`` (a superset of a ``Truth``'s own)."""
+    if not isinstance(child, Truth):
+        return child
+    column = np.full(len(ids), child.background, dtype=np.float64)
+    column[np.searchsorted(ids, child.ids)] = child.values
+    return column
+
+
 def _combine(op, children: Sequence):
     """``op`` at every position of its children, scalars or ``Truth``s: on
     the union of the ``Truth``s' ids, of each child's value there (its
-    background where it has no entry), and of the backgrounds elsewhere."""
+    background where it has no entry), and of the backgrounds elsewhere.
+    A sum (or, and-avg) adds a child with background 0.0 at its own entries
+    only: adding 0.0 changes no float, so the fold's bits are kept."""
     sparse = [c for c in children if isinstance(c, Truth)]
     if not sparse:
         return op(children)
     backgrounds = [c.background if isinstance(c, Truth) else c for c in children]
     if len(sparse) == 1:
         ids = sparse[0].ids
-        gathered = [c.values if isinstance(c, Truth) else c for c in children]
+        values = op([c.values if isinstance(c, Truth) else c for c in children])
     else:
         ids = np.concatenate([t.ids for t in sparse])
         ids.sort()
         first = np.ones(len(ids), dtype=bool)
         np.not_equal(ids[1:], ids[:-1], out=first[1:])
         ids = ids[first]
-        gathered = []
-        for c in children:
-            if isinstance(c, Truth):
-                column = np.full(len(ids), c.background, dtype=np.float64)
-                column[np.searchsorted(ids, c.ids)] = c.values
-                c = column
-            gathered.append(c)
-    return Truth(op(backgrounds), ids, op(gathered), sparse[0].size)
+        if op is _or or op is _and_avg:
+            acc = np.zeros(len(ids))
+            for c in children:
+                if isinstance(c, Truth) and c.background == 0.0:
+                    acc[np.searchsorted(ids, c.ids)] += c.values
+                else:
+                    acc += _gather(ids, c)
+            values = _clip(acc if op is _or else acc / len(children), 0.0, 1.0)
+        else:
+            values = op([_gather(ids, c) for c in children])
+    return Truth(op(backgrounds), ids, values, sparse[0].size)
 
 
 def _eval(program: R.RuleProgram, expr, subst, ctx: EvalContext, memo):

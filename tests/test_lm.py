@@ -1,9 +1,20 @@
+import re
+import sys
+from pathlib import Path
+from typing import Optional, Sequence
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logicdec.lm import NgramDist, NgramScorer, ngram_train
+from logicdec.lm import NgramDist, NgramLM, NgramScorer, _ContextStats, ngram_train
+
+from conftest import DATA, corpus_ids
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from world import generate  # noqa: E402
 
 
 def toy_corpus():
@@ -46,6 +57,141 @@ class TestTraining:
             assert (dist >= 0).all()
             # every token observed in training stays reachable
             assert (dist > 0).all()
+
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), 2.7, 2.0, np.float64(1.0), "3",
+                                     None])
+    def test_ids_that_are_not_integers_are_refused(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"token id {bad!r} is not an integer")):
+            ngram_train([[1, 2], [3, bad, 1]], order=2, vocab_size=6)
+        with pytest.raises(ValueError, match="is not an integer"):
+            ngram_train([[1, bad, 3]], order=1)
+
+    def test_bool_ids_no_longer_count_as_masks(self):
+        # before, uni[True] += 1 counted every token once more
+        with pytest.raises(ValueError, match="token id True is not an integer"):
+            ngram_train([[1, True, 3]], order=1, vocab_size=4)
+        assert ngram_train([[1, 1, 3]], order=1, vocab_size=4).dist(()).dense().tolist() == \
+            [0.0, 2 / 3, 0.0, 1 / 3]
+
+    def test_python_and_numpy_integers_train_the_same_model(self):
+        corpus = toy_corpus()
+        as_numpy = [[np.int32(t) if i % 2 else np.int64(t) for i, t in enumerate(s)]
+                    for s in corpus]
+        assert_same_model(ngram_train(as_numpy, order=3, vocab_size=6),
+                          ngram_train(corpus, order=3, vocab_size=6))
+        assert_same_model(ngram_train(np.array([[0, 2, 3, 1]]), order=2),
+                          ngram_train([[0, 2, 3, 1]], order=2))
+
+    @pytest.mark.parametrize("corpus, token", [
+        ([[0, 6]], "6"), ([[-1, 2]], "-1"), ([[0, 2**70]], str(2**70)),
+        ([[0, np.uint64(2**64 - 1)]], str(2**64 - 1))])
+    def test_ids_outside_the_vocabulary_are_refused(self, corpus, token):
+        with pytest.raises(ValueError, match=f"token id {token} outside"):
+            ngram_train(corpus, order=2, vocab_size=6)
+
+
+def _ngram_train_oracle(corpus: Sequence[Sequence[int]], order: int,
+                        discount: float = 0.75, vocab_size: Optional[int] = None) -> NgramLM:
+    """The dict-counting trainer that ``ngram_train`` replaced, kept verbatim
+    as its oracle."""
+    if not (1 <= order <= 5):
+        raise ValueError(f"order must be in 1..5, got {order}")
+    if not (0.0 < discount < 1.0):
+        raise ValueError(f"discount must be in (0, 1), got {discount}")
+    sequences = [list(seq) for seq in corpus]
+    if not sequences or all(not s for s in sequences):
+        raise ValueError("training corpus is empty")
+    if vocab_size is None:
+        vocab_size = max(max(s) for s in sequences if s) + 1
+
+    raw: list[dict[tuple[int, ...], dict[int, int]]] = [dict() for _ in range(order)]
+    uni = np.zeros(vocab_size, dtype=np.float64)
+    for seq in sequences:
+        for i, tok in enumerate(seq):
+            if not (0 <= tok < vocab_size):
+                raise ValueError(f"token id {tok} outside vocabulary of size {vocab_size}")
+            uni[tok] += 1
+            for k in range(1, order):
+                if i - k < 0:
+                    break
+                successors = raw[k].setdefault(tuple(seq[i - k:i]), {})
+                successors[tok] = successors.get(tok, 0) + 1
+
+    tables: list[dict[tuple[int, ...], _ContextStats]] = [dict() for _ in range(order)]
+    for k in range(1, order):
+        if not raw[k]:
+            continue
+        # every context of the order at once: its sorted (id, count) pairs
+        # laid end to end, each context's terms sliced out of the flat arrays
+        successors = [sorted(s.items()) for s in raw[k].values()]
+        sizes = np.fromiter(map(len, successors), dtype=np.int64, count=len(successors))
+        pairs = np.array([pair for s in successors for pair in s], dtype=np.int64)
+        ids = np.ascontiguousarray(pairs[:, 0])
+        counts = pairs[:, 1].astype(np.float64)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        totals = np.add.reduceat(counts, starts)  # integer-valued, so exact
+        add = np.maximum(counts - discount, 0.0) / np.repeat(totals, sizes)
+        scales = discount * sizes / totals
+        for ctx, scale, a, b in zip(raw[k], scales.tolist(), starts.tolist(), ends.tolist()):
+            tables[k][ctx] = _ContextStats(scale, ids[a:b], add[a:b])
+
+    unigram = uni / uni.sum()
+    return NgramLM(order, vocab_size, discount, tables, unigram)
+
+
+def assert_same_model(lm: NgramLM, oracle: NgramLM) -> None:
+    """Equal settings, and per order the same contexts with bitwise-equal stats."""
+    assert (lm.order, lm.vocab_size, lm.discount) == \
+        (oracle.order, oracle.vocab_size, oracle.discount)
+    assert lm._unigram.tobytes() == oracle._unigram.tobytes()
+    assert lm._ranked.tobytes() == oracle._ranked.tobytes()
+    assert len(lm._tables) == len(oracle._tables)
+    for table, expected in zip(lm._tables, oracle._tables):
+        assert table.keys() == expected.keys()
+        for ctx, (scale, ids, add) in table.items():
+            assert all(type(t) is int for t in ctx)
+            assert type(scale) is float
+            assert np.float64(scale).tobytes() == np.float64(expected[ctx].scale).tobytes()
+            assert ids.dtype == np.int64 and ids.tobytes() == expected[ctx].ids.tobytes()
+            assert add.dtype == np.float64 and add.tobytes() == expected[ctx].add.tobytes()
+
+
+@st.composite
+def training_corpora(draw):
+    """A corpus over a few ids, so that n-grams repeat, with empty, one-token
+    and shorter-than-the-order sentences; an order, a discount and a
+    vocabulary size that is None or past the largest id."""
+    top = draw(st.integers(0, 12))
+    sentence = st.lists(st.integers(0, top), max_size=draw(st.sampled_from([1, 3, 10])))
+    corpus = draw(st.lists(sentence, min_size=1, max_size=10).filter(any))
+    vocab_size = draw(st.one_of(st.none(), st.integers(1, 4).map(
+        lambda extra: max(max(s) for s in corpus if s) + extra)))
+    discount = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return corpus, draw(st.integers(1, 5)), discount, vocab_size
+
+
+class TestTrainingOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(training_corpora())
+    @example(([[0, 1, 0, 1, 0, 1]], 5, 0.75, None))
+    @example(([[], [3], [1, 2], [1, 2, 1, 2, 1]], 3, 0.5, 7))
+    def test_arrays_equal_the_dict_counting_oracle_bitwise(self, case):
+        corpus, order, discount, vocab_size = case
+        assert_same_model(ngram_train(corpus, order, discount, vocab_size),
+                          _ngram_train_oracle(corpus, order, discount, vocab_size))
+
+    def test_toy_and_seed_7_world_corpora_equal_the_oracle_bitwise(self, toy_vocab):
+        facts, sentences, _ = generate(7)
+        vocab, bos = facts.vocab, facts.vocab.id_of("<s>")
+        corpora = [(corpus_ids(toy_vocab, DATA / name), len(toy_vocab))
+                   for name in ("corpus_lexical.txt", "corpus_dialogue.txt")]
+        corpora.append(([[bos] + [vocab.id_of(w) for w in s] for s in sentences], len(vocab)))
+        for corpus, v in corpora:
+            for order in (1, 3, 5):
+                assert_same_model(ngram_train(corpus, order, vocab_size=v),
+                                  _ngram_train_oracle(corpus, order, vocab_size=v))
 
 
 class TestScorer:
