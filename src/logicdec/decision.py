@@ -142,7 +142,7 @@ def _top_k_of_whole(rows: Sequence, supports: Sequence, alpha: float, k: int) ->
 
 
 def _one_model(rows: Sequence) -> bool:
-    return all(isinstance(p, NgramDist) and p.unigram is rows[0].unigram for p in rows)
+    return all(isinstance(p, NgramDist) and p.model is rows[0].model for p in rows)
 
 
 def _keys(supports: Sequence[Optional[Truth]], v: int) -> np.ndarray:

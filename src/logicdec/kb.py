@@ -268,15 +268,20 @@ def _check_adjacency(n: int, mode: str, indptr: np.ndarray, rows: np.ndarray,
     cols = np.repeat(np.arange(n), np.diff(indptr))
     if (rows == cols).any():
         raise ValueError(f"self-loop on token {rows[rows == cols][0]}")
-    key, flipped = cols * n + rows, rows * n + cols
+    key = cols * n + rows
     if (np.diff(key) <= 0).any():
         raise ValueError("duplicate or unsorted rows within a column")
     if not ((vals > 0.0) & (vals <= 1.0)).all():
         raise ValueError("edge weight outside (0, 1]")
     if mode == "hard" and (vals != 1.0).any():
         raise ValueError("hard mode stores weight 1.0 only")
-    order = np.argsort(flipped)
-    if not (np.array_equal(key, flipped[order]) and np.array_equal(vals, vals[order])):
+    # the upper triangle's mirror keys, sorted, are the lower triangle's keys
+    upper = rows < cols
+    mirror = rows[upper] * n + cols[upper]
+    order = np.argsort(mirror)
+    lower = ~upper
+    if not (np.array_equal(key[lower], mirror[order])
+            and np.array_equal(vals[lower], vals[upper][order])):
         raise ValueError("adjacency is not symmetric")
 
 

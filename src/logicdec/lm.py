@@ -17,6 +17,8 @@ seen in training has positive probability in every context.  Such a
 distribution is the unigram, scaled once per context order, plus a few
 sparse corrections: :class:`NgramDist` holds it in that form, so that the
 decoder can rank it from the unigram's order without writing out V entries.
+The model keeps the corrections of each context length in flat arrays, one
+row per context seen, and a distribution is its model and one row per length.
 """
 
 from __future__ import annotations
@@ -62,56 +64,67 @@ class Scorer(abc.ABC):
                 for session, token, h in zip(sessions, tokens, hooks, strict=True)]
 
 
-class _ContextStats(NamedTuple):
-    """One context's term of the interpolation: ``out = lower * scale;
-    out[ids] += add``."""
-    scale: float          # D * T(h) / c(h)
-    ids: np.ndarray       # successor token ids, sorted
-    add: np.ndarray       # max(c(hw) - D, 0) / c(h), aligned with ids
+class _Table(NamedTuple):
+    """The stats of one context length, a row per context seen: row ``r``'s
+    term of the interpolation is ``out = lower * scale[r]; out[ids[a:b]] +=
+    add[a:b]`` with ``a, b = indptr[r], indptr[r + 1]``.  Row 0 is no
+    context's: scale 1, which changes no float, and no successors."""
+    rows: dict[tuple[int, ...], int]   # context -> row, from 1
+    scale: np.ndarray     # D * T(h) / c(h), float64
+    indptr: np.ndarray    # int64, one more than the rows
+    ids: np.ndarray       # successor ids, int64, sorted within a row
+    add: np.ndarray       # max(c(hw) - D, 0) / c(h), float64, aligned with ids
 
 
 class NgramDist:
     """A conditional distribution of an :class:`NgramLM`, not written out:
-    the unigram, then per context order that has stats, shortest context
-    first, ``out = out * scale; out[ids] += add``.
+    the unigram, then per context length, shortest first, ``out = out *
+    scale; out[ids] += add`` from that length's row in ``rows``.  Past the
+    longest context seen the row is 0: a context's suffixes were seen
+    wherever it was.
 
-    ``dense()`` writes the V entries out.  ``ranked`` holds the token ids by
-    descending unigram probability: a positive scale rounds monotonically,
-    so an entry off the corrections is at most any entry off the
-    corrections that comes before it there.  ``at`` and ``top_candidates``
-    take distributions of one model, entry ``id`` of the ``i``-th as the
-    key ``i * V + id``.
+    ``dense()`` writes the V entries out.  The model's ``_ranked`` holds the
+    token ids by descending unigram probability: a positive scale rounds
+    monotonically, so an entry off the corrections is at most any entry off
+    the corrections that comes before it there.  ``at`` and
+    ``top_candidates`` take distributions of one model, entry ``id`` of the
+    ``i``-th as the key ``i * V + id``.
     """
 
-    __slots__ = ("unigram", "ranked", "levels")
+    __slots__ = ("model", "rows")
 
-    def __init__(self, unigram: np.ndarray, ranked: np.ndarray,
-                 levels: list[_ContextStats]):
-        self.unigram = unigram
-        self.ranked = ranked
-        self.levels = levels
+    def __init__(self, model: "NgramLM", rows: Sequence[int]):
+        self.model = model
+        self.rows = rows
 
     def __len__(self) -> int:
-        return len(self.unigram)
+        return self.model.vocab_size
 
     def dense(self) -> np.ndarray:
-        out = self.unigram.copy()
-        for scale, ids, add in self.levels:
-            out *= scale
-            out[ids] += add
+        out = self.model._unigram.copy()
+        for table, row in zip(self.model._tables, self.rows):
+            if not row:
+                break
+            a, b = table.indptr[row], table.indptr[row + 1]
+            out *= table.scale[row]
+            out[table.ids[a:b]] += table.add[a:b]
         return out
 
     @staticmethod
     def _levels(dists: Sequence["NgramDist"], v: int) -> Iterator[tuple]:
-        """Per context order, shortest first: each distribution's scale (1,
-        which changes no float, where it has none) and the stats' keys and adds."""
-        for j in range(max(len(d.levels) for d in dists)):
-            at, stats = zip(*[(i * v, d.levels[j])
-                              for i, d in enumerate(dists) if j < len(d.levels)])
-            ids = [s[1] for s in stats]
-            yield (np.array([d.levels[j][0] if j < len(d.levels) else 1.0 for d in dists]),
-                   np.concatenate(ids) + np.repeat(at, [len(x) for x in ids]),
-                   np.concatenate([s[2] for s in stats]))
+        """Per context length, shortest first: each distribution's scale and
+        its stats' keys and adds, gathered from the model's arrays."""
+        tables = dists[0].model._tables
+        rows = np.fromiter(chain.from_iterable(d.rows for d in dists), dtype=np.int64,
+                           count=len(dists) * len(tables)).reshape(len(dists), len(tables))
+        shift = np.arange(len(dists)) * v
+        for j, table in enumerate(tables):
+            row = rows[:, j]
+            lo, hi = table.indptr[row], table.indptr[row + 1]
+            size = hi - lo
+            end = np.cumsum(size)
+            at = np.arange(end[-1]) + np.repeat(hi - end, size)
+            yield table.scale[row], table.ids[at] + np.repeat(shift, size), table.add[at]
 
     @staticmethod
     def at(dists: Sequence["NgramDist"], keys: np.ndarray, levels=None) -> np.ndarray:
@@ -119,7 +132,7 @@ class NgramDist:
         ``top_candidates``) by the float operations of ``dense()``, bit for bit."""
         v = len(dists[0])
         rows = keys // v
-        out = dists[0].unigram[keys - rows * v]
+        out = dists[0].model._unigram[keys - rows * v]
         if not len(keys):
             return out
         for scale, successors, add in levels or NgramDist._levels(dists, v):
@@ -132,17 +145,18 @@ class NgramDist:
     @staticmethod
     def top_candidates(dists: Sequence["NgramDist"], k: int) -> tuple:
         """Keys, unsorted and possibly repeated, of each one's corrections and
-        first ``2k + |corrections|`` ids of ``ranked``, so that ``2k`` entries
+        first ``2k + |corrections|`` ids of ``_ranked``, so that ``2k`` entries
         off the corrections reach ``lo``, the value off them of the last; levels."""
         v = len(dists[0])
+        unigram, ranked = dists[0].model._unigram, dists[0].model._ranked
         levels = list(NgramDist._levels(dists, v))
         corrections = [np.empty(0, dtype=np.int64), *(c for _, c, _ in levels)]
         size = np.minimum(2 * k + np.bincount(np.concatenate(corrections) // v,
                                               minlength=len(dists)), v)
         at = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # heads end to end
-        keys = np.concatenate([dists[0].ranked[at] + np.repeat(np.arange(len(dists)) * v, size),
+        keys = np.concatenate([ranked[at] + np.repeat(np.arange(len(dists)) * v, size),
                                *corrections])
-        lo = dists[0].unigram[dists[0].ranked[size - 1]]
+        lo = unigram[ranked[size - 1]]
         for scale, _, _ in levels:
             lo *= scale
         return keys, lo, levels
@@ -156,12 +170,12 @@ class NgramLM:
     Unseen contexts fall straight through to the next lower order; the
     unigram level is the empirical distribution, so every conditional
     distribution sums to one and words never seen in training keep
-    probability zero.
+    probability zero.  ``_tables[k - 1]`` holds the contexts of length k,
+    for each length up to ``order - 1`` that the corpus holds.
     """
 
     def __init__(self, order: int, vocab_size: int, discount: float,
-                 tables: list[dict[tuple[int, ...], _ContextStats]],
-                 unigram: np.ndarray):
+                 tables: list[_Table], unigram: np.ndarray):
         self.order = order
         self.vocab_size = vocab_size
         self.discount = discount
@@ -171,25 +185,37 @@ class NgramLM:
 
     def dist(self, context: Sequence[int]) -> NgramDist:
         """P(. | context) as an :class:`NgramDist`."""
-        ctx = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
-        levels = [stats for n in range(1, len(ctx) + 1)
-                  if (stats := self._tables[n].get(ctx[-n:])) is not None]
-        return NgramDist(self._unigram, self._ranked, levels)
+        ctx = tuple(context)
+        return NgramDist(self, [table.rows.get(ctx[-n:], 0)
+                                for n, table in enumerate(self._tables, 1)])
 
 
 def _is_token_id(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and kind is not bool
 
 
+def _check_token(token, vocab_size: int) -> None:
+    """Raise ``ValueError`` unless ``token`` is an integer id in [0, vocab_size)."""
+    if not _is_token_id(type(token)):
+        raise ValueError(f"token id {token!r} is not an integer")
+    if not 0 <= token < vocab_size:
+        raise ValueError(f"token id {token} outside vocabulary")
+
+
 def ngram_train(corpus: Sequence[Sequence[int]], order: int,
                 discount: float = 0.75, vocab_size: Optional[int] = None) -> NgramLM:
-    """Count-based training over token-id sequences.
+    """Count-based training over token-id sequences, into one
+    :class:`_Table` of flat arrays per context length.
 
     The ids (Python or numpy integers; not bools) are laid end to end in one
-    array.  For each context order k, the positions with at least k
-    predecessors in their own sentence are sorted by (context, successor),
-    so that each run of equal rows is one n-gram and its length the count;
-    a context's runs give its distinct successors and its total.
+    array.  A context of length k is the (context, successor) pair of length
+    k - 1 that ends one position earlier, so each position's dense rank among
+    the pairs of one length gives its successor's context at the next.  For
+    each k, the positions with at least k predecessors in their own sentence
+    are sorted by one int64 key, context rank * V + successor: each run of
+    equal keys is one n-gram and its length the count, and a context's runs
+    give its distinct successors and its total.  The keys stay below V times
+    the corpus length, which must be under 2**63.
     """
     if not (1 <= order <= 5):
         raise ValueError(f"order must be in 1..5, got {order}")
@@ -213,39 +239,42 @@ def ngram_train(corpus: Sequence[Sequence[int]], order: int,
     outside = (flat < 0) | (flat >= vocab_size)
     if outside.any():
         raise ValueError(f"token id {flat[outside][0]} outside vocabulary of size {vocab_size}")
+    if vocab_size * n >= 2**63:
+        raise ValueError(f"vocabulary size {vocab_size} times corpus length {n} "
+                         "reaches 2**63")
 
-    tables: list[dict[tuple[int, ...], _ContextStats]] = [dict() for _ in range(order)]
+    uni = np.bincount(flat, minlength=vocab_size)
+    # each position's dense rank among the pairs of the last length that end
+    # there; of length 0, the pair is the token
+    rank = (np.cumsum(uni > 0) - 1)[flat]
     offset = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # in its sentence
     pos = np.arange(n)
+    tables: list[_Table] = []
     for k in range(1, order):
         pos = pos[offset[pos] >= k]
         if not len(pos):
             break
-        # the successor, then the context newest to oldest: lexsort's last key is primary
-        cols = [flat[pos - j] for j in range(k + 1)]
-        perm = np.lexsort(cols)
-        cols = [c[perm] for c in cols]
-        m = len(pos)
-        new_ctx = np.zeros(m, dtype=bool)
-        new_ctx[0] = True
-        for c in cols[1:]:
-            new_ctx[1:] |= c[1:] != c[:-1]
-        new_pair = new_ctx.copy()
-        new_pair[1:] |= cols[0][1:] != cols[0][:-1]
+        key = rank[pos - 1] * vocab_size + flat[pos]
+        perm = np.argsort(key)
+        key, m = key[perm], len(pos)
+        ctx = key // vocab_size
+        new_ctx = np.concatenate(([True], ctx[1:] != ctx[:-1]))
+        new_pair = np.concatenate(([True], key[1:] != key[:-1]))
+        rank[pos[perm]] = np.cumsum(new_pair) - 1
         pair_at, ctx_at = np.flatnonzero(new_pair), np.flatnonzero(new_ctx)
-        ids = cols[0][pair_at]
         counts = np.diff(pair_at, append=m).astype(np.float64)
         starts = np.flatnonzero(new_ctx[pair_at])       # each context's first pair
         sizes = np.diff(starts, append=len(pair_at))     # T(h)
         totals = np.diff(ctx_at, append=m).astype(np.float64)  # c(h)
-        add = np.maximum(counts - discount, 0.0) / np.repeat(totals, sizes)
-        scales = discount * sizes / totals
-        contexts = zip(*[c[ctx_at].tolist() for c in reversed(cols[1:])])
-        tables[k] = {ctx: _ContextStats(scale, ids[a:b], add[a:b])
-                     for ctx, scale, a, b in zip(contexts, scales.tolist(), starts.tolist(),
-                                                 (starts + sizes).tolist())}
+        first = pos[perm[ctx_at]]                        # a position after each context
+        contexts = zip(*[flat[first - j].tolist() for j in range(k, 0, -1)])
+        tables.append(_Table(dict(zip(contexts, range(1, len(ctx_at) + 1))),
+                             np.concatenate(([1.0], discount * sizes / totals)),
+                             np.concatenate(([0], starts, [len(pair_at)])),
+                             key[pair_at] - ctx[pair_at] * vocab_size,
+                             np.maximum(counts - discount, 0.0) / np.repeat(totals, sizes)))
 
-    uni = np.bincount(flat, minlength=vocab_size).astype(np.float64)
+    uni = uni.astype(np.float64)
     return NgramLM(order, vocab_size, discount, tables, uni / uni.sum())
 
 
@@ -270,8 +299,7 @@ class NgramScorer(Scorer):
     def _advance(self, session: NgramSession, token: int, hooks) -> tuple[int, ...]:
         if hooks is not None:
             raise ValueError("n-gram scorer does not support attention hooks")
-        if not 0 <= token < self.vocab_size:
-            raise ValueError(f"token id {token} outside vocabulary")
+        _check_token(token, self.vocab_size)
         keep = self.lm.order - 1
         session.window = (session.window + (token,))[-keep:] if keep else ()
         return session.window

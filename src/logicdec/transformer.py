@@ -37,7 +37,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .decision import softmax
-from .lm import Scorer
+from .lm import Scorer, _check_token
 
 __all__ = [
     "TransformerConfig", "TinyTransformer", "TransformerSession",
@@ -199,8 +199,7 @@ class TinyTransformer:
         if pos >= cfg.max_len:
             raise ValueError(f"prefix exceeds max length {cfg.max_len}")
         for token in tokens:
-            if not (0 <= token < cfg.vocab_size):
-                raise ValueError(f"token id {token} outside vocabulary")
+            _check_token(token, cfg.vocab_size)
         coef = _hook_coefficients(hooks, n_targets, pos + 1)
 
         H, dh = cfg.n_heads, cfg.head_dim

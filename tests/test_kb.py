@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from logicdec.kb import (WORD_BOUNDARY, FactBase, SnapshotError, StemIndex,
-                         Vocabulary, align_word_to_token, ingest_triples,
-                         load_factbase, rescale_weight)
+                         Vocabulary, _check_adjacency, align_word_to_token,
+                         ingest_triples, load_factbase, rescale_weight)
 from logicdec.stemming import word_stem
 
 from conftest import DATA, read_words
@@ -296,7 +296,7 @@ class TestSnapshot:
     @pytest.mark.parametrize("corruption, problem", [
         ("row-past-vocabulary", "outside"), ("negative-row", "outside"),
         ("nan-weight", "outside"), ("one-sided-weight", "not symmetric"),
-        ("duplicate-row", "duplicate"),
+        ("duplicate-row", "duplicate"), ("swapped-weights", "not symmetric"),
     ])
     def test_corrupt_edge_arrays_rejected(self, toy_facts, tmp_path, corruption, problem):
         path = tmp_path / "facts.bin"
@@ -317,6 +317,11 @@ class TestSnapshot:
             vals[:] = np.nan
         elif corruption == "one-sided-weight":
             vals[k] /= 2
+        elif corruption == "swapped-weights":
+            # two entries trade weights on one side only: the counts and the
+            # multiset of weights still match, the matrix is not symmetric
+            j = int(np.flatnonzero(vals != vals[k])[0])
+            vals[[k, j]] = vals[[j, k]]
         else:
             rows[k + 1] = rows[k]
         blob[rows_at:] = rows.astype("<i4").tobytes() + vals.astype("<f8").tobytes()
@@ -391,6 +396,14 @@ class TestFactBaseValidation:
         vocab = Vocabulary(["a", "b"])
         with pytest.raises(ValueError, match="outside"):
             FactBase(vocab, StemIndex(vocab), {(0, 1): 1.5}, "soft")
+
+    @pytest.mark.parametrize("row, col", [(1, 0), (0, 2)], ids=["lower", "upper"])
+    def test_one_sided_edge_rejected(self, row, col):
+        indptr = np.zeros(4, dtype=np.int64)
+        indptr[col + 1:] = 1
+        with pytest.raises(ValueError, match="not symmetric"):
+            _check_adjacency(3, "soft", indptr, np.array([row], dtype=np.int32),
+                             np.array([0.5]))
 
     def test_both_orientations_rejected(self):
         vocab = Vocabulary(["a", "b"])

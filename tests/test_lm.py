@@ -1,20 +1,29 @@
 import re
 import sys
+import tracemalloc
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logicdec.lm import NgramDist, NgramLM, NgramScorer, _ContextStats, ngram_train
+from logicdec.lm import NgramDist, NgramLM, NgramScorer, ngram_train
 
 from conftest import DATA, corpus_ids
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from world import generate  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def world_7_corpus():
+    """The seed-7 V=50k world's corpus, each sentence after <s>, and its V."""
+    facts, sentences, _ = generate(7)
+    vocab = facts.vocab
+    return [[vocab.id_of("<s>")] + [vocab.id_of(w) for w in s] for s in sentences], len(vocab)
 
 
 def toy_corpus():
@@ -79,9 +88,14 @@ class TestTraining:
         as_numpy = [[np.int32(t) if i % 2 else np.int64(t) for i, t in enumerate(s)]
                     for s in corpus]
         assert_same_model(ngram_train(as_numpy, order=3, vocab_size=6),
-                          ngram_train(corpus, order=3, vocab_size=6))
+                          as_oracle(ngram_train(corpus, order=3, vocab_size=6)), 0.75)
         assert_same_model(ngram_train(np.array([[0, 2, 3, 1]]), order=2),
-                          ngram_train([[0, 2, 3, 1]], order=2))
+                          as_oracle(ngram_train([[0, 2, 3, 1]], order=2)), 0.75)
+
+    def test_keys_past_int64_are_refused(self):
+        # a pair key is at most V times the corpus length
+        with pytest.raises(ValueError, match=r"times corpus length 2 reaches 2\*\*63"):
+            ngram_train([[0, 1]], order=2, vocab_size=2**62)
 
     @pytest.mark.parametrize("corpus, token", [
         ([[0, 6]], "6"), ([[-1, 2]], "-1"), ([[0, 2**70]], str(2**70)),
@@ -91,10 +105,19 @@ class TestTraining:
             ngram_train(corpus, order=2, vocab_size=6)
 
 
+class _ContextStats(NamedTuple):
+    """One context's term of the interpolation: ``out = lower * scale;
+    out[ids] += add``."""
+    scale: float          # D * T(h) / c(h)
+    ids: np.ndarray       # successor token ids, sorted
+    add: np.ndarray       # max(c(hw) - D, 0) / c(h), aligned with ids
+
+
 def _ngram_train_oracle(corpus: Sequence[Sequence[int]], order: int,
-                        discount: float = 0.75, vocab_size: Optional[int] = None) -> NgramLM:
+                        discount: float = 0.75, vocab_size: Optional[int] = None) -> tuple:
     """The dict-counting trainer that ``ngram_train`` replaced, kept verbatim
-    as its oracle."""
+    as its oracle; it returns per context length the context -> stats dict,
+    and the unigram."""
     if not (1 <= order <= 5):
         raise ValueError(f"order must be in 1..5, got {order}")
     if not (0.0 < discount < 1.0):
@@ -138,17 +161,34 @@ def _ngram_train_oracle(corpus: Sequence[Sequence[int]], order: int,
             tables[k][ctx] = _ContextStats(scale, ids[a:b], add[a:b])
 
     unigram = uni / uni.sum()
-    return NgramLM(order, vocab_size, discount, tables, unigram)
+    return tables, unigram
 
 
-def assert_same_model(lm: NgramLM, oracle: NgramLM) -> None:
-    """Equal settings, and per order the same contexts with bitwise-equal stats."""
-    assert (lm.order, lm.vocab_size, lm.discount) == \
-        (oracle.order, oracle.vocab_size, oracle.discount)
-    assert lm._unigram.tobytes() == oracle._unigram.tobytes()
-    assert lm._ranked.tobytes() == oracle._ranked.tobytes()
-    assert len(lm._tables) == len(oracle._tables)
-    for table, expected in zip(lm._tables, oracle._tables):
+def context_stats(lm: NgramLM) -> list[dict[tuple[int, ...], _ContextStats]]:
+    """Per context length 0..order-1, each context's stats, read from the
+    model's flat arrays in row order."""
+    tables: list[dict[tuple[int, ...], _ContextStats]] = [dict() for _ in range(lm.order)]
+    for k, table in enumerate(lm._tables, 1):
+        assert table.scale.dtype == np.float64 and table.indptr.dtype == np.int64
+        assert list(table.rows.values()) == list(range(1, len(table.scale)))
+        assert table.scale[0] == 1.0 and table.indptr[0] == table.indptr[1] == 0
+        scales, indptr = table.scale.tolist(), table.indptr.tolist()
+        for ctx, row in table.rows.items():
+            a, b = indptr[row], indptr[row + 1]
+            tables[k][ctx] = _ContextStats(scales[row], table.ids[a:b], table.add[a:b])
+    return tables
+
+
+def assert_same_model(lm: NgramLM, oracle: tuple, discount: float) -> None:
+    """Equal settings, and per order the same contexts with bitwise-equal
+    stats; ``oracle`` is ``(tables, unigram)``."""
+    tables, unigram = oracle
+    assert (lm.order, lm.vocab_size, lm.discount) == (len(tables), len(unigram), discount)
+    assert lm._unigram.tobytes() == unigram.tobytes()
+    assert lm._ranked.tobytes() == np.argsort(-unigram, kind="stable").tobytes()
+    got = context_stats(lm)
+    assert len(got) == len(tables)
+    for table, expected in zip(got, tables):
         assert table.keys() == expected.keys()
         for ctx, (scale, ids, add) in table.items():
             assert all(type(t) is int for t in ctx)
@@ -156,6 +196,11 @@ def assert_same_model(lm: NgramLM, oracle: NgramLM) -> None:
             assert np.float64(scale).tobytes() == np.float64(expected[ctx].scale).tobytes()
             assert ids.dtype == np.int64 and ids.tobytes() == expected[ctx].ids.tobytes()
             assert add.dtype == np.float64 and add.tobytes() == expected[ctx].add.tobytes()
+
+
+def as_oracle(lm: NgramLM) -> tuple:
+    """A trained model as ``assert_same_model``'s expected tables and unigram."""
+    return context_stats(lm), lm._unigram
 
 
 @st.composite
@@ -180,18 +225,35 @@ class TestTrainingOracle:
     def test_arrays_equal_the_dict_counting_oracle_bitwise(self, case):
         corpus, order, discount, vocab_size = case
         assert_same_model(ngram_train(corpus, order, discount, vocab_size),
-                          _ngram_train_oracle(corpus, order, discount, vocab_size))
+                          _ngram_train_oracle(corpus, order, discount, vocab_size), discount)
 
-    def test_toy_and_seed_7_world_corpora_equal_the_oracle_bitwise(self, toy_vocab):
-        facts, sentences, _ = generate(7)
-        vocab, bos = facts.vocab, facts.vocab.id_of("<s>")
+    def test_toy_and_seed_7_world_corpora_equal_the_oracle_bitwise(self, toy_vocab,
+                                                                    world_7_corpus):
         corpora = [(corpus_ids(toy_vocab, DATA / name), len(toy_vocab))
                    for name in ("corpus_lexical.txt", "corpus_dialogue.txt")]
-        corpora.append(([[bos] + [vocab.id_of(w) for w in s] for s in sentences], len(vocab)))
+        corpora.append(world_7_corpus)
         for corpus, v in corpora:
             for order in (1, 3, 5):
                 assert_same_model(ngram_train(corpus, order, vocab_size=v),
-                                  _ngram_train_oracle(corpus, order, vocab_size=v))
+                                  _ngram_train_oracle(corpus, order, vocab_size=v), 0.75)
+
+
+class TestRetainedMemory:
+    def test_seed_7_world_model_retains_under_4_mb(self, world_7_corpus):
+        """The order-3 model of the seed-7 world's corpus (72k tokens,
+        V = 50,000, 10,291 contexts) retains 3.0 MB as flat per-order arrays
+        and a context -> row dict per order; with a NamedTuple and two array
+        views per context it retained 5.8 MB."""
+        corpus, v = world_7_corpus
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lm = ngram_train(corpus, 3, vocab_size=v)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(len(t.rows) for t in lm._tables) == 10_291
+        assert retained < 4_000_000
 
 
 class TestScorer:
@@ -228,6 +290,20 @@ class TestScorer:
         with pytest.raises(ValueError, match="hooks"):
             scorer.step(scorer.begin_session(), 0, hooks=object())
 
+    @pytest.mark.parametrize("bad", [True, 1.0, np.float64(1.0)],
+                             ids=["bool", "float", "numpy-float"])
+    def test_tokens_that_are_not_integers_rejected(self, bad):
+        # each once scored as token 1 and went into the window
+        scorer = NgramScorer(ngram_train(toy_corpus(), order=3, vocab_size=6))
+        message = f"token id {re.escape(repr(bad))} is not an integer"
+        session = scorer.begin_session()
+        with pytest.raises(ValueError, match=message):
+            scorer.step(session, bad)
+        batch = [scorer.begin_session(), scorer.begin_session()]
+        with pytest.raises(ValueError, match=message):
+            scorer.step_batch(batch, [0, bad])
+        assert session.window == () and batch[1].window == ()
+
     @pytest.mark.parametrize("token", [-1, 6])
     def test_token_ids_outside_the_vocabulary_rejected(self, token):
         scorer = NgramScorer(ngram_train(toy_corpus(), order=2, vocab_size=6))
@@ -256,6 +332,26 @@ def ngram_contexts(draw):
     return lm, ctx, ids
 
 
+@st.composite
+def ngram_batches(draw):
+    """A model trained on a random corpus and a batch of its distributions:
+    contexts seen at every length up to the order (so the depths mix), the
+    empty context, contexts never seen, and repeats."""
+    v = draw(st.integers(1, 30))
+    order = draw(st.integers(1, 5))
+    corpus = draw(st.lists(st.lists(st.integers(0, v - 1), min_size=1, max_size=10),
+                           min_size=1, max_size=6))
+    lm = ngram_train(corpus, order, draw(st.sampled_from([0.1, 0.5, 0.75, 0.9])),
+                     vocab_size=v)
+    seen = [s[max(0, end - n):end] for s in corpus for end in range(len(s) + 1)
+            for n in range(order)]
+    contexts = draw(st.lists(st.one_of(st.sampled_from(seen), st.just([]),
+                                       st.lists(st.integers(0, v - 1), max_size=5)),
+                             min_size=1, max_size=8))
+    contexts += draw(st.lists(st.sampled_from(contexts), max_size=3))
+    return lm, [lm.dist(ctx) for ctx in contexts]
+
+
 class TestNgramDist:
     @settings(max_examples=300, deadline=None)
     @given(ngram_contexts())
@@ -275,6 +371,22 @@ class TestNgramDist:
         ids, (lo,), _ = NgramDist.top_candidates([dist], k)
         left_out = np.setdiff1d(np.arange(lm.vocab_size), ids)
         assert (dist.dense()[left_out] <= lo).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(ngram_batches(), st.integers(1, 30), st.randoms(use_true_random=False))
+    def test_batched_gathers_equal_each_dense(self, case, k, rng):
+        lm, dists = case
+        v = lm.vocab_size
+        dense = np.concatenate([d.dense() for d in dists])
+        assert NgramDist.at(dists, np.arange(len(dense))).tobytes() == dense.tobytes()
+        some = np.array(sorted(rng.sample(range(len(dense)), rng.randint(0, len(dense)))),
+                        dtype=np.int64)
+        assert NgramDist.at(dists, some).tobytes() == dense[some].tobytes()
+        head, lo, levels = NgramDist.top_candidates(dists, k)
+        keys = np.unique(head)
+        assert NgramDist.at(dists, keys, levels).tobytes() == dense[keys].tobytes()
+        left_out = np.setdiff1d(np.arange(len(dense)), keys)
+        assert (dense[left_out] <= lo[left_out // v]).all()
 
     def test_step_batch_returns_the_steps_distributions(self):
         scorer = NgramScorer(ngram_train(toy_corpus(), order=3, vocab_size=6))

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -272,6 +273,15 @@ class TestStepBatch:
         with pytest.raises(ValueError, match="equal length"):
             model.step_batch([short, long], [2, 3])
         assert short.tokens == [] and long.tokens == [1]
+
+    @pytest.mark.parametrize("bad", [True, 1.0, np.float64(1.0)],
+                             ids=["bool", "float", "numpy-float"])
+    def test_tokens_that_are_not_integers_rejected(self, model, bad):
+        # True once ran as token 1 and 1.0 raised a bare IndexError
+        sessions = [model.begin_session(), model.begin_session()]
+        with pytest.raises(ValueError, match=f"token id {re.escape(repr(bad))} is not an integer"):
+            model.step_batch(sessions, [bad, 2])
+        assert all(s.tokens == [] for s in sessions)
 
     @pytest.mark.parametrize("alpha1, prefix, targets, problem", [
         (1.0, np.zeros(3), np.zeros(2), "prefix truth vector"),
