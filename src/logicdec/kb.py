@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import gzip
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -73,16 +74,14 @@ def _greedy_pieces(text: str, vocab: Vocabulary) -> Optional[list[int]]:
     pieces: list[int] = []
     pos = 0
     while pos < len(text):
-        best = None
         for end in range(len(text), pos, -1):
             tid = vocab.id_of(text[pos:end])
             if tid is not None:
-                best = (tid, end)
+                pieces.append(tid)
+                pos = end
                 break
-        if best is None:
+        else:
             return None
-        pieces.append(best[0])
-        pos = best[1]
     return pieces
 
 
@@ -242,7 +241,12 @@ class FactBase:
     # -- snapshot ------------------------------------------------------------
 
     def save(self, path) -> None:
-        vocab_blob = "\n".join(self.vocab.tokens).encode("utf-8")
+        """Write a snapshot; refuse a vocabulary the newline-joined block cannot hold."""
+        text = "\n".join(self.vocab.tokens)
+        if (text.split("\n") if text else []) != list(self.vocab.tokens):
+            bad = next((t for t in self.vocab.tokens if "\n" in t), "")
+            raise ValueError(f"token {bad!r} cannot be stored in a snapshot's vocabulary")
+        vocab_blob = text.encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(_SNAPSHOT_MAGIC)
             fh.write(struct.pack("<HBB", _SNAPSHOT_VERSION, 1 if self.mode == "soft" else 0, 0))
@@ -260,28 +264,25 @@ def _check_adjacency(n: int, mode: str, indptr: np.ndarray, rows: np.ndarray,
                      vals: np.ndarray) -> None:
     """Raise ``ValueError`` unless the CSC triple is a symmetric matrix over [0, n)
     with no diagonal, rows increasing in each column and weights in (0, 1]."""
-    rows = rows.astype(np.int64)
     if ((rows < 0) | (rows >= n)).any():
         raise ValueError(f"edge rows outside vocabulary of size {n}")
     if indptr[0] != 0 or indptr[-1] != len(rows) or (np.diff(indptr) < 0).any():
         raise ValueError("column index does not partition the edge arrays")
-    cols = np.repeat(np.arange(n), np.diff(indptr))
+    cols = np.repeat(np.arange(n, dtype=rows.dtype), np.diff(indptr))
     if (rows == cols).any():
         raise ValueError(f"self-loop on token {rows[rows == cols][0]}")
-    key = cols * n + rows
-    if (np.diff(key) <= 0).any():
+    # a row may fall or repeat only where a column starts
+    if (np.diff(rows) <= 0)[np.diff(cols) == 0].any():
         raise ValueError("duplicate or unsorted rows within a column")
     if not ((vals > 0.0) & (vals <= 1.0)).all():
         raise ValueError("edge weight outside (0, 1]")
     if mode == "hard" and (vals != 1.0).any():
         raise ValueError("hard mode stores weight 1.0 only")
-    # the upper triangle's mirror keys, sorted, are the lower triangle's keys
+    # the upper triangle mirrored and sorted by (row, column) is the lower one
     upper = rows < cols
-    mirror = rows[upper] * n + cols[upper]
-    order = np.argsort(mirror)
-    lower = ~upper
-    if not (np.array_equal(key[lower], mirror[order])
-            and np.array_equal(vals[lower], vals[upper][order])):
+    order = np.argsort(rows[upper].astype(np.int64) * n + cols[upper])
+    if not all(np.array_equal(a[upper][order], b[~upper])  # gathered first: less at once
+               for a, b in ((cols, rows), (rows, cols), (vals, vals))):
         raise ValueError("adjacency is not symmetric")
 
 
@@ -295,11 +296,14 @@ class SnapshotError(ValueError):
 
 def load_factbase(path) -> FactBase:
     """Load a snapshot that saves back to the same bytes, or raise SnapshotError."""
+    # sections view one read whose end, and so the weights, is 8-byte aligned
+    length = os.path.getsize(path)
+    buf = np.empty(length // 8 + 1, dtype=np.uint64).view(np.uint8)[-length % 8:][:length]
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(buf[:fh.readinto(buf)]).toreadonly()
     pos = 0
 
-    def take(section: str, size: int) -> bytes:
+    def take(section: str, size: int) -> memoryview:
         nonlocal pos
         if pos + size > len(blob):
             raise SnapshotError(path, section, f"truncated: needs {size} bytes at "
@@ -315,7 +319,7 @@ def load_factbase(path) -> FactBase:
     n, vocab_len = struct.unpack("<IQ", take("vocabulary size", 12))
     vocab_blob = take("vocabulary", vocab_len)
     try:
-        vocab = Vocabulary(vocab_blob.decode("utf-8").split("\n") if vocab_len else [])
+        vocab = Vocabulary(str(vocab_blob, "utf-8").split("\n") if vocab_len else [])
     except ValueError as exc:  # bad UTF-8 or duplicate tokens
         raise SnapshotError(path, "vocabulary", str(exc)) from None
     if len(vocab) != n:
@@ -358,12 +362,8 @@ class IngestReport:
 
 
 def _phrase_words(phrase: str, stopwords: frozenset[str], blackwords: frozenset[str]) -> list[str]:
-    words = []
-    for w in phrase.lower().replace("_", " ").split():
-        if w in stopwords or w in blackwords:
-            continue
-        words.append(w)
-    return words
+    return [w for w in phrase.lower().replace("_", " ").split()
+            if w not in stopwords and w not in blackwords]
 
 
 def _open_maybe_gzip(path):

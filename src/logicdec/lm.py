@@ -221,7 +221,7 @@ def ngram_train(corpus: Sequence[Sequence[int]], order: int,
         raise ValueError(f"order must be in 1..5, got {order}")
     if not (0.0 < discount < 1.0):
         raise ValueError(f"discount must be in (0, 1), got {discount}")
-    sequences = [list(seq) for seq in corpus]
+    sequences = corpus if isinstance(corpus, (list, tuple)) else [list(s) for s in corpus]
     lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
     if not lengths.any():
         raise ValueError("training corpus is empty")

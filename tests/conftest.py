@@ -1,5 +1,6 @@
 import base64
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ import pytest
 from logicdec import (FactBase, NgramScorer, Vocabulary, ingest_triples,
                       ngram_train)
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "data" / "toy"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "data" / "toy"
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from world import write_world  # noqa: E402
 
 
 def p_shifted_of(reply: dict) -> np.ndarray:
@@ -17,6 +23,15 @@ def p_shifted_of(reply: dict) -> np.ndarray:
 
 def read_words(path):
     return frozenset(w.strip() for w in open(path, encoding="utf-8") if w.strip())
+
+
+@pytest.fixture(scope="session")
+def world_7(tmp_path_factory) -> pathlib.Path:
+    """The seed-7 V=50k world of ``perfbench/world.py``, written once per
+    session: ``factbase.snap``, ``corpus.txt`` and ``lexical.jsonl``."""
+    out = tmp_path_factory.mktemp("world-7")
+    write_world(7, out)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from logicdec.kb import (WORD_BOUNDARY, FactBase, SnapshotError, StemIndex,
@@ -24,6 +26,129 @@ STEM_GOLDENS = {
     "went": "go", "children": "child", "feet": "foot",
     "<s>": "<s>", "don't": "don't",
 }
+
+
+def _check_adjacency_oracle(n: int, mode: str, indptr: np.ndarray, rows: np.ndarray,
+                            vals: np.ndarray) -> None:
+    """The int64 ``_check_adjacency`` that ``kb`` replaced, verbatim: the
+    refusals, their order and their messages that the check must keep."""
+    rows = rows.astype(np.int64)
+    if ((rows < 0) | (rows >= n)).any():
+        raise ValueError(f"edge rows outside vocabulary of size {n}")
+    if indptr[0] != 0 or indptr[-1] != len(rows) or (np.diff(indptr) < 0).any():
+        raise ValueError("column index does not partition the edge arrays")
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    if (rows == cols).any():
+        raise ValueError(f"self-loop on token {rows[rows == cols][0]}")
+    key = cols * n + rows
+    if (np.diff(key) <= 0).any():
+        raise ValueError("duplicate or unsorted rows within a column")
+    if not ((vals > 0.0) & (vals <= 1.0)).all():
+        raise ValueError("edge weight outside (0, 1]")
+    if mode == "hard" and (vals != 1.0).any():
+        raise ValueError("hard mode stores weight 1.0 only")
+    # the upper triangle's mirror keys, sorted, are the lower triangle's keys
+    upper = rows < cols
+    mirror = rows[upper] * n + cols[upper]
+    order = np.argsort(mirror)
+    lower = ~upper
+    if not (np.array_equal(key[lower], mirror[order])
+            and np.array_equal(vals[lower], vals[upper][order])):
+        raise ValueError("adjacency is not symmetric")
+
+
+# each mutation of a valid CSC triple, and the refusal it must meet first
+ADJACENCY_MUTATIONS = {
+    None: None,
+    "row-past-vocabulary": "edge rows outside", "negative-row": "edge rows outside",
+    "self-loop": "self-loop on token", "duplicate-row": "duplicate or unsorted",
+    "unsorted-row": "duplicate or unsorted", "zero-weight": "edge weight outside",
+    "weight-above-one": "edge weight outside", "nan-weight": "edge weight outside",
+    "hard-weight": "hard mode", "one-sided-edge": "not symmetric",
+    "swapped-weights": "not symmetric", "moved-row": "not symmetric",
+    "moved-column": "not symmetric", "decreasing-index": "does not partition",
+    "index-short-of-nnz": "does not partition", "index-past-nnz": "does not partition",
+}
+
+
+@st.composite
+def mutated_csc_triples(draw):
+    """``(mutation, n, mode, indptr, rows, vals)``: a symmetric CSC triple
+    over at most 7 tokens, with int32 or int64 rows, and one mutation."""
+    mutation = draw(st.sampled_from(list(ADJACENCY_MUTATIONS)))
+    # two edges on three tokens share a column and can differ in weight
+    two_edges = mutation in ("duplicate-row", "unsorted-row", "swapped-weights",
+                             "moved-row", "moved-column")
+    n = draw(st.integers(3 if two_edges else 2 if mutation == "decreasing-index" else 1, 7))
+    mode = {"hard-weight": "hard", "swapped-weights": "soft"}.get(
+        mutation, draw(st.sampled_from(["soft", "hard"])))
+    pairs = sorted(draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                .filter(lambda p: p[0] < p[1]), min_size=2 * two_edges)))
+    weight = st.just(1.0) if mode == "hard" else st.floats(0.0, 1.0, exclude_min=True)
+    entries = sorted((c, r, w) for (a, b), w in zip(pairs, [draw(weight) for _ in pairs])
+                     for r, c in ((a, b), (b, a)))
+    if mutation in ("moved-row", "moved-column"):  # a lower entry leaves its mirror
+        c, r, w = draw(st.sampled_from([e for e in entries if e[1] > e[0]]))
+        taken = {(e[0], e[1]) for e in entries}
+        cells = ([(c, q) for q in range(c + 1, n)] if mutation == "moved-row"
+                 else [(q, r) for q in range(r)])
+        cells = [cell for cell in cells if cell not in taken]
+        assume(cells)
+        entries.remove((c, r, w))
+        entries = sorted(entries + [(*draw(st.sampled_from(cells)), w)])
+    cols = np.array([c for c, _, _ in entries], dtype=np.int64)
+    rows = np.array([r for _, r, _ in entries], dtype=draw(st.sampled_from([np.int32,
+                                                                             np.int64])))
+    vals = np.array([w for _, _, w in entries], dtype=np.float64)
+    indptr = np.searchsorted(cols, np.arange(n + 1)).astype(np.int64)
+    if mutation in (None, "moved-row", "moved-column", "decreasing-index",
+                    "index-short-of-nnz", "index-past-nnz"):
+        k = None
+    elif mutation in ("duplicate-row", "unsorted-row"):  # k - 1 and k share a column
+        shared = np.flatnonzero(cols[1:] == cols[:-1]) + 1
+        assume(len(shared))
+        k = int(draw(st.sampled_from(shared.tolist())))
+    else:
+        assume(len(rows))
+        k = draw(st.integers(0, len(rows) - 1))
+    if mutation == "row-past-vocabulary":
+        rows[k] = n + draw(st.integers(0, 2))
+    elif mutation == "negative-row":
+        rows[k] = -draw(st.integers(1, 3))
+    elif mutation == "self-loop":
+        rows[k] = cols[k]
+    elif mutation == "duplicate-row":
+        rows[k] = rows[k - 1]
+    elif mutation == "unsorted-row":
+        rows[[k - 1, k]] = rows[[k, k - 1]]
+    elif mutation in ("zero-weight", "nan-weight"):
+        vals[k] = 0.0 if mutation == "zero-weight" else np.nan
+    elif mutation == "weight-above-one":
+        vals[k] = 1.0 + draw(st.floats(1e-9, 1.0))
+    elif mutation == "hard-weight":
+        vals[k] = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    elif mutation == "one-sided-edge":
+        rows, vals = np.delete(rows, k), np.delete(vals, k)
+        indptr[cols[k] + 1:] -= 1
+    elif mutation == "swapped-weights":
+        others = np.flatnonzero(vals != vals[k])
+        assume(len(others))
+        j = int(draw(st.sampled_from(others.tolist())))
+        vals[[k, j]] = vals[[j, k]]
+    elif mutation == "decreasing-index":
+        c = draw(st.integers(1, n - 1))
+        indptr[c] = indptr[c - 1] - 1
+    elif mutation in ("index-short-of-nnz", "index-past-nnz"):
+        indptr[-1] += -1 if mutation == "index-short-of-nnz" else 1
+    return mutation, n, mode, indptr, rows, vals
+
+
+def _refusal(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def test_stemmer_goldens():
@@ -371,6 +496,56 @@ class TestSnapshot:
             load_factbase(path)
         assert err.value.section == "stem table"
 
+    @pytest.mark.parametrize("tokens, bad", [(["a\nb", "c"], "a\nb"), ([""], "")],
+                             ids=["newline", "only-empty"])
+    def test_vocabulary_the_block_cannot_hold_is_not_saved(self, tmp_path, tokens, bad):
+        # loaded back, these read as 3 tokens and as 0 tokens
+        path = tmp_path / "facts.bin"
+        with pytest.raises(ValueError, match=re.escape(f"token {bad!r} cannot be stored")):
+            FactBase.from_edges(Vocabulary(tokens), []).save(path)
+        assert not path.exists()
+
+    def test_an_empty_token_among_others_round_trips(self, tmp_path):
+        path = tmp_path / "facts.bin"
+        FactBase.from_edges(Vocabulary(["", "a"]), [(0, 1, 0.5)]).save(path)
+        assert load_factbase(path).vocab.tokens == ("", "a")
+
+    def test_loaded_arrays_are_read_only_views_of_the_file(self, toy_facts, tmp_path):
+        path = tmp_path / "facts.bin"
+        toy_facts.save(path)
+        facts = load_factbase(path)
+        arrays = (facts._csc_indptr, facts._csc_rows, facts._csc_vals, facts.stems.class_of)
+        buffers = {id(a.base.obj) for a in arrays}
+        assert len(buffers) == 1
+        assert len(facts._csc_rows.base.obj) == path.stat().st_size
+        assert not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("token_length", range(1, 9))
+    def test_loaded_arrays_are_aligned_whatever_the_vocabulary_length(self, tmp_path,
+                                                                      token_length):
+        # the sections' offsets in the file move with the vocabulary block's
+        # length; numpy takes slow paths over misaligned arrays
+        path = tmp_path / "facts.bin"
+        FactBase.from_edges(Vocabulary(["a" * token_length, "b"]), [(0, 1, 0.5)]).save(path)
+        facts = load_factbase(path)
+        assert all(a.flags.aligned for a in (facts._csc_indptr, facts._csc_rows,
+                                             facts._csc_vals, facts.stems.class_of))
+
+    def test_seed_7_world_load_peaks_under_24_mb(self, world_7):
+        """Loading the seed-7 world's 5.8 MB snapshot (V = 50,000, 400,000
+        stored entries) peaks at 19.7 MB under tracemalloc: sections are
+        slices of one read buffer and the adjacency check's temporaries keep
+        the rows' int32 width.  With a copy of each section and int64 copies
+        of the rows and columns, it peaked at 36.7 MB."""
+        tracemalloc.start()
+        try:
+            facts = load_factbase(world_7 / "factbase.snap")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert facts.num_edges == 200_000
+        assert peak < 24_000_000
+
     def test_gzip_transparent_ingestion(self, toy_vocab, tmp_path):
         import gzip
         path = tmp_path / "kg.tsv.gz"
@@ -382,6 +557,15 @@ class TestSnapshot:
 
 
 class TestFactBaseValidation:
+    @settings(max_examples=600, deadline=None)
+    @given(case=mutated_csc_triples())
+    def test_check_refuses_exactly_as_the_int64_oracle(self, case):
+        mutation, n, mode, indptr, rows, vals = case
+        expected = _refusal(_check_adjacency_oracle, n, mode, indptr, rows.copy(), vals)
+        assert _refusal(_check_adjacency, n, mode, indptr, rows, vals) == expected
+        problem = ADJACENCY_MUTATIONS[mutation]
+        assert expected is None if problem is None else problem in expected
+
     def test_self_loop_rejected(self):
         vocab = Vocabulary(["a", "b"])
         with pytest.raises(ValueError, match="self-loop"):

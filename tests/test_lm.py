@@ -1,7 +1,5 @@
 import re
-import sys
 import tracemalloc
-from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -9,21 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from logicdec.kb import load_factbase
 from logicdec.lm import NgramDist, NgramLM, NgramScorer, ngram_train
 
 from conftest import DATA, corpus_ids
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-
-from world import generate  # noqa: E402
-
 
 @pytest.fixture(scope="module")
-def world_7_corpus():
+def world_7_corpus(world_7):
     """The seed-7 V=50k world's corpus, each sentence after <s>, and its V."""
-    facts, sentences, _ = generate(7)
-    vocab = facts.vocab
-    return [[vocab.id_of("<s>")] + [vocab.id_of(w) for w in s] for s in sentences], len(vocab)
+    vocab = load_factbase(world_7 / "factbase.snap").vocab
+    lines = (world_7 / "corpus.txt").read_text("utf-8").splitlines()
+    return [[vocab.id_of("<s>")] + [vocab.id_of(w) for w in line.split()]
+            for line in lines if line.split()], len(vocab)
 
 
 def toy_corpus():
@@ -226,6 +222,14 @@ class TestTrainingOracle:
         corpus, order, discount, vocab_size = case
         assert_same_model(ngram_train(corpus, order, discount, vocab_size),
                           _ngram_train_oracle(corpus, order, discount, vocab_size), discount)
+
+    def test_tuple_and_generator_corpora_train_the_list_model(self):
+        # lists and tuples are read in place, other iterables copied once
+        corpus = toy_corpus()
+        oracle = _ngram_train_oracle(corpus, 3, 0.75, 6)
+        for form in (tuple(corpus), [tuple(seq) for seq in corpus],
+                     (list(seq) for seq in corpus), (iter(seq) for seq in corpus)):
+            assert_same_model(ngram_train(form, 3, vocab_size=6), oracle, 0.75)
 
     def test_toy_and_seed_7_world_corpora_equal_the_oracle_bitwise(self, toy_vocab,
                                                                     world_7_corpus):

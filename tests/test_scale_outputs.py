@@ -3,19 +3,15 @@
 The benchmark's ``scale-50k`` workload decodes the seeded world of
 ``perfbench/world.py`` with a vocabulary past ``decision.FULL_RANK_MAX_V``,
 where the decoder ranks only the candidates that can reach the top k.  This
-writes the seed-7 world, decodes its first 16 instances as that workload does
-and hashes the best outputs the way the benchmark digests them, so that
-output drift on the large-vocabulary path fails here and not only in a
-benchmark run.  On the same world, a vocabulary prove must not allocate a
+decodes the first 16 instances of the seed-7 world (written once per session
+by the ``world_7`` fixture) as that workload does and hashes the best outputs
+the way the benchmark digests them, so that output drift on the
+large-vocabulary path fails here and not only in a benchmark run.  On the same world, a vocabulary prove must not allocate a
 vector over the vocabulary.
 """
 
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
-
-import pytest
 
 from logicdec.decision import FULL_RANK_MAX_V
 from logicdec.decoder import PRESETS, decode
@@ -27,35 +23,23 @@ from logicdec.tasks import lexical_rule_template, load_instances
 
 from test_toy_outputs import digest_of
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-
-from world import write_world  # noqa: E402
-
-SEED, DIGEST = 7, "880e172028d25487"
+DIGEST = "880e172028d25487"
 
 
-@pytest.fixture(scope="module")
-def world(tmp_path_factory):
-    out = tmp_path_factory.mktemp("world")
-    write_world(SEED, out)
-    return out
-
-
-def test_seed_7_world_outputs_match_the_pinned_digest(world):
-    tmp_path = world
-    facts = load_factbase(tmp_path / "factbase.snap")
+def test_seed_7_world_outputs_match_the_pinned_digest(world_7):
+    facts = load_factbase(world_7 / "factbase.snap")
     vocab = facts.vocab
     assert len(vocab) > FULL_RANK_MAX_V
     bos = vocab.id_of("<s>")
     corpus = [[bos] + [vocab.id_of(w) for w in line.split()]
-              for line in (tmp_path / "corpus.txt").read_text("utf-8").splitlines()
+              for line in (world_7 / "corpus.txt").read_text("utf-8").splitlines()
               if line.split()]
     scorer = NgramScorer(ngram_train(corpus, order=3, vocab_size=len(vocab)))
     # the scale-50k config: commongen intensities, a full beam for 16 steps
     config = replace(PRESETS["commongen"], prune_ratio=1e-9, max_length=16, bos_id=bos,
                      eos_id=None, length_norm_power=1.0)
     outputs = []
-    for inst in load_instances(tmp_path / "lexical.jsonl")[:16]:
+    for inst in load_instances(world_7 / "lexical.jsonl")[:16]:
         binding = lexical_rule_template(inst.concepts, facts, gate="luk")
         result = decode(scorer, parse_program(binding.source), binding.rule, binding.ctx,
                         config)
@@ -63,10 +47,10 @@ def test_seed_7_world_outputs_match_the_pinned_digest(world):
     assert digest_of(outputs) == DIGEST
 
 
-def test_a_warm_vocabulary_prove_allocates_less_than_one_vocabulary_vector(world):
-    facts = load_factbase(world / "factbase.snap")
+def test_a_warm_vocabulary_prove_allocates_less_than_one_vocabulary_vector(world_7):
+    facts = load_factbase(world_7 / "factbase.snap")
     vocabulary = Domain.vocabulary(facts)
-    inst = load_instances(world / "lexical.jsonl")[0]
+    inst = load_instances(world_7 / "lexical.jsonl")[0]
     binding = lexical_rule_template(inst.concepts, facts, gate="luk")
     program = parse_program(binding.source)
     ctx = EvalContext(facts, {**binding.ctx.sets, "Prev": (facts.vocab.id_of("<s>"),)})
