@@ -3,7 +3,7 @@
 
 Trains the n-gram scorer on the committed corpus, then decodes the shipped
 20-instance suite twice: unconstrained beam search versus the full pipeline
-with the commongen preset and the hard-gate rule template.  Run from the
+with the commongen preset and the lexical rule template.  Run from the
 repository root.
 """
 
@@ -42,7 +42,7 @@ print(f"\nunconstrained beam search says the same thing every time:\n  {base_tex
 print("\nconstrained decoding, commongen preset (alpha 12/24/24, rho 0.6, k 16):")
 total = base_total = 0.0
 for inst in instances[:8]:
-    binding = lexical_rule_template(inst.concepts, facts, gate="luk")
+    binding = lexical_rule_template(inst.concepts, facts)
     program = parse_program(binding.source)
     result = decode(scorer, program, "R", binding.ctx, config)
     text = " ".join(vocab.token(t) for t in result.best.tokens[1:-1])
@@ -50,7 +50,7 @@ for inst in instances[:8]:
     print(f"  {','.join(inst.concepts):<24} -> {text}   [coverage {cov:.0%}]")
 
 for inst in instances:
-    binding = lexical_rule_template(inst.concepts, facts, gate="luk")
+    binding = lexical_rule_template(inst.concepts, facts)
     program = parse_program(binding.source)
     result = decode(scorer, program, "R", binding.ctx, config)
     total += coverage_of(result.best, binding.ctx.sets["C"])

@@ -23,7 +23,8 @@ from .kb import Vocabulary, ingest_triples, load_factbase
 from .lm import NgramScorer, ngram_train
 from .rules import parse_program
 from .tasks import (DEFAULT_STOPWORDS, align_concepts, corpus_coverage,
-                    dialogue_rule_template, lexical_rule_template, load_instances)
+                    dialogue_rule_template, lexical_rule_template, load_instances,
+                    read_instances)
 from .transformer import TinyTransformer, TransformerConfig, TransformerScorer, load_weights
 
 log = logging.getLogger("logicdec")
@@ -80,7 +81,6 @@ def build_parser() -> _Parser:
     common_decode.add_argument("--length-norm", type=float, default=0.7, help="length normalization exponent")
 
     p_dec = sub.add_parser("decode", parents=[common_decode], help="run constrained decoding")
-    p_dec.add_argument("--task", choices=("lexical", "dialogue"), default="lexical", help="instance kind")
     p_dec.add_argument("--preset", choices=("commongen", "personachat", "custom"),
                        default="custom", help="named hyperparameter preset")
     p_dec.add_argument("--alpha1", type=float, help="prefix-attention intensity")
@@ -88,9 +88,7 @@ def build_parser() -> _Parser:
     p_dec.add_argument("--alpha3", type=float, help="prediction intensity")
     p_dec.add_argument("--rho", type=float, help="pruning ratio in (0, 1]")
     p_dec.add_argument("--group-k", type=int, help="per-group retention budget")
-    p_dec.add_argument("--rules", help="override rule program file")
-    p_dec.add_argument("--template", choices=("soft-gate", "hard-gate"), default="soft-gate",
-                       help="lexical template gate variant")
+    p_dec.add_argument("--rules", help="rule program file run instead of each instance's template")
     p_dec.add_argument("--trace", action="store_true", help="emit per-step top-5 before/after shifting")
 
     sub.add_parser("baseline-beam", parents=[common_decode],
@@ -167,7 +165,8 @@ def _decode_config(args) -> DecodingConfig:
         raise UsageError(f"invalid decode setting: {exc}") from None
 
 
-def _result_line(instance, hyp, facts, config, concepts, completed, trace=None) -> dict:
+def _result_line(instance, hyp, facts, config, concepts, completed,
+                 skipped=None, trace=None) -> dict:
     rec = {
         "id": instance.instance_id,
         "text": " ".join(facts.vocab.surface(t) for t in hyp.tokens
@@ -177,6 +176,8 @@ def _result_line(instance, hyp, facts, config, concepts, completed, trace=None) 
         "finished": bool(hyp.finished and completed),
         "traced": trace is not None,
     }
+    if skipped is not None:
+        rec["skipped"] = list(skipped)
     if trace is not None:
         rec["trace"] = trace
     return rec
@@ -210,7 +211,7 @@ def _decode_common(args, constrained: bool) -> int:
         if not ok:
             raise UsageError(f"{flag} must be {wanted}, got {value}")
     facts = load_factbase(_require_file(args.factbase, "--factbase"))
-    instances = load_instances(_require_file(args.instances, "--instances"))
+    instance_path = _require_file(args.instances, "--instances")
     scorer = _build_scorer(args, facts)
     bos = facts.vocab.id_of("<s>")
     eos = facts.vocab.id_of("</s>")
@@ -224,8 +225,10 @@ def _decode_common(args, constrained: bool) -> int:
 
     written = 0
     with open(args.out, "w", encoding="utf-8") as out:
-        for instance in instances:
+        for instance_id, instance in read_instances(instance_path):
             try:
+                if isinstance(instance, ValueError):
+                    raise instance
                 if not constrained:
                     result = plain_beam_search(
                         scorer, config.beam_size, config.max_length,
@@ -240,12 +243,8 @@ def _decode_common(args, constrained: bool) -> int:
                     rec = _result_line(instance, best, facts, config, concepts,
                                        result.completed)
                 else:
-                    if instance.kind != args.task:
-                        raise ValueError(
-                            f"instance kind {instance.kind!r} does not match --task {args.task!r}")
                     if instance.kind == "lexical":
-                        gate = "luk" if args.template == "hard-gate" else "avg"
-                        binding = lexical_rule_template(instance.concepts, facts, gate=gate)
+                        binding = lexical_rule_template(instance.concepts, facts)
                     else:
                         binding = dialogue_rule_template(instance.persona, instance.history, facts)
                     source = override_source if override_source is not None else binding.source
@@ -254,40 +253,29 @@ def _decode_common(args, constrained: bool) -> int:
                                     config, trace=args.trace)
                     concepts = binding.ctx.sets.get("C", ())
                     rec = _result_line(instance, result.best, facts, config, concepts,
-                                       result.completed,
+                                       result.completed, skipped=binding.skipped,
                                        trace=result.trace if args.trace else None)
             except Exception as exc:
-                log.error("instance %s failed: %s", instance.instance_id, exc)
-                rec = {"id": instance.instance_id, "error": f"{type(exc).__name__}: {exc}"}
+                log.error("instance %s failed: %s", instance_id, exc)
+                rec = {"id": instance_id, "error": f"{type(exc).__name__}: {exc}"}
             out.write(json.dumps(rec) + "\n")
             written += 1
     print(f"wrote {written} results to {args.out}")
     return 0
 
 
-def cmd_decode(args) -> int:
-    return _decode_common(args, constrained=True)
-
-
-def cmd_baseline_beam(args) -> int:
-    return _decode_common(args, constrained=False)
-
-
 def cmd_eval(args) -> int:
-    instances = load_instances(_require_file(args.instances, "--instances"))
-    outputs, scores, lengths = [], [], []
+    path = _require_file(args.instances, "--instances")
+    try:
+        instances = load_instances(path)
+    except ValueError as exc:  # a malformed line
+        raise UsageError(f"--instances: {exc}") from None
     with open(_require_file(args.results, "--results"), encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if "error" in rec:
-                outputs.append("")
-                continue
-            outputs.append(rec["text"])
-            scores.append(rec["score"])
-            lengths.append(len(rec["text"].split()))
+        records = [json.loads(line) for line in fh if line.strip()]
+    decoded = [rec for rec in records if "error" not in rec]
+    outputs = ["" if "error" in rec else rec["text"] for rec in records]
+    scores = [rec["score"] for rec in decoded]
+    lengths = [len(rec["text"].split()) for rec in decoded]
     if len(outputs) != len(instances):
         raise UsageError(f"--results: {len(outputs)} results vs {len(instances)} instances")
     coverage = corpus_coverage(outputs, instances)
@@ -315,8 +303,8 @@ def cmd_serve(args) -> int:
 
 _COMMANDS = {
     "ingest-kg": cmd_ingest_kg,
-    "decode": cmd_decode,
-    "baseline-beam": cmd_baseline_beam,
+    "decode": lambda args: _decode_common(args, constrained=True),
+    "baseline-beam": lambda args: _decode_common(args, constrained=False),
     "eval": cmd_eval,
     "serve": cmd_serve,
 }

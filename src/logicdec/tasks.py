@@ -1,8 +1,9 @@
 """Task adapters: rule templates, instance loading, keyword extraction, and
 the corpus coverage metric.
 
-Two instance kinds are supported.  Lexical instances carry a concept list the
-output must cover; dialogue instances carry persona sentences and a dialogue
+An instance's kind picks its rules.  Lexical instances carry a concept list
+the output must cover, and their rules favour words related to the concepts
+not yet covered; dialogue instances carry persona sentences and a dialogue
 history, and the rules reward persona keywords and words bridging both
 speakers' interests.
 """
@@ -11,9 +12,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .kb import FactBase, align_word_to_token
 from .prover import EvalContext
@@ -21,7 +22,7 @@ from .stemming import IRREGULAR_FORMS, word_stem
 
 __all__ = [
     "TaskInstance", "TemplateBinding", "DEFAULT_STOPWORDS",
-    "load_instances", "extract_keywords",
+    "read_instances", "load_instances", "extract_keywords",
     "align_concepts", "lexical_rule_template", "dialogue_rule_template",
     "instance_coverage", "corpus_coverage", "template_text",
 ]
@@ -55,25 +56,38 @@ class TaskInstance:
             raise ValueError(f"unknown instance kind {self.kind!r}")
 
 
-def load_instances(path) -> list[TaskInstance]:
-    """Read JSON-lines instances: ``{"kind": "lexical", "concepts": [...]}``
-    or ``{"kind": "dialogue", "persona": [...], "history": [...],
-    "reference": ...}``."""
-    out = []
+def read_instances(path) -> Iterator[tuple[str, Union[TaskInstance, ValueError]]]:
+    """Each non-blank line of a JSON-lines file, as its id (``"id"``, else the
+    0-based line index) and its instance, or a ``ValueError`` naming the line:
+    ``{"kind": "lexical", "concepts": [...]}`` or ``{"kind": "dialogue",
+    "persona": [...], "history": [...], "reference": ...}``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            out.append(TaskInstance(
-                kind=rec["kind"],
-                instance_id=str(rec.get("id", lineno)),
-                concepts=tuple(rec.get("concepts", ())),
-                persona=tuple(rec.get("persona", ())),
-                history=tuple(rec.get("history", ())),
-                reference=rec.get("reference"),
-            ))
+            instance_id = str(lineno)
+            try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("expected a JSON object")
+                instance_id = str(rec.get("id", lineno))
+                words = {key: rec.get(key, []) for key in ("concepts", "persona", "history")}
+                for key, value in words.items():
+                    if not isinstance(value, list) or not all(isinstance(w, str) for w in value):
+                        raise ValueError(f"{key!r} must be a list of strings")
+                yield instance_id, TaskInstance(
+                    kind=rec.get("kind"), instance_id=instance_id, reference=rec.get("reference"),
+                    **{key: tuple(value) for key, value in words.items()})
+            except ValueError as exc:
+                yield instance_id, ValueError(f"line {lineno + 1}: {exc}")
+
+
+def load_instances(path) -> list[TaskInstance]:
+    """Every instance of a JSON-lines file; raises the ``ValueError`` of the
+    first malformed line (see ``read_instances``)."""
+    out = [instance for _, instance in read_instances(path)]
+    if bad := [instance for instance in out if isinstance(instance, ValueError)]:
+        raise bad[0]
     return out
 
 
@@ -99,12 +113,11 @@ class TemplateBinding:
     ctx: EvalContext
     rule: str = "R"
     skipped: tuple[str, ...] = ()        # words that did not align to tokens
-    keywords: dict = field(default_factory=dict)
 
 
 def template_text(name: str) -> str:
-    """Shipped rule template text by name: ``commongen``, ``commongen_hard``
-    or ``personachat``."""
+    """Shipped rule template text by name: ``commongen_hard`` (lexical) or
+    ``personachat`` (dialogue)."""
     return resources.files("logicdec.templates").joinpath(f"{name}.rules").read_text("utf-8")
 
 
@@ -130,20 +143,21 @@ def align_concepts(concepts: Sequence[str], facts: FactBase
 
 
 def lexical_rule_template(concepts: Sequence[str], facts: FactBase,
-                          gate: str = "avg") -> TemplateBinding:
-    """Rules for covering target concepts.
+                          gate: str = "luk") -> TemplateBinding:
+    """Rules for covering target concepts: a word's truth is its relatedness
+    to the concepts the prefix has not covered yet, and 0 for a word
+    unrelated to all of them.
 
-    ``gate`` selects how un-coveredness combines with relatedness: ``"avg"``
-    follows the averaging conjunction (covered concepts still contribute half
-    their relatedness), ``"luk"`` uses the hard conjunction (covered concepts
-    contribute nothing).  Both templates ship; neither is privileged.
+    ``gate`` accepts only ``"luk"``, the hard conjunction of that template;
+    other rules run as a user program (``logicdec decode --rules``).
     """
-    if gate not in ("avg", "luk"):
-        raise ValueError(f"gate must be 'avg' or 'luk', got {gate!r}")
+    if gate != "luk":
+        raise ValueError(f"gate {gate!r} is not a lexical template: the only one "
+                         "is 'luk'; run other rules with --rules")
     ids, skipped = align_concepts(concepts, facts)
-    source = template_text("commongen" if gate == "avg" else "commongen_hard")
     ctx = EvalContext(facts=facts, sets={"C": tuple(ids)})
-    return TemplateBinding(source=source, ctx=ctx, skipped=tuple(skipped))
+    return TemplateBinding(source=template_text("commongen_hard"), ctx=ctx,
+                           skipped=tuple(skipped))
 
 
 def dialogue_rule_template(persona: Sequence[str], history: Sequence[str],
@@ -167,16 +181,12 @@ def dialogue_rule_template(persona: Sequence[str], history: Sequence[str],
     if not p_ids:
         raise ValueError("persona produced no alignable keywords")
 
-    source = template_text("personachat")
+    source, sets = template_text("personachat"), {"P": tuple(p_ids), "U": tuple(u_ids)}
     if not u_ids:
         source = source.replace("(exists u in U, Edge(x, u))", "0")
-    sets = {"P": tuple(p_ids)}
-    if u_ids:
-        sets["U"] = tuple(u_ids)
-    ctx = EvalContext(facts=facts, sets=sets)
-    return TemplateBinding(source=source, ctx=ctx,
-                           skipped=tuple(p_skipped + u_skipped),
-                           keywords={"P": tuple(p_words), "U": tuple(u_words)})
+        del sets["U"]
+    return TemplateBinding(source=source, ctx=EvalContext(facts=facts, sets=sets),
+                           skipped=tuple(p_skipped + u_skipped))
 
 
 # ---------------------------------------------------------------------------

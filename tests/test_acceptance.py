@@ -168,7 +168,7 @@ def test_c06_toy_constrained_generation(toy_world):
                      eos_id=eos, length_norm_power=1.0)
     coverages = []
     for inst in instances:
-        binding = lexical_rule_template(inst.concepts, facts, gate="luk")
+        binding = lexical_rule_template(inst.concepts, facts)
         program = parse_program(binding.source)
         result = decode(scorer, program, "R", binding.ctx, config)
         coverages.append(coverage_of(result.best, binding.ctx.sets["C"]))

@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -80,15 +81,82 @@ class TestDecode:
             "decode", "--factbase", str(snapshot),
             "--instances", str(DATA / "lexical20.jsonl"),
             "--corpus", str(DATA / "corpus_lexical.txt"),
-            "--task", "lexical", "--template", "hard-gate",
             "--preset", "commongen", "--max-length", "16",
             "--length-norm", "1.0",
             "--out", str(out)], capsys)
         assert code == 0
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(lines) == 20
-        assert all({"id", "text", "score", "coverage", "finished"} <= set(r)
+        assert all({"id", "text", "score", "coverage", "skipped", "finished"} <= set(r)
                    for r in lines)
+
+    @pytest.mark.parametrize("flag, value", [("--template", "hard-gate"), ("--task", "lexical")])
+    def test_removed_flags_are_refused(self, snapshot, tmp_path, capsys, flag, value):
+        out = tmp_path / "results.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["decode", "--factbase", str(snapshot),
+                  "--instances", str(DATA / "lexical20.jsonl"),
+                  "--corpus", str(DATA / "corpus_lexical.txt"),
+                  flag, value, "--out", str(out)])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_instance_kind_picks_its_template(self, snapshot, tmp_path, capsys):
+        lexical = (DATA / "lexical20.jsonl").read_text("utf-8").splitlines()[:2]
+        dialogue = (DATA / "dialogue10.jsonl").read_text("utf-8").splitlines()[:2]
+        instances = tmp_path / "mixed.jsonl"
+        instances.write_text("\n".join([lexical[0], dialogue[0], lexical[1], dialogue[1]]) + "\n")
+        out = tmp_path / "results.jsonl"
+        code, _, _ = run(["decode", "--factbase", str(snapshot), "--instances", str(instances),
+                          "--corpus", str(DATA / "corpus_lexical.txt"),
+                          "--max-length", "8", "--out", str(out)], capsys)
+        assert code == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["id"] for r in records] == [json.loads(line)["id"] for line in
+                                              (lexical[0], dialogue[0], lexical[1], dialogue[1])]
+        assert all("error" not in r and r["text"] for r in records)
+
+    def test_a_malformed_line_fails_only_its_instance(self, snapshot, tmp_path, capsys):
+        instances = tmp_path / "three.jsonl"
+        instances.write_text(json.dumps({"id": "first", "kind": "lexical",
+                                         "concepts": ["garden"]}) + "\n"
+                             + '{"kind": "lexical"}\nnot json\n'
+                             + json.dumps({"id": "last", "kind": "dialogue",
+                                           "persona": ["i have pets"]}) + "\n")
+        for command in ("decode", "baseline-beam"):
+            out = tmp_path / f"{command}.jsonl"
+            code, _, err = run([command, "--factbase", str(snapshot),
+                                "--instances", str(instances),
+                                "--corpus", str(DATA / "corpus_lexical.txt"),
+                                "--max-length", "6", "--out", str(out)], capsys)
+            assert code == 0, err
+            first, no_concepts, not_json, last = [json.loads(line)
+                                                  for line in out.read_text().splitlines()]
+            assert first["id"] == "first" and first["text"]
+            assert no_concepts == {"id": "1", "error": "ValueError: line 2: lexical instance "
+                                                      "needs at least one concept"}
+            assert not_json["id"] == "2"
+            assert not_json["error"].startswith("ValueError: line 3: Expecting value")
+            assert last["id"] == "last" and last["text"]
+
+    def test_result_line_names_the_concepts_that_did_not_align(self, snapshot, tmp_path,
+                                                              capsys):
+        instances = tmp_path / "one.jsonl"
+        instances.write_text(json.dumps({"kind": "lexical",
+                                         "concepts": ["garden", "zzzz"]}) + "\n")
+        out = tmp_path / "results.jsonl"
+        code, _, _ = run(["decode", "--factbase", str(snapshot), "--instances", str(instances),
+                          "--corpus", str(DATA / "corpus_lexical.txt"),
+                          "--preset", "commongen", "--out", str(out)], capsys)
+        assert code == 0
+        rec = json.loads(out.read_text())
+        # coverage counts the aligned concepts; eval counts them all
+        assert rec["coverage"] == 1.0 and rec["skipped"] == ["zzzz"]
+        code, stdout, _ = run(["eval", "--results", str(out),
+                               "--instances", str(instances)], capsys)
+        assert code == 0
+        assert json.loads(stdout.strip().splitlines()[-1])["coverage_percent"] == 50.0
 
     def test_degenerate_flags_match_baseline_beam(self, snapshot, tmp_path, capsys):
         # zero intensities and no constraint set (the dialogue task binds no
@@ -98,7 +166,7 @@ class TestDecode:
                   "--instances", str(DATA / "dialogue10.jsonl"),
                   "--corpus", str(DATA / "corpus_dialogue.txt"),
                   "--beam", "5", "--max-length", "10"]
-        code, _, _ = run(["decode", *shared, "--task", "dialogue", "--alpha1", "0",
+        code, _, _ = run(["decode", *shared, "--alpha1", "0",
                           "--alpha2", "0", "--alpha3", "0", "--out", str(dec)], capsys)
         assert code == 0
         code, _, _ = run(["baseline-beam", *shared, "--out", str(base)], capsys)
@@ -114,7 +182,7 @@ class TestDecode:
             "decode", "--factbase", str(snapshot),
             "--instances", str(DATA / "lexical20.jsonl"),
             "--corpus", str(DATA / "corpus_lexical.txt"),
-            "--preset", "commongen", "--template", "hard-gate",
+            "--preset", "commongen",
             "--max-length", "8", "--trace", "--out", str(out)], capsys)
         assert code == 0
         first = json.loads(out.read_text().splitlines()[0])
@@ -175,8 +243,8 @@ class TestDecode:
         out = tmp_path / "results.jsonl"
         code, _, _ = run(["decode", "--factbase", str(snapshot), "--instances", str(instances),
                           "--corpus", str(DATA / "corpus_lexical.txt"),
-                          "--template", "hard-gate", "--preset", "commongen",
-                          "--max-length", "8", "--out", str(out)], capsys)
+                          "--preset", "commongen", "--max-length", "8", "--out", str(out)],
+                         capsys)
         assert code == 0
         first, many, last = [json.loads(line) for line in out.read_text().splitlines()]
         assert many == {"id": "many",
@@ -226,21 +294,34 @@ class TestBaselineBeam:
 
 class TestEval:
     def test_metrics_table(self, snapshot, tmp_path, capsys):
+        # the default decode: each lexical instance under its own rules
         results = tmp_path / "results.jsonl"
         code, _, _ = run([
             "decode", "--factbase", str(snapshot),
             "--instances", str(DATA / "lexical20.jsonl"),
             "--corpus", str(DATA / "corpus_lexical.txt"),
-            "--preset", "commongen", "--template", "hard-gate",
-            "--max-length", "16", "--length-norm", "1.0",
+            "--preset", "commongen", "--max-length", "16", "--length-norm", "1.0",
             "--out", str(results)], capsys)
         assert code == 0
+        texts = [json.loads(line)["text"] for line in results.read_text().splitlines()]
+        assert len(set(texts)) == len(texts) == 20
         code, stdout, _ = run(["eval", "--results", str(results),
                                "--instances", str(DATA / "lexical20.jsonl")], capsys)
         assert code == 0
         assert "coverage(%)" in stdout
         payload = json.loads(stdout.strip().splitlines()[-1])
-        assert payload["coverage_percent"] >= 95.0
+        assert payload["coverage_percent"] == 100.0
+
+    def test_malformed_instance_file_is_a_usage_error(self, tmp_path, capsys):
+        instances, results = tmp_path / "inst.jsonl", tmp_path / "results.jsonl"
+        instances.write_text('{"kind": "lexical", "concepts": ["garden"]}\nnot json\n')
+        results.write_text('{"id": "0", "text": "garden", "score": -1.0}\n'
+                           '{"id": "1", "error": "ValueError: line 2"}\n')
+        code, _, err = run(["eval", "--results", str(results),
+                            "--instances", str(instances)], capsys)
+        assert code == 1
+        (line,) = err.strip().splitlines()
+        assert line.startswith("logicdec: error: --instances: line 2: Expecting value")
 
 
 class TestServeValidation:
@@ -264,6 +345,19 @@ class TestServeValidation:
 
 
 class TestHelpDocSync:
+    def test_readme_quick_start_runs(self, tmp_path, capsys, monkeypatch):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"Quick start.*?```sh\n(.*?)```", readme, re.S)
+        assert block, "README lacks the quick start"
+        commands = [shlex.split(cmd.replace("/tmp/", f"{tmp_path}/"))
+                    for cmd in block.group(1).replace("\\\n", " ").splitlines() if cmd.strip()]
+        assert all(argv[0] == "logicdec" for argv in commands) and commands[-1][1] == "eval"
+        monkeypatch.chdir(ROOT)
+        for argv in commands:
+            code, stdout, err = run(argv[1:], capsys)
+            assert code == 0, err
+        assert json.loads(stdout.strip().splitlines()[-1])["coverage_percent"] == 100.0
+
     def subcommand_help(self, name) -> str:
         parser = build_parser()
         sub = next(a for a in parser._actions

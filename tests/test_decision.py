@@ -324,7 +324,7 @@ class TestTopKRows:
     @settings(max_examples=100, deadline=None)
     @given(beam_cases(), st.data())
     def test_rows_whose_truth_has_a_background_equal_a_lexsort_too(self, case, data):
-        # a soft-gate truth: nonzero off its ids, so every entry is boosted
+        # a truth with a background: nonzero off its ids, so every entry is boosted
         rows, supports, alpha, k = case
         truths = [t if t is None or not data.draw(st.booleans()) else
                   Truth(data.draw(st.sampled_from([1e-3, 0.5, 1.0])), t.ids, t.values,

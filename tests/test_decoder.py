@@ -111,7 +111,6 @@ Common(x) :- (exists p in P, Edge(x, p)) ^ (exists u in U, Edge(x, u))
         assert _prefix_classes(program)["R"] == "none"
 
     @pytest.mark.parametrize("name, classes", [
-        ("commongen", {"R": "coverage", "Rel": "none", "Y": "full"}),
         ("commongen_hard", {"R": "coverage", "Rel": "none", "Y": "full"}),
         ("personachat", {"R": "none", "Persona": "none", "Common": "none"}),
     ])
@@ -259,7 +258,7 @@ class TestCarriedProverMemo:
                                                           sentinel_ids, monkeypatch):
         bos, eos = sentinel_ids
         inst = load_instances(DATA / "lexical20.jsonl")[0]
-        binding = lexical_rule_template(inst.concepts, toy_facts, gate="luk")
+        binding = lexical_rule_template(inst.concepts, toy_facts)
         program = parse_program(binding.source)
         bodies = {id(program.rule(name).body): name for name in ("R", "Rel")}
         evaluated = Counter()
@@ -508,7 +507,7 @@ class TestDecode:
         v = toy_facts.vocab
         inst = load_instances(DATA / "lexical20.jsonl")[0]
         assert inst.instance_id == "lex00"
-        binding = lexical_rule_template(inst.concepts, toy_facts, gate="luk")
+        binding = lexical_rule_template(inst.concepts, toy_facts)
         config = replace(PRESETS["commongen"], max_length=16, bos_id=bos, eos_id=eos,
                          length_norm_power=1.0)
         first, second = decode(lexical_scorer, parse_program(binding.source), "R",
@@ -779,7 +778,7 @@ class TestTransformerIntegration:
         looping = LoopingScorer(batched)
         config = replace(PRESETS["commongen"], max_length=12, bos_id=bos, eos_id=eos)
         for inst in load_instances(DATA / "lexical20.jsonl")[:4]:
-            binding = lexical_rule_template(inst.concepts, toy_facts, gate="luk")
+            binding = lexical_rule_template(inst.concepts, toy_facts)
             program = parse_program(binding.source)
             a = decode(batched, program, "R", binding.ctx, config)
             b = decode(looping, program, "R", binding.ctx, config)
@@ -873,7 +872,7 @@ class TestDecodeStepWork:
         monkeypatch.setattr(D, "top_k_rows", counting_top_k_rows)
         bos, eos = sentinel_ids
         instance = load_instances(DATA / "lexical20.jsonl")[0]
-        binding = lexical_rule_template(instance.concepts, toy_facts, gate="luk")
+        binding = lexical_rule_template(instance.concepts, toy_facts)
         config = replace(PRESETS["commongen"], max_length=16, bos_id=bos, eos_id=eos)
         result = decode(lexical_scorer, parse_program(binding.source), binding.rule, binding.ctx,
                         config)
@@ -952,7 +951,7 @@ class TestSparseNgramDecode:
         results = []
         for scorer in (NgramScorer(lm), DenseNgramScorer(NgramScorer(lm))):
             if constrained:
-                binding = lexical_rule_template(concepts, facts, gate="luk")
+                binding = lexical_rule_template(concepts, facts)
                 results.append(decode(scorer, parse_program(binding.source), binding.rule,
                                       binding.ctx, config, trace=True))
             else:
@@ -1020,7 +1019,7 @@ class TestResultTypes:
         bos, eos = sentinel_ids
         lexical = load_instances(DATA / "lexical20.jsonl")[0]
         dialogue = load_instances(DATA / "dialogue10.jsonl")[0]
-        runs = [(lexical_scorer, lexical_rule_template(lexical.concepts, toy_facts, gate="luk"),
+        runs = [(lexical_scorer, lexical_rule_template(lexical.concepts, toy_facts),
                  PRESETS["commongen"]),
                 (dialogue_scorer,
                  dialogue_rule_template(dialogue.persona, dialogue.history, toy_facts),

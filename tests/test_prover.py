@@ -214,7 +214,7 @@ class TestPositionsMatchVocabulary:
     """A position's truth value depends only on its token id, so proving a
     prefix or a target list gives exactly the vocabulary vector's entries."""
 
-    @given(template=st.sampled_from(["commongen", "commongen_hard", "personachat"]),
+    @given(template=st.sampled_from(["commongen_hard", "personachat"]),
            concepts=st.lists(_TOY_IDS, min_size=1, max_size=6),
            persona=st.lists(_TOY_IDS, min_size=1, max_size=10),
            user=st.lists(_TOY_IDS, min_size=1, max_size=10),

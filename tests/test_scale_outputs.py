@@ -40,7 +40,7 @@ def test_seed_7_world_outputs_match_the_pinned_digest(world_7):
                      eos_id=None, length_norm_power=1.0)
     outputs = []
     for inst in load_instances(world_7 / "lexical.jsonl")[:16]:
-        binding = lexical_rule_template(inst.concepts, facts, gate="luk")
+        binding = lexical_rule_template(inst.concepts, facts)
         result = decode(scorer, parse_program(binding.source), binding.rule, binding.ctx,
                         config)
         outputs.append([inst.instance_id, list(result.best.tokens)])
@@ -51,7 +51,7 @@ def test_a_warm_vocabulary_prove_allocates_less_than_one_vocabulary_vector(world
     facts = load_factbase(world_7 / "factbase.snap")
     vocabulary = Domain.vocabulary(facts)
     inst = load_instances(world_7 / "lexical.jsonl")[0]
-    binding = lexical_rule_template(inst.concepts, facts, gate="luk")
+    binding = lexical_rule_template(inst.concepts, facts)
     program = parse_program(binding.source)
     ctx = EvalContext(facts, {**binding.ctx.sets, "Prev": (facts.vocab.id_of("<s>"),)})
     prove(program, "R", vocabulary, ctx)  # warm: the stem classes' member index is built

@@ -4,10 +4,11 @@ import pytest
 
 from logicdec.rules import parse_program
 from logicdec.stemming import word_stem
+from logicdec.prover import Domain, EvalContext, prove
 from logicdec.tasks import (DEFAULT_STOPWORDS, TaskInstance, corpus_coverage,
                             dialogue_rule_template, extract_keywords,
                             instance_coverage, lexical_rule_template,
-                            load_instances, template_text)
+                            load_instances, read_instances, template_text)
 
 from conftest import DATA
 
@@ -62,6 +63,25 @@ class TestInstances:
         with pytest.raises(ValueError):
             TaskInstance(kind="nonsense")
 
+    @pytest.mark.parametrize("line, problem", [
+        ('not json', "line 2: Expecting value"),
+        ('[1, 2]', "line 2: expected a JSON object"),
+        ('{"kind": "lexical"}', "line 2: lexical instance needs at least one concept"),
+        ('{"kind": "lexical", "concepts": "garden"}', "line 2: 'concepts' must be a list"),
+        ('{"kind": "poem", "concepts": ["a"]}', "line 2: unknown instance kind 'poem'"),
+    ])
+    def test_a_malformed_line_is_reported_with_its_number(self, tmp_path, line, problem):
+        path = tmp_path / "inst.jsonl"
+        path.write_text(json.dumps({"kind": "lexical", "concepts": ["a"]}) + "\n"
+                        + line + "\n\n" + json.dumps({"id": "z", "kind": "lexical",
+                                                      "concepts": ["b"]}) + "\n")
+        (first_id, first), (bad_id, bad), (last_id, last) = read_instances(path)
+        assert (first_id, first.concepts) == ("0", ("a",))
+        assert bad_id == "1" and isinstance(bad, ValueError) and str(bad).startswith(problem)
+        assert (last_id, last.concepts) == ("z", ("b",))
+        with pytest.raises(ValueError, match="^line 2: "):
+            load_instances(path)
+
     def test_shipped_suites_parse(self):
         assert len(load_instances(DATA / "lexical20.jsonl")) == 20
         assert len(load_instances(DATA / "dialogue10.jsonl")) == 10
@@ -77,27 +97,44 @@ class TestLexicalTemplate:
         assert "R" in program.rules
 
     def test_single_concept_quantifier_collapses(self, toy_facts):
-        # with one concept c, R(x) is its body ~Y(c) ^ Rel(x, c), bit for bit
-        from logicdec.prover import (Domain, EvalContext, and_avg_vec, not_vec,
-                                     or_vec, prove)
+        # with one concept c, R(x) is its body ~Y(c) & Rel(x, c), bit for bit
+        from logicdec.prover import and_luk_vec, not_vec, or_vec
         binding = lexical_rule_template(["garden"], toy_facts)
         (c,) = binding.ctx.sets["C"]
         ctx = EvalContext(facts=toy_facts, sets={"C": (c,), "Prev": (0,)})
         out = prove(parse_program(binding.source), "R", Domain.vocabulary(toy_facts), ctx).dense()
         rel = or_vec([toy_facts.edge_truth(c).dense(), toy_facts.equal_truth(c).dense()])
-        body = and_avg_vec([not_vec(float(toy_facts.same_stem(c, 0))), rel])
+        body = and_luk_vec([not_vec(float(toy_facts.same_stem(c, 0))), rel])
         assert out.tobytes() == body.tobytes()
 
     def test_no_alignable_concepts_is_an_error(self, toy_facts):
         with pytest.raises(ValueError, match="none of the concepts"):
             lexical_rule_template(["zzz", "qqq"], toy_facts)
 
-    def test_gate_variants_load_distinct_templates(self, toy_facts):
-        avg = lexical_rule_template(["garden"], toy_facts, gate="avg")
+    def test_only_the_hard_gate_is_a_lexical_template(self, toy_facts):
+        with pytest.raises(ValueError, match="gate 'avg' .* --rules"):
+            lexical_rule_template(["garden"], toy_facts, gate="avg")
         hard = lexical_rule_template(["garden"], toy_facts, gate="luk")
-        assert "^" in avg.source and "&" in hard.source
-        parse_program(avg.source)
-        parse_program(hard.source)
+        assert hard.source == lexical_rule_template(["garden"], toy_facts).source
+        assert hard.source == template_text("commongen_hard")
+
+    def test_first_step_truth_favours_only_related_words(self, toy_facts):
+        # proved as the decoder's first step proves it: the prefix is <s>
+        prev = (toy_facts.vocab.id_of("<s>"),)
+        for inst in load_instances(DATA / "lexical20.jsonl"):
+            binding = lexical_rule_template(inst.concepts, toy_facts)
+            ctx = EvalContext(toy_facts, {**binding.ctx.sets, "Prev": prev})
+            truth = prove(parse_program(binding.source), "R",
+                          Domain.vocabulary(toy_facts), ctx)
+            dense = truth.dense()
+            assert truth.background == 0.0, inst.instance_id
+            assert dense.min() < dense.max(), inst.instance_id
+            related = set(binding.ctx.sets["C"])
+            for c in binding.ctx.sets["C"]:
+                related |= set(toy_facts.edge_truth(c).ids.tolist())
+                related |= set(toy_facts.equal_truth(c).ids.tolist())
+            unrelated = sorted(set(range(len(toy_facts.vocab))) - related)
+            assert unrelated and (dense[unrelated] == 0.0).all(), inst.instance_id
 
 
 class TestDialogueTemplate:
@@ -116,7 +153,7 @@ class TestDialogueTemplate:
         program = parse_program(binding.source)
         # the rule still proves: persona side drives R, Common contributes
         # half of its remaining branch
-        from logicdec.prover import Domain, prove, prove_scalar
+        from logicdec.prover import prove_scalar
         out = prove(program, "R", Domain.vocabulary(toy_facts), binding.ctx).dense()
         pets = toy_facts.vocab.id_of("pets")
         assert out[pets] == pytest.approx(
@@ -183,5 +220,5 @@ class TestCoverage:
 
 
 def test_template_files_ship_with_package():
-    for name in ("commongen", "commongen_hard", "personachat"):
+    for name in ("commongen_hard", "personachat"):
         parse_program(template_text(name))

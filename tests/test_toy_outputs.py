@@ -22,9 +22,14 @@ from logicdec.transformer import TinyTransformer, TransformerConfig, Transformer
 from conftest import DATA, corpus_ids
 
 DIGESTS = {"ngram": "616705dfeb86cba1", "transformer": "8cd5293b7c98f9db"}
-# lexical20 under the soft gate (``gate="avg"``, the CLI's default template),
-# whose truths are nonzero off their ids
+# lexical20 under a user program with the averaging gate, whose truths are
+# nonzero off their ids
 SOFT_GATE_DIGESTS = {"ngram": "6c30f26515c2f7f6", "transformer": "4f3062e7ce21ef0c"}
+SOFT_GATE_RULES = """
+R(x) :- exists c in C, ~Y(c) ^ Rel(x, c)
+Rel(x, y) :- Edge(x, y) | Equal(x, y)
+Y(x) :- exists y in Prev, Equal(x, y)
+"""
 
 
 def digest_of(items) -> str:
@@ -62,7 +67,7 @@ def test_best_outputs_match_the_pinned_digest(scorer_kind, toy_vocab, toy_facts)
     instances = load_instances(DATA / "lexical20.jsonl") + load_instances(DATA / "dialogue10.jsonl")
     for inst in instances:
         if inst.kind == "lexical":
-            binding = lexical_rule_template(inst.concepts, toy_facts, gate="luk")
+            binding = lexical_rule_template(inst.concepts, toy_facts)
             scorer, config = lexical, lex_cfg
         else:
             binding = dialogue_rule_template(inst.persona, inst.history, toy_facts)
@@ -75,10 +80,10 @@ def test_best_outputs_match_the_pinned_digest(scorer_kind, toy_vocab, toy_facts)
 @pytest.mark.parametrize("scorer_kind", sorted(SOFT_GATE_DIGESTS))
 def test_soft_gate_outputs_match_the_pinned_digest(scorer_kind, toy_vocab, toy_facts):
     lexical, _ = toy_scorers(scorer_kind, toy_vocab)
+    program = parse_program(SOFT_GATE_RULES)
     outputs = []
     for inst in load_instances(DATA / "lexical20.jsonl"):
-        binding = lexical_rule_template(inst.concepts, toy_facts, gate="avg")
-        result = decode(lexical, parse_program(binding.source), binding.rule, binding.ctx,
-                        lexical_config(toy_vocab))
+        binding = lexical_rule_template(inst.concepts, toy_facts)
+        result = decode(lexical, program, binding.rule, binding.ctx, lexical_config(toy_vocab))
         outputs.append([inst.instance_id, list(result.best.tokens)])
     assert digest_of(outputs) == SOFT_GATE_DIGESTS[scorer_kind]

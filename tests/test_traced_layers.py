@@ -28,7 +28,7 @@ def test_traced_decode_and_decide_record_spans_and_restore_names(lexical_scorer,
     bos, eos = sentinel_ids
     config = replace(decoder.PRESETS["commongen"], max_length=6, bos_id=bos, eos_id=eos)
     instance = load_instances(DATA / "lexical20.jsonl")[0]
-    binding = lexical_rule_template(instance.concepts, toy_facts, gate="luk")
+    binding = lexical_rule_template(instance.concepts, toy_facts)
     program = parse_program(binding.source)
     n = len(toy_facts.vocab)
     tracer = Tracer()
