@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .decoder import (PRESETS, DecodingConfig, coverage_of, coverage_table,
                       decode, plain_beam_search)
 from .kb import Vocabulary, ingest_triples, load_factbase
 from .lm import NgramScorer, ngram_train
-from .rules import parse_program
+from .rules import RuleProgram, parse_program
 from .tasks import (DEFAULT_STOPWORDS, align_concepts, corpus_coverage,
                     dialogue_rule_template, lexical_rule_template, load_instances,
                     read_instances)
@@ -118,12 +119,10 @@ def _load_corpus_ids(path, vocab: Vocabulary) -> list[list[int]]:
             words = line.split()
             if not words:
                 continue
-            ids = []
-            for w in words:
-                tid = vocab.id_of(w)
-                if tid is None:
-                    raise UsageError(f"--corpus: line {lineno}: token {w!r} not in vocabulary")
-                ids.append(tid)
+            ids = [vocab.id_of(w) for w in words]
+            if None in ids:
+                raise UsageError(f"--corpus: line {lineno}: token "
+                                 f"{words[ids.index(None)]!r} not in vocabulary")
             if bos is not None and ids[0] != bos:
                 ids.insert(0, bos)
             if eos is not None and ids[-1] != eos:
@@ -150,6 +149,18 @@ def _build_scorer(args, facts):
     else:
         model = TinyTransformer(TransformerConfig(vocab_size=len(facts.vocab), seed=args.seed))
     return TransformerScorer(model)
+
+
+def _read_rules(path, rule: Optional[str] = None) -> RuleProgram:
+    """The ``--rules`` program, which must parse, link and give ``rule`` one parameter."""
+    source = Path(_require_file(path, "--rules")).read_text("utf-8")
+    try:
+        program = parse_program(source)
+        if rule is not None and len(params := program.rule(rule).params) != 1:
+            raise ValueError(f"rule '{rule}' takes {len(params)} parameters, not one")
+    except ValueError as exc:  # a RuleSyntaxError or RuleLinkError too
+        raise UsageError(f"--rules: {exc}") from None
+    return program
 
 
 def _decode_config(args) -> DecodingConfig:
@@ -210,6 +221,7 @@ def _decode_common(args, constrained: bool) -> int:
             ("--seed", args.seed, args.seed >= 0, "nonnegative")):
         if not ok:
             raise UsageError(f"{flag} must be {wanted}, got {value}")
+    override = _read_rules(args.rules, "R") if constrained and args.rules else None  # decode proves R
     facts = load_factbase(_require_file(args.factbase, "--factbase"))
     instance_path = _require_file(args.instances, "--instances")
     scorer = _build_scorer(args, facts)
@@ -219,9 +231,10 @@ def _decode_common(args, constrained: bool) -> int:
         raise UsageError("--factbase: vocabulary lacks the '<s>' start token")
     config = replace(config, bos_id=bos, eos_id=eos)
 
-    override_source = None
-    if constrained and args.rules:
-        override_source = Path(_require_file(args.rules, "--rules")).read_text("utf-8")
+    if not constrained:  # one unconstrained search serves every instance
+        searched = plain_beam_search(scorer, config.beam_size, config.max_length,
+                                     bos_id=bos, eos_id=eos,
+                                     length_norm_power=config.length_norm_power)
 
     written = 0
     with open(args.out, "w", encoding="utf-8") as out:
@@ -230,25 +243,20 @@ def _decode_common(args, constrained: bool) -> int:
                 if isinstance(instance, ValueError):
                     raise instance
                 if not constrained:
-                    result = plain_beam_search(
-                        scorer, config.beam_size, config.max_length,
-                        bos_id=bos, eos_id=eos,
-                        length_norm_power=config.length_norm_power)
                     concepts = align_concepts(instance.concepts, facts)[0] \
                         if instance.kind == "lexical" else []
                     table, mask = coverage_table(concepts, facts), 0
-                    for tok in result.best.tokens:
+                    for tok in searched.best.tokens:
                         mask |= table.get(facts.stems.class_of[tok], 0)
-                    best = replace(result.best, covered=mask)
+                    best = replace(searched.best, covered=mask)
                     rec = _result_line(instance, best, facts, config, concepts,
-                                       result.completed)
+                                       searched.completed)
                 else:
                     if instance.kind == "lexical":
                         binding = lexical_rule_template(instance.concepts, facts)
                     else:
                         binding = dialogue_rule_template(instance.persona, instance.history, facts)
-                    source = override_source if override_source is not None else binding.source
-                    program = parse_program(source)
+                    program = override or parse_program(binding.source)
                     result = decode(scorer, program, binding.rule, binding.ctx,
                                     config, trace=args.trace)
                     concepts = binding.ctx.sets.get("C", ())
@@ -271,13 +279,27 @@ def cmd_eval(args) -> int:
     except ValueError as exc:  # a malformed line
         raise UsageError(f"--instances: {exc}") from None
     with open(_require_file(args.results, "--results"), encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    if len(lines) != len(instances):
+        raise UsageError(f"--results: {len(lines)} results vs {len(instances)} instances")
+    records = []
+    for (lineno, line), instance in zip(lines, instances):
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict) or "error" not in rec and not (
+                    isinstance(rec.get("text"), str) and type(rec.get("score")) in (int, float)):
+                raise ValueError("expected an object with an 'error', or a string 'text' "
+                                 "and a number 'score'")
+            if rec.get("id") != instance.instance_id:
+                raise ValueError(f"id {rec.get('id')!r} is not {instance.instance_id!r}, "
+                                 "its instance's")
+        except ValueError as exc:
+            raise UsageError(f"--results: line {lineno}: {exc}") from None
+        records.append(rec)
     decoded = [rec for rec in records if "error" not in rec]
     outputs = ["" if "error" in rec else rec["text"] for rec in records]
     scores = [rec["score"] for rec in decoded]
     lengths = [len(rec["text"].split()) for rec in decoded]
-    if len(outputs) != len(instances):
-        raise UsageError(f"--results: {len(outputs)} results vs {len(instances)} instances")
     coverage = corpus_coverage(outputs, instances)
     mean_len = float(np.mean(lengths)) if lengths else 0.0
     mean_score = float(np.mean(scores)) if scores else 0.0
@@ -296,7 +318,7 @@ def cmd_serve(args) -> int:
     if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise UsageError(f"--bind: expected host:port with a port in 0..65535, got {args.bind!r}")
     facts = load_factbase(_require_file(args.factbase, "--factbase"))
-    program = parse_program(Path(_require_file(args.rules, "--rules")).read_text("utf-8"))
+    program = _read_rules(args.rules)
     serve_forever(facts, program, host, int(port))
     return 0
 

@@ -108,7 +108,7 @@ def top_k_rows(rows: Sequence[np.ndarray | NgramDist], truths: Sequence[Optional
     each row's ``pre_activation(p, truth.dense(), alpha)`` (``truth`` None for
     no truth vector), best first, ties to the smaller id; the scores equal
     ``pre_activation``'s bit for bit.  ``rows`` are vectors or ``NgramDist``s
-    (read as their ``dense()``) of one length ``V >= k``.
+    (read as ``np.asarray``) of one length ``V >= k``.
 
     Off the ids of a truth with background 0 the boost is zero, so a score
     orders like ``p``: past ``FULL_RANK_MAX_V`` entries only those ids and the
@@ -134,7 +134,7 @@ def top_k_rows(rows: Sequence[np.ndarray | NgramDist], truths: Sequence[Optional
 def _top_k_of_whole(rows: Sequence, supports: Sequence, alpha: float, k: int) -> tuple:
     n, v = len(rows), len(rows[0])
     p = NgramDist.at(rows, np.arange(n * v)) if _one_model(rows) else np.concatenate(
-        [r.dense() if isinstance(r, NgramDist) else r for r in rows], dtype=float)
+        rows, dtype=float)
     row = np.repeat(np.arange(n), v)
     scores, _ = _shift(p, row, _keys(supports, v), supports, alpha)
     top = _best_k(scores, row, k)
@@ -166,7 +166,7 @@ def _top_k_of_candidates(rows: Sequence, supports: Sequence, alpha: float, k: in
     else:  # row by row, while each V-long row is in cache
         keys, p, lo = [], [], []
         for i, (row, support) in enumerate(zip(rows, supports)):
-            row = row.dense() if isinstance(row, NgramDist) else np.asarray(row, float)
+            row = np.asarray(row, float)
             # each of k blocks holds an entry at least its maximum; the margin
             # keeps entries a few ulps lower, whose score may round the same
             lo.append((1.0 - 1e-9) * row[: v // k * k].reshape(k, -1).max(1).min())

@@ -45,7 +45,7 @@ from . import rules as R
 # decide is not called here; the benchmark's tracer patches this name
 from .decision import SCORE_FLOOR, decide, pre_activation, top_k_rows  # noqa: F401
 from .kb import FactBase
-from .lm import NgramDist, Scorer
+from .lm import Scorer
 from .prover import Domain, EvalContext, prove
 from .transformer import AttentionHookBundle
 from .truth import Truth
@@ -273,9 +273,8 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     while sessions and steps_run < config.max_length:
         raws, truths = step_dist(sessions, tokens.tolist(), covered.tolist())
         if trace:
-            truth = truths[0].dense() if shifting else None
-            raw = raws[0].dense() if isinstance(raws[0], NgramDist) else raws[0]
-            scores = pre_activation(raw, truth, config.alpha3)
+            raw = np.asarray(raws[0])
+            scores = pre_activation(raw, truths[0].dense() if shifting else None, config.alpha3)
             trace_log.append(_trace_entry(steps_run, scores, raw, shifting))
         steps_run += 1
 

@@ -402,20 +402,12 @@ def ingest_triples(source, vocab: Vocabulary, mode: str = "soft",
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             fields = line.split("\t")
-            if len(fields) == 3:
-                head, _rel, tail = fields
-                raw_w = 1.0
-            elif len(fields) == 4:
-                head, _rel, tail = fields[:3]
-                try:
-                    raw_w = float(fields[3])
-                except ValueError:
-                    report.malformed += 1
-                    continue
-            else:
-                report.malformed += 1
-                continue
-            if raw_w < 0:
+            try:  # three or four fields, the weight a nonnegative number
+                head, _rel, tail = fields[:3] if len(fields) in (3, 4) else ()
+                raw_w = float(fields[3]) if len(fields) == 4 else 1.0
+                if raw_w < 0:
+                    raise ValueError
+            except ValueError:
                 report.malformed += 1
                 continue
             report.lines_read += 1

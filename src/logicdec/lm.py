@@ -2,14 +2,16 @@
 
 A scorer owns a fixed vocabulary and hands out per-hypothesis sessions.
 ``step(session, token)`` consumes one token and returns the distribution for
-the next position as a V-long vector.  ``step_batch(sessions, tokens, hooks)``
-does the same for a batch of equal-length sessions and returns one
-distribution per session, a vector or an :class:`NgramDist`; the default
-loops ``step``, and a scorer whose model can run the batch as one forward
-overrides it.  The decoder makes one ``step_batch`` call per decoder step.
-Sessions are single-owner; beam search clones them when a hypothesis
-forks.  Scorers that can shift their internal attention expose
-``supports_attention_hooks`` and accept a hook bundle in ``step``.
+the next position: a V-long vector from the transformer, an
+:class:`NgramDist` from the n-gram model, either read as a vector by
+``np.asarray``.  ``step_batch(sessions, tokens, hooks)`` does the same for a
+batch of equal-length sessions, one distribution per session of the type
+``step`` returns; the default loops ``step``, and a scorer whose model can
+run the batch as one forward overrides it.  The decoder makes one
+``step_batch`` call per decoder step.  Sessions are single-owner; beam
+search clones them when a hypothesis forks.  Scorers that can shift their
+internal attention expose ``supports_attention_hooks`` and accept a hook
+bundle in ``step``.
 
 The n-gram model here is the desk-scale stand-in for a large pretrained LM:
 absolute-discount interpolation down to a unigram floor, so every token
@@ -36,11 +38,12 @@ __all__ = ["Scorer", "NgramLM", "NgramDist", "NgramScorer", "ngram_train"]
 class Scorer(abc.ABC):
     """Abstract next-token scorer.
 
-    ``step_batch`` takes sessions of equal length, their next tokens and,
-    optionally, one hook bundle or None per session, and returns one
-    next-position distribution per session, in order: a V-long vector or an
-    :class:`NgramDist`.  This default loops ``step``, so a subclass need only
-    implement ``step``.
+    ``step`` returns a next-position distribution: a V-long vector or an
+    :class:`NgramDist`, which ``np.asarray`` writes out.  ``step_batch``
+    takes sessions of equal length, their next tokens and, optionally, one
+    hook bundle or None per session, and returns one distribution per
+    session, in order, of the type ``step`` returns.  This default loops
+    ``step``, so a subclass need only implement ``step``.
     """
 
     vocab_size: int
@@ -51,17 +54,15 @@ class Scorer(abc.ABC):
         """Fresh decoding session, optionally primed with target words."""
 
     @abc.abstractmethod
-    def step(self, session, token: int, hooks=None) -> np.ndarray:
+    def step(self, session, token: int, hooks=None):
         """Consume ``token``; return the next-position distribution over V."""
 
     def step_batch(self, sessions: Sequence, tokens: Sequence[int],
                    hooks: Optional[Sequence] = None) -> list:
         """Consume ``tokens[b]`` in ``sessions[b]``; return one distribution
         per session."""
-        if hooks is None:
-            hooks = [None] * len(sessions)
-        return [self.step(session, token, hooks=h)
-                for session, token, h in zip(sessions, tokens, hooks, strict=True)]
+        return [self.step(session, token, hooks=h) for session, token, h in zip(
+            sessions, tokens, [None] * len(sessions) if hooks is None else hooks, strict=True)]
 
 
 class _Table(NamedTuple):
@@ -83,12 +84,12 @@ class NgramDist:
     longest context seen the row is 0: a context's suffixes were seen
     wherever it was.
 
-    ``dense()`` writes the V entries out.  The model's ``_ranked`` holds the
-    token ids by descending unigram probability: a positive scale rounds
-    monotonically, so an entry off the corrections is at most any entry off
-    the corrections that comes before it there.  ``at`` and
-    ``top_candidates`` take distributions of one model, entry ``id`` of the
-    ``i``-th as the key ``i * V + id``.
+    ``dense()``, as ``np.asarray`` calls it, writes the V entries out.  The
+    model's ``_ranked`` holds the token ids by descending unigram
+    probability: a positive scale rounds monotonically, so an entry off the
+    corrections is at most any entry off the corrections that comes before
+    it there.  ``at`` and ``top_candidates`` take distributions of one
+    model, entry ``id`` of the ``i``-th as the key ``i * V + id``.
     """
 
     __slots__ = ("model", "rows")
@@ -109,6 +110,9 @@ class NgramDist:
             out *= table.scale[row]
             out[table.ids[a:b]] += table.add[a:b]
         return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.dense() if dtype is None else self.dense().astype(dtype, copy=False)
 
     @staticmethod
     def _levels(dists: Sequence["NgramDist"], v: int) -> Iterator[tuple]:
@@ -287,8 +291,6 @@ class NgramSession:
 
 
 class NgramScorer(Scorer):
-    supports_attention_hooks = False
-
     def __init__(self, lm: NgramLM):
         self.lm = lm
         self.vocab_size = lm.vocab_size
@@ -296,20 +298,10 @@ class NgramScorer(Scorer):
     def begin_session(self, targets: Sequence[int] = ()) -> NgramSession:
         return NgramSession()
 
-    def _advance(self, session: NgramSession, token: int, hooks) -> tuple[int, ...]:
+    def step(self, session: NgramSession, token: int, hooks=None) -> NgramDist:
         if hooks is not None:
             raise ValueError("n-gram scorer does not support attention hooks")
         _check_token(token, self.vocab_size)
         keep = self.lm.order - 1
         session.window = (session.window + (token,))[-keep:] if keep else ()
-        return session.window
-
-    def step(self, session: NgramSession, token: int, hooks=None) -> np.ndarray:
-        return self.lm.dist(self._advance(session, token, hooks)).dense()
-
-    def step_batch(self, sessions: Sequence[NgramSession], tokens: Sequence[int],
-                   hooks: Optional[Sequence] = None) -> list[NgramDist]:
-        if hooks is None:
-            hooks = [None] * len(sessions)
-        return [self.lm.dist(self._advance(session, token, h))
-                for session, token, h in zip(sessions, tokens, hooks, strict=True)]
+        return self.lm.dist(session.window)

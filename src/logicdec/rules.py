@@ -469,21 +469,15 @@ def _pretty(expr: RuleExpr, parent_level: int) -> str:
     if isinstance(expr, OrNode):
         if not expr.children:
             return "0"
-        sep = " | "
-        text = sep.join(_pretty(c, _LEVEL_OR + (1 if isinstance(c, OrNode) else 0)) for c in expr.children)
+        text = " | ".join(_pretty(c, _LEVEL_OR + isinstance(c, OrNode)) for c in expr.children)
         return f"({text})" if parent_level >= _LEVEL_AND or len(expr.children) == 1 else text
     if isinstance(expr, (AndAvgNode, AndLukNode)):
         if not expr.children:
             return "1" if isinstance(expr, AndLukNode) else "(1)"
         op = " ^ " if isinstance(expr, AndAvgNode) else " & "
-        parts = []
-        for c in expr.children:
-            lvl = _LEVEL_AND
-            # nested conjunction of either flavour must keep its parens
-            if isinstance(c, (AndAvgNode, AndLukNode)):
-                lvl = _LEVEL_AND + 1
-            parts.append(_pretty(c, lvl))
-        text = op.join(parts)
+        # a nested conjunction of either flavour must keep its parens
+        text = op.join(_pretty(c, _LEVEL_AND + isinstance(c, (AndAvgNode, AndLukNode)))
+                       for c in expr.children)
         return f"({text})" if parent_level >= _LEVEL_AND + 1 or len(expr.children) == 1 else text
     raise TypeError(f"unexpected node {expr!r}")
 

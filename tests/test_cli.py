@@ -140,6 +140,42 @@ class TestDecode:
             assert not_json["error"].startswith("ValueError: line 3: Expecting value")
             assert last["id"] == "last" and last["text"]
 
+    @pytest.mark.parametrize("source, message", [
+        ("R(x) :- Equal(x, ", "expected 'var', found 'end of input' (line 1, column 17)"),
+        ("R(x) :- Foo(x)\n", "rule 'R' references undefined rule 'Foo'"),
+        ("Q(x) :- Equal(x, x)\n", "unknown rule 'R'"),
+        ("R(x, y) :- Edge(x, y)\n", "rule 'R' takes 2 parameters, not one"),
+    ], ids=["syntax", "link", "no-R", "two-parameter-R"])
+    def test_bad_rule_file_is_a_usage_error(self, snapshot, tmp_path, capsys, source, message):
+        rules = tmp_path / "bad.rules"
+        rules.write_text(source)
+        out = tmp_path / "results.jsonl"
+        for factbase in (snapshot, "/missing.fb"):  # read before the fact base
+            code, _, err = run(["decode", "--factbase", str(factbase),
+                                "--instances", str(DATA / "lexical20.jsonl"),
+                                "--corpus", str(DATA / "corpus_lexical.txt"),
+                                "--preset", "commongen", "--rules", str(rules),
+                                "--out", str(out)], capsys)
+            assert code == 1
+            (line,) = err.strip().splitlines()  # one message, no traceback
+            assert line == f"logicdec: error: --rules: {message}"
+            assert not out.exists()
+
+    def test_rule_file_runs_for_every_instance(self, snapshot, tmp_path, capsys):
+        rules = tmp_path / "own.rules"
+        rules.write_text((ROOT / "src/logicdec/templates/commongen_hard.rules").read_text())
+        texts = {}
+        for extra in ([], ["--rules", str(rules)]):
+            out = tmp_path / f"results{len(extra)}.jsonl"
+            code, _, _ = run(["decode", "--factbase", str(snapshot),
+                              "--instances", str(DATA / "lexical20.jsonl"),
+                              "--corpus", str(DATA / "corpus_lexical.txt"),
+                              "--preset", "commongen", "--max-length", "8", *extra,
+                              "--out", str(out)], capsys)
+            assert code == 0
+            texts[len(extra)] = out.read_text()
+        assert texts[0] == texts[2] and len(texts[0].splitlines()) == 20
+
     def test_result_line_names_the_concepts_that_did_not_align(self, snapshot, tmp_path,
                                                               capsys):
         instances = tmp_path / "one.jsonl"
@@ -292,6 +328,27 @@ class TestBaselineBeam:
                                    "to vocabulary tokens")
 
 
+    def test_one_search_serves_every_instance(self, snapshot, tmp_path, capsys, monkeypatch):
+        from logicdec import cli
+        searches = []
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        search = cli.plain_beam_search
+        monkeypatch.setattr(cli, "plain_beam_search", counted)
+        out = tmp_path / "base.jsonl"
+        code, _, _ = run(["baseline-beam", "--factbase", str(snapshot),
+                          "--instances", str(DATA / "lexical20.jsonl"),
+                          "--corpus", str(DATA / "corpus_lexical.txt"),
+                          "--max-length", "8", "--out", str(out)], capsys)
+        assert code == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(searches) == 1 and len(records) == 20
+        assert len({r["text"] for r in records}) == 1 and all("error" not in r for r in records)
+
+
 class TestEval:
     def test_metrics_table(self, snapshot, tmp_path, capsys):
         # the default decode: each lexical instance under its own rules
@@ -324,6 +381,55 @@ class TestEval:
         assert line.startswith("logicdec: error: --instances: line 2: Expecting value")
 
 
+    @staticmethod
+    def baseline_results(snapshot, tmp_path, capsys) -> list[str]:
+        out = tmp_path / "base.jsonl"
+        code, _, _ = run(["baseline-beam", "--factbase", str(snapshot),
+                          "--instances", str(DATA / "lexical20.jsonl"),
+                          "--corpus", str(DATA / "corpus_lexical.txt"),
+                          "--max-length", "4", "--out", str(out)], capsys)
+        assert code == 0
+        return out.read_text().splitlines()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ('["lex01"]', "expected an object with an 'error', or a string 'text' and a number "
+                      "'score'"),
+        ('{"id": "lex01", "score": -1.0}', "expected an object with an 'error', or a string "
+                                           "'text' and a number 'score'"),
+        ('{"id": "lex01", "text": "a", "score": "high"}', "expected an object with an "
+                                                          "'error', or a string 'text' and "
+                                                          "a number 'score'"),
+    ], ids=["not-json", "not-an-object", "no-text", "score-not-a-number"])
+    def test_malformed_results_line_is_a_usage_error(self, tmp_path, capsys, bad, message):
+        instances, results = tmp_path / "inst.jsonl", tmp_path / "results.jsonl"
+        instances.write_text("".join((DATA / "lexical20.jsonl").read_text().splitlines(True)[:2]))
+        results.write_text('{"id": "lex00", "text": "garden", "score": -1.0}\n\n' + bad + "\n")
+        code, _, err = run(["eval", "--results", str(results),
+                            "--instances", str(instances)], capsys)
+        assert code == 1
+        (line,) = err.strip().splitlines()
+        assert line == f"logicdec: error: --results: line 3: {message}"
+
+    def test_results_in_another_order_are_a_usage_error(self, snapshot, tmp_path, capsys):
+        results = tmp_path / "reversed.jsonl"
+        results.write_text("\n".join(self.baseline_results(snapshot, tmp_path, capsys)[::-1]))
+        code, _, err = run(["eval", "--results", str(results),
+                            "--instances", str(DATA / "lexical20.jsonl")], capsys)
+        assert code == 1
+        assert err.strip() == ("logicdec: error: --results: line 1: id 'lex19' is not "
+                               "'lex00', its instance's")
+
+    def test_results_of_other_instances_are_a_usage_error(self, snapshot, tmp_path, capsys):
+        results = tmp_path / "first10.jsonl"
+        results.write_text("\n".join(self.baseline_results(snapshot, tmp_path, capsys)[:10]))
+        code, _, err = run(["eval", "--results", str(results),
+                            "--instances", str(DATA / "dialogue10.jsonl")], capsys)
+        assert code == 1
+        assert err.strip() == ("logicdec: error: --results: line 1: id 'lex00' is not "
+                               "'dlg00', its instance's")
+
+
 class TestServeValidation:
     def test_bad_bind_rejected(self, snapshot, tmp_path, capsys):
         rules = tmp_path / "r.rules"
@@ -342,6 +448,27 @@ class TestServeValidation:
         (line,) = err.strip().splitlines()
         assert line.startswith("logicdec: error: --bind: expected host:port with a port "
                                "in 0..65535")
+
+
+    @pytest.mark.parametrize("source, message", [
+        ("R(x) :- Equal(x, ", "expected 'var', found 'end of input' (line 1, column 17)"),
+        ("R(x) :- R(x)\n", "cyclic rule references among: R"),
+    ], ids=["syntax", "link"])
+    def test_bad_rule_file_is_a_usage_error(self, snapshot, tmp_path, capsys, monkeypatch,
+                                           source, message):
+        from logicdec import service
+
+        def serve_forever(*args):
+            raise AssertionError("a bad rule file was served")
+
+        monkeypatch.setattr(service, "serve_forever", serve_forever)
+        rules = tmp_path / "bad.rules"
+        rules.write_text(source)
+        code, _, err = run(["serve", "--factbase", str(snapshot), "--rules", str(rules),
+                            "--bind", "127.0.0.1:0"], capsys)
+        assert code == 1
+        (line,) = err.strip().splitlines()
+        assert line == f"logicdec: error: --rules: {message}"
 
 
 class TestHelpDocSync:

@@ -285,7 +285,7 @@ class TestScorer:
         scorer = NgramScorer(lm)
         a = scorer.step(scorer.begin_session(), 0)
         b = scorer.step(scorer.begin_session(), 0)
-        assert (a == b).all()
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_hooks_rejected(self):
         lm = ngram_train(toy_corpus(), order=2, vocab_size=6)
@@ -367,6 +367,14 @@ class TestNgramDist:
         assert NgramDist.at([dist], ids).tobytes() == dense[ids].tobytes()
         assert len(dist) == lm.vocab_size
 
+    @settings(max_examples=100, deadline=None)
+    @given(ngram_contexts(), st.sampled_from([None, np.float64]))
+    def test_asarray_is_the_dense_vector(self, case, dtype):
+        lm, ctx, _ = case
+        dist = lm.dist(ctx)
+        vector = np.asarray(dist, dtype=dtype)
+        assert vector.dtype == np.float64 and vector.tobytes() == dist.dense().tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(ngram_contexts(), st.integers(1, 50))
     def test_top_candidates_bound_every_entry_left_out(self, case, k):
@@ -400,6 +408,8 @@ class TestNgramDist:
             dists = scorer.step_batch(batch, tokens)
             assert all(isinstance(d, NgramDist) for d in dists)
             for d, session, token in zip(dists, loop, tokens):
-                assert d.dense().tobytes() == scorer.step(session, token).tobytes()
+                step = scorer.step(session, token)
+                assert isinstance(step, NgramDist) and step.rows == d.rows
+                assert d.dense().tobytes() == step.dense().tobytes()
         with pytest.raises(ValueError, match="hooks"):
             scorer.step_batch(batch, [1, 1, 1], [None, object(), None])
