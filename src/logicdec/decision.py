@@ -4,18 +4,20 @@ vector by boosting pre-activation scores.
 ``pre_activation(P, I, alpha)`` is ``log softmax(log P + I * (alpha * P))``,
 the log of the shifted distribution, and the one place the prediction shift
 happens: the decoder ranks it for every scorer with one ``top_k_rows`` call
-per step, which scores all rows together, and of long rows only the entries
-that can reach their top k (of a vector, or of an ``lm.NgramDist`` without
-writing it out), taking each row's truth as a ``Truth`` (a background plus
-sparse entries); ``decide`` is its exponential.  The boost on entry ``i`` is
-``alpha * I_i * P_i``: words the rules like gain probability, with the
-original probability gating the magnitude so that a near-zero candidate is
-never catapulted to the top.  With ``I = 0`` or ``alpha = 0`` the scores are
-``log P`` bit for bit.
+per step, taking each row's truth as a ``Truth`` (a background plus sparse
+entries); ``decide`` is its exponential.  A long row (a vector, or an
+``lm.NgramDist`` not written out) is ranked support first: ``log Z`` from the
+support, each row's own pairwise sum, then only the support entries that
+can place, merged with the entries that can reach the top k.  The boost on
+entry ``i`` is ``alpha * I_i * P_i``: words the rules like gain probability,
+with the original probability gating the magnitude so that a near-zero
+candidate is never catapulted to the top.  With ``I = 0`` or ``alpha = 0``
+the scores are ``log P`` bit for bit.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,38 +59,45 @@ def _log(p: np.ndarray) -> np.ndarray:
     return np.log(p, out=np.full(p.shape, SCORE_FLOOR), where=p > 0.0)
 
 
-def _boost(pz: np.ndarray, supports: Sequence[Truth], alpha: float) -> tuple:
-    """``b = alpha * I * p`` on nonempty supports laid end to end, from
-    ``pz``, the entries of ``p`` there, and per support ``log Z`` with ``Z =
-    sum(p * exp(b))``, summed over its own slice to round as if alone."""
-    sizes = np.array([len(s.ids) for s in supports])
-    starts = np.cumsum(sizes) - sizes
-    b = np.concatenate([s.values for s in supports]) * (alpha * pz)
-    m = np.maximum(np.maximum.reduceat(b, starts), 0.0)
-    # where m <= 700, sum(p * expm1(b)) <= exp(m) stays finite (the cap
-    # changes no such b, and keeps the other sums finite)
+def _laid(supports: Sequence[Optional[Truth]], v: int) -> tuple:
+    """The supports (None for none) laid end to end: their ids as keys ``i * v
+    + id`` (entry ``id`` of row ``i``), their values, and their sizes."""
+    sizes = [0 if s is None else len(s.ids) for s in supports]
+    held = [s for s in supports if s is not None]
+    return (np.concatenate([np.empty(0, dtype=np.int64)] + [s.ids for s in held])
+            + (np.arange(len(supports)) * v).repeat(sizes),
+            np.concatenate([np.empty(0)] + [s.values for s in held]), sizes)
+
+
+def _boost(pz: np.ndarray, values: np.ndarray, sizes: list, alpha: float) -> tuple:
+    """``b = alpha * I * p`` on supports laid end to end, from ``pz`` and
+    ``values`` (``p`` and ``I`` there), and per support ``log Z`` with ``Z =
+    sum(p * exp(b))``, its own slice's pairwise sum, to round as if alone."""
+    ends = list(accumulate(sizes))
+    b = alpha * pz * values
+    # where max(b) <= 700, sum(p * expm1(b)) <= exp(max(b)) stays finite (the
+    # cap changes no such b, and keeps the other sums finite)
     terms = pz * np.expm1(np.minimum(b, 700.0))
-    log_z = np.log1p([terms[i:i + n].sum() for i, n in zip(starts, sizes)])
-    for r in np.flatnonzero(m > 700.0):
-        # shift by the largest boost; the mass off the support weighs exp(-m)
-        on = slice(starts[r], starts[r] + sizes[r])
-        log_z[r] = m[r] + np.log((pz[on] * np.exp(b[on] - m[r])).sum()
-                                 + (1.0 - pz[on].sum()) * np.exp(-m[r]))
+    log_z = np.log1p([terms[e - n:e].sum() for n, e in zip(sizes, ends)])
+    if b.max(initial=0.0) > 700.0:
+        for r, (n, e) in enumerate(zip(sizes, ends)):
+            top, on = b[e - n:e].max(initial=0.0), slice(e - n, e)
+            if top > 700.0:  # shift by the largest boost; the mass off the support weighs exp(-top)
+                log_z[r] = top + np.log((pz[on] * np.exp(b[on] - top)).sum()
+                                        + (1.0 - pz[on].sum()) * np.exp(-top))
     return b, log_z
 
 
-def _shift(p: np.ndarray, rows: np.ndarray, on: np.ndarray,
-           supports: Sequence[Optional[Truth]], alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """``pre_activation`` of rows laid end to end in ``p``, given each entry's
-    row and the supports' positions ``on``, and each row's ``log Z``."""
+def _shift(p: np.ndarray, rows: np.ndarray, supports: Sequence[Optional[Truth]],
+           alpha: float) -> np.ndarray:
+    """``pre_activation`` of rows laid end to end in ``p``, entry ``j`` in row ``rows[j]``."""
+    on, values, sizes = _laid(supports, len(p) // len(supports))
+    b, log_z = _boost(p[on], values, sizes, alpha)
     scores = _log(p)
-    log_z = np.zeros(len(supports))
-    boosted = [i for i, s in enumerate(supports) if s is not None and len(s.ids)]
-    if boosted:  # an empty support has log Z = log1p(0) = 0
-        b, log_z[boosted] = _boost(p[on], [supports[i] for i in boosted], alpha)
+    if len(b):  # an empty support has log Z = log1p(0) = 0
         scores[on] += b
         scores -= log_z[rows]
-    return scores, log_z
+    return scores
 
 
 def pre_activation(p: np.ndarray, truth: np.ndarray | None = None,
@@ -99,7 +108,7 @@ def pre_activation(p: np.ndarray, truth: np.ndarray | None = None,
     must be a distribution and ``b`` nonnegative."""
     p = np.asarray(p, dtype=np.float64)
     sups = [None if truth is None else support_of(truth)]
-    return _shift(p, np.zeros(len(p), dtype=np.intp), _keys(sups, len(p)), sups, alpha)[0]
+    return _shift(p, np.zeros(len(p), dtype=np.intp), sups, alpha)
 
 
 def top_k_rows(rows: Sequence[np.ndarray | NgramDist], truths: Sequence[Optional[Truth]],
@@ -111,32 +120,29 @@ def top_k_rows(rows: Sequence[np.ndarray | NgramDist], truths: Sequence[Optional
     (read as ``np.asarray``) of one length ``V >= k``.
 
     Off the ids of a truth with background 0 the boost is zero, so a score
-    orders like ``p``: past ``FULL_RANK_MAX_V`` entries only those ids and the
-    entries whose ``p`` can reach the ``k``-th largest are ranked, unless one
-    left out could tie.  A truth with a nonzero background boosts every
-    entry, so ``log Z`` needs every ``p``: its row is ranked whole."""
-    ranked = np.array([t is None or t.background == 0.0 for t in truths])
-    supports = [t if ok else support_of(t.dense()) for t, ok in zip(truths, ranked)]
+    orders like ``p``: past ``FULL_RANK_MAX_V`` entries only the ids that can
+    place and the entries whose ``p`` can reach the ``k``-th largest are
+    ranked, unless one left out could tie.  A truth with a nonzero background
+    boosts every entry, so ``log Z`` needs every ``p``: its row is ranked whole."""
     if len(rows[0]) <= FULL_RANK_MAX_V:
-        return _top_k_of_whole(rows, supports, alpha, k)
-    ids, scores = np.empty((len(rows), k), dtype=np.int64), np.empty((len(rows), k))
-    part = np.flatnonzero(ranked)
-    if len(part):  # the rows that hold stay ranked
-        ids[part], scores[part], ranked[part] = _top_k_of_candidates(
-            [rows[i] for i in part], [supports[i] for i in part], alpha, k)
-    whole = np.flatnonzero(~ranked)
+        return _top_k_of_whole(rows, truths, alpha, k)
+    whole = np.array([t is not None and t.background != 0.0 for t in truths])
+    supports = [None if w else t for t, w in zip(truths, whole)]
+    ids, scores, ok = _top_k_of_candidates(rows, supports, alpha, k)
+    whole = np.flatnonzero(whole | ~ok)
     if len(whole):
         ids[whole], scores[whole] = _top_k_of_whole([rows[i] for i in whole],
-                                                    [supports[i] for i in whole], alpha, k)
+                                                    [truths[i] for i in whole], alpha, k)
     return ids, scores
 
 
-def _top_k_of_whole(rows: Sequence, supports: Sequence, alpha: float, k: int) -> tuple:
+def _top_k_of_whole(rows: Sequence, truths: Sequence, alpha: float, k: int) -> tuple:
     n, v = len(rows), len(rows[0])
+    supports = [t if t is None or t.background == 0.0 else support_of(t.dense()) for t in truths]
     p = NgramDist.at(rows, np.arange(n * v)) if _one_model(rows) else np.concatenate(
         rows, dtype=float)
     row = np.repeat(np.arange(n), v)
-    scores, _ = _shift(p, row, _keys(supports, v), supports, alpha)
+    scores = _shift(p, row, supports, alpha)
     top = _best_k(scores, row, k)
     return top - np.arange(n)[:, None] * v, scores[top]
 
@@ -145,49 +151,43 @@ def _one_model(rows: Sequence) -> bool:
     return all(isinstance(p, NgramDist) and p.model is rows[0].model for p in rows)
 
 
-def _keys(supports: Sequence[Optional[Truth]], v: int) -> np.ndarray:
-    """The supports' ids as keys ``i * v + id`` (entry ``id`` of row ``i``)."""
-    on = [(i * v, s.ids) for i, s in enumerate(supports) if s is not None]
-    return np.concatenate([np.empty(0, dtype=np.int64)] + [ids for _, ids in on]) + np.repeat(
-        np.array([i for i, _ in on], dtype=np.int64), [len(ids) for _, ids in on])
-
-
 def _top_k_of_candidates(rows: Sequence, supports: Sequence, alpha: float, k: int) -> tuple:
-    """``top_k_rows`` from each row's candidates, and whether that holds: the
-    support plus corrections and ``ranked`` head for ``NgramDist``s of one
-    model, else the entries that reach the least of ``k`` block maxima."""
+    """``top_k_rows`` for truths of background 0, and whether it holds for
+    each row, support first: each entry off a head (the corrections and first
+    ids of ``_ranked`` for ``NgramDist``s of one model, else the entries that
+    reach the least of ``k`` block maxima) has ``p <= lo``.  A ``None``
+    support is no truth, or a row that the caller ranks whole afterwards,
+    whose result here is then ignored."""
     n, v = len(rows), len(rows[0])
-    on = _keys(supports, v)
+    on, values, sizes = _laid(supports, v)
     if _one_model(rows):
         head, lo, levels = NgramDist.top_candidates(rows, k)
-        keys = np.sort(np.concatenate([head, on]))
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        p = NgramDist.at(rows, keys, levels)
-    else:  # row by row, while each V-long row is in cache
-        keys, p, lo = [], [], []
-        for i, (row, support) in enumerate(zip(rows, supports)):
-            row = np.asarray(row, float)
-            # each of k blocks holds an entry at least its maximum; the margin
-            # keeps entries a few ulps lower, whose score may round the same
-            lo.append((1.0 - 1e-9) * row[: v // k * k].reshape(k, -1).max(1).min())
-            keep = row >= lo[-1]
-            if support is not None:
-                keep[support.ids] = True
-            keys.append(np.flatnonzero(keep) + i * v)
-            p.append(row[keys[-1] - i * v])
-        keys, p, lo = np.concatenate(keys), np.concatenate(p), np.array(lo)
+        def at(keys):
+            return NgramDist.at(rows, keys, levels)
+    else:
+        rows = [np.asarray(row, float) for row in rows]
+        # each of k blocks holds an entry at least its maximum; the margin
+        # keeps entries a few ulps lower, whose score may round the same
+        lo = (1.0 - 1e-9) * np.array([r[: v // k * k].reshape(k, -1).max(1).min() for r in rows])
+        head = np.concatenate([(r >= lo[i]).nonzero()[0] + i * v for i, r in enumerate(rows)])
+        def at(keys):  # row by row, ascending keys
+            cut = keys.searchsorted(np.arange(n + 1) * v)
+            return np.concatenate([r[keys[cut[i]:cut[i + 1]] - i * v] for i, r in enumerate(rows)])
+    p_on = at(on)
+    b, log_z = _boost(p_on, values, sizes, alpha)
+    # rounding is monotone: an entry with log p + b <= log lo scores <= log lo - log Z
+    log_lo = _log(lo)
+    kept = _log(p_on) + b > log_lo.repeat(sizes)
+    keys = np.sort(np.concatenate([head, on[kept]]))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     row = keys // v
-    scores, log_z = _shift(p, row, np.searchsorted(keys, on), supports, alpha)
-    # an entry left out has p <= lo, so it scores at most log(lo) - log Z: a
-    # row holds when k candidates score above that; its top k are among them
-    above = scores > (_log(lo) - log_z)[row]
-    ok = np.bincount(row[above], minlength=n) >= k
-    ids, top_scores = np.empty((n, k), dtype=np.int64), np.empty((n, k))
-    pos = np.flatnonzero(above & ok[row])
-    if len(pos):
-        top = pos[_best_k(scores[pos], (np.cumsum(ok) - 1)[row[pos]], k)]
-        ids[ok], top_scores[ok] = keys[top] - row[top] * v, scores[top]
-    return ids, top_scores, ok
+    scores = _log(at(keys))
+    scores[keys.searchsorted(on[kept])] += b[kept]
+    scores -= log_z[row]
+    # a row holds when k candidates score above log lo - log Z, as none left out can
+    ok = np.bincount(row[scores > (log_lo - log_z)[row]], minlength=n) >= k
+    top = _best_k(scores, row, k)
+    return keys[top] - row[top] * v, scores[top], ok
 
 
 def _best_k(scores: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:

@@ -116,8 +116,9 @@ class NgramDist:
 
     @staticmethod
     def _levels(dists: Sequence["NgramDist"], v: int) -> Iterator[tuple]:
-        """Per context length, shortest first: each distribution's scale and
-        its stats' keys and adds, gathered from the model's arrays."""
+        """Per context length, shortest first: each distribution's scale, its
+        stats' keys and adds, gathered from the model's arrays, and its count
+        of them."""
         tables = dists[0].model._tables
         rows = np.fromiter(chain.from_iterable(d.rows for d in dists), dtype=np.int64,
                            count=len(dists) * len(tables)).reshape(len(dists), len(tables))
@@ -126,42 +127,44 @@ class NgramDist:
             row = rows[:, j]
             lo, hi = table.indptr[row], table.indptr[row + 1]
             size = hi - lo
-            end = np.cumsum(size)
-            at = np.arange(end[-1]) + np.repeat(hi - end, size)
-            yield table.scale[row], table.ids[at] + np.repeat(shift, size), table.add[at]
+            end = size.cumsum()
+            at = np.arange(end[-1]) + (hi - end).repeat(size)
+            yield table.scale[row], table.ids[at] + shift.repeat(size), table.add[at], size
 
     @staticmethod
     def at(dists: Sequence["NgramDist"], keys: np.ndarray, levels=None) -> np.ndarray:
         """The entries at ``keys`` (ascending, no repeats; ``levels`` as from
-        ``top_candidates``) by the float operations of ``dense()``, bit for bit."""
+        ``top_candidates``) by the float operations of ``dense()``, bit for
+        bit.  Only the corrections are searched for among the keys, so a
+        whole support's keys cost a gather and a multiply per level each."""
         v = len(dists[0])
         rows = keys // v
         out = dists[0].model._unigram[keys - rows * v]
         if not len(keys):
             return out
-        for scale, successors, add in levels or NgramDist._levels(dists, v):
+        for scale, successors, add, _ in levels or NgramDist._levels(dists, v):
             out *= scale[rows]
-            pos = np.searchsorted(keys, successors)
+            pos = keys.searchsorted(successors)
             hit = keys.take(pos, mode="clip") == successors
             out[pos[hit]] += add[hit]
         return out
 
     @staticmethod
     def top_candidates(dists: Sequence["NgramDist"], k: int) -> tuple:
-        """Keys, unsorted and possibly repeated, of each one's corrections and
-        first ``2k + |corrections|`` ids of ``_ranked``, so that ``2k`` entries
-        off the corrections reach ``lo``, the value off them of the last; levels."""
+        """The head: keys, unsorted and possibly repeated, of each one's
+        corrections and first ``2k + |corrections|`` ids of ``_ranked`` (the
+        count from the levels' sizes), so that ``2k`` entries off the
+        corrections reach ``lo``, the value off them of the last, and every
+        entry off the head is at most ``lo``; and the levels, for ``at``."""
         v = len(dists[0])
         unigram, ranked = dists[0].model._unigram, dists[0].model._ranked
         levels = list(NgramDist._levels(dists, v))
-        corrections = [np.empty(0, dtype=np.int64), *(c for _, c, _ in levels)]
-        size = np.minimum(2 * k + np.bincount(np.concatenate(corrections) // v,
-                                              minlength=len(dists)), v)
-        at = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # heads end to end
-        keys = np.concatenate([ranked[at] + np.repeat(np.arange(len(dists)) * v, size),
-                               *corrections])
+        size = np.minimum(sum((s for *_, s in levels), np.full(len(dists), 2 * k)), v)
+        at = np.arange(size.sum()) - (size.cumsum() - size).repeat(size)  # heads end to end
+        keys = np.concatenate([ranked[at] + (np.arange(len(dists)) * v).repeat(size),
+                               *(c for _, c, _, _ in levels)])
         lo = unigram[ranked[size - 1]]
-        for scale, _, _ in levels:
+        for scale, *_ in levels:
             lo *= scale
         return keys, lo, levels
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
@@ -205,7 +207,9 @@ class Rule:
 @dataclass(frozen=True)
 class RuleProgram:
     """Linked, acyclic rule set.  ``order`` is a topological order of the
-    reference DAG, dependencies first; source order does not matter."""
+    reference DAG, dependencies first; source order does not matter.
+    ``rules`` is read-only: ``parse_program`` hands one program to every
+    caller that parses the same source."""
     rules: Mapping[str, Rule]
     order: tuple[str, ...]
 
@@ -428,11 +432,14 @@ def _link(rules: list[Rule]) -> RuleProgram:
         for d in remaining.values():
             d.difference_update(ready)
 
-    return RuleProgram(rules=dict(table), order=tuple(order))
+    return RuleProgram(rules=MappingProxyType(table), order=tuple(order))
 
 
+@lru_cache(maxsize=64)
 def parse_program(source: str) -> RuleProgram:
-    """Parse and link a rule program.
+    """Parse and link a rule program, memoised by source text (a template's
+    source is the same for every instance; an error is raised again on each
+    call).
 
     Source is line-oriented: one rule per line, ``#`` starts a comment,
     blank lines are ignored.  Forward references between rules are fine;

@@ -309,6 +309,37 @@ def beam_cases(draw):
     return rows, supports, alpha, k
 
 
+@st.composite
+def ngram_beam_cases(draw):
+    """(rows, supports, alpha, k) of a beam past ``FULL_RANK_MAX_V`` whose rows
+    are all n-gram distributions of one model, as at V=50k: 1 to 24 rows
+    sharing 2 or 3 truths of up to 400 ids (past numpy's 128-entry pairwise
+    block), many of them at ids the corpus never uses (unigram 0); boosts
+    past 700."""
+    v = draw(st.integers(FULL_RANK_MAX_V + 1, FULL_RANK_MAX_V + 600))
+    k = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    active = rng.choice(v, size=draw(st.integers(1, 300)), replace=False)
+    corpus = [rng.choice(active, size=rng.integers(1, 12)).tolist()
+              for _ in range(draw(st.integers(1, 40)))]
+    lm = ngram_train(corpus, draw(st.integers(1, 4)), vocab_size=v)
+    truths = []
+    for _ in range(draw(st.integers(2, 3))):
+        t = np.zeros(v)
+        on = np.concatenate([rng.choice(active, size=draw(st.integers(0, len(active)))),
+                             rng.choice(v, size=draw(st.integers(0, 200)))])
+        t[on] = rng.choice([1.0, 0.5, 1e-3, rng.random()], size=len(on))
+        truths.append(support_of(t))
+    rows, supports = [], []
+    for _ in range(draw(st.integers(1, 24))):
+        seq = corpus[rng.integers(len(corpus))]
+        end = int(rng.integers(0, len(seq) + 1))
+        rows.append(lm.dist(seq[max(0, end - 3):end]))
+        supports.append(truths[draw(st.integers(0, len(truths) - 1))])
+    alpha = draw(st.floats(0.0, 1e3) | st.sampled_from([24.0, 1e4, 1e30]))
+    return rows, supports, alpha, k
+
+
 class TestTopKRows:
     @settings(max_examples=200, deadline=None)
     @given(beam_cases())
@@ -319,6 +350,15 @@ class TestTopKRows:
         for row, support, row_ids, row_got in zip(rows, supports, ids, got):
             p = row.dense() if isinstance(row, NgramDist) else row
             scores = pre_activation(p, None if support is None else support.dense(), alpha)
+            assert_lexsort_top_k(row_ids, row_got, scores, k)
+
+    @settings(max_examples=400, deadline=None)
+    @given(ngram_beam_cases())
+    def test_all_ngram_beams_equal_a_lexsort_of_pre_activation(self, case):
+        rows, supports, alpha, k = case
+        ids, got = top_k_rows(rows, supports, alpha, k)
+        for row, support, row_ids, row_got in zip(rows, supports, ids, got):
+            scores = pre_activation(row.dense(), support.dense(), alpha)
             assert_lexsort_top_k(row_ids, row_got, scores, k)
 
     @settings(max_examples=100, deadline=None)

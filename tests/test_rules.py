@@ -257,6 +257,28 @@ class TestParser:
         assert order.index("Y") < order.index("R")
 
 
+class TestParseMemo:
+    def test_one_source_gives_one_program(self):
+        assert parse_program(PROGRAM) is parse_program(PROGRAM)
+        assert parse_program(PROGRAM + "\n") == parse_program(PROGRAM)
+
+    def test_an_error_is_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(RuleSyntaxError, match="expected"):
+                parse_program("A(x) :- Equal(x x)")
+        for _ in range(3):
+            with pytest.raises(RuleLinkError, match="cyclic"):
+                parse_program("A(x) :- A(x)")
+
+    def test_a_shared_program_cannot_be_changed(self):
+        program = parse_program(PROGRAM)
+        with pytest.raises(TypeError):
+            program.rules["R"] = program.rules["Y"]
+        with pytest.raises(TypeError):
+            del program.rules["R"]
+        assert parse_program(PROGRAM).rules["R"].name == "R"
+
+
 class TestExpansion:
     """A quantifier evaluates as its expansion over the bound set: ``exists``
     as the disjunction of its instances, ``forall`` as their mean."""

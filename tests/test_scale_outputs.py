@@ -6,13 +6,16 @@ where the decoder ranks only the candidates that can reach the top k.  This
 decodes the first 16 instances of the seed-7 world (written once per session
 by the ``world_7`` fixture) as that workload does and hashes the best outputs
 the way the benchmark digests them, so that output drift on the
-large-vocabulary path fails here and not only in a benchmark run.  On the same world, a vocabulary prove must not allocate a
-vector over the vocabulary.
+large-vocabulary path fails here and not only in a benchmark run, and so
+does a step that leaves the candidate path for the V-long whole-row ranking.
+On the same world, a vocabulary prove must not allocate a vector over the
+vocabulary.
 """
 
 import tracemalloc
 from dataclasses import replace
 
+from logicdec import decision
 from logicdec.decision import FULL_RANK_MAX_V
 from logicdec.decoder import PRESETS, decode
 from logicdec.kb import load_factbase
@@ -26,7 +29,7 @@ from test_toy_outputs import digest_of
 DIGEST = "880e172028d25487"
 
 
-def test_seed_7_world_outputs_match_the_pinned_digest(world_7):
+def test_seed_7_world_outputs_match_the_pinned_digest(world_7, monkeypatch):
     facts = load_factbase(world_7 / "factbase.snap")
     vocab = facts.vocab
     assert len(vocab) > FULL_RANK_MAX_V
@@ -38,6 +41,10 @@ def test_seed_7_world_outputs_match_the_pinned_digest(world_7):
     # the scale-50k config: commongen intensities, a full beam for 16 steps
     config = replace(PRESETS["commongen"], prune_ratio=1e-9, max_length=16, bos_id=bos,
                      eos_id=None, length_norm_power=1.0)
+    whole = []  # rows ranked whole: each is V long, none is expected here
+    rank_whole = decision._top_k_of_whole
+    monkeypatch.setattr(decision, "_top_k_of_whole",
+                        lambda rows, *args: whole.append(len(rows)) or rank_whole(rows, *args))
     outputs = []
     for inst in load_instances(world_7 / "lexical.jsonl")[:16]:
         binding = lexical_rule_template(inst.concepts, facts)
@@ -45,6 +52,7 @@ def test_seed_7_world_outputs_match_the_pinned_digest(world_7):
                         config)
         outputs.append([inst.instance_id, list(result.best.tokens)])
     assert digest_of(outputs) == DIGEST
+    assert whole == []
 
 
 def test_a_warm_vocabulary_prove_allocates_less_than_one_vocabulary_vector(world_7):
