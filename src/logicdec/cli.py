@@ -81,9 +81,9 @@ def build_parser() -> _Parser:
     common_decode.add_argument("--max-length", type=int, default=16, help="max generated tokens")
     common_decode.add_argument("--length-norm", type=float, default=0.7, help="length normalization exponent")
 
-    p_dec = sub.add_parser("decode", parents=[common_decode], help="run constrained decoding")
-    p_dec.add_argument("--preset", choices=("commongen", "personachat", "custom"),
-                       default="custom", help="named hyperparameter preset")
+    p_dec = sub.add_parser("decode", parents=[common_decode], help="run constrained decoding",
+                           description="Each instance decodes under its kind's preset (lexical: "
+                           "commongen, dialogue: personachat); the hyperparameter flags override both.")
     p_dec.add_argument("--alpha1", type=float, help="prefix-attention intensity")
     p_dec.add_argument("--alpha2", type=float, help="target-attention intensity")
     p_dec.add_argument("--alpha3", type=float, help="prediction intensity")
@@ -163,8 +163,8 @@ def _read_rules(path, rule: Optional[str] = None) -> RuleProgram:
     return program
 
 
-def _decode_config(args) -> DecodingConfig:
-    base = PRESETS.get(getattr(args, "preset", "custom"), DecodingConfig())
+def _decode_config(args, base: DecodingConfig) -> DecodingConfig:
+    """``base`` with the hyperparameter flags given on the command line."""
     flags = {"beam": "beam_size", "alpha1": "alpha1", "alpha2": "alpha2", "alpha3": "alpha3",
              "rho": "prune_ratio", "group_k": "group_budget"}
     overrides = {name: getattr(args, flag) for flag, name in flags.items()
@@ -213,7 +213,9 @@ def cmd_ingest_kg(args) -> int:
 
 
 def _decode_common(args, constrained: bool) -> int:
-    config = _decode_config(args)
+    # decode starts each instance kind from its preset, baseline-beam from no shift
+    configs = {kind: _decode_config(args, PRESETS[preset] if constrained else DecodingConfig())
+               for kind, preset in (("lexical", "commongen"), ("dialogue", "personachat"))}
     # the scorer settings too, before anything is loaded
     for flag, value, ok, wanted in (
             ("--ngram-order", args.ngram_order, 1 <= args.ngram_order <= 5, "in 1..5"),
@@ -229,9 +231,10 @@ def _decode_common(args, constrained: bool) -> int:
     eos = facts.vocab.id_of("</s>")
     if bos is None:
         raise UsageError("--factbase: vocabulary lacks the '<s>' start token")
-    config = replace(config, bos_id=bos, eos_id=eos)
+    configs = {kind: replace(c, bos_id=bos, eos_id=eos) for kind, c in configs.items()}
 
     if not constrained:  # one unconstrained search serves every instance
+        config = configs["lexical"]  # the kinds' configs are equal
         searched = plain_beam_search(scorer, config.beam_size, config.max_length,
                                      bos_id=bos, eos_id=eos,
                                      length_norm_power=config.length_norm_power)
@@ -242,6 +245,7 @@ def _decode_common(args, constrained: bool) -> int:
             try:
                 if isinstance(instance, ValueError):
                     raise instance
+                config = configs[instance.kind]
                 if not constrained:
                     concepts = align_concepts(instance.concepts, facts)[0] \
                         if instance.kind == "lexical" else []

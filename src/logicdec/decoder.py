@@ -14,9 +14,10 @@ ids, so over a large vocabulary only those ids and the tokens whose ``p``
 reaches the ``beam_size``-th largest are scored, bit for bit as
 ``pre_activation`` would; ``lm.NgramDist``s are ranked from their unigram
 order and sparse corrections, so no V-long distribution or truth vector is
-built (``trace`` writes them out, for the first hypothesis).  Candidates
-within a ``prune_ratio`` fraction of the step's best likelihood survive, a
-survivor's mask being its parent's OR its token's stem-class bits.
+built.  ``trace`` ranks the first hypothesis's top five, before and after
+the shift, with ``top_k_rows`` too, and reads their ``p`` off its row.
+Candidates within a ``prune_ratio`` fraction of the step's best likelihood
+survive, a survivor's mask being its parent's OR its token's stem-class bits.
 ``_select_beam`` groups them by mask (at most ``max_groups`` groups, the
 most-covered always kept) and takes up to ``beam_size``: each group's best,
 most-covered groups first; then the next ``group_budget - 1`` of each group;
@@ -98,8 +99,9 @@ class DecodingConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
-# The two hyperparameter sets shipped as named presets: (alpha1, alpha2,
-# alpha3, rho, k, beam).
+# The paper's two hyperparameter sets, (alpha1, alpha2, alpha3, rho, k, beam):
+# ``logicdec decode`` runs a lexical instance under "commongen" and a
+# dialogue instance under "personachat".
 PRESETS: dict[str, DecodingConfig] = {
     "commongen": DecodingConfig(beam_size=20, alpha1=12.0, alpha2=24.0,
                                 alpha3=24.0, prune_ratio=0.6, group_budget=16),
@@ -272,10 +274,15 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     steps_run = 0
     while sessions and steps_run < config.max_length:
         raws, truths = step_dist(sessions, tokens.tolist(), covered.tolist())
-        if trace:
-            raw = np.asarray(raws[0])
-            scores = pre_activation(raw, truths[0].dense() if shifting else None, config.alpha3)
-            trace_log.append(_trace_entry(steps_run, scores, raw, shifting))
+        if trace:  # the first hypothesis's top five, ranked as the beam's rows are
+            n = min(5, scorer.vocab_size)
+            ids = top_k_rows(raws[:1], [None], 0.0, n)[0][0].tolist()
+            before = [[i, float(p)] for i, p in zip(ids, np.asarray(raws[0])[ids])]
+            after = before
+            if shifting:
+                ids, scores = top_k_rows(raws[:1], truths[:1], config.alpha3, n)
+                after = [[i, float(np.exp(s))] for i, s in zip(ids[0].tolist(), scores[0])]
+            trace_log.append({"step": steps_run, "top_after": after, "top_before": before})
         steps_run += 1
 
         # (3)-(4) expand the top k candidates per hypothesis under shifted
@@ -355,15 +362,6 @@ def _select_beam(score: np.ndarray, token: np.ndarray, parent: np.ndarray,
     take = by_mask[key.argsort()[:limit]]
     take.sort()
     return order[take]
-
-
-def _trace_entry(step_index: int, scores: np.ndarray, raw: np.ndarray, shifting: bool) -> dict:
-    # ties go to the smaller id, as in the ranking the decoder expands
-    before = [[int(i), float(raw[i])] for i in np.argsort(-raw, kind="stable")[:5]]
-    # exponentiate only the five shifted scores reported
-    after = [[int(i), float(np.exp(scores[i]))] for i in np.argsort(-scores, kind="stable")[:5]] \
-        if shifting else before
-    return {"step": step_index, "top_after": after, "top_before": before}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from logicdec.cli import build_parser, main
+from logicdec.decoder import PRESETS, decode
+from logicdec.rules import parse_program
+from logicdec.tasks import dialogue_rule_template, load_instances
 
 from conftest import DATA
 
@@ -81,7 +85,7 @@ class TestDecode:
             "decode", "--factbase", str(snapshot),
             "--instances", str(DATA / "lexical20.jsonl"),
             "--corpus", str(DATA / "corpus_lexical.txt"),
-            "--preset", "commongen", "--max-length", "16",
+            "--max-length", "16",
             "--length-norm", "1.0",
             "--out", str(out)], capsys)
         assert code == 0
@@ -90,7 +94,8 @@ class TestDecode:
         assert all({"id", "text", "score", "coverage", "skipped", "finished"} <= set(r)
                    for r in lines)
 
-    @pytest.mark.parametrize("flag, value", [("--template", "hard-gate"), ("--task", "lexical")])
+    @pytest.mark.parametrize("flag, value", [("--template", "hard-gate"), ("--task", "lexical"),
+                                             ("--preset", "commongen")])
     def test_removed_flags_are_refused(self, snapshot, tmp_path, capsys, flag, value):
         out = tmp_path / "results.jsonl"
         with pytest.raises(SystemExit) as exc:
@@ -116,6 +121,33 @@ class TestDecode:
         assert [r["id"] for r in records] == [json.loads(line)["id"] for line in
                                               (lexical[0], dialogue[0], lexical[1], dialogue[1])]
         assert all("error" not in r and r["text"] for r in records)
+
+    def test_each_instance_kind_picks_its_preset(self, snapshot, tmp_path, capsys, toy_facts,
+                                                 dialogue_scorer, sentinel_ids):
+        lexical = (DATA / "lexical20.jsonl").read_text("utf-8").splitlines()[:2]
+        dialogue = (DATA / "dialogue10.jsonl").read_text("utf-8").splitlines()[:2]
+        results = {}
+        for name, lines in (("mixed", [lexical[0], dialogue[0], lexical[1], dialogue[1]]),
+                            ("lexical", lexical), ("dialogue", dialogue)):
+            instances, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.out.jsonl"
+            instances.write_text("\n".join(lines) + "\n")
+            code, _, err = run(["decode", "--factbase", str(snapshot),
+                                "--instances", str(instances),
+                                "--corpus", str(DATA / "corpus_dialogue.txt"),
+                                "--max-length", "10", "--out", str(out)], capsys)
+            assert code == 0, err
+            results[name] = out.read_text().splitlines()
+        assert results["mixed"] == [results["lexical"][0], results["dialogue"][0],
+                                    results["lexical"][1], results["dialogue"][1]]
+        # a dialogue line is the library's decode under the personachat preset
+        bos, eos = sentinel_ids
+        config = replace(PRESETS["personachat"], max_length=10, bos_id=bos, eos_id=eos)
+        for line, instance in zip(results["dialogue"], load_instances(DATA / "dialogue10.jsonl")):
+            binding = dialogue_rule_template(instance.persona, instance.history, toy_facts)
+            best = decode(dialogue_scorer, parse_program(binding.source), binding.rule,
+                          binding.ctx, config).best
+            text = " ".join(toy_facts.vocab.surface(t) for t in best.tokens if t not in (bos, eos))
+            assert (json.loads(line)["text"], json.loads(line)["score"]) == (text, best.logp)
 
     def test_a_malformed_line_fails_only_its_instance(self, snapshot, tmp_path, capsys):
         instances = tmp_path / "three.jsonl"
@@ -154,7 +186,7 @@ class TestDecode:
             code, _, err = run(["decode", "--factbase", str(factbase),
                                 "--instances", str(DATA / "lexical20.jsonl"),
                                 "--corpus", str(DATA / "corpus_lexical.txt"),
-                                "--preset", "commongen", "--rules", str(rules),
+                                "--rules", str(rules),
                                 "--out", str(out)], capsys)
             assert code == 1
             (line,) = err.strip().splitlines()  # one message, no traceback
@@ -170,7 +202,7 @@ class TestDecode:
             code, _, _ = run(["decode", "--factbase", str(snapshot),
                               "--instances", str(DATA / "lexical20.jsonl"),
                               "--corpus", str(DATA / "corpus_lexical.txt"),
-                              "--preset", "commongen", "--max-length", "8", *extra,
+                              "--max-length", "8", *extra,
                               "--out", str(out)], capsys)
             assert code == 0
             texts[len(extra)] = out.read_text()
@@ -184,7 +216,7 @@ class TestDecode:
         out = tmp_path / "results.jsonl"
         code, _, _ = run(["decode", "--factbase", str(snapshot), "--instances", str(instances),
                           "--corpus", str(DATA / "corpus_lexical.txt"),
-                          "--preset", "commongen", "--out", str(out)], capsys)
+                          "--out", str(out)], capsys)
         assert code == 0
         rec = json.loads(out.read_text())
         # coverage counts the aligned concepts; eval counts them all
@@ -218,7 +250,6 @@ class TestDecode:
             "decode", "--factbase", str(snapshot),
             "--instances", str(DATA / "lexical20.jsonl"),
             "--corpus", str(DATA / "corpus_lexical.txt"),
-            "--preset", "commongen",
             "--max-length", "8", "--trace", "--out", str(out)], capsys)
         assert code == 0
         first = json.loads(out.read_text().splitlines()[0])
@@ -279,7 +310,7 @@ class TestDecode:
         out = tmp_path / "results.jsonl"
         code, _, _ = run(["decode", "--factbase", str(snapshot), "--instances", str(instances),
                           "--corpus", str(DATA / "corpus_lexical.txt"),
-                          "--preset", "commongen", "--max-length", "8", "--out", str(out)],
+                          "--max-length", "8", "--out", str(out)],
                          capsys)
         assert code == 0
         first, many, last = [json.loads(line) for line in out.read_text().splitlines()]
@@ -357,7 +388,7 @@ class TestEval:
             "decode", "--factbase", str(snapshot),
             "--instances", str(DATA / "lexical20.jsonl"),
             "--corpus", str(DATA / "corpus_lexical.txt"),
-            "--preset", "commongen", "--max-length", "16", "--length-norm", "1.0",
+            "--max-length", "16", "--length-norm", "1.0",
             "--out", str(results)], capsys)
         assert code == 0
         texts = [json.loads(line)["text"] for line in results.read_text().splitlines()]
@@ -485,11 +516,15 @@ class TestHelpDocSync:
             assert code == 0, err
         assert json.loads(stdout.strip().splitlines()[-1])["coverage_percent"] == 100.0
 
-    def subcommand_help(self, name) -> str:
+    @staticmethod
+    def subcommands() -> dict:
         parser = build_parser()
         sub = next(a for a in parser._actions
                    if isinstance(a, type(parser._actions[-1])) and hasattr(a, "choices"))
-        return sub.choices[name].format_help()
+        return sub.choices
+
+    def subcommand_help(self, name) -> str:
+        return self.subcommands()[name].format_help()
 
     def test_every_documented_flag_exists(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -502,6 +537,17 @@ class TestHelpDocSync:
             help_text = self.subcommand_help(name)
             for flag in set(re.findall(r"`(--[a-z0-9-]+)`", body)):
                 assert flag in help_text, f"{flag} documented but absent from {name} --help"
+
+    def test_every_flag_is_documented(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = re.search(r"## Command line.*?(?=\n## |\Z)", readme, re.S)
+        blocks = dict(re.findall(r"### `logicdec (\S+)`(.*?)(?=\n### |\Z)",
+                                 section.group(0), re.S))
+        assert sorted(blocks) == sorted(self.subcommands())
+        for name, body in blocks.items():
+            documented = set(re.findall(r"`(--[a-z0-9-]+)`", body))
+            for flag in set(re.findall(r"--[a-z0-9-]+", self.subcommand_help(name))) - {"--help"}:
+                assert flag in documented, f"{flag} of {name} --help is not in the README"
 
     def test_exit_code_for_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logicdec.decision import FULL_RANK_MAX_V
-from logicdec import prover as P
+from logicdec.decision import FULL_RANK_MAX_V, pre_activation
+from logicdec import decoder, prover as P
 from logicdec.decoder import (DecodingConfig, Hypothesis, PRESETS, _keep_prefix_free,
                               _prefix_classes, _select_beam, coverage_of, coverage_table,
                               decode, plain_beam_search)
@@ -961,6 +961,75 @@ class TestSparseNgramDecode:
             [(h.tokens, h.logp, h.covered, h.finished) for h in dense.hypotheses]
         assert (sparse.completed, sparse.steps, sparse.trace) == \
             (dense.completed, dense.steps, dense.trace)
+
+
+def dense_trace_entry(step_index: int, scores: np.ndarray, raw: np.ndarray,
+                      shifting: bool) -> dict:
+    """The oracle: a trace entry ranked apart from the decoder's kernel, by
+    stable argsorts of the first row's dense ``p`` and ``pre_activation``."""
+    before = [[int(i), float(raw[i])] for i in np.argsort(-raw, kind="stable")[:5]]
+    after = [[int(i), float(np.exp(scores[i]))] for i in np.argsort(-scores, kind="stable")[:5]] \
+        if shifting else before
+    return {"step": step_index, "top_after": after, "top_before": before}
+
+
+def trace_and_oracle(scorer, program, rule, ctx, config) -> tuple[list, list]:
+    """A traced decode's trace, and the oracle's entries for the first row
+    and truth of each step's last ``top_k_rows`` call, the beam's."""
+    calls, rank = [], decoder.top_k_rows
+
+    def recorded(rows, truths, alpha, k):
+        calls.append((np.array(rows[0], dtype=float), truths[0], alpha))
+        return rank(rows, truths, alpha, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoder, "top_k_rows", recorded)
+        trace = decode(scorer, program, rule, ctx, config, trace=True).trace
+    per_step = len(calls) // len(trace)
+    assert per_step in (2, 3) and len(calls) == per_step * len(trace)
+    oracle = []
+    for step, (raw, truth, alpha) in enumerate(calls[per_step - 1::per_step]):
+        scores = pre_activation(raw, None if truth is None else truth.dense(), alpha)
+        oracle.append(dense_trace_entry(step, scores, raw, truth is not None))
+    return trace, oracle
+
+
+class TestTraceEqualsDenseOracle:
+    """``trace`` ranks the first row with ``top_k_rows``; its entries equal a
+    dense ranking of that row, ids and values."""
+
+    @pytest.mark.parametrize("scorer_kind", ["ngram", "transformer"])
+    @pytest.mark.parametrize("suite", ["lexical20", "dialogue10"])
+    def test_toy_suites(self, lexical_scorer, dialogue_scorer, toy_facts, sentinel_ids,
+                        suite, scorer_kind):
+        from logicdec.transformer import TinyTransformer, TransformerConfig, TransformerScorer
+        bos, eos = sentinel_ids
+        lexical = suite == "lexical20"
+        config = replace(PRESETS["commongen" if lexical else "personachat"],
+                         max_length=16 if lexical else 10, bos_id=bos, eos_id=eos,
+                         length_norm_power=1.0 if lexical else 0.7)
+        scorer = TransformerScorer(TinyTransformer(TransformerConfig(
+            vocab_size=len(toy_facts.vocab), seed=0))) if scorer_kind == "transformer" \
+            else lexical_scorer if lexical else dialogue_scorer
+        for instance in load_instances(DATA / f"{suite}.jsonl"):
+            binding = lexical_rule_template(instance.concepts, toy_facts) if lexical else \
+                dialogue_rule_template(instance.persona, instance.history, toy_facts)
+            trace, oracle = trace_and_oracle(scorer, parse_program(binding.source),
+                                             binding.rule, binding.ctx, config)
+            assert trace == oracle, instance.instance_id
+
+    @settings(max_examples=25, deadline=None)
+    @given(large_vocabulary_decodes())
+    def test_large_vocabularies(self, case):
+        lm, facts, concepts, config, constrained = case
+        for scorer in (NgramScorer(lm), DenseNgramScorer(NgramScorer(lm))):
+            if constrained:
+                binding = lexical_rule_template(concepts, facts)
+                trace, oracle = trace_and_oracle(scorer, parse_program(binding.source),
+                                                 binding.rule, binding.ctx, config)
+            else:
+                trace, oracle = trace_and_oracle(scorer, None, None, None, config)
+            assert trace == oracle
 
 
 class TestConceptSet:

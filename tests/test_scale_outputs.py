@@ -7,7 +7,8 @@ decodes the first 16 instances of the seed-7 world (written once per session
 by the ``world_7`` fixture) as that workload does and hashes the best outputs
 the way the benchmark digests them, so that output drift on the
 large-vocabulary path fails here and not only in a benchmark run, and so
-does a step that leaves the candidate path for the V-long whole-row ranking.
+does a step that leaves the candidate path for the V-long whole-row ranking,
+traced or not.
 On the same world, a vocabulary prove must not allocate a vector over the
 vocabulary.
 """
@@ -45,14 +46,16 @@ def test_seed_7_world_outputs_match_the_pinned_digest(world_7, monkeypatch):
     rank_whole = decision._top_k_of_whole
     monkeypatch.setattr(decision, "_top_k_of_whole",
                         lambda rows, *args: whole.append(len(rows)) or rank_whole(rows, *args))
-    outputs = []
-    for inst in load_instances(world_7 / "lexical.jsonl")[:16]:
-        binding = lexical_rule_template(inst.concepts, facts)
-        result = decode(scorer, parse_program(binding.source), binding.rule, binding.ctx,
-                        config)
-        outputs.append([inst.instance_id, list(result.best.tokens)])
-    assert digest_of(outputs) == DIGEST
-    assert whole == []
+    for trace in (False, True):  # a traced decode ranks its trace on the candidate path too
+        outputs = []
+        for inst in load_instances(world_7 / "lexical.jsonl")[:16]:
+            binding = lexical_rule_template(inst.concepts, facts)
+            result = decode(scorer, parse_program(binding.source), binding.rule, binding.ctx,
+                            config, trace=trace)
+            assert len(result.trace) == (result.steps if trace else 0)
+            outputs.append([inst.instance_id, list(result.best.tokens)])
+        assert digest_of(outputs) == DIGEST
+        assert whole == []
 
 
 def test_a_warm_vocabulary_prove_allocates_less_than_one_vocabulary_vector(world_7):
