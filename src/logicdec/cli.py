@@ -176,15 +176,14 @@ def _decode_config(args, base: DecodingConfig) -> DecodingConfig:
         raise UsageError(f"invalid decode setting: {exc}") from None
 
 
-def _result_line(instance, hyp, facts, config, concepts, completed,
-                 skipped=None, trace=None) -> dict:
+def _result_line(instance, hyp, facts, config, concepts, skipped=None, trace=None) -> dict:
     rec = {
         "id": instance.instance_id,
         "text": " ".join(facts.vocab.surface(t) for t in hyp.tokens
                          if t not in (config.bos_id, config.eos_id)),
         "score": hyp.logp,
         "coverage": coverage_of(hyp, concepts),
-        "finished": bool(hyp.finished and completed),
+        "finished": hyp.finished,
         "traced": trace is not None,
     }
     if skipped is not None:
@@ -253,8 +252,7 @@ def _decode_common(args, constrained: bool) -> int:
                     for tok in searched.best.tokens:
                         mask |= table.get(facts.stems.class_of[tok], 0)
                     best = replace(searched.best, covered=mask)
-                    rec = _result_line(instance, best, facts, config, concepts,
-                                       searched.completed)
+                    rec = _result_line(instance, best, facts, config, concepts)
                 else:
                     if instance.kind == "lexical":
                         binding = lexical_rule_template(instance.concepts, facts)
@@ -265,7 +263,7 @@ def _decode_common(args, constrained: bool) -> int:
                                     config, trace=args.trace)
                     concepts = binding.ctx.sets.get("C", ())
                     rec = _result_line(instance, result.best, facts, config, concepts,
-                                       result.completed, skipped=binding.skipped,
+                                       skipped=binding.skipped,
                                        trace=result.trace if args.trace else None)
             except Exception as exc:
                 log.error("instance %s failed: %s", instance_id, exc)

@@ -18,17 +18,19 @@ built.  ``trace`` ranks the first hypothesis's top five, before and after
 the shift, with ``top_k_rows`` too, and reads their ``p`` off its row.
 Candidates within a ``prune_ratio`` fraction of the step's best likelihood
 survive, a survivor's mask being its parent's OR its token's stem-class bits.
-``_select_beam`` groups them by mask (at most ``max_groups`` groups, the
+``_select_beam`` groups them by mask (at most ``MAX_GROUPS`` groups, the
 most-covered always kept) and takes up to ``beam_size``: each group's best,
 most-covered groups first; then the next ``group_budget - 1`` of each group;
 then the rest, both by score.
 
 Each hypothesis step proves at most once: the vocabulary truth under its own
 prefix, of which the attention hooks' prefix and target truths are gathers
-(an atom reads only the token id at a position).  One pass over the program,
-callees first, classes each rule by how its closure reads the prefix:
-``"none"`` (never), ``"coverage"`` (only through stem-equality probes of the
-constraint set, as ``R`` of the shipped lexical templates) or ``"full"``.
+(an atom reads only the token id at a position).  A prompt position
+generates nothing, so it proves only when the hooks read its truth.  One
+pass over the program, callees first, classes each rule by how its closure
+reads the prefix: ``"none"`` (never), ``"coverage"`` (only through
+stem-equality probes of the constraint set, as ``R`` of the shipped lexical
+templates) or ``"full"``.
 Unless the proved rule is ``"full"``, the truth is memoised on the coverage
 bitmask.  Across proves, the prover's memo keeps the truths of the
 ``"none"`` rules, as ``Rel(x, c)`` there.
@@ -73,7 +75,6 @@ class DecodingConfig:
     alpha3: float = 0.0
     prune_ratio: float = 1e-9          # rho, in (0, 1]
     group_budget: int = 16             # k, per-group retention
-    max_groups: int = 64               # cap: k * live groups <= k * max_groups
     max_length: int = 32               # generated tokens, prompt excluded
     bos_id: int = 0
     eos_id: Optional[int] = None
@@ -86,8 +87,6 @@ class DecodingConfig:
             raise ValueError("prune ratio must lie in (0, 1]")
         if self.group_budget < 1:
             raise ValueError("per-group budget must be >= 1")
-        if self.max_groups < 1:
-            raise ValueError("group cap must be >= 1")
         if self.max_length < 0:
             raise ValueError("max length must be >= 0")
         if not math.isfinite(self.length_norm_power):
@@ -98,6 +97,9 @@ class DecodingConfig:
             if not math.isfinite(getattr(self, name)) or getattr(self, name) < 0:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
+
+# ``_select_beam`` keeps at most this many groups (coverage masks)
+MAX_GROUPS = 64
 
 # The paper's two hyperparameter sets, (alpha1, alpha2, alpha3, rho, k, beam):
 # ``logicdec decode`` runs a lexical instance under "commongen" and a
@@ -229,12 +231,10 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
             vocab_memo[covered] = truth
         return truth
 
-    def step_dist(sessions: list, prefixes: list[list[int]], masks: list[int]) -> tuple:
+    def step(sessions: list, prefixes: list[list[int]], truths: Optional[list]) -> list:
         """Consume each prefix's last token in its session with one
-        ``step_batch`` call; return per session the dist before the
-        prediction shift and the vocabulary truth (None when unshifted)."""
-        truths = [vocab_truth(prefix, mask) if hooking or shifting else None
-                  for prefix, mask in zip(prefixes, masks)]
+        ``step_batch`` call, hooked by each prefix's vocabulary truth when
+        hooking; return per session the dist before the prediction shift."""
         hooks = None
         if hooking:  # each hypothesis's prefix and target truths, in one gather
             gathered = [truth.at(prefix + list(concepts))
@@ -245,8 +245,7 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
                 truth_prefix=values[:len(prefix)],
                 truth_targets=values[len(prefix):] if concepts else None,
             ) for prefix, values in zip(prefixes, gathered)]
-        raws = scorer.step_batch(sessions, [prefix[-1] for prefix in prefixes], hooks)
-        return raws, truths if shifting else [None] * len(prefixes)
+        return scorer.step_batch(sessions, [prefix[-1] for prefix in prefixes], hooks)
 
     prompt_tokens = tuple(prompt) if prompt is not None else (config.bos_id,)
     if not prompt_tokens or not all(0 <= t < scorer.vocab_size for t in prompt_tokens):
@@ -260,8 +259,9 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     session = scorer.begin_session(concepts)
     # the loop's first step consumes the last prompt token
     mask = int(bits[class_of[prompt_tokens[0]]])
-    for i in range(1, len(prompt_tokens)):
-        step_dist([session], [list(prompt_tokens[:i])], [mask])
+    for i in range(1, len(prompt_tokens)):  # a prompt truth is read only by the hooks
+        prefix = list(prompt_tokens[:i])
+        step([session], [prefix], [vocab_truth(prefix, mask)] if hooking else None)
         mask |= int(bits[class_of[prompt_tokens[i]]])
     # the live beam, a row per hypothesis; sessions[i] has consumed tokens[i] but the last
     tokens, logp = np.array([prompt_tokens], dtype=np.int64), np.zeros(1)
@@ -273,7 +273,13 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     eos = -1 if config.eos_id is None else config.eos_id
     steps_run = 0
     while sessions and steps_run < config.max_length:
-        raws, truths = step_dist(sessions, tokens.tolist(), covered.tolist())
+        prefixes = tokens.tolist()
+        # one prove per hypothesis step, read by the hooks and the shift
+        truths = [vocab_truth(prefix, m) for prefix, m in zip(prefixes, covered.tolist())] \
+            if hooking or shifting else None
+        raws = step(sessions, prefixes, truths)
+        if not shifting:  # only the hooks read them
+            truths = [None] * len(prefixes)
         if trace:  # the first hypothesis's top five, ranked as the beam's rows are
             n = min(5, scorer.vocab_size)
             ids = top_k_rows(raws[:1], [None], 0.0, n)[0][0].tolist()
@@ -333,7 +339,7 @@ def _select_beam(score: np.ndarray, token: np.ndarray, parent: np.ndarray,
     ``score[i]`` and covering ``mask[i]`` (uint64).  Candidates rank by score,
     then smaller token, then earlier hypothesis; a group (one mask) is headed
     by its best.  Groups rank by covered-concept count, then by head; past
-    ``max_groups`` the top group and the ``max_groups - 1`` best-headed others
+    ``MAX_GROUPS`` the top group and the ``MAX_GROUPS - 1`` best-headed others
     stay.  The beam takes, up to ``beam_size``: the heads in group rank, then
     each group's 2nd to ``group_budget``-th members, then the rest, by rank.
     """
@@ -351,9 +357,9 @@ def _select_beam(score: np.ndarray, token: np.ndarray, parent: np.ndarray,
     # budget and the spare members, both by rank
     key = by_mask + np.where(within < config.group_budget, n, 2 * n)
     limit = config.beam_size
-    if len(groups) > config.max_groups:
+    if len(groups) > MAX_GROUPS:
         # keep the most-covered group plus the best-headed others
-        keep = {groups[0], *sorted(groups[1:], key=head_rank.__getitem__)[:config.max_groups - 1]}
+        keep = {groups[0], *sorted(groups[1:], key=head_rank.__getitem__)[:MAX_GROUPS - 1]}
         groups = [g for g in groups if g in keep]
         dropped = ~np.isin(grouped, grouped[heads[groups]])
         key[dropped] = 3 * n

@@ -349,7 +349,6 @@ def load_factbase(path) -> FactBase:
 class IngestReport:
     lines_read: int = 0
     malformed: int = 0
-    relations: int = 0
     kept: int = 0
     discarded: int = 0
     edges: int = 0
@@ -415,13 +414,11 @@ def ingest_triples(source, vocab: Vocabulary, mode: str = "soft",
             heads = _phrase_words(head, stop, black)
             tails = _phrase_words(tail, stop, black)
             if not heads or not tails:
-                report.relations += 1
                 report.note_discard("filtered")
                 continue
             weight = 1.0 if mode == "hard" else rescale_weight(raw_w)
             for hw in heads:
                 for tw in tails:
-                    report.relations += 1
                     hid = align_word_to_token(hw, vocab)
                     tid = align_word_to_token(tw, vocab)
                     if hid is None or tid is None:
@@ -437,13 +434,11 @@ def ingest_triples(source, vocab: Vocabulary, mode: str = "soft",
         if hasattr(fh, "close"):
             fh.close()
 
-    # Morphological extension: mirror each edge over both stem classes.
+    # Morphological extension: mirror each edge over its two (distinct) stem classes.
     extended: dict[tuple[int, int], float] = {}
     for (a, b), w in pairs.items():
         for am in stems.class_members(a).tolist():
             for bm in stems.class_members(b).tolist():
-                if am == bm:
-                    continue
                 key = (min(am, bm), max(am, bm))
                 extended[key] = max(w, extended.get(key, 0.0))
 

@@ -85,9 +85,8 @@ def _ends_cvc(word: str) -> bool:
     return word[-1] not in "wxy"
 
 
-def _replace(word: str, suffix: str, repl: str, min_measure: int) -> str | None:
-    if not word.endswith(suffix):
-        return None
+def _replace(word: str, suffix: str, repl: str, min_measure: int) -> str:
+    # ``word`` ends with ``suffix``
     stem_part = word[: len(word) - len(suffix)]
     if _measure(stem_part) > min_measure - 1:
         return stem_part + repl
@@ -155,8 +154,7 @@ _STEP4 = [
 def _apply_table(w: str, table, min_measure: int) -> str:
     for suffix, repl in table:
         if w.endswith(suffix):
-            out = _replace(w, suffix, repl, min_measure)
-            return out if out is not None else w
+            return _replace(w, suffix, repl, min_measure)
     return w
 
 

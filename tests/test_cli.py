@@ -226,6 +226,120 @@ class TestDecode:
         assert code == 0
         assert json.loads(stdout.strip().splitlines()[-1])["coverage_percent"] == 50.0
 
+    def test_an_interrupted_run_exits_2_quietly(self, snapshot, tmp_path, capsys,
+                                                monkeypatch):
+        from logicdec import cli
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "decode", interrupted)
+        code, _, err = run(["decode", "--factbase", str(snapshot),
+                            "--instances", str(DATA / "lexical20.jsonl"),
+                            "--corpus", str(DATA / "corpus_lexical.txt"),
+                            "--out", str(tmp_path / "results.jsonl")], capsys)
+        assert (code, err) == (2, "")
+
+    def test_saved_weights_decode_as_the_seeded_model(self, snapshot, tmp_path, capsys,
+                                                      toy_vocab):
+        from logicdec.transformer import TinyTransformer, TransformerConfig, save_weights
+        weights = tmp_path / "seeded.bin"
+        save_weights(TinyTransformer(TransformerConfig(vocab_size=len(toy_vocab), seed=0)),
+                     weights)
+        instances = tmp_path / "three.jsonl"
+        instances.write_text("".join((DATA / "lexical20.jsonl").read_text().splitlines(True)[:3]))
+        texts = {}
+        for extra in ([], ["--weights", str(weights)]):
+            out = tmp_path / f"results{len(extra)}.jsonl"
+            code, _, err = run(["decode", "--factbase", str(snapshot),
+                                "--instances", str(instances), "--scorer", "transformer",
+                                "--max-length", "6", *extra, "--out", str(out)], capsys)
+            assert code == 0, err
+            texts[len(extra)] = out.read_bytes()
+        assert texts[0] == texts[2] and len(texts[0].splitlines()) == 3
+
+    def test_weights_for_another_vocabulary_are_a_usage_error(self, snapshot, tmp_path,
+                                                              capsys, toy_vocab):
+        from logicdec.transformer import TinyTransformer, TransformerConfig, save_weights
+        weights = tmp_path / "other.bin"
+        save_weights(TinyTransformer(TransformerConfig(vocab_size=len(toy_vocab) + 1)), weights)
+        out = tmp_path / "results.jsonl"
+        code, _, err = run(["decode", "--factbase", str(snapshot),
+                            "--instances", str(DATA / "lexical20.jsonl"),
+                            "--scorer", "transformer", "--weights", str(weights),
+                            "--out", str(out)], capsys)
+        assert code == 1
+        assert err.strip() == ("logicdec: error: --weights: vocabulary size does not match "
+                               "the fact base")
+        assert not out.exists()
+
+    def test_truncated_weights_are_a_runtime_failure(self, snapshot, tmp_path, capsys,
+                                                     toy_vocab):
+        from logicdec.transformer import TinyTransformer, TransformerConfig, save_weights
+        weights = tmp_path / "cut.bin"
+        save_weights(TinyTransformer(TransformerConfig(vocab_size=len(toy_vocab))), weights)
+        weights.write_bytes(weights.read_bytes()[:-8])
+        code, _, err = run(["decode", "--factbase", str(snapshot),
+                            "--instances", str(DATA / "lexical20.jsonl"),
+                            "--scorer", "transformer", "--weights", str(weights),
+                            "--out", str(tmp_path / "results.jsonl")], capsys)
+        assert code == 2
+        assert f"logicdec: runtime failure: WeightsError: {weights}: tensor 'wout': " \
+            "truncated" in err
+
+    def test_blank_corpus_lines_are_skipped(self, snapshot, tmp_path, capsys):
+        sentences = (DATA / "corpus_lexical.txt").read_text().splitlines()
+        spaced = tmp_path / "spaced.txt"
+        spaced.write_text("\n" + "\n  \n".join(sentences) + "\n\n")
+        results = {}
+        for corpus in (DATA / "corpus_lexical.txt", spaced):
+            out = tmp_path / f"{corpus.stem}.jsonl"
+            code, _, _ = run(["decode", "--factbase", str(snapshot),
+                              "--instances", str(DATA / "lexical20.jsonl"),
+                              "--corpus", str(corpus), "--max-length", "6",
+                              "--out", str(out)], capsys)
+            assert code == 0
+            results[corpus.stem] = out.read_bytes()
+        assert results["spaced"] == results["corpus_lexical"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("the man saw the garden\n\nthe zyzzyva ran\n",
+         "--corpus: line 3: token 'zyzzyva' not in vocabulary"),
+        ("\n   \n", "--corpus: file contains no sentences"),
+    ], ids=["unknown-token", "no-sentences"])
+    def test_bad_corpus_is_a_usage_error(self, snapshot, tmp_path, capsys, text, message):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(text)
+        out = tmp_path / "results.jsonl"
+        code, _, err = run(["decode", "--factbase", str(snapshot),
+                            "--instances", str(DATA / "lexical20.jsonl"),
+                            "--corpus", str(corpus), "--out", str(out)], capsys)
+        assert code == 1
+        assert err.strip() == f"logicdec: error: {message}"
+        assert not out.exists()
+
+    def test_ngram_scorer_needs_a_corpus(self, snapshot, tmp_path, capsys):
+        code, _, err = run(["decode", "--factbase", str(snapshot),
+                            "--instances", str(DATA / "lexical20.jsonl"),
+                            "--out", str(tmp_path / "results.jsonl")], capsys)
+        assert code == 1
+        assert err.strip() == "logicdec: error: --corpus is required with --scorer ngram"
+
+    def test_fact_base_without_a_start_token_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "vocab.txt").write_text("the\ndog\npark\n")
+        (tmp_path / "kg.tsv").write_text("dog\tRelatedTo\tpark\n")
+        (tmp_path / "corpus.txt").write_text("the dog\n")
+        snap = tmp_path / "g.fb"
+        code, _, _ = run(["ingest-kg", "--triples", str(tmp_path / "kg.tsv"),
+                          "--vocab", str(tmp_path / "vocab.txt"), "--out", str(snap)], capsys)
+        assert code == 0
+        code, _, err = run(["decode", "--factbase", str(snap),
+                            "--instances", str(DATA / "lexical20.jsonl"),
+                            "--corpus", str(tmp_path / "corpus.txt"),
+                            "--out", str(tmp_path / "results.jsonl")], capsys)
+        assert code == 1
+        assert err.strip() == "logicdec: error: --factbase: vocabulary lacks the '<s>' start token"
+
     def test_degenerate_flags_match_baseline_beam(self, snapshot, tmp_path, capsys):
         # zero intensities and no constraint set (the dialogue task binds no
         # concepts): constrained decoding degenerates to plain beam search
@@ -441,6 +555,16 @@ class TestEval:
         assert code == 1
         (line,) = err.strip().splitlines()
         assert line == f"logicdec: error: --results: line 3: {message}"
+
+    @pytest.mark.parametrize("count", [19, 21])
+    def test_results_of_another_count_are_a_usage_error(self, snapshot, tmp_path, capsys, count):
+        lines = self.baseline_results(snapshot, tmp_path, capsys)
+        results = tmp_path / "counted.jsonl"
+        results.write_text("\n".join((lines + lines)[:count]) + "\n")
+        code, _, err = run(["eval", "--results", str(results),
+                            "--instances", str(DATA / "lexical20.jsonl")], capsys)
+        assert code == 1
+        assert err.strip() == f"logicdec: error: --results: {count} results vs 20 instances"
 
     def test_results_in_another_order_are_a_usage_error(self, snapshot, tmp_path, capsys):
         results = tmp_path / "reversed.jsonl"

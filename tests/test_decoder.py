@@ -2,6 +2,7 @@ import json
 import weakref
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +42,6 @@ class TestPresets:
     @pytest.mark.parametrize("kwargs", [
         {"beam_size": 0}, {"prune_ratio": 0.0}, {"prune_ratio": 1.5},
         {"group_budget": 0}, {"alpha3": -1.0},
-        {"max_groups": 0}, {"max_groups": -2},
         {"alpha1": float("nan")}, {"alpha2": float("inf")},
         {"alpha3": float("nan")}, {"alpha3": float("inf")},
     ])
@@ -295,9 +295,9 @@ class TestCarriedProverMemo:
                 np.add(vector, 1, out=vector)
 
 
-def _select_beam_oracle(candidates, config):
+def _select_beam_oracle(candidates, config, max_groups):
     """The three-pass grouped selection that ``_select_beam`` replaced, kept
-    verbatim as its oracle."""
+    verbatim as its oracle, under the group cap ``max_groups``."""
     def order(c):
         return (-c[0], c[2], c[1])
 
@@ -311,11 +311,11 @@ def _select_beam_oracle(candidates, config):
         groups,
         key=lambda m: (-bin(m).count("1"), order(groups[m][0])),
     )
-    if len(group_order) > config.max_groups:
+    if len(group_order) > max_groups:
         # keep the most-covered group plus the best-scoring remainder
         keep = set(group_order[:1])
         rest = sorted(group_order[1:], key=lambda m: order(groups[m][0]))
-        keep.update(rest[: config.max_groups - 1])
+        keep.update(rest[: max_groups - 1])
         group_order = [m for m in group_order if m in keep]
         groups = {m: groups[m] for m in group_order}
 
@@ -378,10 +378,11 @@ class TestBeamSelection:
            group_budget=st.integers(1, 5), max_groups=st.integers(1, 8))
     def test_matches_three_pass_oracle(self, candidates, beam_size, group_budget,
                                        max_groups):
-        config = DecodingConfig(beam_size=beam_size, group_budget=group_budget,
-                                max_groups=max_groups)
-        assert select_beam(list(candidates), config) == \
-            _select_beam_oracle(list(candidates), config)
+        # patched in the body: hypothesis refuses function-scoped fixtures
+        config = DecodingConfig(beam_size=beam_size, group_budget=group_budget)
+        with mock.patch.object(decoder, "MAX_GROUPS", max_groups):
+            assert select_beam(list(candidates), config) == \
+                _select_beam_oracle(list(candidates), config, max_groups)
 
     def test_per_group_budget_before_fill(self):
         # two groups, both with more than k survivors, beam 2k: exactly k
@@ -796,14 +797,16 @@ class TestTransformerIntegration:
 
 class TestGroupCap:
     def test_live_groups_bounded_by_cap(self):
-        config = DecodingConfig(beam_size=8, group_budget=2, max_groups=3,
-                                prune_ratio=1e-9)
+        config = DecodingConfig(beam_size=8, group_budget=2, prune_ratio=1e-9)
         candidates = []
         for g in range(6):  # six distinct masks, more than the cap
             candidates.append((-1.0 - g * 0.1, 0, 50 + g, 1 << g))
             candidates.append((-2.0 - g * 0.1, 0, 60 + g, 1 << g))
-        beam = select_beam(candidates, config)
-        assert len({c[3] for c in beam}) <= config.max_groups
+        with mock.patch.object(decoder, "MAX_GROUPS", 3):
+            beam = select_beam(candidates, config)
+        assert len({c[3] for c in beam}) <= 3
+        # under the module's cap of 64, every group is represented
+        assert len({c[3] for c in select_beam(candidates, config)}) == 6
 
 
 class StepWatchingScorer(Scorer):
@@ -830,7 +833,8 @@ class TestDecodeStepWork:
             self, lexical_scorer, toy_facts, sentinel_ids, monkeypatch):
         # no two hypothesis steps share a prefix, so a "full" decode proves
         # once per hypothesis step and stores nothing: a step's truth
-        # vectors die once the next step has ranked
+        # vectors die once the next step has ranked.  The unhooked prompt
+        # step proves nothing.
         from logicdec import decoder as D
         proved_rule_is_full(monkeypatch)
         proved, pending, steps = [], [], []
@@ -856,8 +860,56 @@ class TestDecodeStepWork:
         result = decode(StepWatchingScorer(lexical_scorer, on_step), parse_program(LEXICAL_RULES),
                         "R", ctx, config, prompt=[bos, v.id_of("the")])
         assert result.hypotheses and len(steps) == result.steps + 1  # one prompt step
-        assert len(proved) == sum(batch for batch, _ in steps) == len(set(proved))
-        assert all(len(refs) == batch for batch, refs in steps)
+        assert steps[0] == (1, [])
+        assert len(proved) == sum(batch for batch, _ in steps[1:]) == len(set(proved))
+        assert all(len(refs) == batch for batch, refs in steps[1:])
+
+    @staticmethod
+    def prompted_proves(scorer, facts, rules, monkeypatch):
+        """The ``Prev`` of each prove of a commongen decode of C = {garden,
+        piano} after the prompt "<s> the man saw the garden and", under the
+        full-class rule (``rules="full"``) or the lexical template; and the
+        prompt's length."""
+        from logicdec import decoder as D
+        v = facts.vocab
+        binding = lexical_rule_template(["garden", "piano"], facts)
+        if rules == "full":
+            program, ctx = parse_program("R(x) :- exists y in Prev, Edge(x, y)"), \
+                EvalContext(facts=facts, sets={"C": binding.ctx.sets["C"]})
+        else:
+            program, ctx = parse_program(binding.source), binding.ctx
+        proved = []
+
+        def counting_prove(program, rule, domain, ctx):
+            proved.append(ctx.sets["Prev"])
+            return original(program, rule, domain, ctx)
+
+        original = D.prove
+        monkeypatch.setattr(D, "prove", counting_prove)
+        prompt = [v.id_of(w) for w in "<s> the man saw the garden and".split()]
+        config = replace(PRESETS["commongen"], max_length=4, bos_id=v.id_of("<s>"),
+                         eos_id=v.id_of("</s>"))
+        assert decode(scorer, program, "R", ctx, config, prompt=prompt).hypotheses
+        return proved, len(prompt)
+
+    @pytest.mark.parametrize("rules, count", [("full", 13), ("template", 2)])
+    def test_unhooked_prompt_positions_prove_nothing(self, lexical_scorer, toy_facts,
+                                                     monkeypatch, rules, count):
+        # no hook reads a prompt position's truth, and nothing is generated
+        # there; each prove is of a generating step
+        proved, n = self.prompted_proves(lexical_scorer, toy_facts, rules, monkeypatch)
+        assert len(proved) == count
+        assert all(len(prefix) >= n for prefix in proved)
+
+    @pytest.mark.parametrize("rules, count", [("full", 66), ("template", 3)])
+    def test_hooked_prompt_positions_prove_for_the_hooks(self, toy_facts, monkeypatch,
+                                                         rules, count):
+        from logicdec.transformer import TinyTransformer, TransformerConfig, TransformerScorer
+        scorer = TransformerScorer(TinyTransformer(TransformerConfig(
+            vocab_size=len(toy_facts.vocab), seed=0)))
+        proved, _ = self.prompted_proves(scorer, toy_facts, rules, monkeypatch)
+        assert len(proved) == count
+        assert min(map(len, proved)) == 1  # from the first prompt position on
 
     def test_one_ranking_call_per_decoder_step(self, lexical_scorer, toy_facts, sentinel_ids,
                                                monkeypatch):

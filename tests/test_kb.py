@@ -25,6 +25,11 @@ STEM_GOLDENS = {
     "conflated": "conflat", "agreed": "agre", "happy": "happi",
     "went": "go", "children": "child", "feet": "foot",
     "<s>": "<s>", "don't": "don't",
+    # each takes a branch no word above takes: a stem too short for CVC,
+    # "ss", "eed" on a stem of measure 0, "ion" after neither s nor t, and
+    # a final double "l"
+    "oping": "op", "grass": "grass", "feed": "feed", "opinion": "opinion",
+    "controll": "control",
 }
 
 
@@ -194,6 +199,10 @@ class TestStemIndex:
         total = sum(len(m) for m in classes)
         assert total == len(toy_vocab)
 
+    def test_stem_table_length_must_match_the_vocabulary(self):
+        with pytest.raises(ValueError, match="stem table length"):
+            StemIndex(Vocabulary(["a", "b"]), class_of=np.array([0]))
+
     def test_equivalence_relation(self, toy_vocab):
         index = StemIndex(toy_vocab)
         ids = [toy_vocab.id_of(w) for w in ("run", "runs", "running", "ran", "dog")]
@@ -337,6 +346,14 @@ class TestIngestion:
         assert soft_edges == hard_edges
         assert all(w == 1.0 for _, _, w in hard.edges())
         assert all(0.0 < w < 1.0 for _, _, w in soft.edges())
+
+    def test_blank_and_comment_lines_are_skipped_uncounted(self):
+        facts, report = ingest_triples(
+            ["", "   ", "# rain\trelatedto\tumbrella", "  # a note",
+             "rain\trelatedto\tumbrella\t2.0"],
+            Vocabulary(["rain", "umbrella"]), mode="soft")
+        assert (report.lines_read, report.malformed, report.kept) == (1, 0, 1)
+        assert facts.num_edges == 1
 
     def test_malformed_lines_counted(self, toy_vocab):
         facts, report = ingest_triples(
@@ -565,6 +582,11 @@ class TestFactBaseValidation:
         assert _refusal(_check_adjacency, n, mode, indptr, rows, vals) == expected
         problem = ADJACENCY_MUTATIONS[mutation]
         assert expected is None if problem is None else problem in expected
+
+    def test_mode_must_be_soft_or_hard(self):
+        vocab = Vocabulary(["a", "b"])
+        with pytest.raises(ValueError, match="mode must be 'soft' or 'hard'"):
+            FactBase(vocab, StemIndex(vocab), {(0, 1): 0.5}, "fuzzy")
 
     def test_self_loop_rejected(self):
         vocab = Vocabulary(["a", "b"])

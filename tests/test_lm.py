@@ -42,6 +42,11 @@ class TestTraining:
         with pytest.raises(ValueError, match="order"):
             ngram_train(toy_corpus(), order=6)
 
+    @pytest.mark.parametrize("discount", [0.0, 1.0, -0.5, 1.5])
+    def test_discount_out_of_range(self, discount):
+        with pytest.raises(ValueError, match="discount"):
+            ngram_train(toy_corpus(), order=2, discount=discount)
+
     def test_empty_corpus(self):
         with pytest.raises(ValueError, match="empty"):
             ngram_train([], order=2)

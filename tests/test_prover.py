@@ -53,6 +53,10 @@ class TestConnectives:
         with pytest.raises(ValueError, match="differ in length"):
             or_vec([np.zeros(3), np.zeros(4)])
 
+    def test_no_children_rejected(self):
+        with pytest.raises(ValueError, match="at least one child"):
+            or_vec([])
+
     @given(st.lists(st.lists(st.floats(0, 1), min_size=3, max_size=3),
                     min_size=1, max_size=8))
     def test_outputs_stay_in_unit_interval(self, rows):
@@ -166,6 +170,8 @@ class TestProve:
         facts, ctx = commongen_fixture()
         with pytest.raises(ValueError, match="outside"):
             prove(parse_program(COMMONGEN_AVG), "R", Domain.targets((99,)), ctx)
+        with pytest.raises(ValueError, match="token id 99 outside vocabulary"):
+            prove_scalar(parse_program(COMMONGEN_AVG), "R", 99, ctx)
 
     def test_caller_memo_is_keyed_by_rule_and_arguments_over_the_vocabulary(self):
         facts, ctx = commongen_fixture()
@@ -184,6 +190,35 @@ class TestProve:
         facts, ctx = commongen_fixture()
         with pytest.raises(ValueError, match="exactly one"):
             prove(parse_program(COMMONGEN_AVG), "Rel", Domain.vocabulary(facts), ctx)
+        with pytest.raises(ValueError, match="exactly one"):
+            prove_scalar(parse_program(COMMONGEN_AVG), "Rel", 1, ctx)
+
+    @pytest.mark.parametrize("source, value", [("R(x) :- 1", 1.0), ("R(x) :- ~1", 0.0)])
+    def test_constant_one(self, source, value):
+        facts, ctx = commongen_fixture()
+        program = parse_program(source)
+        assert prove(program, "R", Domain.vocabulary(facts), ctx).dense().tolist() == \
+            [value] * len(facts.vocab)
+        assert [prove_scalar(program, "R", w, ctx) for w in range(len(facts.vocab))] == \
+            [value] * len(facts.vocab)
+
+    def test_vocabulary_domain_of_the_wrong_length_rejected(self):
+        facts, ctx = commongen_fixture()
+        domain = Domain("vocab", np.arange(len(facts.vocab) - 1, dtype=np.int64))
+        with pytest.raises(ValueError, match="one position per vocabulary token"):
+            prove(parse_program(COMMONGEN_AVG), "R", domain, ctx)
+
+    def test_set_binding_an_id_outside_the_vocabulary_rejected(self):
+        facts, _ = commongen_fixture()
+        ctx = EvalContext(facts=facts, sets={"C": (2, 99), "Prev": (0,)})
+        with pytest.raises(ValueError, match="set 'C' binds token id 99 outside"):
+            prove(parse_program(COMMONGEN_AVG), "R", Domain.vocabulary(facts), ctx)
+
+    def test_scalar_empty_set_rejected(self):
+        facts, _ = commongen_fixture()
+        ctx = EvalContext(facts=facts, sets={"C": (), "Prev": (0,)})
+        with pytest.raises(EmptyDomainError):
+            prove_scalar(parse_program(COMMONGEN_AVG), "R", 1, ctx)
 
     def test_bound_atom_body_still_returns_domain_length_vector(self):
         facts, _ = commongen_fixture()
@@ -513,6 +548,10 @@ class TestDenseOracle:
 
 
 class TestTruth:
+    def test_repr_names_the_background_and_the_entry_count(self):
+        truth = Truth(0.5, np.array([1, 3]), np.array([1.0, 0.0]), 5)
+        assert repr(truth) == "Truth(background=0.5, 2 of 5 entries)"
+
     @settings(max_examples=200, deadline=None)
     @given(size=st.integers(1, 40), data=st.data())
     def test_at_gathers_the_dense_vector_and_canonical_keeps_it(self, size, data):

@@ -154,6 +154,11 @@ class TestParser:
             AndAvgNode((Not(RuleRef("Y", (Var("c"),))),
                         RuleRef("Rel", (Var("x"), Var("c"))))))
 
+    def test_repeated_head_parameter_is_refused_at_the_head(self):
+        with pytest.raises(RuleSyntaxError, match="duplicate parameter in head of 'R'") as info:
+            parse_program("\nR(x, x) :- Edge(x, x)")
+        assert (info.value.line, info.value.col) == (2, 1)
+
     def test_precedence_or_binds_loosest(self):
         src = "R(x) :- A(x) | B(x) & C(x)\nA(x) :- 1\nB(x) :- 1\nC(x) :- 1"
         assert parse_program(src).rules["R"].body == OrNode((

@@ -103,6 +103,21 @@ def test_malformed_line_keeps_connection_open(server, toy_facts):
         client.close()
 
 
+def test_blank_lines_get_no_reply_and_a_non_object_one_error(server, toy_facts):
+    client = Client(server)
+    try:
+        client.sock.sendall(b"\n   \n")
+        # the first reply read is the one to the list, so the blank lines got none
+        reply = client.call("[1, 2]")
+        assert reply == {"error": "bad request line: request must be a JSON object"}
+        n = len(toy_facts.vocab)
+        good = client.call({"op": "decide", "p": one_hot(n, 3), "truth": [0.0] * n,
+                            "alpha": 0.0})
+        assert p_shifted_of(good).tolist() == one_hot(n, 3)
+    finally:
+        client.close()
+
+
 def test_unknown_op_and_missing_fields(server):
     client = Client(server)
     try:

@@ -170,6 +170,11 @@ class TestDialogueTemplate:
         without_u = dialogue_rule_template(["i have pets"], [], toy_facts)
         assert parse_program(without_u.source) == parse_program(head + "0")
 
+    def test_template_holds_the_u_branch_exactly_once(self):
+        # the empty-U rewrite replaces this text; were it edited away, the
+        # rewrite would do nothing and proving would fail on the unbound U
+        assert template_text("personachat").count("(exists u in U, Edge(x, u))") == 1
+
     def test_empty_persona_is_an_error(self, toy_facts):
         with pytest.raises(ValueError, match="persona"):
             dialogue_rule_template(["the of and"], ["hi"], toy_facts)
@@ -201,6 +206,13 @@ class TestCoverage:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="outputs"):
             corpus_coverage(["x"], [])
+
+    def test_no_concepts_is_fully_covered(self):
+        assert instance_coverage("anything at all", ()) == 1.0
+
+    def test_no_instances_is_an_error(self):
+        with pytest.raises(ValueError, match="no instances"):
+            corpus_coverage([], [])
 
     def test_agrees_with_bruteforce_checker(self):
         rng_words = ["garden", "gardens", "running", "ran", "dog", "cat",

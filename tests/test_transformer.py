@@ -49,6 +49,11 @@ class TestTargetKV:
         with pytest.raises(ValueError, match="empty"):
             precompute_target_kv(model, [])
 
+    @pytest.mark.parametrize("target", [-1, CFG.vocab_size])
+    def test_target_outside_the_vocabulary_rejected(self, model, target):
+        with pytest.raises(ValueError, match=f"target id {target} outside vocabulary"):
+            precompute_target_kv(model, [3, target])
+
     def test_single_target_attention_is_one(self, model):
         session = model.begin_session([4])
         model.step(session, 1, record_attention=True)
@@ -225,6 +230,28 @@ BATCH_TOLERANCE = 1e-12
 
 
 class TestStepBatch:
+    def test_empty_batch_is_empty(self, model):
+        assert model.step_batch([], []) == []
+
+    @pytest.mark.parametrize("tokens, hooks", [([1], None), ([1, 2], [None])])
+    def test_counts_must_agree(self, model, tokens, hooks):
+        sessions = [model.begin_session(), model.begin_session()]
+        with pytest.raises(ValueError, match="differ in number"):
+            model.step_batch(sessions, tokens, hooks)
+
+    def test_target_counts_must_agree(self, model):
+        sessions = [model.begin_session([3]), model.begin_session([3, 5])]
+        with pytest.raises(ValueError, match="equal target counts"):
+            model.step_batch(sessions, [1, 2])
+
+    def test_step_at_max_len_rejected(self, model):
+        session = model.begin_session()
+        for token in range(CFG.max_len):
+            model.step(session, token % CFG.vocab_size)
+        with pytest.raises(ValueError, match=f"exceeds max length {CFG.max_len}"):
+            model.step(session, 1)
+        assert len(session.tokens) == CFG.max_len  # unchanged by the refused step
+
     @settings(max_examples=60, deadline=None)
     @given(batch=st.integers(1, 24), n_targets=st.integers(0, 3),
            prefix_len=st.integers(1, 6), hooked=st.booleans(),
@@ -376,6 +403,24 @@ class TestWeightFile:
         except WeightsError:
             return
         assert isinstance(loaded, TinyTransformer)
+
+    def test_missing_or_misshaped_tensor_rejected(self, model):
+        weights = dict(model.weights)
+        del weights["wout"]
+        with pytest.raises(ValueError, match="missing weight tensor 'wout'"):
+            TinyTransformer(CFG, weights)
+        weights["wout"] = model.weights["wout"][:, :-1]
+        with pytest.raises(ValueError, match="weight 'wout' has shape"):
+            TinyTransformer(CFG, weights)
+
+    def test_unsupported_version_rejected(self, model, tmp_path):
+        path = tmp_path / "weights.bin"
+        save_weights(model, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<H", 2) + blob[6:])
+        with pytest.raises(WeightsError, match="unsupported weight version 2") as err:
+            load_weights(path)
+        assert err.value.section == "header"
 
     def test_seeded_init_reproducible(self):
         a = TinyTransformer(CFG)
