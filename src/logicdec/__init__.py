@@ -9,8 +9,8 @@ pruned beam search.
 from .decision import decide, pre_activation
 from .decoder import (DecodeResult, DecodingConfig, Hypothesis, PRESETS,
                       coverage_of, coverage_table, decode, plain_beam_search)
-from .kb import (FactBase, StemIndex, Vocabulary, align_word_to_token,
-                 ingest_triples, load_factbase)
+from .kb import (FactBase, FormatError, StemIndex, Vocabulary,
+                 align_word_to_token, ingest_triples, load_factbase)
 from .lm import NgramDist, NgramLM, NgramScorer, Scorer, ngram_train
 from .prover import (Domain, EvalContext, and_avg_vec, and_luk_vec, not_vec,
                      or_vec, prove, prove_scalar)

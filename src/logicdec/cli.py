@@ -248,9 +248,8 @@ def _decode_common(args, constrained: bool) -> int:
                 if not constrained:
                     concepts = align_concepts(instance.concepts, facts)[0] \
                         if instance.kind == "lexical" else []
-                    table, mask = coverage_table(concepts, facts), 0
-                    for tok in searched.best.tokens:
-                        mask |= table.get(facts.stems.class_of[tok], 0)
+                    classes = facts.stems.class_of[list(searched.best.tokens)]
+                    mask = int(np.bitwise_or.reduce(coverage_table(concepts, facts)[classes]))
                     best = replace(searched.best, covered=mask)
                     rec = _result_line(instance, best, facts, config, concepts)
                 else:
@@ -292,6 +291,8 @@ def cmd_eval(args) -> int:
                     isinstance(rec.get("text"), str) and type(rec.get("score")) in (int, float)):
                 raise ValueError("expected an object with an 'error', or a string 'text' "
                                  "and a number 'score'")
+            if "error" not in rec and not abs(rec["score"]) < np.inf:  # NaN or infinite
+                raise ValueError(f"score {rec['score']} is not a finite number")
             if rec.get("id") != instance.instance_id:
                 raise ValueError(f"id {rec.get('id')!r} is not {instance.instance_id!r}, "
                                  "its instance's")

@@ -127,13 +127,13 @@ class DecodeResult:
 # ---------------------------------------------------------------------------
 # Constraint state
 
-def coverage_table(concepts: Sequence[int], facts: FactBase) -> dict[int, int]:
-    """Stem class -> bits of the concepts in it: consuming ``tok`` updates a
-    coverage mask as ``mask | table.get(class_of[tok], 0)``."""
-    table: dict[int, int] = {}
+def coverage_table(concepts: Sequence[int], facts: Optional[FactBase]) -> np.ndarray:
+    """Stem class -> bits of the concepts in it, as uint64: consuming ``tok``
+    updates a coverage mask as ``mask | table[class_of[tok]]``.  Without a
+    fact base there are no concepts and one class."""
+    table = np.zeros(facts.stems.n_classes if facts is not None else 1, dtype=np.uint64)
     for i, cid in enumerate(concepts):
-        cls = int(facts.stems.class_of[cid])
-        table[cls] = table.get(cls, 0) | 1 << i
+        table[facts.stems.class_of[cid]] |= np.uint64(1 << i)
     return table
 
 
@@ -251,11 +251,8 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     if not prompt_tokens or not all(0 <= t < scorer.vocab_size for t in prompt_tokens):
         raise ValueError(f"prompt must be one or more token ids in [0, {scorer.vocab_size})")
 
-    table = coverage_table(concepts, facts)
-    # stem class -> bits; without a fact base there are no concepts, so no bits
+    bits = coverage_table(concepts, facts)
     class_of = facts.stems.class_of if facts is not None else np.zeros(scorer.vocab_size, int)
-    bits = np.zeros(facts.stems.n_classes if facts is not None else 1, dtype=np.uint64)
-    bits[list(table)] = list(table.values())
     session = scorer.begin_session(concepts)
     # the loop's first step consumes the last prompt token
     mask = int(bits[class_of[prompt_tokens[0]]])

@@ -25,7 +25,7 @@ from .truth import Truth
 __all__ = [
     "WORD_BOUNDARY", "Vocabulary", "StemIndex", "FactBase", "IngestReport",
     "align_word_to_token", "ingest_triples",
-    "rescale_weight", "load_factbase", "SnapshotError",
+    "rescale_weight", "load_factbase", "FormatError", "SnapshotError", "SectionReader",
 ]
 
 # Leading marker on word-initial tokens, the usual byte-BPE convention.
@@ -286,31 +286,47 @@ def _check_adjacency(n: int, mode: str, indptr: np.ndarray, rows: np.ndarray,
         raise ValueError("adjacency is not symmetric")
 
 
-class SnapshotError(ValueError):
-    """A fact-base snapshot that is truncated, oversized or inconsistent."""
+class FormatError(ValueError):
+    """A binary file that is truncated, oversized or inconsistent at ``section``."""
 
     def __init__(self, path, section: str, problem: str):
         super().__init__(f"{path}: {section}: {problem}")
         self.path, self.section = path, section
 
 
+class SnapshotError(FormatError):
+    """A fact-base snapshot that is truncated, oversized or inconsistent."""
+
+
+class SectionReader:
+    """One read of an untrusted binary file into a buffer whose end is 8-byte
+    aligned, handed out as read-only sections; a section past the end and
+    bytes left over raise ``error(path, section, problem)``."""
+
+    def __init__(self, path, error: type[FormatError]):
+        length = os.path.getsize(path)
+        buf = np.empty(length // 8 + 1, dtype=np.uint64).view(np.uint8)[-length % 8:][:length]
+        with open(path, "rb") as fh:
+            self.blob = memoryview(buf[:fh.readinto(buf)]).toreadonly()
+        self.path, self.error, self.pos = path, error, 0
+
+    def take(self, section: str, size: int) -> memoryview:
+        if self.pos + size > len(self.blob):
+            raise self.error(self.path, section, f"truncated: needs {size} bytes at "
+                             f"offset {self.pos}, {len(self.blob) - self.pos} left")
+        self.pos += size
+        return self.blob[self.pos - size:self.pos]
+
+    def end(self) -> None:
+        if self.pos != len(self.blob):
+            raise self.error(self.path, "end", f"{len(self.blob) - self.pos} trailing bytes")
+
+
 def load_factbase(path) -> FactBase:
-    """Load a snapshot that saves back to the same bytes, or raise SnapshotError."""
-    # sections view one read whose end, and so the weights, is 8-byte aligned
-    length = os.path.getsize(path)
-    buf = np.empty(length // 8 + 1, dtype=np.uint64).view(np.uint8)[-length % 8:][:length]
-    with open(path, "rb") as fh:
-        blob = memoryview(buf[:fh.readinto(buf)]).toreadonly()
-    pos = 0
-
-    def take(section: str, size: int) -> memoryview:
-        nonlocal pos
-        if pos + size > len(blob):
-            raise SnapshotError(path, section, f"truncated: needs {size} bytes at "
-                                f"offset {pos}, {len(blob) - pos} left")
-        pos += size
-        return blob[pos - size:pos]
-
+    """Load a snapshot that saves back to the same bytes, as read-only views of
+    one ``SectionReader`` read, or raise ``SnapshotError`` naming the section."""
+    reader = SectionReader(path, SnapshotError)
+    take = reader.take
     if take("magic", 4) != _SNAPSHOT_MAGIC:
         raise SnapshotError(path, "magic", "not a fact-base snapshot")
     version, soft, reserved = struct.unpack("<HBB", take("header", 4))
@@ -332,8 +348,7 @@ def load_factbase(path) -> FactBase:
     indptr = np.frombuffer(take("edge index", 8 * (n + 1)), dtype="<i8")
     rows = np.frombuffer(take("edge rows", 4 * nnz), dtype="<i4")
     vals = np.frombuffer(take("edge weights", 8 * nnz), dtype="<f8")
-    if pos != len(blob):
-        raise SnapshotError(path, "end", f"{len(blob) - pos} trailing bytes")
+    reader.end()
     facts = FactBase.__new__(FactBase)
     try:
         facts._adopt(vocab, stems, "soft" if soft else "hard", indptr, rows, vals)

@@ -22,14 +22,14 @@ parent's arrays; a step stacks the batch's arrays and appends the new row,
 giving each session a view of the result.
 
 Weights are seeded-random (no training here) or loaded from a flat binary
-file; see ``save_weights`` for the layout.  ``load_weights`` raises
-``WeightsError`` for a file it cannot load.
+file; see ``save_weights`` for the layout.  ``load_weights`` keeps each tensor
+as a read-only view of one ``kb.SectionReader`` read, as the snapshot loader
+does, and raises ``WeightsError`` (a ``kb.FormatError``) for a bad file.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -37,6 +37,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .decision import softmax
+from .kb import FormatError, SectionReader
 from .lm import Scorer, _check_token
 
 __all__ = [
@@ -47,7 +48,7 @@ __all__ = [
 
 _WEIGHTS_MAGIC = b"LDTW"
 _WEIGHTS_VERSION = 1
-_WEIGHTS_HEADER = struct.Struct("<4sH6I")  # magic, version, six dims
+_WEIGHTS_HEADER = struct.Struct("<H6I")  # after the magic: version, six dims
 _LN_EPS = 1e-5
 
 
@@ -341,12 +342,8 @@ def _validate_shapes(cfg: TransformerConfig, weights: dict[str, np.ndarray]) -> 
             raise ValueError(f"weight '{name}' has shape {weights[name].shape}, expected {shape}")
 
 
-class WeightsError(ValueError):
+class WeightsError(FormatError):
     """A transformer weight file that is truncated, oversized or inconsistent."""
-
-    def __init__(self, path, section: str, problem: str):
-        super().__init__(f"{path}: {section}: {problem}")
-        self.path, self.section = path, section
 
 
 def save_weights(model: TinyTransformer, path) -> None:
@@ -355,42 +352,31 @@ def save_weights(model: TinyTransformer, path) -> None:
     little-endian float64, row-major, in order."""
     cfg = model.config
     with open(path, "wb") as fh:
-        fh.write(_WEIGHTS_HEADER.pack(_WEIGHTS_MAGIC, _WEIGHTS_VERSION, cfg.vocab_size,
-                                      cfg.n_layers, cfg.n_heads, cfg.d_model, cfg.d_ff,
-                                      cfg.max_len))
+        fh.write(_WEIGHTS_MAGIC)
+        fh.write(_WEIGHTS_HEADER.pack(_WEIGHTS_VERSION, cfg.vocab_size, cfg.n_layers,
+                                      cfg.n_heads, cfg.d_model, cfg.d_ff, cfg.max_len))
         for name, _ in _weight_spec(cfg):
             fh.write(np.ascontiguousarray(model.weights[name], dtype="<f8").tobytes())
 
 
 def load_weights(path) -> TinyTransformer:
     """Load a file written by ``save_weights``, or raise ``WeightsError``
-    naming the path and the header section or tensor at fault."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        header = fh.read(_WEIGHTS_HEADER.size)
-        if header[:4] != _WEIGHTS_MAGIC:
-            raise WeightsError(path, "header", "not a transformer weight file")
-        if len(header) != _WEIGHTS_HEADER.size:
-            raise WeightsError(path, "header", f"truncated: {len(header)} of "
-                               f"{_WEIGHTS_HEADER.size} bytes")
-        _, version, *dims = _WEIGHTS_HEADER.unpack(header)
-        if version != _WEIGHTS_VERSION:
-            raise WeightsError(path, "header", f"unsupported weight version {version}")
-        try:
-            cfg = TransformerConfig(*dims)
-        except ValueError as exc:
-            raise WeightsError(path, "header", str(exc)) from None
-        weights = {}
-        offset = _WEIGHTS_HEADER.size
-        for name, shape in _weight_spec(cfg):
-            n = 8 * math.prod(shape)
-            # checked against the file size first: a forged dim must not
-            # make the read below allocate more than the file holds
-            blob = fh.read(n) if offset + n <= size else b""
-            if len(blob) != n:
-                raise WeightsError(path, f"tensor '{name}'", "truncated tensor")
-            weights[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-            offset += n
-        if fh.read(1):
-            raise WeightsError(path, "end", "trailing bytes after weight tensors")
+    naming the path and the header section or tensor at fault.  Each tensor
+    is a read-only view of the file's one read, 8-byte aligned: the read ends
+    on an 8-byte boundary and every tensor is a multiple of 8 bytes."""
+    reader = SectionReader(path, WeightsError)
+    if reader.take("header", len(_WEIGHTS_MAGIC)) != _WEIGHTS_MAGIC:
+        raise WeightsError(path, "header", "not a transformer weight file")
+    version, *dims = _WEIGHTS_HEADER.unpack(reader.take("header", _WEIGHTS_HEADER.size))
+    if version != _WEIGHTS_VERSION:
+        raise WeightsError(path, "header", f"unsupported weight version {version}")
+    try:
+        cfg = TransformerConfig(*dims)
+    except ValueError as exc:
+        raise WeightsError(path, "header", str(exc)) from None
+    # a forged dim asks for more bytes than the file holds, and take refuses it
+    weights = {name: np.frombuffer(reader.take(f"tensor '{name}'", 8 * math.prod(shape)),
+                                   dtype="<f8").reshape(shape)
+               for name, shape in _weight_spec(cfg)}
+    reader.end()
     return TinyTransformer(cfg, weights)

@@ -556,6 +556,18 @@ class TestEval:
         (line,) = err.strip().splitlines()
         assert line == f"logicdec: error: --results: line 3: {message}"
 
+    @pytest.mark.parametrize("value, shown", [("NaN", "nan"), ("Infinity", "inf")])
+    def test_a_score_that_is_not_finite_is_a_usage_error(self, tmp_path, capsys, value, shown):
+        # json reads both, and a mean over them would print invalid JSON
+        instances, results = tmp_path / "inst.jsonl", tmp_path / "results.jsonl"
+        instances.write_text((DATA / "lexical20.jsonl").read_text().splitlines(True)[0])
+        results.write_text('{"id": "lex00", "text": "a", "score": %s}\n' % value)
+        code, out, err = run(["eval", "--results", str(results),
+                              "--instances", str(instances)], capsys)
+        assert (code, out) == (1, "")
+        assert err.strip() == f"logicdec: error: --results: line 1: score {shown} is not " \
+            "a finite number"
+
     @pytest.mark.parametrize("count", [19, 21])
     def test_results_of_another_count_are_a_usage_error(self, snapshot, tmp_path, capsys, count):
         lines = self.baseline_results(snapshot, tmp_path, capsys)

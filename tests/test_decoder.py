@@ -64,7 +64,7 @@ class TestPresets:
 def cover(mask, word, concepts, facts):
     """Fold one token into a coverage mask, as the decoder does."""
     table = coverage_table(concepts, facts)
-    return mask | table.get(facts.stems.class_of[facts.vocab.id_of(word)], 0)
+    return mask | table[facts.stems.class_of[facts.vocab.id_of(word)]]
 
 
 class TestConstraintState:
@@ -221,7 +221,7 @@ class TestPrefixDependenceIsSound:
         masks = [0, 0]
         for i, prefix in enumerate(prefixes):
             for tok in prefix:
-                masks[i] |= table.get(class_of[tok], 0)
+                masks[i] |= table[class_of[tok]]
         for i, prefix in enumerate(prefixes):
             for bit, cid in enumerate(concepts):
                 if masks[1 - i] >> bit & 1 and not masks[i] >> bit & 1:
@@ -1121,7 +1121,7 @@ class TestConceptSet:
             assert hyp.covered >> 63 & 1
             folded = 0
             for tok in hyp.tokens:
-                folded |= table.get(class_of[tok], 0)
+                folded |= table[class_of[tok]]
             assert hyp.covered == folded
 
         steps = []
