@@ -291,21 +291,24 @@ def cmd_eval(args) -> int:
                     isinstance(rec.get("text"), str) and type(rec.get("score")) in (int, float)):
                 raise ValueError("expected an object with an 'error', or a string 'text' "
                                  "and a number 'score'")
-            if "error" not in rec and not abs(rec["score"]) < np.inf:  # NaN or infinite
+            if "error" not in rec and not abs(float(rec["score"])) < np.inf:  # NaN or infinite
                 raise ValueError(f"score {rec['score']} is not a finite number")
             if rec.get("id") != instance.instance_id:
                 raise ValueError(f"id {rec.get('id')!r} is not {instance.instance_id!r}, "
                                  "its instance's")
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # an integer score past the float range
             raise UsageError(f"--results: line {lineno}: {exc}") from None
         records.append(rec)
     decoded = [rec for rec in records if "error" not in rec]
     outputs = ["" if "error" in rec else rec["text"] for rec in records]
-    scores = [rec["score"] for rec in decoded]
+    scores = [float(rec["score"]) for rec in decoded]
     lengths = [len(rec["text"].split()) for rec in decoded]
     coverage = corpus_coverage(outputs, instances)
     mean_len = float(np.mean(lengths)) if lengths else 0.0
-    mean_score = float(np.mean(scores)) if scores else 0.0
+    with np.errstate(over="ignore"):
+        mean_score = float(np.mean(scores)) if scores else 0.0
+    if not abs(mean_score) < np.inf:  # each score is finite, their sum need not be
+        raise UsageError("--results: the mean score overflows a float")
     print(f"{'metric':<14}{'value':>10}")
     print(f"{'coverage(%)':<14}{coverage:>10.1f}")
     print(f"{'mean length':<14}{mean_len:>10.2f}")

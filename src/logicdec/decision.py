@@ -193,8 +193,9 @@ def _top_k_of_candidates(rows: Sequence, supports: Sequence, alpha: float, k: in
 def _best_k(scores: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     """Positions, ``k`` per row, of each row's ``k`` largest ``scores``,
     largest first, ties to the smaller position; ``rows`` (ascending from
-    0, at least ``k`` of each) gives each score's row.  Only the entries
-    above a row's ``k``-th score are sorted; the first tied ones fill up."""
+    0, at least ``k`` of each) gives each score's row.  Only the entries at
+    or above a row's ``k``-th score are sorted, stably, so ties keep their
+    order."""
     sizes = np.bincount(rows)
     n, width = len(sizes), sizes.max()
     if sizes.min() == width:
@@ -202,13 +203,10 @@ def _best_k(scores: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     else:
         grid = np.full((n, width), -np.inf)
         grid[rows, np.arange(len(scores)) - (np.cumsum(sizes) - sizes)[rows]] = scores
-    kth = np.partition(grid, width - k, axis=1)[:, width - k][rows]
-    keep = scores > kth
-    tied = np.flatnonzero(scores == kth)
-    rank = np.arange(len(tied)) - np.searchsorted(rows[tied], np.arange(n))[rows[tied]]
-    keep[tied[rank < (k - np.bincount(rows[keep], minlength=n))[rows[tied]]]] = True
-    top = np.flatnonzero(keep).reshape(n, k)
-    return top[np.arange(n)[:, None], np.argsort(-scores[top], axis=1, kind="stable")]
+    kth = np.partition(grid, width - k, axis=1)[:, width - k]
+    at = np.flatnonzero(scores >= kth[rows])
+    at = at[np.lexsort((-scores[at], rows[at]))]  # by row, then score; ties keep position order
+    return at[rows[at].searchsorted(np.arange(n))[:, None] + np.arange(k)]
 
 
 def decide(p: np.ndarray, truth: np.ndarray, alpha: float) -> np.ndarray:

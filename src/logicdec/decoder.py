@@ -26,14 +26,14 @@ then the rest, both by score.
 Each hypothesis step proves at most once: the vocabulary truth under its own
 prefix, of which the attention hooks' prefix and target truths are gathers
 (an atom reads only the token id at a position).  A prompt position
-generates nothing, so it proves only when the hooks read its truth.  One
-pass over the program, callees first, classes each rule by how its closure
-reads the prefix: ``"none"`` (never), ``"coverage"`` (only through
-stem-equality probes of the constraint set, as ``R`` of the shipped lexical
-templates) or ``"full"``.
-Unless the proved rule is ``"full"``, the truth is memoised on the coverage
-bitmask.  Across proves, the prover's memo keeps the truths of the
-``"none"`` rules, as ``Rel(x, c)`` there.
+generates nothing, so it proves only when the hooks read its truth, and
+then over its prefix and the concepts alone.  One pass over the program,
+callees first, flags the rules whose truth the coverage bitmask fixes: they
+read the prefix only through stem-equality probes of the constraint set, as
+``R`` of the shipped lexical templates, or not at all.  The truth of a
+flagged proved rule is memoised on the coverage bitmask.  Every prove of a
+decode shares one prover memo, which keys each entry by the bindings of the
+sets its rule reads, so ``Rel(x, c)`` there is proved once per concept.
 """
 
 from __future__ import annotations
@@ -146,15 +146,12 @@ def coverage_of(hyp: Hypothesis, concepts: Sequence[int]) -> float:
 # ---------------------------------------------------------------------------
 # Prefix-dependence analysis for truth-vector memoisation
 
-def _prefix_classes(program: R.RuleProgram) -> dict[str, str]:
-    """How each rule's closure depends on the generated prefix, in one pass
-    over ``program.order`` (callees first).
-
-    ``"none"``: it never quantifies over ``Prev``.  ``"coverage"``: it reads
-    the prefix only through probes ``Y(x) :- exists y in Prev, Equal(x, y)``
-    applied to elements of the concept set, so the coverage bitmask
-    determines its truth.  ``"full"``: anything else, a probe itself
-    included (its argument is then the domain position, not a concept).
+def _fixed_by_coverage(program: R.RuleProgram) -> dict[str, bool]:
+    """Whether the coverage bitmask fixes each rule's truth, in one pass over
+    ``program.order`` (callees first): its closure reads the prefix only
+    through probes ``Y(x) :- exists y in Prev, Equal(x, y)`` applied to
+    elements of the concept set, or not at all.  A probe itself is not (its
+    argument is then the domain position, not a concept).
     """
     def is_probe(r: R.Rule) -> bool:
         q = r.body
@@ -163,28 +160,16 @@ def _prefix_classes(program: R.RuleProgram) -> dict[str, str]:
                 and q.body.pred == "Equal"
                 and {a.name for a in q.body.args} == {r.params[0], q.var})
 
-    rank = ("none", "coverage", "full").index
-    classes: dict[str, str] = {}
+    fixed: dict[str, bool] = {}
     for name in program.order:
-        cls = "none"
+        fixed[name] = True
         for node, _, scope in R.walk(program.rule(name)):
-            if isinstance(node, R.Quant) and node.set_name == "Prev":
-                cls = "full"
-            elif isinstance(node, R.RuleRef):
-                on_concepts = is_probe(program.rule(node.rule)) and all(
-                    scope[a.name] == "C" for a in node.args)
-                cls = max(cls, "coverage" if on_concepts else classes[node.rule], key=rank)
-        classes[name] = cls
-    return classes
-
-
-def _keep_prefix_free(memo: dict, classes: dict[str, str]) -> None:
-    """Drop the entries of rules not classed ``"none"``; freeze the truths kept."""
-    for key in list(memo):
-        if classes[key[0]] != "none":
-            del memo[key]
-        elif isinstance(memo[key], Truth):
-            memo[key].ids.flags.writeable = memo[key].values.flags.writeable = False
+            if isinstance(node, R.Quant) and node.set_name == "Prev" or \
+                    isinstance(node, R.RuleRef) and not fixed[node.rule] and not (
+                        is_probe(program.rule(node.rule))
+                        and all(scope[a.name] == "C" for a in node.args)):
+                fixed[name] = False
+    return fixed
 
 
 # ---------------------------------------------------------------------------
@@ -215,36 +200,35 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     hooking = program is not None and rule is not None and ctx is not None \
         and scorer.supports_attention_hooks and (config.alpha1 > 0 or config.alpha2 > 0)
 
-    classes = _prefix_classes(program) if shifting or hooking else {}
-    memo_mode = classes[program.rule(rule).name] if shifting or hooking else "full"
+    by_mask = (shifting or hooking) and _fixed_by_coverage(program)[program.rule(rule).name]
     vocab_memo: dict = {}
-    rule_memo: dict = {}  # the prover's, carried across proves for "none" rules
+    rule_memo: dict = {}  # the prover's, valid for every prove of this decode
     vocabulary = Domain.vocabulary(facts) if shifting or hooking else None
+
+    def truth_of(prefix: list[int], domain: Domain) -> Truth:
+        return prove(program, rule, domain,
+                     EvalContext(facts, {**ctx.sets, "Prev": tuple(prefix)}, rule_memo))
 
     def vocab_truth(prefix: list[int], covered: int) -> Truth:
         if covered in vocab_memo:
             return vocab_memo[covered]
-        local = EvalContext(facts, {**ctx.sets, "Prev": tuple(prefix)}, rule_memo)
-        truth = prove(program, rule, vocabulary, local)
-        _keep_prefix_free(rule_memo, classes)
-        if memo_mode != "full":  # no two hypothesis steps share a prefix
+        truth = truth_of(prefix, vocabulary)
+        if by_mask:  # no two hypothesis steps share a prefix
             vocab_memo[covered] = truth
         return truth
 
-    def step(sessions: list, prefixes: list[list[int]], truths: Optional[list]) -> list:
+    def step(sessions: list, prefixes: list[list[int]], hooked: Optional[list]) -> list:
         """Consume each prefix's last token in its session with one
-        ``step_batch`` call, hooked by each prefix's vocabulary truth when
-        hooking; return per session the dist before the prediction shift."""
+        ``step_batch`` call, hooked by each prefix's truths at ``prefix + C``
+        when hooking; return per session the dist before the prediction shift."""
         hooks = None
-        if hooking:  # each hypothesis's prefix and target truths, in one gather
-            gathered = [truth.at(prefix + list(concepts))
-                        for prefix, truth in zip(prefixes, truths)]
+        if hooking:
             hooks = [AttentionHookBundle(
                 alpha1=config.alpha1,
                 alpha2=config.alpha2,
                 truth_prefix=values[:len(prefix)],
                 truth_targets=values[len(prefix):] if concepts else None,
-            ) for prefix, values in zip(prefixes, gathered)]
+            ) for prefix, values in zip(prefixes, hooked)]
         return scorer.step_batch(sessions, [prefix[-1] for prefix in prefixes], hooks)
 
     prompt_tokens = tuple(prompt) if prompt is not None else (config.bos_id,)
@@ -255,14 +239,14 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     class_of = facts.stems.class_of if facts is not None else np.zeros(scorer.vocab_size, int)
     session = scorer.begin_session(concepts)
     # the loop's first step consumes the last prompt token
-    mask = int(bits[class_of[prompt_tokens[0]]])
     for i in range(1, len(prompt_tokens)):  # a prompt truth is read only by the hooks
         prefix = list(prompt_tokens[:i])
-        step([session], [prefix], [vocab_truth(prefix, mask)] if hooking else None)
-        mask |= int(bits[class_of[prompt_tokens[i]]])
+        targets = Domain.targets(prefix + list(concepts))
+        step([session], [prefix], [truth_of(prefix, targets).dense()] if hooking else None)
     # the live beam, a row per hypothesis; sessions[i] has consumed tokens[i] but the last
     tokens, logp = np.array([prompt_tokens], dtype=np.int64), np.zeros(1)
-    covered, sessions = np.array([mask], dtype=np.uint64), [session]
+    covered = np.bitwise_or.reduce(bits[class_of[list(prompt_tokens)]], keepdims=True)
+    sessions = [session]
     finished: list[Hypothesis] = []
     trace_log: list = []
     log_rho = math.log(config.prune_ratio)
@@ -274,7 +258,8 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         # one prove per hypothesis step, read by the hooks and the shift
         truths = [vocab_truth(prefix, m) for prefix, m in zip(prefixes, covered.tolist())] \
             if hooking or shifting else None
-        raws = step(sessions, prefixes, truths)
+        raws = step(sessions, prefixes, [truth.at(prefix + list(concepts)) for prefix, truth
+                                         in zip(prefixes, truths)] if hooking else None)
         if not shifting:  # only the hooks read them
             truths = [None] * len(prefixes)
         if trace:  # the first hypothesis's top five, ranked as the beam's rows are

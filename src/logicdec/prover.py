@@ -85,8 +85,9 @@ class Domain:
 class EvalContext:
     """Bindings a rule needs at evaluation time.
 
-    ``sets`` maps set names (C, P, U, Prev, ...) to token-id tuples; ``memo``
-    is an optional caller-owned ``(rule, args) -> truth`` dict (see ``prove``).
+    ``sets`` maps set names (C, P, U, Prev, ...) to token-id tuples; ``memo``,
+    an optional caller-owned dict of rule truths (see ``prove``), serves every
+    prove over one program and one fact base, whatever the sets or domain.
     """
     facts: FactBase
     sets: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
@@ -266,13 +267,16 @@ def _eval(program: R.RuleProgram, expr, subst, ctx: EvalContext, memo):
 
 
 def _eval_rule(program: R.RuleProgram, name: str, resolved_args, ctx, memo: dict):
-    key = (name, resolved_args)
+    # the arguments and the read sets' bindings fix a truth (an unbound set raises: no entry)
+    key = (name, resolved_args, *(tuple(ctx.sets.get(s, ())) for s in program.reads[name]))
     hit = memo.get(key)
     if hit is not None:
         return hit
     rule = program.rule(name)
     subst = dict(zip(rule.params, resolved_args))
     out = _eval(program, rule.body, subst, ctx, memo)
+    if isinstance(out, Truth):  # later proves read it
+        out.ids.flags.writeable = out.values.flags.writeable = False
     memo[key] = out
     return out
 
@@ -281,8 +285,10 @@ def prove(program: R.RuleProgram, rule: str, domain: Domain, ctx: EvalContext) -
     """Evaluate ``rule`` for every position of ``domain`` in parallel.
 
     Returns a canonical ``Truth`` over the domain's positions, with values
-    in [0, 1].  Repeated (rule, argument) evaluations share one result, kept
-    in ``ctx.memo`` if the caller gives one (vocabulary domains only).
+    in [0, 1].  Evaluations of a rule on equal arguments and bindings of
+    the sets it reads (``program.reads``) share one read-only vocabulary
+    truth, kept in ``ctx.memo`` if the caller gives one; a memo is valid
+    for one program and one fact base, over any domain.
     """
     target = program.rule(rule)
     if len(target.params) != 1:
@@ -298,8 +304,6 @@ def prove(program: R.RuleProgram, rule: str, domain: Domain, ctx: EvalContext) -
         for tid in ids:
             if not (0 <= tid < n_vocab):
                 raise ValueError(f"set '{name}' binds token id {tid} outside the vocabulary")
-    if ctx.memo is not None and domain.kind != "vocab":
-        raise ValueError("a caller-owned memo needs the vocabulary domain")
     memo = {} if ctx.memo is None else ctx.memo
     out = _eval_rule(program, rule, (_DOMAIN_ARG,), ctx, memo)
     if not isinstance(out, Truth):

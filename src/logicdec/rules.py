@@ -208,10 +208,14 @@ class Rule:
 class RuleProgram:
     """Linked, acyclic rule set.  ``order`` is a topological order of the
     reference DAG, dependencies first; source order does not matter.
-    ``rules`` is read-only: ``parse_program`` hands one program to every
-    caller that parses the same source."""
+    ``reads`` gives each rule the sets its closure quantifies over, sorted:
+    its arguments, those sets and the fact base fix its truth, so a prover
+    memo keyed by them is valid for one program and one fact base.  Both
+    are read-only: ``parse_program`` hands one program to every caller
+    that parses the same source."""
     rules: Mapping[str, Rule]
     order: tuple[str, ...]
+    reads: Mapping[str, tuple[str, ...]]
 
     def rule(self, name: str) -> Rule:
         try:
@@ -375,17 +379,19 @@ def _link(rules: list[Rule]) -> RuleProgram:
         table[rule.name] = rule
 
     levels = dict.fromkeys(table, 0)           # deepest level of each body
+    reads: dict[str, set[str]] = {name: set() for name in table}  # sets quantified over
     calls: dict[str, list[tuple[int, str]]] = {name: [] for name in table}
     for rule in rules:
         for node, level, scope in walk(rule):
             if level > MAX_NESTING:
                 raise RuleLinkError(f"rule '{rule.name}' nests deeper than {MAX_NESTING} levels")
             levels[rule.name] = max(levels[rule.name], level)
-            if isinstance(node, Quant) and node.var in scope:
-                raise RuleLinkError(
-                    f"rule '{rule.name}': quantifier variable '{node.var}' shadows an enclosing binding"
-                )
-            if isinstance(node, Atom):
+            if isinstance(node, Quant):
+                if node.var in scope:
+                    raise RuleLinkError(f"rule '{rule.name}': quantifier variable "
+                                        f"'{node.var}' shadows an enclosing binding")
+                reads[rule.name].add(node.set_name)
+            elif isinstance(node, Atom):
                 if len(node.args) != BUILTIN_PREDICATES[node.pred]:
                     raise RuleLinkError(
                         f"rule '{rule.name}': built-in '{node.pred}' takes "
@@ -413,6 +419,7 @@ def _link(rules: list[Rule]) -> RuleProgram:
     # Topological sort; leftover nodes mean a reference cycle.  A rule's
     # depth is its nesting with each reference one level deeper than where
     # it stands plus its callee's depth: both provers recurse through it.
+    # It reads its own quantifiers' sets and its callees'.
     order: list[str] = []
     depth: dict[str, int] = {}
     remaining = {name: {callee for _, callee in calls[name]} for name in table}
@@ -427,12 +434,14 @@ def _link(rules: list[Rule]) -> RuleProgram:
             if depth[name] > MAX_NESTING:
                 raise RuleLinkError(f"rule '{name}' nests {depth[name]} levels deep through "
                                     f"its references, past the cap of {MAX_NESTING}")
+            reads[name].update(*(reads[callee] for _, callee in calls[name]))
             order.append(name)
             del remaining[name]
         for d in remaining.values():
             d.difference_update(ready)
 
-    return RuleProgram(rules=MappingProxyType(table), order=tuple(order))
+    return RuleProgram(MappingProxyType(table), tuple(order),
+                       MappingProxyType({name: tuple(sorted(r)) for name, r in reads.items()}))
 
 
 @lru_cache(maxsize=64)

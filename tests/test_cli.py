@@ -568,6 +568,27 @@ class TestEval:
         assert err.strip() == f"logicdec: error: --results: line 1: score {shown} is not " \
             "a finite number"
 
+    def test_a_score_past_the_float_range_is_a_usage_error(self, tmp_path, capsys):
+        # json reads a 401-digit integer exactly; it has no float value
+        instances, results = tmp_path / "inst.jsonl", tmp_path / "results.jsonl"
+        instances.write_text((DATA / "lexical20.jsonl").read_text().splitlines(True)[0])
+        results.write_text('{"id": "lex00", "text": "a", "score": 1%s}\n' % ("0" * 400))
+        code, out, err = run(["eval", "--results", str(results),
+                              "--instances", str(instances)], capsys)
+        assert (code, out) == (1, "")
+        assert err.strip() == "logicdec: error: --results: line 1: int too large to " \
+            "convert to float"
+
+    def test_a_mean_score_that_overflows_is_a_usage_error(self, tmp_path, capsys):
+        instances, results = tmp_path / "inst.jsonl", tmp_path / "results.jsonl"
+        instances.write_text("".join((DATA / "lexical20.jsonl").read_text().splitlines(True)[:2]))
+        results.write_text("".join('{"id": "lex0%d", "text": "a", "score": 1e308}\n' % i
+                                   for i in range(2)))
+        code, out, err = run(["eval", "--results", str(results),
+                              "--instances", str(instances)], capsys)
+        assert (code, out) == (1, "")
+        assert err.strip() == "logicdec: error: --results: the mean score overflows a float"
+
     @pytest.mark.parametrize("count", [19, 21])
     def test_results_of_another_count_are_a_usage_error(self, snapshot, tmp_path, capsys, count):
         lines = self.baseline_results(snapshot, tmp_path, capsys)

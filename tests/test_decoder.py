@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from logicdec.decision import FULL_RANK_MAX_V, pre_activation
 from logicdec import decoder, prover as P
-from logicdec.decoder import (DecodingConfig, Hypothesis, PRESETS, _keep_prefix_free,
-                              _prefix_classes, _select_beam, coverage_of, coverage_table,
-                              decode, plain_beam_search)
+from logicdec.decoder import (DecodingConfig, Hypothesis, PRESETS, _fixed_by_coverage,
+                              _select_beam, coverage_of, coverage_table, decode,
+                              plain_beam_search)
 from logicdec.kb import FactBase, Vocabulary
 from logicdec.lm import NgramScorer, Scorer, ngram_train
 from logicdec.prover import Domain, EvalContext, prove, prove_scalar
@@ -90,17 +90,17 @@ class TestConstraintState:
         assert coverage_of(Hypothesis((0,), 0.0), ()) == 1.0
 
 
-def proved_rule_is_full(monkeypatch, rule="R"):
-    """Class the proved rule ``"full"`` in ``decode``; the other rules keep
-    their classes, so the prover entries carried stay the same."""
+def reprove_every_step(monkeypatch, rule="R"):
+    """Unflag the proved rule in ``decode``, so that its truth is proved
+    afresh at every hypothesis step."""
     from logicdec import decoder as D
-    monkeypatch.setattr(D, "_prefix_classes",
-                        lambda program: {**_prefix_classes(program), rule: "full"})
+    monkeypatch.setattr(D, "_fixed_by_coverage",
+                        lambda program: {**_fixed_by_coverage(program), rule: False})
 
 
 class TestPrefixDependence:
     def test_lexical_templates_are_coverage_determined(self):
-        assert _prefix_classes(parse_program(LEXICAL_RULES))["R"] == "coverage"
+        assert _fixed_by_coverage(parse_program(LEXICAL_RULES))["R"]
 
     def test_dialogue_rules_never_read_the_prefix(self):
         program = parse_program("""
@@ -108,25 +108,25 @@ R(x) :- Persona(x) | Common(x)
 Persona(x) :- exists p in P, Equal(x, p)
 Common(x) :- (exists p in P, Edge(x, p)) ^ (exists u in U, Edge(x, u))
 """)
-        assert _prefix_classes(program)["R"] == "none"
+        assert "Prev" not in program.reads["R"] and _fixed_by_coverage(program)["R"]
 
     @pytest.mark.parametrize("name, classes", [
-        ("commongen_hard", {"R": "coverage", "Rel": "none", "Y": "full"}),
-        ("personachat", {"R": "none", "Persona": "none", "Common": "none"}),
+        ("commongen_hard", {"R": True, "Rel": True, "Y": False}),
+        ("personachat", {"R": True, "Persona": True, "Common": True}),
     ])
     def test_shipped_template_classes(self, name, classes):
-        assert _prefix_classes(parse_program(template_text(name))) == classes
+        assert _fixed_by_coverage(parse_program(template_text(name))) == classes
 
     def test_direct_prefix_use_forces_reproving(self):
         program = parse_program("R(x) :- exists y in Prev, Edge(x, y)")
-        assert _prefix_classes(program)["R"] == "full"
+        assert not _fixed_by_coverage(program)["R"]
 
     def test_probe_applied_to_head_variable_forces_reproving(self):
         program = parse_program("""
 R(x) :- Y(x)
 Y(x) :- exists y in Prev, Equal(x, y)
 """)
-        assert _prefix_classes(program)["R"] == "full"
+        assert not _fixed_by_coverage(program)["R"]
 
     def test_probe_as_proved_rule_forces_reproving(self, lexical_scorer, toy_facts,
                                                    sentinel_ids, monkeypatch):
@@ -134,12 +134,12 @@ Y(x) :- exists y in Prev, Equal(x, y)
         # its truth vector changes with every prefix, not with coverage
         for body in ("Equal(x, y)", "Equal(y, x)"):
             program = parse_program(f"R(x) :- exists y in Prev, {body}")
-            assert _prefix_classes(program)["R"] == "full"
+            assert not _fixed_by_coverage(program)["R"]
         bos, eos = sentinel_ids
         config = replace(PRESETS["commongen"], max_length=10, bos_id=bos, eos_id=eos)
         ctx = EvalContext(facts=toy_facts, sets={"C": (toy_facts.vocab.id_of("garden"),)})
         memoised = decode(lexical_scorer, program, "R", ctx, config)
-        proved_rule_is_full(monkeypatch)
+        reprove_every_step(monkeypatch)
         fresh = decode(lexical_scorer, program, "R", ctx, config)
         assert [(h.tokens, h.logp) for h in memoised.hypotheses] == \
             [(h.tokens, h.logp) for h in fresh.hypotheses]
@@ -185,35 +185,34 @@ def _toy_program(rnd, n_rules: int) -> str:
 
 
 class TestPrefixDependenceIsSound:
-    """Whatever the analysis leaves out of the memo key cannot change the
-    vocabulary truth vector of any one-parameter rule: a ``"none"`` rule's
-    under any two prefixes, a ``"coverage"`` rule's under two prefixes of
-    one coverage mask."""
+    """Whatever the memo keys leave out cannot change the vocabulary truth
+    vector of any one-parameter rule: the truth of a rule that does not read
+    ``Prev`` under any two prefixes, of a rule flagged as fixed by coverage
+    under two prefixes of one coverage mask."""
 
     @settings(max_examples=200, deadline=None)
     @given(rnd=st.randoms(use_true_random=True), n_rules=st.integers(1, 4))
     def test_memo_key_determines_the_truth_vector(self, toy_facts, rnd, n_rules):
         program = parse_program(_toy_program(rnd, n_rules))
-        classes = _prefix_classes(program)
-        assert classes.keys() == program.rules.keys()
-        assert set(classes.values()) <= {"none", "coverage", "full"}
+        fixed = _fixed_by_coverage(program)
+        assert fixed.keys() == program.rules.keys()
         n = len(toy_facts.vocab)
         concepts = tuple(rnd.randrange(n) for _ in range(rnd.randint(1, 3)))
         persona = tuple(rnd.randrange(n) for _ in range(rnd.randint(1, 3)))
         prefixes = [[rnd.randrange(n) for _ in range(rnd.randint(1, 8))] for _ in range(2)]
         unary = [name for name in program.order if len(program.rule(name).params) == 1]
 
-        def assert_same_truth(cls):
-            for name in unary:
-                if classes[name] == cls:
-                    truths = [prove(program, name, Domain.vocabulary(toy_facts),
-                                    EvalContext(facts=toy_facts,
-                                                sets={"C": concepts, "P": persona,
-                                                      "Prev": tuple(prefix)}))
-                              for prefix in prefixes]
-                    assert truths[0].dense().tobytes() == truths[1].dense().tobytes(), name
+        def assert_same_truth(names):
+            for name in names:
+                truths = [prove(program, name, Domain.vocabulary(toy_facts),
+                                EvalContext(facts=toy_facts,
+                                            sets={"C": concepts, "P": persona,
+                                                  "Prev": tuple(prefix)}))
+                          for prefix in prefixes]
+                assert truths[0].dense().tobytes() == truths[1].dense().tobytes(), name
 
-        assert_same_truth("none")  # the prefixes are unrelated
+        # the prefixes are unrelated
+        assert_same_truth([name for name in unary if "Prev" not in program.reads[name]])
         # extend each prefix with stem-mates of the concepts only the other
         # covers, so that both end with the same coverage mask
         table = coverage_table(concepts, toy_facts)
@@ -227,18 +226,17 @@ class TestPrefixDependenceIsSound:
                 if masks[1 - i] >> bit & 1 and not masks[i] >> bit & 1:
                     mates = [t for t in range(n) if class_of[t] == class_of[cid]]
                     prefix.insert(rnd.randrange(len(prefix) + 1), rnd.choice(mates))
-        assert_same_truth("coverage")
+        assert_same_truth([name for name in unary if fixed[name]])
 
 
 class TestCarriedProverMemo:
-    """The decoder carries the prover's entries of ``"none"`` rules from one
-    vocabulary prove to the next; nothing it carries may change a truth."""
+    """The decoder gives every prove of a decode one prover memo; nothing it
+    holds may change a truth."""
 
     @settings(max_examples=100, deadline=None)
     @given(rnd=st.randoms(use_true_random=False), n_rules=st.integers(1, 4))
     def test_carried_memo_equals_fresh_proving(self, toy_facts, rnd, n_rules):
         program = parse_program(_toy_program(rnd, n_rules))
-        classes = _prefix_classes(program)
         vocab = Domain.vocabulary(toy_facts)
         n = len(toy_facts.vocab)
         sets = {"C": tuple(rnd.randrange(n) for _ in range(rnd.randint(1, 3))),
@@ -247,8 +245,6 @@ class TestCarriedProverMemo:
         for _ in range(rnd.randint(2, 5)):
             sets["Prev"] = tuple(rnd.randrange(n) for _ in range(rnd.randint(1, 8)))
             carried = prove(program, "R", vocab, EvalContext(toy_facts, sets, memo)).dense()
-            _keep_prefix_free(memo, classes)
-            assert all(classes[name] == "none" for name, _ in memo)
             ctx = EvalContext(toy_facts, dict(sets))
             assert carried.tobytes() == prove(program, "R", vocab, ctx).dense().tobytes()
             scalar = np.array([prove_scalar(program, "R", w, ctx) for w in range(n)])
@@ -279,16 +275,14 @@ class TestCarriedProverMemo:
     def test_carried_vectors_reject_in_place_writes(self, toy_facts):
         v = toy_facts.vocab
         program = parse_program(LEXICAL_RULES)
-        classes = _prefix_classes(program)
-        assert classes == {"R": "coverage", "Rel": "none", "Y": "full"}
         memo: dict = {}
         ctx = EvalContext(toy_facts, {"C": (v.id_of("garden"),), "Prev": (v.id_of("the"),)},
                           memo)
         prove(program, "R", Domain.vocabulary(toy_facts), ctx)
-        assert {name for name, _ in memo} == {"R", "Rel", "Y"}
-        _keep_prefix_free(memo, classes)
-        (truth,) = memo.values()
-        for vector in (truth.ids, truth.values):
+        assert {key[0] for key in memo} == {"R", "Rel", "Y"}
+        truths = [truth for truth in memo.values() if isinstance(truth, P.Truth)]
+        assert len(truths) == 2  # R's and Rel's; Y of a concept is a scalar
+        for vector in (array for truth in truths for array in (truth.ids, truth.values)):
             with pytest.raises(ValueError, match="read-only"):
                 vector[0] = 1
             with pytest.raises(ValueError, match="read-only"):
@@ -836,7 +830,7 @@ class TestDecodeStepWork:
         # vectors die once the next step has ranked.  The unhooked prompt
         # step proves nothing.
         from logicdec import decoder as D
-        proved_rule_is_full(monkeypatch)
+        reprove_every_step(monkeypatch)
         proved, pending, steps = [], [], []
         original_prove = D.prove
 
@@ -866,10 +860,10 @@ class TestDecodeStepWork:
 
     @staticmethod
     def prompted_proves(scorer, facts, rules, monkeypatch):
-        """The ``Prev`` of each prove of a commongen decode of C = {garden,
-        piano} after the prompt "<s> the man saw the garden and", under the
-        full-class rule (``rules="full"``) or the lexical template; and the
-        prompt's length."""
+        """The domain kind and ``Prev`` of each prove of a commongen decode of
+        C = {garden, piano} after the prompt "<s> the man saw the garden
+        and", under a rule that reads the whole prefix (``rules="full"``) or
+        the lexical template; and the prompt's length."""
         from logicdec import decoder as D
         v = facts.vocab
         binding = lexical_rule_template(["garden", "piano"], facts)
@@ -881,7 +875,7 @@ class TestDecodeStepWork:
         proved = []
 
         def counting_prove(program, rule, domain, ctx):
-            proved.append(ctx.sets["Prev"])
+            proved.append((domain.kind, ctx.sets["Prev"]))
             return original(program, rule, domain, ctx)
 
         original = D.prove
@@ -899,17 +893,21 @@ class TestDecodeStepWork:
         # there; each prove is of a generating step
         proved, n = self.prompted_proves(lexical_scorer, toy_facts, rules, monkeypatch)
         assert len(proved) == count
-        assert all(len(prefix) >= n for prefix in proved)
+        assert all(kind == "vocab" and len(prefix) >= n for kind, prefix in proved)
 
-    @pytest.mark.parametrize("rules, count", [("full", 66), ("template", 3)])
+    @pytest.mark.parametrize("rules, count", [("full", 66), ("template", 8)])
     def test_hooked_prompt_positions_prove_for_the_hooks(self, toy_facts, monkeypatch,
                                                          rules, count):
         from logicdec.transformer import TinyTransformer, TransformerConfig, TransformerScorer
         scorer = TransformerScorer(TinyTransformer(TransformerConfig(
             vocab_size=len(toy_facts.vocab), seed=0)))
-        proved, _ = self.prompted_proves(scorer, toy_facts, rules, monkeypatch)
+        proved, n = self.prompted_proves(scorer, toy_facts, rules, monkeypatch)
         assert len(proved) == count
-        assert min(map(len, proved)) == 1  # from the first prompt position on
+        # each prompt position from the first on proves its prefix and the
+        # concepts only, for the hooks; each generating step the vocabulary
+        assert [len(prefix) for kind, prefix in proved if kind == "targets"] == \
+            list(range(1, n))
+        assert all(kind == "vocab" and len(prefix) >= n for kind, prefix in proved[n - 1:])
 
     def test_one_ranking_call_per_decoder_step(self, lexical_scorer, toy_facts, sentinel_ids,
                                                monkeypatch):
@@ -945,7 +943,7 @@ class TestMemoisedTruthEqualsFresh:
         config = replace(PRESETS["commongen"], max_length=10, bos_id=bos, eos_id=eos)
         memoised = decode(lexical_scorer, program, "R", ctx, config)
 
-        proved_rule_is_full(monkeypatch)
+        reprove_every_step(monkeypatch)
         ctx2 = EvalContext(facts=toy_facts,
                            sets={"C": (v.id_of("garden"), v.id_of("river"))})
         fresh = decode(lexical_scorer, program, "R", ctx2, config)
@@ -1018,8 +1016,11 @@ class TestSparseNgramDecode:
 def dense_trace_entry(step_index: int, scores: np.ndarray, raw: np.ndarray,
                       shifting: bool) -> dict:
     """The oracle: a trace entry ranked apart from the decoder's kernel, by
-    stable argsorts of the first row's dense ``p`` and ``pre_activation``."""
-    before = [[int(i), float(raw[i])] for i in np.argsort(-raw, kind="stable")[:5]]
+    stable argsorts of the first row's dense ``pre_activation`` before and
+    after the shift, the scores the kernel ranks (``log p`` may tie where
+    ``p`` differs in its last bit)."""
+    before = [[int(i), float(raw[i])]
+              for i in np.argsort(-pre_activation(raw), kind="stable")[:5]]
     after = [[int(i), float(np.exp(scores[i]))] for i in np.argsort(-scores, kind="stable")[:5]] \
         if shifting else before
     return {"step": step_index, "top_after": after, "top_before": before}

@@ -173,18 +173,19 @@ class TestProve:
         with pytest.raises(ValueError, match="token id 99 outside vocabulary"):
             prove_scalar(parse_program(COMMONGEN_AVG), "R", 99, ctx)
 
-    def test_caller_memo_is_keyed_by_rule_and_arguments_over_the_vocabulary(self):
+    def test_caller_memo_is_keyed_by_rule_arguments_and_sets_read(self):
         facts, ctx = commongen_fixture()
         program = parse_program(COMMONGEN_AVG)
         memo: dict = {}
         with_memo = EvalContext(facts=facts, sets=ctx.sets, memo=memo)
-        # the keys omit the domain, so only vocabulary domains may share them
-        with pytest.raises(ValueError, match="vocabulary domain"):
-            prove(program, "R", Domain.targets((1, 2)), with_memo)
+        # the entries hold vocabulary truths, so every domain may share them
+        targets = prove(program, "R", Domain.targets((1, 2)), with_memo).dense()
         out = prove(program, "R", Domain.vocabulary(facts), with_memo).dense()
         assert out.tobytes() == prove(program, "R", Domain.vocabulary(facts), ctx).dense().tobytes()
+        assert targets.tobytes() == out[[1, 2]].tobytes()
         assert memo and all(isinstance(name, str) and isinstance(args, tuple)
-                            for name, args in memo)
+                            and sets == [ctx.sets[s] for s in program.reads[name]]
+                            for name, args, *sets in memo)
 
     def test_multi_parameter_rule_not_provable(self):
         facts, ctx = commongen_fixture()
@@ -264,6 +265,32 @@ class TestPositionsMatchVocabulary:
         targets = prove(program, "R", Domain.targets(concepts), ctx).dense()
         assert prefix.tobytes() == vocab[prev].tobytes()
         assert targets.tobytes() == vocab[concepts].tobytes()
+
+
+class TestSharedMemo:
+    """One memo serves every prove over one program and fact base: an entry
+    is keyed by the bindings of the sets its rule reads, and holds a
+    vocabulary truth, whatever the domain."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rnd=st.randoms(use_true_random=False), n_rules=st.integers(1, 4))
+    def test_shared_memo_equals_fresh_proving(self, toy_facts, rnd, n_rules):
+        program = parse_program(_toy_program(rnd, n_rules))
+        n = len(toy_facts.vocab)
+
+        def ids(most):
+            return tuple(rnd.randrange(n) for _ in range(rnd.randint(1, most)))
+
+        sets = {"C": ids(3), "P": ids(3), "Prev": ids(8)}
+        memo: dict = {}
+        for _ in range(rnd.randint(2, 6)):
+            for name in rnd.sample(sorted(sets), rnd.randint(1, 3)):  # rebind some
+                sets[name] = ids(8 if name == "Prev" else 3)
+            domain = Domain.vocabulary(toy_facts) if rnd.random() < 0.5 else \
+                Domain.targets(ids(10))
+            shared = prove(program, "R", domain, EvalContext(toy_facts, dict(sets), memo))
+            fresh = prove(program, "R", domain, EvalContext(toy_facts, dict(sets)))
+            assert shared.dense().tobytes() == fresh.dense().tobytes()
 
 
 # ---------------------------------------------------------------------------

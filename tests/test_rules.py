@@ -261,6 +261,20 @@ class TestParser:
         assert order.index("Rel") < order.index("R")
         assert order.index("Y") < order.index("R")
 
+    def test_reads_are_the_sets_quantified_over_in_the_closure(self):
+        program = parse_program("""
+R(x) :- A(x) | (exists c in C, Edge(x, c))
+A(x) :- B(x, x) ^ (forall p in P, Equal(x, p))
+B(x, y) :- exists q in Prev, Edge(y, q)
+N(x) :- Equal(x, x) | ~Edge(x, x)
+M(x) :- N(x) & 1
+""")
+        # a callee's sets propagate to every caller; no quantifier reads nothing
+        assert dict(program.reads) == {"R": ("C", "P", "Prev"), "A": ("P", "Prev"),
+                                       "B": ("Prev",), "N": (), "M": ()}
+        with pytest.raises(TypeError):
+            program.reads["N"] = ("C",)
+
 
 class TestParseMemo:
     def test_one_source_gives_one_program(self):
