@@ -23,17 +23,18 @@ most-covered always kept) and takes up to ``beam_size``: each group's best,
 most-covered groups first; then the next ``group_budget - 1`` of each group;
 then the rest, both by score.
 
-Each hypothesis step proves at most once: the vocabulary truth under its own
-prefix, of which the attention hooks' prefix and target truths are gathers
-(an atom reads only the token id at a position).  A prompt position
-generates nothing, so it proves only when the hooks read its truth, and
-then over its prefix and the concepts alone.  One pass over the program,
-callees first, flags the rules whose truth the coverage bitmask fixes: they
-read the prefix only through stem-equality probes of the constraint set, as
-``R`` of the shipped lexical templates, or not at all.  The truth of a
-flagged proved rule is memoised on the coverage bitmask.  Every prove of a
-decode shares one prover memo, which keys each entry by the bindings of the
-sets its rule reads, so ``Rel(x, c)`` there is proved once per concept.
+Every hypothesis starts from ``bos_id``, and each hypothesis step proves at
+most once: the vocabulary truth under its own prefix, of which the
+attention hooks' prefix and target truths are gathers (an atom reads only
+the token id at a position).  One pass over the program, callees first,
+flags the rules whose truth the coverage bitmask fixes: they read the
+prefix only through stem-equality probes of the constraint set, as ``R`` of
+the shipped lexical templates, or not at all.  The truth of a flagged
+proved rule is memoised on the coverage bitmask.  Every prove of a decode
+shares one prover memo, which keys each entry by the bindings of the sets
+its rule reads, so ``Rel(x, c)`` there is proved once per concept.  No two
+hypothesis steps share a prefix, so after each step's proves the memo
+keeps only the entries of rules that do not read ``Prev``.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class DecodingConfig:
     alpha3: float = 0.0
     prune_ratio: float = 1e-9          # rho, in (0, 1]
     group_budget: int = 16             # k, per-group retention
-    max_length: int = 32               # generated tokens, prompt excluded
+    max_length: int = 32               # generated tokens, BOS excluded
     bos_id: int = 0
     eos_id: Optional[int] = None
     length_norm_power: float = 0.7
@@ -176,14 +177,14 @@ def _fixed_by_coverage(program: R.RuleProgram) -> dict[str, bool]:
 # Decoding
 
 def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str],
-           ctx: Optional[EvalContext], config: DecodingConfig,
-           prompt: Optional[Sequence[int]] = None,
+           ctx: Optional[EvalContext], config: DecodingConfig, *,
            trace: bool = False) -> DecodeResult:
     """Run the full constrained decoding loop.
 
-    ``program``/``rule`` may be None for unconstrained operation.  ``ctx``
-    carries the fact base and set bindings; the decoder owns the ``Prev``
-    binding, refreshing it per hypothesis.
+    Every hypothesis starts from ``config.bos_id``.  ``program``/``rule``
+    may be None for unconstrained operation.  ``ctx`` carries the fact base
+    and set bindings; the decoder owns the ``Prev`` binding, refreshing it
+    per hypothesis.
     """
     facts = ctx.facts if ctx is not None else None
     if facts is not None and scorer.vocab_size != len(facts.vocab):
@@ -195,6 +196,7 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         raise ValueError(f"decode takes at most 64 concepts, got {len(concepts)}")
     if outside := [c for c in concepts if not 0 <= c < scorer.vocab_size]:
         raise ValueError(f"set 'C' binds token id {outside[0]} outside the vocabulary")
+    _check_bos(config.bos_id, scorer.vocab_size)
     shifting = program is not None and rule is not None and ctx is not None \
         and config.alpha3 > 0
     hooking = program is not None and rule is not None and ctx is not None \
@@ -205,14 +207,11 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     rule_memo: dict = {}  # the prover's, valid for every prove of this decode
     vocabulary = Domain.vocabulary(facts) if shifting or hooking else None
 
-    def truth_of(prefix: list[int], domain: Domain) -> Truth:
-        return prove(program, rule, domain,
-                     EvalContext(facts, {**ctx.sets, "Prev": tuple(prefix)}, rule_memo))
-
     def vocab_truth(prefix: list[int], covered: int) -> Truth:
         if covered in vocab_memo:
             return vocab_memo[covered]
-        truth = truth_of(prefix, vocabulary)
+        truth = prove(program, rule, vocabulary,
+                      EvalContext(facts, {**ctx.sets, "Prev": tuple(prefix)}, rule_memo))
         if by_mask:  # no two hypothesis steps share a prefix
             vocab_memo[covered] = truth
         return truth
@@ -231,22 +230,12 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
             ) for prefix, values in zip(prefixes, hooked)]
         return scorer.step_batch(sessions, [prefix[-1] for prefix in prefixes], hooks)
 
-    prompt_tokens = tuple(prompt) if prompt is not None else (config.bos_id,)
-    if not prompt_tokens or not all(0 <= t < scorer.vocab_size for t in prompt_tokens):
-        raise ValueError(f"prompt must be one or more token ids in [0, {scorer.vocab_size})")
-
     bits = coverage_table(concepts, facts)
     class_of = facts.stems.class_of if facts is not None else np.zeros(scorer.vocab_size, int)
-    session = scorer.begin_session(concepts)
-    # the loop's first step consumes the last prompt token
-    for i in range(1, len(prompt_tokens)):  # a prompt truth is read only by the hooks
-        prefix = list(prompt_tokens[:i])
-        targets = Domain.targets(prefix + list(concepts))
-        step([session], [prefix], [truth_of(prefix, targets).dense()] if hooking else None)
     # the live beam, a row per hypothesis; sessions[i] has consumed tokens[i] but the last
-    tokens, logp = np.array([prompt_tokens], dtype=np.int64), np.zeros(1)
-    covered = np.bitwise_or.reduce(bits[class_of[list(prompt_tokens)]], keepdims=True)
-    sessions = [session]
+    tokens, logp = np.array([[config.bos_id]], dtype=np.int64), np.zeros(1)
+    covered = bits[class_of[[config.bos_id]]]
+    sessions = [scorer.begin_session(concepts)]
     finished: list[Hypothesis] = []
     trace_log: list = []
     log_rho = math.log(config.prune_ratio)
@@ -258,6 +247,9 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
         # one prove per hypothesis step, read by the hooks and the shift
         truths = [vocab_truth(prefix, m) for prefix, m in zip(prefixes, covered.tolist())] \
             if hooking or shifting else None
+        if truths:  # no later step shares a prefix, so none reads an entry keyed on one
+            for key in [key for key in rule_memo if "Prev" in program.reads[key[0]]]:
+                del rule_memo[key]
         raws = step(sessions, prefixes, [truth.at(prefix + list(concepts)) for prefix, truth
                                          in zip(prefixes, truths)] if hooking else None)
         if not shifting:  # only the hooks read them
@@ -303,13 +295,17 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     pool = finished or [Hypothesis(tuple(t), s, m) for t, s, m in
                         zip(tokens.tolist(), logp.tolist(), covered.tolist())]
     ranked = sorted(pool, key=lambda h: (
-        -_length_normalized(h, len(prompt_tokens), config.length_norm_power),
-        -h.covered.bit_count(), h.tokens))
+        -_length_normalized(h, config.length_norm_power), -h.covered.bit_count(), h.tokens))
     return DecodeResult(ranked, bool(finished), steps_run, trace_log)
 
 
-def _length_normalized(hyp: Hypothesis, prompt_len: int, power: float) -> float:
-    gen_len = max(len(hyp.tokens) - prompt_len, 1)
+def _check_bos(bos_id: int, vocab_size: int) -> None:
+    if not 0 <= bos_id < vocab_size:
+        raise ValueError(f"BOS id {bos_id} lies outside the vocabulary [0, {vocab_size})")
+
+
+def _length_normalized(hyp: Hypothesis, power: float) -> float:
+    gen_len = max(len(hyp.tokens) - 1, 1)  # BOS excluded
     return hyp.logp / gen_len ** power
 
 
@@ -355,19 +351,17 @@ def _select_beam(score: np.ndarray, token: np.ndarray, parent: np.ndarray,
 # ---------------------------------------------------------------------------
 # Plain beam search baseline (no constraints, no pruning, no grouping)
 
-def plain_beam_search(scorer: Scorer, beam_size: int, max_length: int,
+def plain_beam_search(scorer: Scorer, beam_size: int, max_length: int, *,
                       bos_id: int = 0, eos_id: Optional[int] = None,
-                      prompt: Optional[Sequence[int]] = None,
                       length_norm_power: float = 0.7) -> DecodeResult:
-    """Reference beam search over raw scorer distributions."""
-    prompt_tokens = tuple(prompt) if prompt is not None else (bos_id,)
-    if not prompt_tokens or not all(0 <= t < scorer.vocab_size for t in prompt_tokens):
-        raise ValueError(f"prompt must be one or more token ids in [0, {scorer.vocab_size})")
+    """Reference beam search over raw scorer distributions, from ``bos_id``."""
+    if beam_size < 1:
+        raise ValueError("beam size must be >= 1")
+    if max_length < 0:
+        raise ValueError("max length must be >= 0")
+    _check_bos(bos_id, scorer.vocab_size)
     session = scorer.begin_session()
-    dist = None
-    for tok in prompt_tokens:
-        dist = scorer.step(session, tok)
-    live = [(Hypothesis(prompt_tokens, 0.0), session, dist)]
+    live = [(Hypothesis((bos_id,), 0.0), session, scorer.step(session, bos_id))]
     finished: list[Hypothesis] = []
     for _ in range(max_length):
         if not live:
@@ -399,7 +393,6 @@ def plain_beam_search(scorer: Scorer, beam_size: int, max_length: int,
     pool = finished if finished else [h for h, _s, _d in live]
     ranked = sorted(
         pool,
-        key=lambda h: (-_length_normalized(h, len(prompt_tokens), length_norm_power),
-                       h.tokens),
+        key=lambda h: (-_length_normalized(h, length_norm_power), h.tokens),
     )
     return DecodeResult(ranked, completed)

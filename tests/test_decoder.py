@@ -272,6 +272,29 @@ class TestCarriedProverMemo:
         assert len(concepts) > 1 and evaluated["R"] > 1
         assert evaluated["Rel"] == len(concepts)
 
+    @pytest.mark.parametrize("source, kept", [
+        ("R(x) :- exists y in Prev, Edge(x, y)", set()), (LEXICAL_RULES, {"Rel"})],
+        ids=["full", "template"])
+    def test_no_prev_reading_entry_outlives_a_decode(self, lexical_scorer, toy_facts,
+                                                      sentinel_ids, monkeypatch, source, kept):
+        # an entry keyed on a prefix is never read by a later step
+        from logicdec import decoder as D
+        memos = {}
+        original = D.prove
+
+        def capturing(program, rule, domain, ctx):
+            memos[id(ctx.memo)] = ctx.memo
+            return original(program, rule, domain, ctx)
+
+        monkeypatch.setattr(D, "prove", capturing)
+        bos, eos = sentinel_ids
+        v = toy_facts.vocab
+        ctx = EvalContext(facts=toy_facts, sets={"C": (v.id_of("garden"), v.id_of("river"))})
+        config = replace(PRESETS["commongen"], max_length=8, bos_id=bos, eos_id=eos)
+        assert decode(lexical_scorer, parse_program(source), "R", ctx, config).steps > 1
+        (memo,) = memos.values()
+        assert {key[0] for key in memo} == kept
+
     def test_carried_vectors_reject_in_place_writes(self, toy_facts):
         v = toy_facts.vocab
         program = parse_program(LEXICAL_RULES)
@@ -434,17 +457,29 @@ class TestDecode:
         assert unconstrained.best.tokens == (0, 2, 1)  # <s> a </s>
         assert coverage_of(constrained.best, (3,)) == 1.0
 
-    @pytest.mark.parametrize("prompt", [(-1,), (7,), (0, 4), ()])
-    def test_prompt_ids_outside_the_vocabulary_are_rejected(self, prompt):
+    @pytest.mark.parametrize("bos", [-1, 4])
+    def test_bos_ids_outside_the_vocabulary_are_rejected(self, bos):
         vocab, facts, scorer = bigram_world()  # V = 4
         ctx = EvalContext(facts=facts, sets={"C": (3,)})
-        config = DecodingConfig(beam_size=2, alpha3=24.0, max_length=2)
+        config = DecodingConfig(beam_size=2, alpha3=24.0, max_length=2, bos_id=bos)
+        message = rf"BOS id {bos} lies outside the vocabulary \[0, 4\)"
         for program, rule, context in ((None, None, None),
                                        (parse_program(LEXICAL_RULES), "R", ctx)):
-            with pytest.raises(ValueError, match=r"prompt must be .* in \[0, 4\)"):
-                decode(scorer, program, rule, context, config, prompt=prompt)
-        with pytest.raises(ValueError, match=r"prompt must be .* in \[0, 4\)"):
-            plain_beam_search(scorer, 2, 2, prompt=prompt)
+            with pytest.raises(ValueError, match=message):
+                decode(scorer, program, rule, context, config)
+        with pytest.raises(ValueError, match=message):
+            plain_beam_search(scorer, 2, 2, bos_id=bos)
+
+    @pytest.mark.parametrize("beam_size, max_length, message", [
+        (0, 2, "beam size"), (-1, 3, "beam size"), (2, -1, "max length")])
+    def test_plain_beam_search_refuses_what_decoding_config_refuses(
+            self, beam_size, max_length, message):
+        with pytest.raises(ValueError, match=message):
+            DecodingConfig(beam_size=beam_size, max_length=max_length)
+        scorer = TableScorer(table_of([[1, 2, 3, 4, 5]] * 5))
+        with pytest.raises(ValueError, match=message):
+            plain_beam_search(scorer, beam_size, max_length)
+        assert scorer.calls == 0
 
     def test_degenerate_config_equals_plain_beam_search(self, lexical_scorer, sentinel_ids):
         bos, eos = sentinel_ids
@@ -527,15 +562,6 @@ class TestDecode:
         step = result.trace[0]
         assert len(step["top_before"]) == 5 and len(step["top_after"]) == 5
 
-    def test_prompt_coverage_counts(self, lexical_scorer, toy_facts, sentinel_ids):
-        bos, eos = sentinel_ids
-        v = toy_facts.vocab
-        ctx = EvalContext(facts=toy_facts, sets={"C": (v.id_of("garden"),)})
-        config = DecodingConfig(beam_size=3, max_length=1, bos_id=bos, eos_id=eos)
-        result = decode(lexical_scorer, None, None, ctx, config,
-                        prompt=(bos, v.id_of("garden")))
-        assert all(h.covered == 1 for h in result.hypotheses)
-
 
 class _TableSession:
     def __init__(self, tokens=()):
@@ -584,27 +610,28 @@ class TestDecodeLoop:
                                                            data):
         table = table_of(rows)
         v = len(table)
-        prompt = data.draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=2))
+        bos = data.draw(st.integers(0, v - 1))
         eos = data.draw(st.none() | st.integers(0, v - 1))
         config = DecodingConfig(beam_size=beam_size, group_budget=group_budget,
-                                prune_ratio=1e-300, max_length=max_length, eos_id=eos)
-        got = decode(TableScorer(table), None, None, None, config, prompt=prompt)
-        want = plain_beam_search(TableScorer(table), beam_size, max_length,
-                                 eos_id=eos, prompt=prompt)
+                                prune_ratio=1e-300, max_length=max_length, bos_id=bos,
+                                eos_id=eos)
+        got = decode(TableScorer(table), None, None, None, config)
+        want = plain_beam_search(TableScorer(table), beam_size, max_length, bos_id=bos,
+                                 eos_id=eos)
         assert [h.tokens for h in got.hypotheses] == [h.tokens for h in want.hypotheses]
         assert [h.logp.hex() for h in got.hypotheses] == \
             [h.logp.hex() for h in want.hypotheses]
         assert got.completed == want.completed
 
-    @pytest.mark.parametrize("prompt", [(0,), (0, 1), (2, 0, 1)])
-    def test_final_beam_is_never_scored(self, prompt):
-        # one step consumes the last prompt token and expands; the children
-        # it selects are returned unscored
+    @pytest.mark.parametrize("max_length", [1, 2, 3])
+    def test_final_beam_is_never_scored(self, max_length):
+        # the first step consumes BOS and each later one the beam's three
+        # last tokens; the children the last step selects are returned unscored
         scorer = TableScorer(table_of([[1, 2, 3, 4]] * 4))
-        config = DecodingConfig(beam_size=3, max_length=1)
-        result = decode(scorer, None, None, None, config, prompt=prompt)
-        assert len(result.hypotheses) == 3 and result.steps == 1
-        assert scorer.calls == len(prompt)
+        config = DecodingConfig(beam_size=3, max_length=max_length)
+        result = decode(scorer, None, None, None, config)
+        assert len(result.hypotheses) == 3 and result.steps == max_length
+        assert scorer.calls == 1 + 3 * (max_length - 1)
 
 
 class SameRowScorer(TableScorer):
@@ -629,13 +656,13 @@ class TestBoundaryTies:
     def test_decode_keeps_the_smaller_ids(self, v):
         k = 3
         config = DecodingConfig(beam_size=k, max_length=1)
-        result = decode(boundary_tie_scorer(v, k), None, None, None, config, prompt=(0,))
+        result = decode(boundary_tie_scorer(v, k), None, None, None, config)
         assert sorted(h.tokens[-1] for h in result.hypotheses) == list(range(v - k - 1, v - 1))
 
     @pytest.mark.parametrize("v", [6, 2000])
     def test_plain_beam_search_keeps_the_smaller_ids(self, v):
         k = 3
-        result = plain_beam_search(boundary_tie_scorer(v, k), k, 1, prompt=(0,))
+        result = plain_beam_search(boundary_tie_scorer(v, k), k, 1)
         assert sorted(h.tokens[-1] for h in result.hypotheses) == list(range(v - k - 1, v - 1))
 
     def test_trace_lists_ties_by_smaller_id(self, toy_facts):
@@ -646,7 +673,7 @@ class TestBoundaryTies:
         ctx = EvalContext(facts=toy_facts, sets={"C": (int(np.argmin(row)),)})
         config = DecodingConfig(beam_size=5, max_length=1, alpha3=1.0)
         result = decode(SameRowScorer(row[None, :] / row.sum()), program, "R", ctx, config,
-                        prompt=(0,), trace=True)
+                        trace=True)
         (step,) = result.trace
         for listed in (step["top_before"], step["top_after"]):
             assert listed == sorted(listed, key=lambda entry: (-entry[1], entry[0]))
@@ -827,8 +854,7 @@ class TestDecodeStepWork:
             self, lexical_scorer, toy_facts, sentinel_ids, monkeypatch):
         # no two hypothesis steps share a prefix, so a "full" decode proves
         # once per hypothesis step and stores nothing: a step's truth
-        # vectors die once the next step has ranked.  The unhooked prompt
-        # step proves nothing.
+        # vectors die once the next step has ranked.
         from logicdec import decoder as D
         reprove_every_step(monkeypatch)
         proved, pending, steps = [], [], []
@@ -852,62 +878,11 @@ class TestDecodeStepWork:
         ctx = EvalContext(facts=toy_facts, sets={"C": (v.id_of("garden"), v.id_of("river"))})
         config = replace(PRESETS["commongen"], max_length=8, bos_id=bos, eos_id=eos)
         result = decode(StepWatchingScorer(lexical_scorer, on_step), parse_program(LEXICAL_RULES),
-                        "R", ctx, config, prompt=[bos, v.id_of("the")])
-        assert result.hypotheses and len(steps) == result.steps + 1  # one prompt step
-        assert steps[0] == (1, [])
-        assert len(proved) == sum(batch for batch, _ in steps[1:]) == len(set(proved))
-        assert all(len(refs) == batch for batch, refs in steps[1:])
-
-    @staticmethod
-    def prompted_proves(scorer, facts, rules, monkeypatch):
-        """The domain kind and ``Prev`` of each prove of a commongen decode of
-        C = {garden, piano} after the prompt "<s> the man saw the garden
-        and", under a rule that reads the whole prefix (``rules="full"``) or
-        the lexical template; and the prompt's length."""
-        from logicdec import decoder as D
-        v = facts.vocab
-        binding = lexical_rule_template(["garden", "piano"], facts)
-        if rules == "full":
-            program, ctx = parse_program("R(x) :- exists y in Prev, Edge(x, y)"), \
-                EvalContext(facts=facts, sets={"C": binding.ctx.sets["C"]})
-        else:
-            program, ctx = parse_program(binding.source), binding.ctx
-        proved = []
-
-        def counting_prove(program, rule, domain, ctx):
-            proved.append((domain.kind, ctx.sets["Prev"]))
-            return original(program, rule, domain, ctx)
-
-        original = D.prove
-        monkeypatch.setattr(D, "prove", counting_prove)
-        prompt = [v.id_of(w) for w in "<s> the man saw the garden and".split()]
-        config = replace(PRESETS["commongen"], max_length=4, bos_id=v.id_of("<s>"),
-                         eos_id=v.id_of("</s>"))
-        assert decode(scorer, program, "R", ctx, config, prompt=prompt).hypotheses
-        return proved, len(prompt)
-
-    @pytest.mark.parametrize("rules, count", [("full", 13), ("template", 2)])
-    def test_unhooked_prompt_positions_prove_nothing(self, lexical_scorer, toy_facts,
-                                                     monkeypatch, rules, count):
-        # no hook reads a prompt position's truth, and nothing is generated
-        # there; each prove is of a generating step
-        proved, n = self.prompted_proves(lexical_scorer, toy_facts, rules, monkeypatch)
-        assert len(proved) == count
-        assert all(kind == "vocab" and len(prefix) >= n for kind, prefix in proved)
-
-    @pytest.mark.parametrize("rules, count", [("full", 66), ("template", 8)])
-    def test_hooked_prompt_positions_prove_for_the_hooks(self, toy_facts, monkeypatch,
-                                                         rules, count):
-        from logicdec.transformer import TinyTransformer, TransformerConfig, TransformerScorer
-        scorer = TransformerScorer(TinyTransformer(TransformerConfig(
-            vocab_size=len(toy_facts.vocab), seed=0)))
-        proved, n = self.prompted_proves(scorer, toy_facts, rules, monkeypatch)
-        assert len(proved) == count
-        # each prompt position from the first on proves its prefix and the
-        # concepts only, for the hooks; each generating step the vocabulary
-        assert [len(prefix) for kind, prefix in proved if kind == "targets"] == \
-            list(range(1, n))
-        assert all(kind == "vocab" and len(prefix) >= n for kind, prefix in proved[n - 1:])
+                        "R", ctx, config)
+        assert result.hypotheses and len(steps) == result.steps
+        assert steps[0][0] == 1
+        assert len(proved) == sum(batch for batch, _ in steps) == len(set(proved))
+        assert all(len(refs) == batch for batch, refs in steps)
 
     def test_one_ranking_call_per_decoder_step(self, lexical_scorer, toy_facts, sentinel_ids,
                                                monkeypatch):
@@ -1114,8 +1089,8 @@ class TestConceptSet:
         config = replace(PRESETS["commongen"], max_length=4, bos_id=bos, eos_id=eos)
         concepts = tuple(range(v - 64, v))
         ctx = EvalContext(facts=toy_facts, sets={"C": concepts})
-        # the prompt covers the 64th concept, so every mask has bit 63 set
-        result = decode(lexical_scorer, program, "R", ctx, config, prompt=(bos, concepts[-1]))
+        # BOS is the 64th concept, so every mask has bit 63 set
+        result = decode(lexical_scorer, program, "R", ctx, replace(config, bos_id=concepts[-1]))
         assert result.hypotheses
         table, class_of = coverage_table(concepts, toy_facts), toy_facts.stems.class_of
         for hyp in result.hypotheses:

@@ -1,5 +1,6 @@
 """``tools/untested_lines.py`` runs pytest under its tracer and lists the
-statements that never ran."""
+statements that never ran; ``tools/traffic_lines.py`` does the same for the
+package's real traffic."""
 
 import ast
 import os
@@ -50,3 +51,26 @@ def test_the_loader_tests_reach_every_statement_of_the_binary_reader():
         assert len(spans) == len(names)
         listed = re.findall(rf"^src/logicdec/{module}\.py:(\d+): .*$", done.stdout, re.M)
         assert [line for line in listed if any(int(line) in span for span in spans)] == []
+
+
+def test_traffic_tool_lists_what_one_demo_never_reaches():
+    """``tools/traffic_lines.py`` shares the tracer: under the connectives
+    demo it reaches ``or_vec`` but not ``decode``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    tool = ROOT / "tools" / "traffic_lines.py"
+    done = subprocess.run([sys.executable, str(tool), "demo:01_soft_logic_basics"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert re.search(r"^\d+ statements never ran$", done.stdout, re.M)
+    listed = {module: {int(line) for line in
+                       re.findall(rf"^src/logicdec/{module}\.py:(\d+): ", done.stdout, re.M)}
+              for module in ("prover", "decoder")}
+    for module, name, reached in (("prover", "or_vec", True), ("decoder", "decode", False)):
+        (node,) = [node for node in ast.parse((ROOT / f"src/logicdec/{module}.py").read_text())
+                   .body if isinstance(node, ast.FunctionDef) and node.name == name]
+        body = {n.lineno for n in node.body[1:]}  # past the docstring
+        assert body.isdisjoint(listed[module]) if reached else body <= listed[module]
+    unknown = subprocess.run([sys.executable, str(tool), "demo:none"], cwd=ROOT, env=env,
+                             capture_output=True, text=True, timeout=60)
+    assert unknown.returncode == 2 and "unknown part 'demo:none'" in unknown.stderr

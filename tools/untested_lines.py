@@ -44,9 +44,10 @@ def statement_lines(source: str) -> dict[int, range]:
     return out
 
 
-def main(argv: list[str]) -> int:
-    import pytest
-
+def run_traced(fn):
+    """Call ``fn()`` under the line tracer, in this thread and any thread it
+    starts; return its result and, per real path of a file under
+    ``src/logicdec/``, the lines that ran."""
     package = os.path.realpath(PACKAGE) + os.sep
     ran: dict[str, set[int]] = {}
     inside: dict[str, bool] = {}
@@ -65,15 +66,19 @@ def main(argv: list[str]) -> int:
             return local
         return local(frame, event, arg)
 
-    sys.path.insert(0, str(ROOT / "src"))
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        status = pytest.main(argv)
+        result = fn()
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    return result, ran
 
+
+def report(ran: dict[str, set[int]]) -> int:
+    """Print ``path:line: source`` for each statement of the package that
+    never ran, then their count; return the count."""
     missed = 0
     for path in sorted(PACKAGE.rglob("*.py")):
         source = path.read_text("utf-8")
@@ -84,6 +89,15 @@ def main(argv: list[str]) -> int:
                 missed += 1
                 print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
     print(f"{missed} statements never ran")
+    return missed
+
+
+def main(argv: list[str]) -> int:
+    import pytest
+
+    sys.path.insert(0, str(ROOT / "src"))
+    status, ran = run_traced(lambda: pytest.main(argv))
+    report(ran)
     return int(status)
 
 
