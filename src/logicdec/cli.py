@@ -148,6 +148,10 @@ def _build_scorer(args, facts):
             raise UsageError("--weights: vocabulary size does not match the fact base")
     else:
         model = TinyTransformer(TransformerConfig(vocab_size=len(facts.vocab), seed=args.seed))
+    # L steps feed the model L tokens: BOS and every generated token but the last
+    if args.max_length > model.config.max_len:
+        raise UsageError(f"--max-length {args.max_length} exceeds the transformer's max_len "
+                         f"{model.config.max_len}")
     return TransformerScorer(model)
 
 

@@ -18,10 +18,9 @@ built.  ``trace`` ranks the first hypothesis's top five, before and after
 the shift, with ``top_k_rows`` too, and reads their ``p`` off its row.
 Candidates within a ``prune_ratio`` fraction of the step's best likelihood
 survive, a survivor's mask being its parent's OR its token's stem-class bits.
-``_select_beam`` groups them by mask (at most ``MAX_GROUPS`` groups, the
-most-covered always kept) and takes up to ``beam_size``: each group's best,
-most-covered groups first; then the next ``group_budget - 1`` of each group;
-then the rest, both by score.
+``_select_beam`` groups them by mask and takes up to ``beam_size``: each
+group's best, most-covered groups first; then the next ``group_budget - 1``
+of each group; then the rest, both by score.
 
 Every hypothesis starts from ``bos_id``, and each hypothesis step proves at
 most once: the vocabulary truth under its own prefix, of which the
@@ -99,9 +98,6 @@ class DecodingConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
-# ``_select_beam`` keeps at most this many groups (coverage masks)
-MAX_GROUPS = 64
-
 # The paper's two hyperparameter sets, (alpha1, alpha2, alpha3, rho, k, beam):
 # ``logicdec decode`` runs a lexical instance under "commongen" and a
 # dialogue instance under "personachat".
@@ -132,6 +128,8 @@ def coverage_table(concepts: Sequence[int], facts: Optional[FactBase]) -> np.nda
     """Stem class -> bits of the concepts in it, as uint64: consuming ``tok``
     updates a coverage mask as ``mask | table[class_of[tok]]``.  Without a
     fact base there are no concepts and one class."""
+    if len(concepts) > 64:
+        raise ValueError(f"uint64 coverage masks hold at most 64 concepts, got {len(concepts)}")
     table = np.zeros(facts.stems.n_classes if facts is not None else 1, dtype=np.uint64)
     for i, cid in enumerate(concepts):
         table[facts.stems.class_of[cid]] |= np.uint64(1 << i)
@@ -192,10 +190,9 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
             f"scorer vocabulary ({scorer.vocab_size}) does not match fact base "
             f"({len(facts.vocab)})")
     concepts = tuple(ctx.sets.get("C", ())) if ctx is not None else ()
-    if len(concepts) > 64:  # the coverage masks are uint64
-        raise ValueError(f"decode takes at most 64 concepts, got {len(concepts)}")
     if outside := [c for c in concepts if not 0 <= c < scorer.vocab_size]:
         raise ValueError(f"set 'C' binds token id {outside[0]} outside the vocabulary")
+    bits = coverage_table(concepts, facts)
     _check_bos(config.bos_id, scorer.vocab_size)
     shifting = program is not None and rule is not None and ctx is not None \
         and config.alpha3 > 0
@@ -230,7 +227,6 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
             ) for prefix, values in zip(prefixes, hooked)]
         return scorer.step_batch(sessions, [prefix[-1] for prefix in prefixes], hooks)
 
-    bits = coverage_table(concepts, facts)
     class_of = facts.stems.class_of if facts is not None else np.zeros(scorer.vocab_size, int)
     # the live beam, a row per hypothesis; sessions[i] has consumed tokens[i] but the last
     tokens, logp = np.array([[config.bos_id]], dtype=np.int64), np.zeros(1)
@@ -316,10 +312,9 @@ def _select_beam(score: np.ndarray, token: np.ndarray, parent: np.ndarray,
     Candidate ``i`` extends hypothesis ``parent[i]`` by ``token[i]``, scoring
     ``score[i]`` and covering ``mask[i]`` (uint64).  Candidates rank by score,
     then smaller token, then earlier hypothesis; a group (one mask) is headed
-    by its best.  Groups rank by covered-concept count, then by head; past
-    ``MAX_GROUPS`` the top group and the ``MAX_GROUPS - 1`` best-headed others
-    stay.  The beam takes, up to ``beam_size``: the heads in group rank, then
-    each group's 2nd to ``group_budget``-th members, then the rest, by rank.
+    by its best.  Groups rank by covered-concept count, then by head.  The
+    beam takes, up to ``beam_size``: the heads in group rank, then each
+    group's 2nd to ``group_budget``-th members, then the rest, by rank.
     """
     order = np.lexsort((parent, token, -score))
     n = len(order)
@@ -334,16 +329,8 @@ def _select_beam(score: np.ndarray, token: np.ndarray, parent: np.ndarray,
     # a head's key is its group rank (set below); then come each group's
     # budget and the spare members, both by rank
     key = by_mask + np.where(within < config.group_budget, n, 2 * n)
-    limit = config.beam_size
-    if len(groups) > MAX_GROUPS:
-        # keep the most-covered group plus the best-headed others
-        keep = {groups[0], *sorted(groups[1:], key=head_rank.__getitem__)[:MAX_GROUPS - 1]}
-        groups = [g for g in groups if g in keep]
-        dropped = ~np.isin(grouped, grouped[heads[groups]])
-        key[dropped] = 3 * n
-        limit = min(limit, n - np.count_nonzero(dropped))
     key[heads[groups]] = np.arange(len(groups))
-    take = by_mask[key.argsort()[:limit]]
+    take = by_mask[key.argsort()[:config.beam_size]]
     take.sort()
     return order[take]
 
@@ -354,21 +341,21 @@ def _select_beam(score: np.ndarray, token: np.ndarray, parent: np.ndarray,
 def plain_beam_search(scorer: Scorer, beam_size: int, max_length: int, *,
                       bos_id: int = 0, eos_id: Optional[int] = None,
                       length_norm_power: float = 0.7) -> DecodeResult:
-    """Reference beam search over raw scorer distributions, from ``bos_id``."""
-    if beam_size < 1:
-        raise ValueError("beam size must be >= 1")
-    if max_length < 0:
-        raise ValueError("max length must be >= 0")
+    """Reference beam search over raw scorer distributions, from ``bos_id``.
+    Its settings are checked as ``DecodingConfig`` checks them, and a
+    hypothesis is scored only at the step that expands it."""
+    DecodingConfig(beam_size=beam_size, max_length=max_length, bos_id=bos_id, eos_id=eos_id,
+                   length_norm_power=length_norm_power)
     _check_bos(bos_id, scorer.vocab_size)
-    session = scorer.begin_session()
-    live = [(Hypothesis((bos_id,), 0.0), session, scorer.step(session, bos_id))]
+    # each session has consumed its hypothesis's tokens but the last
+    live = [(Hypothesis((bos_id,), 0.0), scorer.begin_session())]
     finished: list[Hypothesis] = []
     for _ in range(max_length):
         if not live:
             break
         candidates = []
-        for hi, (hyp, _sess, d) in enumerate(live):
-            logd = pre_activation(d)
+        for hi, (hyp, sess) in enumerate(live):
+            logd = pre_activation(scorer.step(sess, hyp.tokens[-1]))
             k = min(beam_size, len(logd))
             top = np.argsort(-logd, kind="stable")[:k]  # ties to the smaller id
             for w in top:
@@ -380,17 +367,15 @@ def plain_beam_search(scorer: Scorer, beam_size: int, max_length: int, *,
         candidates.sort(key=lambda c: (-c[0], c[2], c[1]))
         next_live = []
         for score, hi, w in candidates[:beam_size]:
-            hyp, sess, _d = live[hi]
+            hyp, sess = live[hi]
             tokens = hyp.tokens + (w,)
             if eos_id is not None and w == eos_id:
                 finished.append(Hypothesis(tokens, score, finished=True))
                 continue
-            new_sess = sess.clone()
-            new_dist = scorer.step(new_sess, w)
-            next_live.append((Hypothesis(tokens, score), new_sess, new_dist))
+            next_live.append((Hypothesis(tokens, score), sess.clone()))
         live = next_live
     completed = bool(finished)
-    pool = finished if finished else [h for h, _s, _d in live]
+    pool = finished if finished else [h for h, _s in live]
     ranked = sorted(
         pool,
         key=lambda h: (-_length_normalized(h, length_norm_power), h.tokens),

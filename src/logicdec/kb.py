@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -146,13 +147,13 @@ class StemIndex:
 
 
 def rescale_weight(raw: float) -> float:
-    """Map a nonnegative raw relation weight into (0, 1).
+    """Map a finite nonnegative raw relation weight into (0, 1).
 
     Monotone saturating map, clamped away from the endpoints so soft and
     hard fact bases stay distinguishable.
     """
-    if raw < 0:
-        raise ValueError(f"negative relation weight {raw!r}")
+    if not 0 <= raw < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"relation weight {raw!r} is not finite and nonnegative")
     w = raw / (raw + 1.0)
     return min(0.95, max(0.05, w))
 
@@ -416,11 +417,9 @@ def ingest_triples(source, vocab: Vocabulary, mode: str = "soft",
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             fields = line.split("\t")
-            try:  # three or four fields, the weight a nonnegative number
+            try:  # three or four fields, the weight a finite nonnegative number
                 head, _rel, tail = fields[:3] if len(fields) in (3, 4) else ()
-                raw_w = float(fields[3]) if len(fields) == 4 else 1.0
-                if raw_w < 0:
-                    raise ValueError
+                soft_w = rescale_weight(float(fields[3]) if len(fields) == 4 else 1.0)
             except ValueError:
                 report.malformed += 1
                 continue
@@ -431,7 +430,7 @@ def ingest_triples(source, vocab: Vocabulary, mode: str = "soft",
             if not heads or not tails:
                 report.note_discard("filtered")
                 continue
-            weight = 1.0 if mode == "hard" else rescale_weight(raw_w)
+            weight = 1.0 if mode == "hard" else soft_w
             for hw in heads:
                 for tw in tails:
                     hid = align_word_to_token(hw, vocab)

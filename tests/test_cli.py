@@ -414,7 +414,9 @@ class TestDecode:
             assert line.startswith(f"logicdec: error: {flag} must be {wanted}, got ")
             assert not out.exists()
 
-    def test_too_many_concepts_fail_only_their_instance(self, snapshot, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["decode", "baseline-beam"])
+    def test_too_many_concepts_fail_only_their_instance(self, snapshot, tmp_path, capsys,
+                                                        command):
         words = (DATA / "vocab.txt").read_text("utf-8").split()[2:67]  # 65 distinct tokens
         instances = tmp_path / "three.jsonl"
         instances.write_text("".join(json.dumps(rec) + "\n" for rec in (
@@ -422,16 +424,40 @@ class TestDecode:
             {"id": "many", "kind": "lexical", "concepts": words},
             {"id": "last", "kind": "lexical", "concepts": ["river", "market"]})))
         out = tmp_path / "results.jsonl"
-        code, _, _ = run(["decode", "--factbase", str(snapshot), "--instances", str(instances),
+        code, _, _ = run([command, "--factbase", str(snapshot), "--instances", str(instances),
                           "--corpus", str(DATA / "corpus_lexical.txt"),
                           "--max-length", "8", "--out", str(out)],
                          capsys)
         assert code == 0
         first, many, last = [json.loads(line) for line in out.read_text().splitlines()]
-        assert many == {"id": "many",
-                        "error": "ValueError: decode takes at most 64 concepts, got 65"}
-        assert first["id"] == "first" and first["text"] and first["coverage"] > 0
-        assert last["id"] == "last" and last["text"] and last["coverage"] > 0
+        assert many == {"id": "many", "error": "ValueError: uint64 coverage masks hold at "
+                                               "most 64 concepts, got 65"}
+        assert first["id"] == "first" and first["text"] and "error" not in first
+        assert last["id"] == "last" and last["text"] and "error" not in last
+        if command == "decode":  # the unconstrained text need not cover them
+            assert first["coverage"] > 0 and last["coverage"] > 0
+
+    @pytest.mark.parametrize("command", ["decode", "baseline-beam"])
+    def test_max_length_past_the_transformer_max_len_is_a_usage_error(
+            self, snapshot, tmp_path, capsys, toy_vocab, command):
+        from logicdec.transformer import TinyTransformer, TransformerConfig, save_weights
+        weights = tmp_path / "short.bin"
+        save_weights(TinyTransformer(TransformerConfig(vocab_size=len(toy_vocab), max_len=8)),
+                     weights)
+        instances = tmp_path / "two.jsonl"
+        instances.write_text("".join((DATA / "lexical20.jsonl").read_text().splitlines(True)[:2]))
+        argv = [command, "--factbase", str(snapshot), "--instances", str(instances),
+                "--scorer", "transformer", "--weights", str(weights), "--beam", "3"]
+        out = tmp_path / "fits.jsonl"
+        code, _, err = run([*argv, "--max-length", "8", "--out", str(out)], capsys)
+        assert code == 0, err
+        assert all("text" in json.loads(line) for line in out.read_text().splitlines())
+        out = tmp_path / "past.jsonl"
+        code, _, err = run([*argv, "--max-length", "9", "--out", str(out)], capsys)
+        assert code == 1
+        assert err.strip() == "logicdec: error: --max-length 9 exceeds the transformer's " \
+            "max_len 8"
+        assert not out.exists()
 
     def test_transformer_scorer_runs(self, snapshot, tmp_path, capsys):
         out = tmp_path / "tf.jsonl"

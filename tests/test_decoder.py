@@ -2,7 +2,6 @@ import json
 import weakref
 from collections import Counter
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -312,9 +311,9 @@ class TestCarriedProverMemo:
                 np.add(vector, 1, out=vector)
 
 
-def _select_beam_oracle(candidates, config, max_groups):
+def _select_beam_oracle(candidates, config):
     """The three-pass grouped selection that ``_select_beam`` replaced, kept
-    verbatim as its oracle, under the group cap ``max_groups``."""
+    verbatim as its oracle."""
     def order(c):
         return (-c[0], c[2], c[1])
 
@@ -328,14 +327,6 @@ def _select_beam_oracle(candidates, config, max_groups):
         groups,
         key=lambda m: (-bin(m).count("1"), order(groups[m][0])),
     )
-    if len(group_order) > max_groups:
-        # keep the most-covered group plus the best-scoring remainder
-        keep = set(group_order[:1])
-        rest = sorted(group_order[1:], key=lambda m: order(groups[m][0]))
-        keep.update(rest[: max_groups - 1])
-        group_order = [m for m in group_order if m in keep]
-        groups = {m: groups[m] for m in group_order}
-
     kept: dict[int, list] = {m: groups[m][: config.group_budget] for m in group_order}
 
     beam: list = []
@@ -392,14 +383,11 @@ def select_beam(candidates, config):
 class TestBeamSelection:
     @settings(max_examples=400, deadline=None)
     @given(candidates=_CANDIDATES, beam_size=st.integers(1, 12),
-           group_budget=st.integers(1, 5), max_groups=st.integers(1, 8))
-    def test_matches_three_pass_oracle(self, candidates, beam_size, group_budget,
-                                       max_groups):
-        # patched in the body: hypothesis refuses function-scoped fixtures
+           group_budget=st.integers(1, 5))
+    def test_matches_three_pass_oracle(self, candidates, beam_size, group_budget):
         config = DecodingConfig(beam_size=beam_size, group_budget=group_budget)
-        with mock.patch.object(decoder, "MAX_GROUPS", max_groups):
-            assert select_beam(list(candidates), config) == \
-                _select_beam_oracle(list(candidates), config, max_groups)
+        assert select_beam(list(candidates), config) == \
+            _select_beam_oracle(list(candidates), config)
 
     def test_per_group_budget_before_fill(self):
         # two groups, both with more than k survivors, beam 2k: exactly k
@@ -422,6 +410,18 @@ class TestBeamSelection:
         ]
         beam = select_beam(candidates, config)
         assert any(c[3] == 0b11 for c in beam)
+
+    def test_every_group_competes_for_the_beam(self):
+        # 70 groups over 7 concept bits: all 7, one of 6, and 68 of 4 or 3.
+        # The 6-concept group's head scores worst of all candidates, yet it
+        # outranks every group of fewer concepts.
+        masks = [0b1111111] + [m for m in range(1 << 7) if m.bit_count() == 4] \
+            + [m for m in range(1 << 7) if m.bit_count() == 3][:33] + [0b0111111]
+        assert len(set(masks)) == 70
+        candidates = [(-1.0 - 0.01 * i, 0, i, m) for i, m in enumerate(masks)]
+        beam = select_beam(candidates, DecodingConfig(beam_size=4, group_budget=1))
+        assert candidates[-1] in beam
+        assert sorted((c[3].bit_count() for c in beam), reverse=True) == [7, 6, 4, 4]
 
     def test_single_group_fills_whole_beam(self):
         config = DecodingConfig(beam_size=4, group_budget=2, prune_ratio=1e-9)
@@ -470,15 +470,21 @@ class TestDecode:
         with pytest.raises(ValueError, match=message):
             plain_beam_search(scorer, 2, 2, bos_id=bos)
 
-    @pytest.mark.parametrize("beam_size, max_length, message", [
-        (0, 2, "beam size"), (-1, 3, "beam size"), (2, -1, "max length")])
+    @pytest.mark.parametrize("beam_size, max_length, length_norm_power, message", [
+        pytest.param(0, 2, 0.7, "beam size", id="0-2-beam size"),
+        pytest.param(-1, 3, 0.7, "beam size", id="-1-3-beam size"),
+        pytest.param(2, -1, 0.7, "max length", id="2--1-max length"),
+        pytest.param(2, 3, float("nan"), "length-normalisation", id="nan-length-norm"),
+        pytest.param(2, 3, float("inf"), "length-normalisation", id="inf-length-norm")])
     def test_plain_beam_search_refuses_what_decoding_config_refuses(
-            self, beam_size, max_length, message):
+            self, beam_size, max_length, length_norm_power, message):
         with pytest.raises(ValueError, match=message):
-            DecodingConfig(beam_size=beam_size, max_length=max_length)
+            DecodingConfig(beam_size=beam_size, max_length=max_length,
+                           length_norm_power=length_norm_power)
         scorer = TableScorer(table_of([[1, 2, 3, 4, 5]] * 5))
         with pytest.raises(ValueError, match=message):
-            plain_beam_search(scorer, beam_size, max_length)
+            plain_beam_search(scorer, beam_size, max_length,
+                              length_norm_power=length_norm_power)
         assert scorer.calls == 0
 
     def test_degenerate_config_equals_plain_beam_search(self, lexical_scorer, sentinel_ids):
@@ -601,6 +607,12 @@ _TABLES = st.integers(2, 6).flatmap(lambda v: st.lists(
     min_size=v, max_size=v))
 
 
+# both unconstrained decoders, with a beam of three, for ``n`` steps
+_BOTH_DECODERS = pytest.mark.parametrize("search", [
+    lambda scorer, n: decode(scorer, None, None, None, DecodingConfig(beam_size=3, max_length=n)),
+    lambda scorer, n: plain_beam_search(scorer, 3, n)], ids=["decode", "plain"])
+
+
 class TestDecodeLoop:
     @settings(max_examples=300, deadline=None)
     @given(rows=_TABLES, beam_size=st.integers(1, 8), group_budget=st.integers(1, 4),
@@ -624,14 +636,24 @@ class TestDecodeLoop:
         assert got.completed == want.completed
 
     @pytest.mark.parametrize("max_length", [1, 2, 3])
-    def test_final_beam_is_never_scored(self, max_length):
+    @_BOTH_DECODERS
+    def test_final_beam_is_never_scored(self, search, max_length):
         # the first step consumes BOS and each later one the beam's three
         # last tokens; the children the last step selects are returned unscored
         scorer = TableScorer(table_of([[1, 2, 3, 4]] * 4))
-        config = DecodingConfig(beam_size=3, max_length=max_length)
-        result = decode(scorer, None, None, None, config)
-        assert len(result.hypotheses) == 3 and result.steps == max_length
+        result = search(scorer, max_length)
+        assert len(result.hypotheses) == 3 and len(result.best.tokens) == 1 + max_length
         assert scorer.calls == 1 + 3 * (max_length - 1)
+
+    @_BOTH_DECODERS
+    def test_a_dead_end_ends_the_search(self, search):
+        # token 1 always follows BOS, and nothing follows token 1: the step
+        # that expands it has no candidate, and the live beam is returned
+        scorer = TableScorer(np.array([[0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))
+        result = search(scorer, 4)
+        assert [h.tokens for h in result.hypotheses] == [(0, 1)]
+        assert not result.completed and not result.best.finished
+        assert scorer.calls == 2
 
 
 class SameRowScorer(TableScorer):
@@ -814,20 +836,6 @@ class TestTransformerIntegration:
                           EvalContext(facts=toy_facts, sets={**sets, "Prev": prefix})).dense()
             assert (hooks.truth_prefix == truth[list(prefix)]).all()
             assert (hooks.truth_targets == truth[list(sets["C"])]).all()
-
-
-class TestGroupCap:
-    def test_live_groups_bounded_by_cap(self):
-        config = DecodingConfig(beam_size=8, group_budget=2, prune_ratio=1e-9)
-        candidates = []
-        for g in range(6):  # six distinct masks, more than the cap
-            candidates.append((-1.0 - g * 0.1, 0, 50 + g, 1 << g))
-            candidates.append((-2.0 - g * 0.1, 0, 60 + g, 1 << g))
-        with mock.patch.object(decoder, "MAX_GROUPS", 3):
-            beam = select_beam(candidates, config)
-        assert len({c[3] for c in beam}) <= 3
-        # under the module's cap of 64, every group is represented
-        assert len({c[3] for c in select_beam(candidates, config)}) == 6
 
 
 class StepWatchingScorer(Scorer):

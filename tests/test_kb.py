@@ -279,8 +279,9 @@ class TestRescale:
         assert weights == sorted(weights)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            rescale_weight(-1.0)
+        for raw in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not finite and nonnegative"):
+                rescale_weight(raw)
 
 
 class TestIngestion:
@@ -357,9 +358,10 @@ class TestIngestion:
 
     def test_malformed_lines_counted(self, toy_vocab):
         facts, report = ingest_triples(
-            ["only two\tfields", "a\tb\tc\tnot_a_number", "dog\trel\tcat\t-3"],
+            ["only two\tfields", "a\tb\tc\tnot_a_number", "dog\trel\tcat\t-3",
+             "garden\tRelatedTo\tpark\tinf", "piano\tRelatedTo\tmusic\tnan"],
             toy_vocab, mode="soft")
-        assert report.malformed == 3
+        assert report.malformed == 5
         assert report.lines_read == 0
 
 
