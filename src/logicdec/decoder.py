@@ -48,7 +48,7 @@ from . import rules as R
 # decide is not called here; the benchmark's tracer patches this name
 from .decision import SCORE_FLOOR, decide, pre_activation, top_k_rows  # noqa: F401
 from .kb import FactBase
-from .lm import Scorer
+from .lm import Scorer, _check_token
 from .prover import Domain, EvalContext, prove
 from .transformer import AttentionHookBundle
 from .truth import Truth
@@ -128,6 +128,7 @@ def coverage_table(concepts: Sequence[int], facts: Optional[FactBase]) -> np.nda
     """Stem class -> bits of the concepts in it, as uint64: consuming ``tok``
     updates a coverage mask as ``mask | table[class_of[tok]]``.  Without a
     fact base there are no concepts and one class."""
+    _check_token(concepts, len(facts.vocab) if facts is not None else 0, "set 'C' binds token id")
     if len(concepts) > 64:
         raise ValueError(f"uint64 coverage masks hold at most 64 concepts, got {len(concepts)}")
     table = np.zeros(facts.stems.n_classes if facts is not None else 1, dtype=np.uint64)
@@ -190,10 +191,9 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
             f"scorer vocabulary ({scorer.vocab_size}) does not match fact base "
             f"({len(facts.vocab)})")
     concepts = tuple(ctx.sets.get("C", ())) if ctx is not None else ()
-    if outside := [c for c in concepts if not 0 <= c < scorer.vocab_size]:
-        raise ValueError(f"set 'C' binds token id {outside[0]} outside the vocabulary")
     bits = coverage_table(concepts, facts)
-    _check_bos(config.bos_id, scorer.vocab_size)
+    _check_token((config.bos_id,), scorer.vocab_size, "BOS id")
+    _check_token(() if config.eos_id is None else (config.eos_id,), scorer.vocab_size, "EOS id")
     shifting = program is not None and rule is not None and ctx is not None \
         and config.alpha3 > 0
     hooking = program is not None and rule is not None and ctx is not None \
@@ -295,11 +295,6 @@ def decode(scorer: Scorer, program: Optional[R.RuleProgram], rule: Optional[str]
     return DecodeResult(ranked, bool(finished), steps_run, trace_log)
 
 
-def _check_bos(bos_id: int, vocab_size: int) -> None:
-    if not 0 <= bos_id < vocab_size:
-        raise ValueError(f"BOS id {bos_id} lies outside the vocabulary [0, {vocab_size})")
-
-
 def _length_normalized(hyp: Hypothesis, power: float) -> float:
     gen_len = max(len(hyp.tokens) - 1, 1)  # BOS excluded
     return hyp.logp / gen_len ** power
@@ -346,7 +341,8 @@ def plain_beam_search(scorer: Scorer, beam_size: int, max_length: int, *,
     hypothesis is scored only at the step that expands it."""
     DecodingConfig(beam_size=beam_size, max_length=max_length, bos_id=bos_id, eos_id=eos_id,
                    length_norm_power=length_norm_power)
-    _check_bos(bos_id, scorer.vocab_size)
+    _check_token((bos_id,), scorer.vocab_size, "BOS id")
+    _check_token(() if eos_id is None else (eos_id,), scorer.vocab_size, "EOS id")
     # each session has consumed its hypothesis's tokens but the last
     live = [(Hypothesis((bos_id,), 0.0), scorer.begin_session())]
     finished: list[Hypothesis] = []

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .lm import _check_token
 from .stemming import word_stem
 from .truth import Truth
 
@@ -204,8 +205,7 @@ class FactBase:
     # -- scalar fact access (word-by-word path) ------------------------------
 
     def edge_weight(self, a: int, b: int) -> float:
-        if not 0 <= min(a, b) <= max(a, b) < len(self.vocab):
-            raise ValueError(f"edge ({a}, {b}) outside vocabulary of size {len(self.vocab)}")
+        _check_token((a, b), len(self.vocab))
         lo, hi = self._csc_indptr[b], self._csc_indptr[b + 1]
         k = lo + int(np.searchsorted(self._csc_rows[lo:hi], a))
         return float(self._csc_vals[k]) if k < hi and self._csc_rows[k] == a else 0.0
@@ -218,13 +218,13 @@ class FactBase:
     def edge_truth(self, p: int) -> Truth:
         """``Edge(x, p)`` for every token ``x``: column ``p`` of the adjacency,
         as read-only views of its rows and weights."""
+        _check_token((p,), len(self.vocab))
         lo, hi = self._csc_indptr[p], self._csc_indptr[p + 1]
         return Truth(0.0, self._csc_rows[lo:hi], self._csc_vals[lo:hi], len(self.vocab))
 
     def equal_truth(self, y: int) -> Truth:
         """``Equal(x, y)`` for every token ``x``: 1.0 on ``y``'s stem class."""
-        if not (0 <= y < len(self.vocab)):
-            raise ValueError(f"token id {y} outside vocabulary")
+        _check_token((y,), len(self.vocab))
         mates = self.stems.class_members(y)
         return Truth(0.0, mates, np.ones(len(mates)), len(self.vocab))
 

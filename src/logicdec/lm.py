@@ -21,6 +21,10 @@ sparse corrections: :class:`NgramDist` holds it in that form, so that the
 decoder can rank it from the unigram's order without writing out V entries.
 The model keeps the corrections of each context length in flat arrays, one
 row per context seen, and a distribution is its model and one row per length.
+
+A token id is a Python or numpy integer, not a bool, in [0, V).
+``_check_token`` holds every id a caller hands the package to that rule, and
+``ngram_train`` its corpus, vectorised.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -201,12 +205,14 @@ def _is_token_id(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and kind is not bool
 
 
-def _check_token(token, vocab_size: int) -> None:
-    """Raise ``ValueError`` unless ``token`` is an integer id in [0, vocab_size)."""
-    if not _is_token_id(type(token)):
-        raise ValueError(f"token id {token!r} is not an integer")
-    if not 0 <= token < vocab_size:
-        raise ValueError(f"token id {token} outside vocabulary")
+def _check_token(ids: Iterable, vocab_size: int, what: str = "token id") -> None:
+    """Raise ``ValueError``, naming the id as ``what``, unless each of ``ids``
+    is a token id (the module docstring's rule, with V = ``vocab_size``)."""
+    for t in ids:
+        if type(t) is not int and not _is_token_id(type(t)):  # the common case first
+            raise ValueError(f"{what} {t!r} is not an integer")
+        if not 0 <= t < vocab_size:
+            raise ValueError(f"{what} {t} outside vocabulary [0, {vocab_size})")
 
 
 def ngram_train(corpus: Sequence[Sequence[int]], order: int,
@@ -299,12 +305,13 @@ class NgramScorer(Scorer):
         self.vocab_size = lm.vocab_size
 
     def begin_session(self, targets: Sequence[int] = ()) -> NgramSession:
+        _check_token(targets, self.vocab_size, "target id")
         return NgramSession()
 
     def step(self, session: NgramSession, token: int, hooks=None) -> NgramDist:
         if hooks is not None:
             raise ValueError("n-gram scorer does not support attention hooks")
-        _check_token(token, self.vocab_size)
+        _check_token((token,), self.vocab_size)
         keep = self.lm.order - 1
         session.window = (session.window + (token,))[-keep:] if keep else ()
         return self.lm.dist(session.window)

@@ -46,6 +46,7 @@ import numpy as np
 
 from . import rules as R
 from .kb import FactBase
+from .lm import _check_token
 from .truth import Truth
 
 __all__ = [
@@ -64,10 +65,11 @@ class Domain:
     ``kind`` records what the positions mean (the whole vocabulary, or a
     list of token ids such as target words or a generated prefix); repeated
     ids are distinct positions with equal truth values.  A ``"vocab"``
-    domain holds every token id in order, as :meth:`vocabulary` builds it.
+    domain holds every token id in order, as :meth:`vocabulary` builds it;
+    a ``"targets"`` domain the caller's ids as given, which ``prove`` checks.
     """
     kind: str
-    ids: np.ndarray
+    ids: Sequence[int]
 
     @classmethod
     def vocabulary(cls, facts: FactBase) -> "Domain":
@@ -75,7 +77,7 @@ class Domain:
 
     @classmethod
     def targets(cls, token_ids: Sequence[int]) -> "Domain":
-        return cls("targets", np.asarray(token_ids, dtype=np.int64))
+        return cls("targets", list(token_ids))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -295,15 +297,12 @@ def prove(program: R.RuleProgram, rule: str, domain: Domain, ctx: EvalContext) -
         raise ValueError(f"rule '{rule}' takes {len(target.params)} arguments; "
                          "a proved rule must take exactly one")
     n_vocab = len(ctx.facts.vocab)
-    if domain.kind == "vocab":
-        if len(domain) != n_vocab:
-            raise ValueError("a vocabulary domain needs one position per vocabulary token")
-    elif len(domain) and (domain.ids.min() < 0 or domain.ids.max() >= n_vocab):
-        raise ValueError("domain contains token ids outside the fact-base vocabulary")
+    if domain.kind != "vocab":
+        _check_token(domain.ids, n_vocab, "domain token id")
+    elif len(domain) != n_vocab:
+        raise ValueError("a vocabulary domain needs one position per vocabulary token")
     for name, ids in ctx.sets.items():
-        for tid in ids:
-            if not (0 <= tid < n_vocab):
-                raise ValueError(f"set '{name}' binds token id {tid} outside the vocabulary")
+        _check_token(ids, n_vocab, f"set '{name}' binds token id")
     memo = {} if ctx.memo is None else ctx.memo
     out = _eval_rule(program, rule, (_DOMAIN_ARG,), ctx, memo)
     if not isinstance(out, Truth):
@@ -326,8 +325,7 @@ def prove_scalar(program: R.RuleProgram, rule: str, word: int,
     must match.  Implemented independently: no numpy, no shared
     combinators."""
     facts = ctx.facts
-    if not (0 <= word < len(facts.vocab)):
-        raise ValueError(f"token id {word} outside vocabulary")
+    _check_token((word,), len(facts.vocab))
 
     def clamp(v: float) -> float:
         return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)

@@ -199,8 +199,7 @@ class TinyTransformer:
             raise ValueError("batched sessions must have equal target counts")
         if pos >= cfg.max_len:
             raise ValueError(f"prefix exceeds max length {cfg.max_len}")
-        for token in tokens:
-            _check_token(token, cfg.vocab_size)
+        _check_token(tokens, cfg.vocab_size)
         coef = _hook_coefficients(hooks, n_targets, pos + 1)
 
         H, dh = cfg.n_heads, cfg.head_dim
@@ -261,6 +260,7 @@ def precompute_target_kv(model: TinyTransformer, targets: Sequence[int]
     if not len(targets):
         raise ValueError("target word list is empty")
     cfg = model.config
+    _check_token(targets, cfg.vocab_size, "target id")
     w = model.weights
     per_layer_k = [[] for _ in range(cfg.n_layers)]
     per_layer_v = [[] for _ in range(cfg.n_layers)]
@@ -271,8 +271,6 @@ def precompute_target_kv(model: TinyTransformer, targets: Sequence[int]
         return v  # single-position self-attention mixes nothing
 
     for tid in targets:
-        if not (0 <= tid < cfg.vocab_size):
-            raise ValueError(f"target id {tid} outside vocabulary")
         x = w["emb"][tid].copy()
         for layer in range(cfg.n_layers):
             x = _block(w, x, layer, attend)

@@ -462,7 +462,7 @@ class TestDecode:
         vocab, facts, scorer = bigram_world()  # V = 4
         ctx = EvalContext(facts=facts, sets={"C": (3,)})
         config = DecodingConfig(beam_size=2, alpha3=24.0, max_length=2, bos_id=bos)
-        message = rf"BOS id {bos} lies outside the vocabulary \[0, 4\)"
+        message = rf"BOS id {bos} outside vocabulary \[0, 4\)"
         for program, rule, context in ((None, None, None),
                                        (parse_program(LEXICAL_RULES), "R", ctx)):
             with pytest.raises(ValueError, match=message):

@@ -29,28 +29,44 @@ def test_lists_the_statements_a_run_never_reaches():
     assert re.search(r"^\d+ statements never ran$", done.stdout, re.M)
 
 
-def test_the_loader_tests_reach_every_statement_of_the_binary_reader():
-    """The untrusted-file reader's every refusal runs under tier-1: the
-    shared reader and ``load_weights`` list no statement under the loader
-    tests that do not draw examples."""
+def unreached(tests: list[str], names_by_module: dict[str, set[str]]) -> list[str]:
+    """The statements of the named top-level definitions that the tracer
+    lists as never run under ``tests``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    weights = "tests/test_transformer.py::TestWeightFile::"
-    done = subprocess.run([sys.executable, str(TOOL), "-q", "-p", "no:cacheprovider",
-                           "tests/test_binary_formats.py",
-                           weights + "test_malformed_header_rejected",
-                           weights + "test_unsupported_version_rejected"],
+    done = subprocess.run([sys.executable, str(TOOL), "-q", "-p", "no:cacheprovider", *tests],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert re.search(r"^\d+ statements never ran$", done.stdout, re.M)
-    for module, names in (("kb", {"FormatError", "SectionReader"}),
-                          ("transformer", {"load_weights"})):
+    out = []
+    for module, names in names_by_module.items():
         spans = [range(node.lineno, node.end_lineno + 1) for node in
                  ast.parse((ROOT / f"src/logicdec/{module}.py").read_text()).body
                  if getattr(node, "name", None) in names]
         assert len(spans) == len(names)
         listed = re.findall(rf"^src/logicdec/{module}\.py:(\d+): .*$", done.stdout, re.M)
-        assert [line for line in listed if any(int(line) in span for span in spans)] == []
+        out += [f"{module}:{line}" for line in listed if any(int(line) in span for span in spans)]
+    return out
+
+
+def test_the_loader_tests_reach_every_statement_of_the_binary_reader():
+    """The untrusted-file reader's every refusal runs under tier-1: the
+    shared reader and ``load_weights`` list no statement under the loader
+    tests that do not draw examples."""
+    weights = "tests/test_transformer.py::TestWeightFile::"
+    assert unreached(["tests/test_binary_formats.py",
+                      weights + "test_malformed_header_rejected",
+                      weights + "test_unsupported_version_rejected"],
+                     {"kb": {"FormatError", "SectionReader"},
+                      "transformer": {"load_weights"}}) == []
+
+
+def test_the_id_tests_reach_every_statement_of_the_token_id_check():
+    """The one token-id check's every refusal runs under tier-1's id tests,
+    and so does every statement of ``coverage_table``, which applies it to
+    the concepts beside the 64-concept limit."""
+    assert unreached(["tests/test_token_ids.py", "tests/test_decoder.py::TestConceptSet"],
+                     {"lm": {"_check_token"}, "decoder": {"coverage_table"}}) == []
 
 
 def test_traffic_tool_lists_what_one_demo_never_reaches():
