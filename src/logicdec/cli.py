@@ -30,6 +30,8 @@ from .transformer import TinyTransformer, TransformerConfig, TransformerScorer, 
 
 log = logging.getLogger("logicdec")
 
+NGRAM_ORDER = 3  # the n-gram scorer's order; it trains with ngram_train's default discount
+
 
 class UsageError(ValueError):
     pass
@@ -73,8 +75,6 @@ def build_parser() -> _Parser:
     common_decode.add_argument("--out", required=True, help="JSONL results output path")
     common_decode.add_argument("--scorer", choices=("ngram", "transformer"), default="ngram", help="next-token scorer")
     common_decode.add_argument("--corpus", help="training corpus for the n-gram scorer")
-    common_decode.add_argument("--ngram-order", type=int, default=3, help="n-gram order (1..5)")
-    common_decode.add_argument("--discount", type=float, default=0.75, help="absolute discount")
     common_decode.add_argument("--weights", help="transformer weight file (omit for seeded init)")
     common_decode.add_argument("--seed", type=int, default=0, help="transformer init seed")
     common_decode.add_argument("--beam", type=int, help="beam size")
@@ -139,8 +139,7 @@ def _build_scorer(args, facts):
             raise UsageError("--corpus is required with --scorer ngram")
         _require_file(args.corpus, "--corpus")
         corpus = _load_corpus_ids(args.corpus, facts.vocab)
-        lm = ngram_train(corpus, order=args.ngram_order, discount=args.discount,
-                         vocab_size=len(facts.vocab))
+        lm = ngram_train(corpus, order=NGRAM_ORDER, vocab_size=len(facts.vocab))
         return NgramScorer(lm)
     if args.weights:
         model = load_weights(_require_file(args.weights, "--weights"))
@@ -219,13 +218,8 @@ def _decode_common(args, constrained: bool) -> int:
     # decode starts each instance kind from its preset, baseline-beam from no shift
     configs = {kind: _decode_config(args, PRESETS[preset] if constrained else DecodingConfig())
                for kind, preset in (("lexical", "commongen"), ("dialogue", "personachat"))}
-    # the scorer settings too, before anything is loaded
-    for flag, value, ok, wanted in (
-            ("--ngram-order", args.ngram_order, 1 <= args.ngram_order <= 5, "in 1..5"),
-            ("--discount", args.discount, 0.0 < args.discount < 1.0, "in (0, 1)"),
-            ("--seed", args.seed, args.seed >= 0, "nonnegative")):
-        if not ok:
-            raise UsageError(f"{flag} must be {wanted}, got {value}")
+    if args.seed < 0:  # the scorer setting too, before anything is loaded
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     override = _read_rules(args.rules, "R") if constrained and args.rules else None  # decode proves R
     facts = load_factbase(_require_file(args.factbase, "--factbase"))
     instance_path = _require_file(args.instances, "--instances")

@@ -60,6 +60,7 @@ class Vocabulary:
         return self._index.get(token)
 
     def token(self, token_id: int) -> str:
+        _check_token((token_id,), len(self._tokens))
         return self._tokens[token_id]
 
     @property
@@ -68,7 +69,7 @@ class Vocabulary:
 
     def surface(self, token_id: int) -> str:
         """Surface form with any word-boundary marker stripped."""
-        return self._tokens[token_id].removeprefix(WORD_BOUNDARY)
+        return self.token(token_id).removeprefix(WORD_BOUNDARY)
 
 
 def _greedy_pieces(text: str, vocab: Vocabulary) -> Optional[list[int]]:
@@ -211,6 +212,7 @@ class FactBase:
         return float(self._csc_vals[k]) if k < hi and self._csc_rows[k] == a else 0.0
 
     def same_stem(self, a: int, b: int) -> bool:
+        _check_token((a, b), len(self.vocab))
         return self.stems.same_class(a, b)
 
     # -- whole-vocabulary fact access (the prover's atoms) --------------------

@@ -24,7 +24,11 @@ row per context seen, and a distribution is its model and one row per length.
 
 A token id is a Python or numpy integer, not a bool, in [0, V).
 ``_check_token`` holds every id a caller hands the package to that rule, and
-``ngram_train`` its corpus, vectorised.
+``ngram_train`` its corpus, vectorised.  The rule's boundaries include the
+scorers' steps and sessions, the decoders' BOS, EOS and concepts,
+``Vocabulary.token`` and ``surface``, ``FactBase``'s scalar lookups
+(``edge_weight``, ``same_stem``) and atoms, and the domain and set bindings
+of ``prove`` and ``prove_scalar``.
 """
 
 from __future__ import annotations

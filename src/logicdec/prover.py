@@ -186,19 +186,11 @@ def _atom(pred: str, a, b, facts: FactBase):
     if a is _DOMAIN_ARG and b is _DOMAIN_ARG:
         return 1.0 if pred == "Equal" else 0.0  # Edge has no self-loops
     if a is not _DOMAIN_ARG and b is not _DOMAIN_ARG:
-        return float(facts.same_stem(a, b)) if pred == "Equal" else facts.edge_weight(a, b)
+        # ``prove`` has checked every set binding, so Equal reads the classes unchecked
+        return float(facts.stems.same_class(a, b)) if pred == "Equal" else facts.edge_weight(a, b)
     other = b if a is _DOMAIN_ARG else a
     # Edge reads the adjacency; softness is a property of the facts.
     return facts.equal_truth(other) if pred == "Equal" else facts.edge_truth(other)
-
-
-def _gather(ids: np.ndarray, child):
-    """A child's value at each of ``ids`` (a superset of a ``Truth``'s own)."""
-    if not isinstance(child, Truth):
-        return child
-    column = np.full(len(ids), child.background, dtype=np.float64)
-    column[np.searchsorted(ids, child.ids)] = child.values
-    return column
 
 
 def _combine(op, children: Sequence):
@@ -226,10 +218,10 @@ def _combine(op, children: Sequence):
                 if isinstance(c, Truth) and c.background == 0.0:
                     acc[np.searchsorted(ids, c.ids)] += c.values
                 else:
-                    acc += _gather(ids, c)
+                    acc += c.at(ids) if isinstance(c, Truth) else c
             values = _clip(acc if op is _or else acc / len(children), 0.0, 1.0)
         else:
-            values = op([_gather(ids, c) for c in children])
+            values = op([c.at(ids) if isinstance(c, Truth) else c for c in children])
     return Truth(op(backgrounds), ids, values, sparse[0].size)
 
 
@@ -326,6 +318,8 @@ def prove_scalar(program: R.RuleProgram, rule: str, word: int,
     combinators."""
     facts = ctx.facts
     _check_token((word,), len(facts.vocab))
+    for name, ids in ctx.sets.items():
+        _check_token(ids, len(facts.vocab), f"set '{name}' binds token id")
 
     def clamp(v: float) -> float:
         return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)

@@ -91,15 +91,14 @@ def load_instances(path) -> list[TaskInstance]:
     return out
 
 
-def extract_keywords(sentence: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS
-                     ) -> tuple[str, ...]:
+def extract_keywords(sentence: str) -> tuple[str, ...]:
     """Deterministic keyword extraction: lowercase, split on
-    whitespace/punctuation, drop stop-words and single characters, map
-    irregular inflections to their base form, collapse duplicates keeping
+    whitespace/punctuation, drop ``DEFAULT_STOPWORDS`` and single characters,
+    map irregular inflections to their base form, collapse duplicates keeping
     first occurrence."""
     seen = []
     for word in _WORD_RE.findall(sentence.lower()):
-        if len(word) < 2 or word in stopwords:
+        if len(word) < 2 or word in DEFAULT_STOPWORDS:
             continue
         word = IRREGULAR_FORMS.get(word, word)
         if word not in seen:
@@ -161,9 +160,7 @@ def lexical_rule_template(concepts: Sequence[str], facts: FactBase,
 
 
 def dialogue_rule_template(persona: Sequence[str], history: Sequence[str],
-                           facts: FactBase,
-                           stopwords: frozenset[str] = DEFAULT_STOPWORDS
-                           ) -> TemplateBinding:
+                           facts: FactBase) -> TemplateBinding:
     """Rules rewarding persona keywords and bridging words.
 
     P holds keywords extracted from the persona sentences, U keywords from
@@ -172,8 +169,7 @@ def dialogue_rule_template(persona: Sequence[str], history: Sequence[str],
     constant 0, preserving the disjunctive structure of the top rule.
     """
     # each side's keywords once, in first-seen order
-    p_words, u_words = (list(dict.fromkeys(w for sent in side
-                                           for w in extract_keywords(sent, stopwords)))
+    p_words, u_words = (list(dict.fromkeys(w for sent in side for w in extract_keywords(sent)))
                         for side in (persona, history))
 
     p_ids, p_skipped = _align_words(p_words, facts)

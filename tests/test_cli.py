@@ -95,17 +95,20 @@ class TestDecode:
                    for r in lines)
 
     @pytest.mark.parametrize("flag, value", [("--template", "hard-gate"), ("--task", "lexical"),
-                                             ("--preset", "commongen")])
+                                             ("--preset", "commongen"), ("--ngram-order", "3"),
+                                             ("--discount", "0.75")])
     def test_removed_flags_are_refused(self, snapshot, tmp_path, capsys, flag, value):
         out = tmp_path / "results.jsonl"
-        with pytest.raises(SystemExit) as exc:
-            main(["decode", "--factbase", str(snapshot),
-                  "--instances", str(DATA / "lexical20.jsonl"),
-                  "--corpus", str(DATA / "corpus_lexical.txt"),
-                  flag, value, "--out", str(out)])
-        assert exc.value.code == 1
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
-        assert not out.exists()
+        for command in ("decode", "baseline-beam"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--factbase", str(snapshot),
+                      "--instances", str(DATA / "lexical20.jsonl"),
+                      "--corpus", str(DATA / "corpus_lexical.txt"),
+                      flag, value, "--out", str(out)])
+            assert exc.value.code == 1
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+            assert not out.exists()
+            assert flag not in TestHelpDocSync().subcommand_help(command)
 
     def test_each_instance_kind_picks_its_template(self, snapshot, tmp_path, capsys):
         lexical = (DATA / "lexical20.jsonl").read_text("utf-8").splitlines()[:2]
@@ -395,20 +398,16 @@ class TestDecode:
         assert f"invalid decode setting: {words}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value, wanted", [
-        ("--ngram-order", "0", "in 1..5"), ("--ngram-order", "6", "in 1..5"),
-        ("--discount", "0", "in (0, 1)"), ("--discount", "1", "in (0, 1)"),
-        ("--discount", "nan", "in (0, 1)"), ("--seed", "-1", "nonnegative"),
-    ])
+    @pytest.mark.parametrize("flag, value, wanted", [("--seed", "-1", "nonnegative")])
     def test_bad_scorer_setting_is_a_usage_error(self, snapshot, tmp_path, capsys,
                                                  flag, value, wanted):
         out = tmp_path / "results.jsonl"
-        scorer = "transformer" if flag == "--seed" else "ngram"
         for factbase in (snapshot, "/missing.fb"):  # checked before the fact base
             code, _, err = run(["decode", "--factbase", str(factbase),
                                 "--instances", str(DATA / "lexical20.jsonl"),
                                 "--corpus", str(DATA / "corpus_lexical.txt"),
-                                "--scorer", scorer, flag, value, "--out", str(out)], capsys)
+                                "--scorer", "transformer", flag, value, "--out", str(out)],
+                               capsys)
             assert code == 1
             (line,) = err.strip().splitlines()  # one message, no traceback
             assert line.startswith(f"logicdec: error: {flag} must be {wanted}, got ")

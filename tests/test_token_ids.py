@@ -45,7 +45,13 @@ BOUNDARIES = {
     "prove-set": ("set 'C' binds token id", lambda f, s, bad: prove(
         PROGRAM, "R", Domain.vocabulary(f), _ctx(f, (3, bad)))),
     "prove_scalar": ("token id", lambda f, s, bad: prove_scalar(PROGRAM, "R", bad, _ctx(f))),
+    "prove_scalar-set": ("set 'C' binds token id", lambda f, s, bad: prove_scalar(
+        PROGRAM, "R", 4, _ctx(f, (3, bad)))),
     "edge_weight": ("token id", lambda f, s, bad: f.edge_weight(3, bad)),
+    "same_stem-a": ("token id", lambda f, s, bad: f.same_stem(bad, 3)),
+    "same_stem-b": ("token id", lambda f, s, bad: f.same_stem(3, bad)),
+    "vocab-token": ("token id", lambda f, s, bad: f.vocab.token(bad)),
+    "vocab-surface": ("token id", lambda f, s, bad: f.vocab.surface(bad)),
     "edge_truth": ("token id", lambda f, s, bad: f.edge_truth(bad)),
     "equal_truth": ("token id", lambda f, s, bad: f.equal_truth(bad)),
     "ngram-step": ("token id", lambda f, s, bad: s.step(s.begin_session(), bad)),

@@ -201,9 +201,9 @@ def check_world() -> None:
                 adjacency.setdefault(tw, set()).add(hw)
     for persona, history, p_kw, u_kw, bridge in DIALOGUE_PAIRS:
         # only keywords that survive vocabulary alignment matter
-        extracted_p = [w for w in extract_keywords(persona, DEFAULT_STOPWORDS) if w in vocab]
+        extracted_p = [w for w in extract_keywords(persona) if w in vocab]
         assert extracted_p == [p_kw], (persona, extracted_p)
-        extracted_u = [w for w in extract_keywords(history, DEFAULT_STOPWORDS) if w in vocab]
+        extracted_u = [w for w in extract_keywords(history) if w in vocab]
         assert extracted_u == [u_kw], (history, extracted_u)
         common = adjacency.get(p_kw, set()) & adjacency.get(u_kw, set())
         assert common == {bridge}, (persona, common)
