@@ -79,7 +79,9 @@ def build_parser() -> _Parser:
     common_decode.add_argument("--seed", type=int, default=0, help="transformer init seed")
     common_decode.add_argument("--beam", type=int, help="beam size")
     common_decode.add_argument("--max-length", type=int, default=16, help="max generated tokens")
-    common_decode.add_argument("--length-norm", type=float, default=0.7, help="length normalization exponent")
+    common_decode.add_argument("--length-norm", type=float,
+                               help="length normalization exponent (default: the preset's "
+                                    "1.0 for decode, 0.7 for baseline-beam)")
 
     p_dec = sub.add_parser("decode", parents=[common_decode], help="run constrained decoding",
                            description="Each instance decodes under its kind's preset (lexical: "
@@ -169,10 +171,10 @@ def _read_rules(path, rule: Optional[str] = None) -> RuleProgram:
 def _decode_config(args, base: DecodingConfig) -> DecodingConfig:
     """``base`` with the hyperparameter flags given on the command line."""
     flags = {"beam": "beam_size", "alpha1": "alpha1", "alpha2": "alpha2", "alpha3": "alpha3",
-             "rho": "prune_ratio", "group_k": "group_budget"}
+             "rho": "prune_ratio", "group_k": "group_budget", "length_norm": "length_norm_power"}
     overrides = {name: getattr(args, flag) for flag, name in flags.items()
                  if getattr(args, flag, None) is not None}
-    overrides.update(max_length=args.max_length, length_norm_power=args.length_norm)
+    overrides.update(max_length=args.max_length)
     try:
         return replace(base, **overrides)
     except ValueError as exc:  # DecodingConfig rejects the setting

@@ -139,7 +139,7 @@ def top_k_rows(rows: Sequence[np.ndarray | NgramDist], truths: Sequence[Optional
 def _top_k_of_whole(rows: Sequence, truths: Sequence, alpha: float, k: int) -> tuple:
     n, v = len(rows), len(rows[0])
     supports = [t if t is None or t.background == 0.0 else support_of(t.dense()) for t in truths]
-    p = NgramDist.at(rows, np.arange(n * v)) if _one_model(rows) else np.concatenate(
+    p = NgramDist.block(rows) if _one_model(rows) else np.concatenate(
         rows, dtype=float)
     row = np.repeat(np.arange(n), v)
     scores = _shift(p, row, supports, alpha)

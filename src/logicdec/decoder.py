@@ -102,10 +102,10 @@ class DecodingConfig:
 # ``logicdec decode`` runs a lexical instance under "commongen" and a
 # dialogue instance under "personachat".
 PRESETS: dict[str, DecodingConfig] = {
-    "commongen": DecodingConfig(beam_size=20, alpha1=12.0, alpha2=24.0,
-                                alpha3=24.0, prune_ratio=0.6, group_budget=16),
-    "personachat": DecodingConfig(beam_size=10, alpha1=12.0, alpha2=24.0,
-                                  alpha3=48.0, prune_ratio=0.4, group_budget=8),
+    "commongen": DecodingConfig(beam_size=20, alpha1=12.0, alpha2=24.0, alpha3=24.0,
+                                prune_ratio=0.6, group_budget=16, length_norm_power=1.0),
+    "personachat": DecodingConfig(beam_size=10, alpha1=12.0, alpha2=24.0, alpha3=48.0,
+                                  prune_ratio=0.4, group_budget=8, length_norm_power=1.0),
 }
 
 

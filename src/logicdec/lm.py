@@ -140,6 +140,21 @@ class NgramDist:
             yield table.scale[row], table.ids[at] + shift.repeat(size), table.add[at], size
 
     @staticmethod
+    def block(dists: Sequence["NgramDist"]) -> np.ndarray:
+        """Distributions of one model end to end, ``len(dists) * V`` entries,
+        by the float operations of ``dense()``: the unigram once per
+        distribution, then per level a scale per row and the adds at the
+        successor keys (``dense()`` stops at row 0, which scales by 1 and
+        adds nothing)."""
+        v = len(dists[0])
+        out = np.concatenate([dists[0].model._unigram] * len(dists))
+        grid = out.reshape(len(dists), v)
+        for scale, successors, add, _ in NgramDist._levels(dists, v):
+            grid *= scale[:, None]
+            out[successors] += add
+        return out
+
+    @staticmethod
     def at(dists: Sequence["NgramDist"], keys: np.ndarray, levels=None) -> np.ndarray:
         """The entries at ``keys`` (ascending, no repeats; ``levels`` as from
         ``top_candidates``) by the float operations of ``dense()``, bit for

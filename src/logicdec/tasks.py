@@ -10,6 +10,7 @@ speakers' interests.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -114,9 +115,10 @@ class TemplateBinding:
     skipped: tuple[str, ...] = ()        # words that did not align to tokens
 
 
+@functools.cache
 def template_text(name: str) -> str:
     """Shipped rule template text by name: ``commongen_hard`` (lexical) or
-    ``personachat`` (dialogue)."""
+    ``personachat`` (dialogue), read from the package once."""
     return resources.files("logicdec.templates").joinpath(f"{name}.rules").read_text("utf-8")
 
 

@@ -346,11 +346,12 @@ class TestDecode:
     def test_degenerate_flags_match_baseline_beam(self, snapshot, tmp_path, capsys):
         # zero intensities and no constraint set (the dialogue task binds no
         # concepts): constrained decoding degenerates to plain beam search
+        # (the length norm given, as the two commands' defaults differ)
         dec, base = tmp_path / "dec.jsonl", tmp_path / "base.jsonl"
         shared = ["--factbase", str(snapshot),
                   "--instances", str(DATA / "dialogue10.jsonl"),
                   "--corpus", str(DATA / "corpus_dialogue.txt"),
-                  "--beam", "5", "--max-length", "10"]
+                  "--beam", "5", "--max-length", "10", "--length-norm", "0.7"]
         code, _, _ = run(["decode", *shared, "--alpha1", "0",
                           "--alpha2", "0", "--alpha3", "0", "--out", str(dec)], capsys)
         assert code == 0

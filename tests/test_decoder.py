@@ -255,21 +255,25 @@ class TestCarriedProverMemo:
         inst = load_instances(DATA / "lexical20.jsonl")[0]
         binding = lexical_rule_template(inst.concepts, toy_facts)
         program = parse_program(binding.source)
-        bodies = {id(program.rule(name).body): name for name in ("R", "Rel")}
-        evaluated = Counter()
-        original = P._eval
+        inserted = Counter()
 
-        def counting(program_, expr, *rest):
-            if id(expr) in bodies:  # a rule body is evaluated only on a memo miss
-                evaluated[bodies[id(expr)]] += 1
-            return original(program_, expr, *rest)
+        class CountingMemo(dict):  # a rule is evaluated only on a memo miss
+            def __setitem__(self, key, value):
+                inserted[key] += 1
+                super().__setitem__(key, value)
 
-        monkeypatch.setattr(P, "_eval", counting)
+        memo, original = CountingMemo(), decoder.prove
+
+        def counting(program_, rule, domain, ctx):
+            return original(program_, rule, domain, EvalContext(ctx.facts, ctx.sets, memo))
+
+        monkeypatch.setattr(decoder, "prove", counting)
         config = replace(PRESETS["commongen"], max_length=16, bos_id=bos, eos_id=eos)
         decode(lexical_scorer, program, "R", binding.ctx, config)
         concepts = set(binding.ctx.sets["C"])
-        assert len(concepts) > 1 and evaluated["R"] > 1
-        assert evaluated["Rel"] == len(concepts)
+        assert set(inserted.values()) == {1}
+        assert len(concepts) > 1 and sum(name == "R" for name, *_ in inserted) > 1
+        assert sorted(args[1] for name, args, *_ in inserted if name == "Rel") == sorted(concepts)
 
     @pytest.mark.parametrize("source, kept", [
         ("R(x) :- exists y in Prev, Edge(x, y)", set()), (LEXICAL_RULES, {"Rel"})],

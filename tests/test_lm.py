@@ -395,6 +395,7 @@ class TestNgramDist:
         lm, dists = case
         v = lm.vocab_size
         dense = np.concatenate([d.dense() for d in dists])
+        assert NgramDist.block(dists).tobytes() == dense.tobytes()
         assert NgramDist.at(dists, np.arange(len(dense))).tobytes() == dense.tobytes()
         some = np.array(sorted(rng.sample(range(len(dense)), rng.randint(0, len(dense)))),
                         dtype=np.int64)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from logicdec.kb import FactBase, Vocabulary
 from logicdec.prover import (Domain, EvalContext, and_avg_vec, and_luk_vec,
                              not_vec, or_vec, prove, prove_scalar)
-from logicdec import rules as R
+from logicdec import prover as P, rules as R
 from logicdec.rules import EmptyDomainError, UnboundSetError, parse_program
 from logicdec.tasks import template_text
 from logicdec.truth import Truth
@@ -572,6 +572,88 @@ class TestDenseOracle:
             assert isinstance(truth, Truth) and truth.size == len(domain)
             assert truth.dense().tobytes() == dense_prove(program, "R", domain, ctx).tobytes()
             assert_canonical(truth)
+
+
+def assert_dense_bitwise(source, facts, sets):
+    """``prove`` equals the dense prover bit for bit, on the vocabulary and
+    on a target list."""
+    program = parse_program(source)
+    ctx = EvalContext(facts, sets)
+    for domain in (Domain.vocabulary(facts), Domain.targets([3, 1, 3, 0])):
+        truth = prove(program, "R", domain, ctx)
+        assert truth.dense().tobytes() == dense_prove(program, "R", domain, ctx).tobytes()
+        assert_canonical(truth)
+
+
+REL = "Rel(x, y) :- Edge(x, y) | Equal(x, y)\n"
+SOFT_GATE = "R(x) :- {} c in C, ~Y(c) ^ Rel(x, c)\nY(x) :- exists y in Prev, Equal(x, y)\n" + REL
+
+
+def connected(facts, n: int) -> list[int]:
+    """The first ``n`` tokens with an edge."""
+    return np.flatnonzero(np.diff(facts._csc_indptr))[:n].tolist()
+
+
+class TestBatchedQuantifiers:
+    """A quantifier evaluates its body once for the whole set; the cases that
+    batching can get wrong, each bit for bit against the dense prover."""
+
+    @pytest.mark.parametrize("source", [
+        "R(x) :- exists c in C, Rel(x, c)\n" + REL,
+        "R(x) :- forall c in C, Edge(x, c) ^ ~Equal(c, x)",
+        "R(x) :- forall c in C, (exists y in Prev, Edge(y, c)) | Equal(x, x) & Edge(x, x)",
+        SOFT_GATE.format("forall"),
+    ])
+    def test_repeated_ids_within_one_set(self, toy_facts, source):
+        a, b, c = connected(toy_facts, 3)
+        assert_dense_bitwise(source, toy_facts, {"C": (b, a, b, b, c, a), "Prev": (c, c, a)})
+
+    @pytest.mark.parametrize("kind", ["exists", "forall"])
+    def test_a_one_element_set_gives_its_body(self, toy_facts, kind):
+        (c,) = connected(toy_facts, 1)
+        ctx = EvalContext(toy_facts, {"C": (c,), "Prev": (c,)})
+        vocab = Domain.vocabulary(toy_facts)
+        column = prove(parse_program(f"R(x) :- {kind} c in C, Edge(x, c)"), "R", vocab, ctx)
+        assert column.dense().tobytes() == dense_edge_column(toy_facts, c).tobytes()
+        for source in (f"R(x) :- {kind} c in C, ({kind} y in Prev, Rel(x, c) ^ Edge(c, y))\n" + REL,
+                       SOFT_GATE.format(kind)):
+            assert_dense_bitwise(source, toy_facts, ctx.sets)
+
+    def test_an_isolated_element_has_no_entries(self, toy_facts):
+        bos = toy_facts.vocab.id_of("<s>")
+        assert not np.diff(toy_facts._csc_indptr)[bos]
+        assert_dense_bitwise("R(x) :- exists c in C, Rel(x, c)\n" + REL, toy_facts, {"C": (bos,)})
+
+    @pytest.mark.parametrize("source", [
+        "R(x) :- exists c in C, forall d in C, Edge(x, c) ^ ~Edge(x, d)",
+        "R(x) :- forall c in C, exists d in C, Edge(c, d) & Rel(x, d)\n" + REL,
+    ])
+    def test_a_quantifier_nested_over_the_same_set(self, toy_facts, source):
+        concepts = connected(toy_facts, 40)
+        assert len(concepts) ** 2 > P._BATCH  # the inner quantifier runs in rounds
+        assert_dense_bitwise(source, toy_facts, {"C": tuple(concepts)})
+
+    @pytest.mark.parametrize("cells", [None, 5])
+    @pytest.mark.parametrize("kind", ["exists", "forall"])
+    def test_zero_and_nonzero_backgrounds_in_one_fold(self, toy_facts, monkeypatch, kind, cells):
+        if cells:  # a few elements' values laid out at a time
+            monkeypatch.setattr(P, "_CELLS", cells)
+        concepts = connected(toy_facts, 6)
+        # a covered concept's element has background 0, an uncovered one's 0.5
+        assert_dense_bitwise(SOFT_GATE.format(kind), toy_facts,
+                             {"C": tuple(concepts), "Prev": tuple(concepts[::2])})
+
+    @pytest.mark.parametrize("source", [
+        template_text("commongen_hard"), SOFT_GATE.format("exists"), template_text("personachat"),
+        "R(x) :- forall c in C, exists y in Prev, Edge(c, y)", "R(x) :- forall c in C, Edge(x, c)",
+        "R(x) :- forall p in P, Edge(x, p) | (exists u in U, Edge(p, u))",
+    ])
+    def test_a_200_element_set_on_the_toy_world(self, toy_facts, source):
+        rng = np.random.default_rng(200)
+        ids = connected(toy_facts, len(toy_facts.vocab))
+        sets = {name: tuple(rng.choice(ids, size).tolist())
+                for name, size in (("C", 200), ("P", 200), ("U", 16), ("Prev", 16))}
+        assert_dense_bitwise(source, toy_facts, sets)
 
 
 class TestTruth:

@@ -234,3 +234,18 @@ class TestCoverage:
 def test_template_files_ship_with_package():
     for name in ("commongen_hard", "personachat"):
         parse_program(template_text(name))
+
+
+def test_each_template_is_read_from_the_package_once(monkeypatch):
+    from importlib import resources
+    template_text.cache_clear()
+    reads = []
+    files = resources.files
+
+    def counting(package):
+        reads.append(package)
+        return files(package)
+
+    monkeypatch.setattr(resources, "files", counting)
+    assert template_text("personachat") is template_text("personachat")
+    assert reads == ["logicdec.templates"]

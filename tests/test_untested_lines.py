@@ -90,3 +90,12 @@ def test_traffic_tool_lists_what_one_demo_never_reaches():
     unknown = subprocess.run([sys.executable, str(tool), "demo:none"], cwd=ROOT, env=env,
                              capture_output=True, text=True, timeout=60)
     assert unknown.returncode == 2 and "unknown part 'demo:none'" in unknown.stderr
+
+
+def test_the_prover_tests_reach_every_statement_of_the_batched_evaluator():
+    """Every statement of the evaluator runs under the prover tests that draw
+    no random examples: each kind of atom, connective, fold and memo path."""
+    prover = "tests/test_prover.py::"
+    assert unreached([prover + "TestProve", prover + "TestBatchedQuantifiers"],
+                     {"prover": {"_Truths", "_slices", "_atom", "_at", "_union", "_connective",
+                                 "_fold", "_split", "_batch", "_eval", "_call", "prove"}}) == []
