@@ -31,11 +31,10 @@ corpus = [[bos] + [vocab.id_of(w) for w in line.split()] + [eos]
 scorer = NgramScorer(ngram_train(corpus, order=3, vocab_size=len(vocab)))
 
 instances = load_instances(DATA / "lexical20.jsonl")
-config = replace(PRESETS["commongen"], max_length=16, bos_id=bos, eos_id=eos,
-                 length_norm_power=1.0)
+config = replace(PRESETS["commongen"], max_length=16, bos_id=bos, eos_id=eos)
 
 baseline = plain_beam_search(scorer, config.beam_size, config.max_length,
-                             bos_id=bos, eos_id=eos, length_norm_power=1.0)
+                             bos_id=bos, eos_id=eos)
 base_text = " ".join(vocab.token(t) for t in baseline.best.tokens[1:-1])
 print(f"\nunconstrained beam search says the same thing every time:\n  {base_text!r}")
 

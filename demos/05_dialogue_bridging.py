@@ -27,13 +27,11 @@ corpus = [[bos] + [vocab.id_of(w) for w in line.split()] + [eos]
           for line in open(DATA / "corpus_dialogue.txt") if line.split()]
 scorer = NgramScorer(ngram_train(corpus, order=3, vocab_size=len(vocab)))
 
-baseline = plain_beam_search(scorer, 10, 10, bos_id=bos, eos_id=eos,
-                             length_norm_power=1.0)
+baseline = plain_beam_search(scorer, 10, 10, bos_id=bos, eos_id=eos)
 print("unconstrained response:",
       " ".join(vocab.token(t) for t in baseline.best.tokens[1:-1]))
 
-config = replace(PRESETS["personachat"], max_length=10, bos_id=bos, eos_id=eos,
-                 length_norm_power=1.0)
+config = replace(PRESETS["personachat"], max_length=10, bos_id=bos, eos_id=eos)
 
 for inst in load_instances(DATA / "dialogue10.jsonl")[:5]:
     binding = dialogue_rule_template(inst.persona, inst.history, facts)

@@ -30,7 +30,7 @@ from .transformer import TinyTransformer, TransformerConfig, TransformerScorer, 
 
 log = logging.getLogger("logicdec")
 
-NGRAM_ORDER = 3  # the n-gram scorer's order; it trains with ngram_train's default discount
+NGRAM_ORDER = 3  # the n-gram scorer's order; it trains at lm.DISCOUNT
 
 
 class UsageError(ValueError):
@@ -79,9 +79,6 @@ def build_parser() -> _Parser:
     common_decode.add_argument("--seed", type=int, default=0, help="transformer init seed")
     common_decode.add_argument("--beam", type=int, help="beam size")
     common_decode.add_argument("--max-length", type=int, default=16, help="max generated tokens")
-    common_decode.add_argument("--length-norm", type=float,
-                               help="length normalization exponent (default: the preset's "
-                                    "1.0 for decode, 0.7 for baseline-beam)")
 
     p_dec = sub.add_parser("decode", parents=[common_decode], help="run constrained decoding",
                            description="Each instance decodes under its kind's preset (lexical: "
@@ -171,7 +168,7 @@ def _read_rules(path, rule: Optional[str] = None) -> RuleProgram:
 def _decode_config(args, base: DecodingConfig) -> DecodingConfig:
     """``base`` with the hyperparameter flags given on the command line."""
     flags = {"beam": "beam_size", "alpha1": "alpha1", "alpha2": "alpha2", "alpha3": "alpha3",
-             "rho": "prune_ratio", "group_k": "group_budget", "length_norm": "length_norm_power"}
+             "rho": "prune_ratio", "group_k": "group_budget"}
     overrides = {name: getattr(args, flag) for flag, name in flags.items()
                  if getattr(args, flag, None) is not None}
     overrides.update(max_length=args.max_length)
@@ -235,8 +232,7 @@ def _decode_common(args, constrained: bool) -> int:
     if not constrained:  # one unconstrained search serves every instance
         config = configs["lexical"]  # the kinds' configs are equal
         searched = plain_beam_search(scorer, config.beam_size, config.max_length,
-                                     bos_id=bos, eos_id=eos,
-                                     length_norm_power=config.length_norm_power)
+                                     bos_id=bos, eos_id=eos)
 
     written = 0
     with open(args.out, "w", encoding="utf-8") as out:

@@ -78,7 +78,7 @@ class DecodingConfig:
     max_length: int = 32               # generated tokens, BOS excluded
     bos_id: int = 0
     eos_id: Optional[int] = None
-    length_norm_power: float = 0.7
+    length_norm_power: float = 1.0
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -103,9 +103,9 @@ class DecodingConfig:
 # dialogue instance under "personachat".
 PRESETS: dict[str, DecodingConfig] = {
     "commongen": DecodingConfig(beam_size=20, alpha1=12.0, alpha2=24.0, alpha3=24.0,
-                                prune_ratio=0.6, group_budget=16, length_norm_power=1.0),
+                                prune_ratio=0.6, group_budget=16),
     "personachat": DecodingConfig(beam_size=10, alpha1=12.0, alpha2=24.0, alpha3=48.0,
-                                  prune_ratio=0.4, group_budget=8, length_norm_power=1.0),
+                                  prune_ratio=0.4, group_budget=8),
 }
 
 
@@ -335,7 +335,7 @@ def _select_beam(score: np.ndarray, token: np.ndarray, parent: np.ndarray,
 
 def plain_beam_search(scorer: Scorer, beam_size: int, max_length: int, *,
                       bos_id: int = 0, eos_id: Optional[int] = None,
-                      length_norm_power: float = 0.7) -> DecodeResult:
+                      length_norm_power: float = 1.0) -> DecodeResult:
     """Reference beam search over raw scorer distributions, from ``bos_id``.
     Its settings are checked as ``DecodingConfig`` checks them, and a
     hypothesis is scored only at the step that expands it."""

@@ -22,7 +22,6 @@ import numpy as np
 
 from .lm import _check_token
 from .stemming import word_stem
-from .truth import Truth
 
 __all__ = [
     "WORD_BOUNDARY", "Vocabulary", "StemIndex", "FactBase", "IngestReport",
@@ -165,7 +164,7 @@ class FactBase:
 
     The adjacency is kept once, as a symmetric matrix in compressed sparse
     column (CSC) layout with increasing rows in each column.  Scalar lookups
-    binary-search a column; whole-vocabulary lookups slice it.
+    binary-search a column; the prover's atoms gather whole columns.
     """
 
     def __init__(self, vocab: Vocabulary, stems: StemIndex,
@@ -189,7 +188,7 @@ class FactBase:
         self._csc_rows = rows.astype(np.int32, copy=False)
         self._csc_vals = vals
         for array in (self._csc_indptr, self._csc_rows, self._csc_vals):
-            array.flags.writeable = False  # the atoms hand out views of them
+            array.flags.writeable = False  # checked once, above; a FactBase is immutable
 
     # -- construction -------------------------------------------------------
 
@@ -214,21 +213,6 @@ class FactBase:
     def same_stem(self, a: int, b: int) -> bool:
         _check_token((a, b), len(self.vocab))
         return self.stems.same_class(a, b)
-
-    # -- whole-vocabulary fact access (the prover's atoms) --------------------
-
-    def edge_truth(self, p: int) -> Truth:
-        """``Edge(x, p)`` for every token ``x``: column ``p`` of the adjacency,
-        as read-only views of its rows and weights."""
-        _check_token((p,), len(self.vocab))
-        lo, hi = self._csc_indptr[p], self._csc_indptr[p + 1]
-        return Truth(0.0, self._csc_rows[lo:hi], self._csc_vals[lo:hi], len(self.vocab))
-
-    def equal_truth(self, y: int) -> Truth:
-        """``Equal(x, y)`` for every token ``x``: 1.0 on ``y``'s stem class."""
-        _check_token((y,), len(self.vocab))
-        mates = self.stems.class_members(y)
-        return Truth(0.0, mates, np.ones(len(mates)), len(self.vocab))
 
     @property
     def num_edges(self) -> int:

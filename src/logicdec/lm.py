@@ -14,11 +14,12 @@ internal attention expose ``supports_attention_hooks`` and accept a hook
 bundle in ``step``.
 
 The n-gram model here is the desk-scale stand-in for a large pretrained LM:
-absolute-discount interpolation down to a unigram floor, so every token
-seen in training has positive probability in every context.  Such a
-distribution is the unigram, scaled once per context order, plus a few
-sparse corrections: :class:`NgramDist` holds it in that form, so that the
-decoder can rank it from the unigram's order without writing out V entries.
+absolute-discount interpolation at one fixed discount, ``DISCOUNT``, down to
+a unigram floor, so every token seen in training has positive probability in
+every context.  Such a distribution is the unigram, scaled once per context
+order, plus a few sparse corrections: :class:`NgramDist` holds it in that
+form, so that the decoder can rank it from the unigram's order without
+writing out V entries.
 The model keeps the corrections of each context length in flat arrays, one
 row per context seen, and a distribution is its model and one row per length.
 
@@ -27,8 +28,8 @@ A token id is a Python or numpy integer, not a bool, in [0, V).
 ``ngram_train`` its corpus, vectorised.  The rule's boundaries include the
 scorers' steps and sessions, the decoders' BOS, EOS and concepts,
 ``Vocabulary.token`` and ``surface``, ``FactBase``'s scalar lookups
-(``edge_weight``, ``same_stem``) and atoms, and the domain and set bindings
-of ``prove`` and ``prove_scalar``.
+(``edge_weight``, ``same_stem``), and the domain and set bindings of
+``prove`` and ``prove_scalar``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 __all__ = ["Scorer", "NgramLM", "NgramDist", "NgramScorer", "ngram_train"]
+
+DISCOUNT = 0.75  # the n-gram model's absolute discount D
 
 
 class Scorer(abc.ABC):
@@ -204,11 +207,9 @@ class NgramLM:
     for each length up to ``order - 1`` that the corpus holds.
     """
 
-    def __init__(self, order: int, vocab_size: int, discount: float,
-                 tables: list[_Table], unigram: np.ndarray):
+    def __init__(self, order: int, vocab_size: int, tables: list[_Table], unigram: np.ndarray):
         self.order = order
         self.vocab_size = vocab_size
-        self.discount = discount
         self._tables = tables
         self._unigram = unigram
         self._ranked = np.argsort(-unigram, kind="stable")
@@ -235,9 +236,9 @@ def _check_token(ids: Iterable, vocab_size: int, what: str = "token id") -> None
 
 
 def ngram_train(corpus: Sequence[Sequence[int]], order: int,
-                discount: float = 0.75, vocab_size: Optional[int] = None) -> NgramLM:
-    """Count-based training over token-id sequences, into one
-    :class:`_Table` of flat arrays per context length.
+                vocab_size: Optional[int] = None) -> NgramLM:
+    """Count-based training over token-id sequences, at discount
+    ``DISCOUNT``, into one :class:`_Table` of flat arrays per context length.
 
     The ids (Python or numpy integers; not bools) are laid end to end in one
     array.  A context of length k is the (context, successor) pair of length
@@ -251,8 +252,6 @@ def ngram_train(corpus: Sequence[Sequence[int]], order: int,
     """
     if not (1 <= order <= 5):
         raise ValueError(f"order must be in 1..5, got {order}")
-    if not (0.0 < discount < 1.0):
-        raise ValueError(f"discount must be in (0, 1), got {discount}")
     sequences = corpus if isinstance(corpus, (list, tuple)) else [list(s) for s in corpus]
     lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
     if not lengths.any():
@@ -301,13 +300,13 @@ def ngram_train(corpus: Sequence[Sequence[int]], order: int,
         first = pos[perm[ctx_at]]                        # a position after each context
         contexts = zip(*[flat[first - j].tolist() for j in range(k, 0, -1)])
         tables.append(_Table(dict(zip(contexts, range(1, len(ctx_at) + 1))),
-                             np.concatenate(([1.0], discount * sizes / totals)),
+                             np.concatenate(([1.0], DISCOUNT * sizes / totals)),
                              np.concatenate(([0], starts, [len(pair_at)])),
                              key[pair_at] - ctx[pair_at] * vocab_size,
-                             np.maximum(counts - discount, 0.0) / np.repeat(totals, sizes)))
+                             np.maximum(counts - DISCOUNT, 0.0) / np.repeat(totals, sizes)))
 
     uni = uni.astype(np.float64)
-    return NgramLM(order, vocab_size, discount, tables, uni / uni.sum())
+    return NgramLM(order, vocab_size, tables, uni / uni.sum())
 
 
 @dataclass

@@ -141,8 +141,7 @@ def test_c05_degenerate_decoder_equivalence():
             length = int(rng.integers(2, 7))
             body = [int(t) for t in rng.integers(2, vocab_size, size=length)]
             corpus.append([0] + body + [1])
-        lm = ngram_train(corpus, order=3, vocab_size=vocab_size,
-                         discount=float(rng.uniform(0.3, 0.9)))
+        lm = ngram_train(corpus, order=3, vocab_size=vocab_size)
         scorer = NgramScorer(lm)
         config = DecodingConfig(beam_size=4, alpha1=0, alpha2=0, alpha3=0,
                                 prune_ratio=1e-12, max_length=8,

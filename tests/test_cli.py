@@ -86,7 +86,6 @@ class TestDecode:
             "--instances", str(DATA / "lexical20.jsonl"),
             "--corpus", str(DATA / "corpus_lexical.txt"),
             "--max-length", "16",
-            "--length-norm", "1.0",
             "--out", str(out)], capsys)
         assert code == 0
         lines = [json.loads(l) for l in out.read_text().splitlines()]
@@ -96,7 +95,8 @@ class TestDecode:
 
     @pytest.mark.parametrize("flag, value", [("--template", "hard-gate"), ("--task", "lexical"),
                                              ("--preset", "commongen"), ("--ngram-order", "3"),
-                                             ("--discount", "0.75")])
+                                             ("--discount", "0.75"),
+                                             ("--length-norm", "1.0")])
     def test_removed_flags_are_refused(self, snapshot, tmp_path, capsys, flag, value):
         out = tmp_path / "results.jsonl"
         for command in ("decode", "baseline-beam"):
@@ -346,12 +346,11 @@ class TestDecode:
     def test_degenerate_flags_match_baseline_beam(self, snapshot, tmp_path, capsys):
         # zero intensities and no constraint set (the dialogue task binds no
         # concepts): constrained decoding degenerates to plain beam search
-        # (the length norm given, as the two commands' defaults differ)
         dec, base = tmp_path / "dec.jsonl", tmp_path / "base.jsonl"
         shared = ["--factbase", str(snapshot),
                   "--instances", str(DATA / "dialogue10.jsonl"),
                   "--corpus", str(DATA / "corpus_dialogue.txt"),
-                  "--beam", "5", "--max-length", "10", "--length-norm", "0.7"]
+                  "--beam", "5", "--max-length", "10"]
         code, _, _ = run(["decode", *shared, "--alpha1", "0",
                           "--alpha2", "0", "--alpha3", "0", "--out", str(dec)], capsys)
         assert code == 0
@@ -385,7 +384,6 @@ class TestDecode:
 
     @pytest.mark.parametrize("flag, value, words", [
         ("--beam", "0", "beam size"),
-        ("--length-norm", "nan", "length-normalisation power"),
     ])
     def test_invalid_decode_setting_is_a_usage_error(self, snapshot, tmp_path, capsys,
                                                       flag, value, words):
@@ -528,7 +526,7 @@ class TestEval:
             "decode", "--factbase", str(snapshot),
             "--instances", str(DATA / "lexical20.jsonl"),
             "--corpus", str(DATA / "corpus_lexical.txt"),
-            "--max-length", "16", "--length-norm", "1.0",
+            "--max-length", "16",
             "--out", str(results)], capsys)
         assert code == 0
         texts = [json.loads(line)["text"] for line in results.read_text().splitlines()]

@@ -501,6 +501,21 @@ class TestDecode:
         assert [h.tokens for h in a.hypotheses] == [h.tokens for h in b.hypotheses]
         assert [h.logp for h in a.hypotheses] == [h.logp for h in b.hypotheses]
 
+    def test_plain_beam_search_ranks_like_the_degenerate_preset(self):
+        # BOS = 0, EOS = 1: (0, 1) scores log 0.4 and (0, 2, 1) log 0.6 + log 0.3,
+        # so power 0.7 ranks the short text first and power 1.0 the long one
+        scorer = TableScorer(table_of([[0, 4, 6], [1, 1, 1], [0, 3, 7]]))
+        bests = {power: plain_beam_search(scorer, 20, 2, eos_id=1,
+                                          length_norm_power=power).best.tokens
+                 for power in (0.7, 1.0)}
+        assert bests == {0.7: (0, 1), 1.0: (0, 2, 1)}
+        preset = PRESETS["commongen"]
+        config = replace(preset, alpha1=0.0, alpha2=0.0, alpha3=0.0, prune_ratio=1e-12,
+                         group_budget=preset.beam_size, max_length=2, eos_id=1)
+        constrained = decode(scorer, None, None, None, config)
+        plain = plain_beam_search(scorer, preset.beam_size, 2, eos_id=1)
+        assert constrained.best.tokens == plain.best.tokens == bests[1.0]
+
     def test_scores_monotone_along_ancestry(self, lexical_scorer, toy_facts, sentinel_ids):
         bos, eos = sentinel_ids
         v = toy_facts.vocab

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from logicdec.kb import (WORD_BOUNDARY, FactBase, SnapshotError, StemIndex,
                          Vocabulary, _check_adjacency, align_word_to_token,
                          ingest_triples, load_factbase, rescale_weight)
+from logicdec.prover import Domain, EvalContext, prove
+from logicdec.rules import parse_program
 from logicdec.stemming import word_stem
 
 from conftest import DATA, read_words
@@ -213,60 +215,70 @@ class TestStemIndex:
         assert not index.same_class(r, d)
 
 
+def _atom_truth(facts, atom, c):
+    """``atom``(x, c) for every token x, as ``prove`` gives it: a quantifier
+    over the one-element set (c,) has its body's value unchanged."""
+    program = parse_program(f"A(x) :- exists c in C, {atom}(x, c)")
+    return prove(program, "A", Domain.vocabulary(facts), EvalContext(facts, {"C": (c,)}))
+
+
 class TestEqualVector:
-    """Stem equality over the vocabulary, ``FactBase.equal_truth``."""
+    """Stem equality over the vocabulary: ``Equal(x, c)`` proved, against
+    ``FactBase.same_stem``."""
 
     def test_stem_mates_match(self, toy_facts):
         v = toy_facts.vocab
         domain = [v.id_of("run"), v.id_of("ran"), v.id_of("dog")]
-        out = toy_facts.equal_truth(v.id_of("running")).at(domain)
+        out = _atom_truth(toy_facts, "Equal", v.id_of("running")).at(domain)
         assert out.tolist() == [1.0, 1.0, 0.0]
 
     def test_identity_one_hot(self, toy_facts):
         v = toy_facts.vocab
         domain = [v.id_of("garden"), v.id_of("piano"), v.id_of("river")]
-        out = toy_facts.equal_truth(v.id_of("garden")).at(domain)
+        out = _atom_truth(toy_facts, "Equal", v.id_of("garden")).at(domain)
         assert out.tolist() == [1.0, 0.0, 0.0]
 
     def test_disjoint_classes_all_zero(self, toy_facts):
         v = toy_facts.vocab
         domain = [v.id_of("garden"), v.id_of("piano")]
-        assert toy_facts.equal_truth(v.id_of("dog")).at(domain).tolist() == [0.0, 0.0]
+        assert _atom_truth(toy_facts, "Equal", v.id_of("dog")).at(domain).tolist() == [0.0, 0.0]
 
     def test_members_are_the_stem_class_as_read_only_views(self, toy_facts):
         v = toy_facts.vocab
-        truth = toy_facts.equal_truth(v.id_of("running"))
+        c = v.id_of("running")
+        truth = _atom_truth(toy_facts, "Equal", c)
         assert truth.background == 0.0 and (truth.values == 1.0).all()
         assert [v.token(t) for t in truth.ids] == sorted(
             ("run", "runs", "running", "ran"), key=v.id_of)
+        assert truth.dense().tolist() == [float(toy_facts.same_stem(x, c)) for x in range(len(v))]
+        assert toy_facts.stems.class_members(c).tolist() == truth.ids.tolist()
         with pytest.raises(ValueError, match="read-only"):
-            truth.ids[0] = 0
-        with pytest.raises(ValueError, match="outside"):
-            toy_facts.equal_truth(len(v))
+            toy_facts.stems.class_members(c)[0] = 0
 
 
 class TestEdgeVector:
-    """Adjacency columns over the vocabulary, ``FactBase.edge_truth``."""
+    """Adjacency columns over the vocabulary: ``Edge(x, c)`` proved, against
+    ``FactBase.edge_weight``."""
 
     def test_single_soft_edge(self):
         vocab = Vocabulary(["a", "b", "p"])
         facts = FactBase.from_edges(vocab, [(0, 2, 0.7)], mode="soft")
-        assert facts.edge_truth(2).dense().tolist() == [0.7, 0.0, 0.0]
+        assert _atom_truth(facts, "Edge", 2).dense().tolist() == [0.7, 0.0, 0.0]
 
     def test_hard_mode_two_neighbours(self):
         vocab = Vocabulary(["a", "b", "c", "p"])
         facts = FactBase.from_edges(vocab, [(0, 3, 1.0), (2, 3, 1.0)], mode="hard")
-        assert facts.edge_truth(3).dense().tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert _atom_truth(facts, "Edge", 3).dense().tolist() == [1.0, 0.0, 1.0, 0.0]
 
     def test_symmetry_over_all_stored_edges(self, toy_facts):
+        columns = [_atom_truth(toy_facts, "Edge", c).dense() for c in range(len(toy_facts.vocab))]
         for a, b, w in toy_facts.edges():
-            assert toy_facts.edge_truth(b).dense()[a] == pytest.approx(w)
-            assert toy_facts.edge_truth(a).dense()[b] == pytest.approx(w)
+            assert columns[b][a] == pytest.approx(w)
+            assert columns[a][b] == pytest.approx(w)
 
     def test_columns_are_read_only_views(self, toy_facts):
-        truth = toy_facts.edge_truth(toy_facts.vocab.id_of("garden"))
-        assert len(truth.ids) and truth.background == 0.0
-        for array in (truth.ids, truth.values):
+        # the atoms gather from the adjacency arrays, which no caller may write
+        for array in (toy_facts._csc_indptr, toy_facts._csc_rows, toy_facts._csc_vals):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -621,7 +633,8 @@ class TestFactBaseValidation:
     def test_edge_weight_matches_columns(self, toy_facts):
         n = len(toy_facts.vocab)
         dense = np.array([[toy_facts.edge_weight(a, b) for a in range(n)] for b in range(n)])
-        assert (dense == np.stack([toy_facts.edge_truth(b).dense() for b in range(n)])).all()
+        assert (dense == np.stack([_atom_truth(toy_facts, "Edge", b).dense()
+                                   for b in range(n)])).all()
 
     @pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (75, 0), (0, 75)])
     def test_edge_weight_rejects_ids_outside_vocabulary(self, toy_facts, a, b):

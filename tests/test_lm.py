@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logicdec.kb import load_factbase
-from logicdec.lm import NgramDist, NgramLM, NgramScorer, ngram_train
+from logicdec.lm import DISCOUNT, NgramDist, NgramLM, NgramScorer, ngram_train
 
 from conftest import DATA, corpus_ids
 
@@ -34,18 +34,13 @@ def toy_corpus():
 
 class TestTraining:
     def test_unigram_matches_empirical_frequencies(self):
-        lm = ngram_train([[2, 2, 3]], order=1, discount=0.5, vocab_size=4)
+        lm = ngram_train([[2, 2, 3]], order=1, vocab_size=4)
         dist = lm.dist(()).dense()
         assert dist.tolist() == [0.0, 0.0, 2 / 3, 1 / 3]
 
     def test_order_out_of_range(self):
         with pytest.raises(ValueError, match="order"):
             ngram_train(toy_corpus(), order=6)
-
-    @pytest.mark.parametrize("discount", [0.0, 1.0, -0.5, 1.5])
-    def test_discount_out_of_range(self, discount):
-        with pytest.raises(ValueError, match="discount"):
-            ngram_train(toy_corpus(), order=2, discount=discount)
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError, match="empty"):
@@ -89,9 +84,9 @@ class TestTraining:
         as_numpy = [[np.int32(t) if i % 2 else np.int64(t) for i, t in enumerate(s)]
                     for s in corpus]
         assert_same_model(ngram_train(as_numpy, order=3, vocab_size=6),
-                          as_oracle(ngram_train(corpus, order=3, vocab_size=6)), 0.75)
+                          as_oracle(ngram_train(corpus, order=3, vocab_size=6)))
         assert_same_model(ngram_train(np.array([[0, 2, 3, 1]]), order=2),
-                          as_oracle(ngram_train([[0, 2, 3, 1]], order=2)), 0.75)
+                          as_oracle(ngram_train([[0, 2, 3, 1]], order=2)))
 
     def test_keys_past_int64_are_refused(self):
         # a pair key is at most V times the corpus length
@@ -180,11 +175,11 @@ def context_stats(lm: NgramLM) -> list[dict[tuple[int, ...], _ContextStats]]:
     return tables
 
 
-def assert_same_model(lm: NgramLM, oracle: tuple, discount: float) -> None:
+def assert_same_model(lm: NgramLM, oracle: tuple) -> None:
     """Equal settings, and per order the same contexts with bitwise-equal
     stats; ``oracle`` is ``(tables, unigram)``."""
     tables, unigram = oracle
-    assert (lm.order, lm.vocab_size, lm.discount) == (len(tables), len(unigram), discount)
+    assert (lm.order, lm.vocab_size) == (len(tables), len(unigram))
     assert lm._unigram.tobytes() == unigram.tobytes()
     assert lm._ranked.tobytes() == np.argsort(-unigram, kind="stable").tobytes()
     got = context_stats(lm)
@@ -207,34 +202,33 @@ def as_oracle(lm: NgramLM) -> tuple:
 @st.composite
 def training_corpora(draw):
     """A corpus over a few ids, so that n-grams repeat, with empty, one-token
-    and shorter-than-the-order sentences; an order, a discount and a
-    vocabulary size that is None or past the largest id."""
+    and shorter-than-the-order sentences; an order and a vocabulary size
+    that is None or past the largest id."""
     top = draw(st.integers(0, 12))
     sentence = st.lists(st.integers(0, top), max_size=draw(st.sampled_from([1, 3, 10])))
     corpus = draw(st.lists(sentence, min_size=1, max_size=10).filter(any))
     vocab_size = draw(st.one_of(st.none(), st.integers(1, 4).map(
         lambda extra: max(max(s) for s in corpus if s) + extra)))
-    discount = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    return corpus, draw(st.integers(1, 5)), discount, vocab_size
+    return corpus, draw(st.integers(1, 5)), vocab_size
 
 
 class TestTrainingOracle:
     @settings(max_examples=400, deadline=None)
     @given(training_corpora())
-    @example(([[0, 1, 0, 1, 0, 1]], 5, 0.75, None))
-    @example(([[], [3], [1, 2], [1, 2, 1, 2, 1]], 3, 0.5, 7))
+    @example(([[0, 1, 0, 1, 0, 1]], 5, None))
+    @example(([[], [3], [1, 2], [1, 2, 1, 2, 1]], 3, 7))
     def test_arrays_equal_the_dict_counting_oracle_bitwise(self, case):
-        corpus, order, discount, vocab_size = case
-        assert_same_model(ngram_train(corpus, order, discount, vocab_size),
-                          _ngram_train_oracle(corpus, order, discount, vocab_size), discount)
+        corpus, order, vocab_size = case
+        assert_same_model(ngram_train(corpus, order, vocab_size),
+                          _ngram_train_oracle(corpus, order, DISCOUNT, vocab_size))
 
     def test_tuple_and_generator_corpora_train_the_list_model(self):
         # lists and tuples are read in place, other iterables copied once
         corpus = toy_corpus()
-        oracle = _ngram_train_oracle(corpus, 3, 0.75, 6)
+        oracle = _ngram_train_oracle(corpus, 3, DISCOUNT, 6)
         for form in (tuple(corpus), [tuple(seq) for seq in corpus],
                      (list(seq) for seq in corpus), (iter(seq) for seq in corpus)):
-            assert_same_model(ngram_train(form, 3, vocab_size=6), oracle, 0.75)
+            assert_same_model(ngram_train(form, 3, vocab_size=6), oracle)
 
     def test_toy_and_seed_7_world_corpora_equal_the_oracle_bitwise(self, toy_vocab,
                                                                     world_7_corpus):
@@ -244,7 +238,7 @@ class TestTrainingOracle:
         for corpus, v in corpora:
             for order in (1, 3, 5):
                 assert_same_model(ngram_train(corpus, order, vocab_size=v),
-                                  _ngram_train_oracle(corpus, order, vocab_size=v), 0.75)
+                                  _ngram_train_oracle(corpus, order, DISCOUNT, v))
 
 
 class TestRetainedMemory:
@@ -329,8 +323,7 @@ def ngram_contexts(draw):
     active = draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=12, unique=True))
     corpus = draw(st.lists(st.lists(st.sampled_from(active), min_size=1, max_size=12),
                            min_size=1, max_size=8))
-    lm = ngram_train(corpus, order, draw(st.sampled_from([0.1, 0.5, 0.75, 0.9])),
-                     vocab_size=v)
+    lm = ngram_train(corpus, order, vocab_size=v)
     seq = draw(st.sampled_from(corpus))
     end = draw(st.integers(0, len(seq)))
     seen = seq[max(0, end - order + 1):end]
@@ -350,8 +343,7 @@ def ngram_batches(draw):
     order = draw(st.integers(1, 5))
     corpus = draw(st.lists(st.lists(st.integers(0, v - 1), min_size=1, max_size=10),
                            min_size=1, max_size=6))
-    lm = ngram_train(corpus, order, draw(st.sampled_from([0.1, 0.5, 0.75, 0.9])),
-                     vocab_size=v)
+    lm = ngram_train(corpus, order, vocab_size=v)
     seen = [s[max(0, end - n):end] for s in corpus for end in range(len(s) + 1)
             for n in range(order)]
     contexts = draw(st.lists(st.one_of(st.sampled_from(seen), st.just([]),

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from logicdec.rules import parse_program
@@ -103,7 +104,9 @@ class TestLexicalTemplate:
         (c,) = binding.ctx.sets["C"]
         ctx = EvalContext(facts=toy_facts, sets={"C": (c,), "Prev": (0,)})
         out = prove(parse_program(binding.source), "R", Domain.vocabulary(toy_facts), ctx).dense()
-        rel = or_vec([toy_facts.edge_truth(c).dense(), toy_facts.equal_truth(c).dense()])
+        words = range(len(toy_facts.vocab))
+        rel = or_vec([np.array([toy_facts.edge_weight(x, c) for x in words]),
+                      np.array([float(toy_facts.same_stem(x, c)) for x in words])])
         body = and_luk_vec([not_vec(float(toy_facts.same_stem(c, 0))), rel])
         assert out.tobytes() == body.tobytes()
 
@@ -129,11 +132,9 @@ class TestLexicalTemplate:
             dense = truth.dense()
             assert truth.background == 0.0, inst.instance_id
             assert dense.min() < dense.max(), inst.instance_id
-            related = set(binding.ctx.sets["C"])
-            for c in binding.ctx.sets["C"]:
-                related |= set(toy_facts.edge_truth(c).ids.tolist())
-                related |= set(toy_facts.equal_truth(c).ids.tolist())
-            unrelated = sorted(set(range(len(toy_facts.vocab))) - related)
+            unrelated = [x for x in range(len(toy_facts.vocab))
+                         if not any(toy_facts.edge_weight(x, c) or toy_facts.same_stem(x, c)
+                                    for c in binding.ctx.sets["C"])]
             assert unrelated and (dense[unrelated] == 0.0).all(), inst.instance_id
 
 

@@ -52,8 +52,6 @@ BOUNDARIES = {
     "same_stem-b": ("token id", lambda f, s, bad: f.same_stem(3, bad)),
     "vocab-token": ("token id", lambda f, s, bad: f.vocab.token(bad)),
     "vocab-surface": ("token id", lambda f, s, bad: f.vocab.surface(bad)),
-    "edge_truth": ("token id", lambda f, s, bad: f.edge_truth(bad)),
-    "equal_truth": ("token id", lambda f, s, bad: f.equal_truth(bad)),
     "ngram-step": ("token id", lambda f, s, bad: s.step(s.begin_session(), bad)),
     "ngram-step_batch": ("token id", lambda f, s, bad: s.step_batch(
         [s.begin_session(), s.begin_session()], [3, bad])),

@@ -82,8 +82,7 @@ def run_cli() -> None:
         for suite, corpus, rules in (("lexical20", "corpus_lexical.txt", "commongen_hard"),
                                      ("dialogue10", "corpus_dialogue.txt", "personachat")):
             instances = TOY / f"{suite}.jsonl"
-            shared = ["--factbase", snapshot, "--instances", instances,
-                      "--max-length", "16", "--length-norm", "1.0"]
+            shared = ["--factbase", snapshot, "--instances", instances, "--max-length", "16"]
             scorers = {"ngram": ["--scorer", "ngram", "--corpus", TOY / corpus],
                        "transformer": ["--scorer", "transformer"]}
             for name, scorer in scorers.items():
